@@ -23,9 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from .circuit import (
-    AND,
-    EMIT_BAND,
     MonotoneCircuit,
+    _banded_product,
     bool_matrix_product,
     input_matrix,
     new_circuit,
@@ -110,35 +109,13 @@ def ledger_csv_lines(ledger: DepthLedger, comments=()):
 # -- squaring builders ------------------------------------------------------------
 
 
-def _square_reach_step(circuit: MonotoneCircuit, cur: np.ndarray) -> np.ndarray:
-    """One squaring of the walk matrix: lengths 1..L become 1..2L."""
-    n = cur.shape[0]
-    if n == 1:
-        return cur
-    n2 = n * n
-    k_index = np.array([[k for k in range(n) if k != j] for j in range(n)], dtype=np.int64)
-    # Per entry e = (i, j): leaf k is cur[i,k] AND cur[k,j] for k != j and
-    # cur[i,j] itself at position j (it absorbs the k = j product).
-    lefts_full = np.ascontiguousarray(cur[:, k_index]).reshape(n2, n - 1)
-    r2 = cur[k_index, np.arange(n, dtype=np.int64)[:, None]]  # [j, t] = cur[k, j]
-    rights_full = np.tile(r2, (n, 1))
-    pass_full = cur.reshape(n2)
-    entry_j = np.tile(np.arange(n, dtype=np.int64), n)
-    out = np.empty(n2, dtype=np.int64)
-    for lo in range(0, n2, EMIT_BAND):
-        hi = min(lo + EMIT_BAND, n2)
-        and_ids = circuit._emit_bulk(AND, lefts_full[lo:hi].ravel(), rights_full[lo:hi].ravel())
-        leaves = np.empty((hi - lo, n), dtype=np.int64)
-        np.put_along_axis(leaves, k_index[entry_j[lo:hi]], and_ids.reshape(hi - lo, n - 1), axis=1)
-        np.put_along_axis(leaves, entry_j[lo:hi, None], pass_full[lo:hi, None], axis=1)
-        out[lo:hi] = circuit.or_reduce_columns(leaves)
-    return out.reshape(n, n)
-
-
 def _walk_power_entries(circuit: MonotoneCircuit, steps: int) -> np.ndarray:
+    """Square the walk matrix `steps` times: lengths 1..L become 1..2L each
+    time.  Leaf k = j is cur[i][j] itself, which absorbs the k = j product."""
     cur = input_matrix(circuit).entries
+    off_diagonal = ~np.eye(cur.shape[0], dtype=bool)
     for _ in range(steps):
-        cur = _square_reach_step(circuit, cur)
+        cur = _banded_product(circuit, cur, cur, off_diagonal)
     return cur
 
 
@@ -188,16 +165,21 @@ def build_reach_exact(n: int, l: int) -> MonotoneCircuit:
             factors.append(power)
         if i < top:
             power = bool_matrix_product(circuit, power, power)
-    while len(factors) > 1:
-        nxt = [
-            bool_matrix_product(circuit, factors[t], factors[t + 1])
-            for t in range(0, len(factors) - 1, 2)
-        ]
-        if len(factors) % 2:
-            nxt.append(factors[-1])
-        factors = nxt
-    circuit.set_outputs([factors[0].entry(1, n)])
+    product = _pairwise_fold(factors, lambda a, b: bool_matrix_product(circuit, a, b))
+    circuit.set_outputs([product.entry(1, n)])
     return circuit
+
+
+def _pairwise_fold(items: list, combine):
+    """Balanced fold: pair neighbours left to right each round, carrying an
+    odd straggler up.  build_reach_exact's product tree and its depth
+    prediction both use it, so the two cannot drift apart."""
+    while len(items) > 1:
+        nxt = [combine(items[t], items[t + 1]) for t in range(0, len(items) - 1, 2)]
+        if len(items) % 2:
+            nxt.append(items[-1])
+        items = nxt
+    return items[0]
 
 
 def build_reach(n: int) -> MonotoneCircuit:
@@ -506,7 +488,8 @@ def predict_gate_count(mode: str, n: int, l: int | None = None) -> int:
 def predict_depth(mode: str, n: int, l: int | None = None) -> DepthLedger:
     """Stage-by-stage depth predictions without materializing gates.
 
-    squaring and explicit use the integer formulas the builders achieve.
+    squaring, exact and explicit use the integer depths the builders
+    achieve; squaring defaults to l = n - 1, as the builder does.
     theorem uses the idealized recursion main terms (level products of
     dyadic log2 values, 96 fractional bits): the per-level order-log
     overheads vanish against (log2 n)**2 and are excluded, so the numbers
@@ -514,10 +497,20 @@ def predict_depth(mode: str, n: int, l: int | None = None) -> DepthLedger:
     """
     if mode == MODE_SQUARING:
         if l is None:
-            l = n
+            l = n - 1
         if n < 2 or l < 1:
             raise InvalidParameterError("squaring mode needs n >= 2 and l >= 1")
         return DepthLedger(stages=[Stage("squaring", ceil_log2(l) * (1 + ceil_log2(n)))])
+    if mode == MODE_EXACT:
+        if l is None:
+            raise InvalidParameterError("exact mode needs l")
+        if n < 2 or l < 1:
+            raise InvalidParameterError("exact mode needs n >= 2 and l >= 1")
+        # Replay build_reach_exact on depths: the factor for bit i of l is
+        # the walk matrix after i squarings, and every product adds a step.
+        step = 1 + ceil_log2(n)
+        factors = [i * step for i in range(l.bit_length()) if (l >> i) & 1]
+        return DepthLedger(stages=[Stage("exact-power", _pairwise_fold(factors, lambda a, b: max(a, b) + step))])
     if mode == MODE_EXPLICIT:
         if n < 2:
             raise InvalidParameterError("explicit mode needs n >= 2")

@@ -285,18 +285,10 @@ def new_circuit(num_vertices: int) -> MonotoneCircuit:
 def or_tree(circuit: MonotoneCircuit, wires) -> int:
     """OR of all given wires as a balanced pairwise tree.
 
-    Adds exactly ceil(log2 k) depth above equal-depth inputs; a singleton is
-    returned unchanged.
+    The one-row case of ``or_reduce_columns``: adds exactly ceil(log2 k)
+    depth above equal-depth inputs; a singleton is returned unchanged.
     """
-    wires = list(wires)
-    if not wires:
-        raise InvalidParameterError("or_tree needs at least one wire")
-    while len(wires) > 1:
-        nxt = [circuit.add_gate(OR, wires[t], wires[t + 1]) for t in range(0, len(wires) - 1, 2)]
-        if len(wires) % 2:
-            nxt.append(wires[-1])
-        wires = nxt
-    return wires[0]
+    return int(circuit.or_reduce_columns(np.array([list(wires)], dtype=np.int64))[0])
 
 
 @dataclass
@@ -320,6 +312,29 @@ def input_matrix(circuit: MonotoneCircuit) -> WireMatrix:
     return WireMatrix(circuit, ids)
 
 
+def _banded_product(circuit: MonotoneCircuit, a: np.ndarray, b: np.ndarray, and_leaves: np.ndarray) -> np.ndarray:
+    """Banded AND-then-OR emission: out[i][j] = OR_k leaf(i, j, k).
+
+    leaf(i, j, k) is a new gate a[i][k] AND b[k][j] where and_leaves[j][k]
+    holds, and the wire a[i][k] itself otherwise.  Per band of entries the
+    AND gates are emitted in (entry, k) order, then each entry's leaves go
+    through one balanced OR, so emission order is fixed by the operands.
+    """
+    n = a.shape[0]
+    n2 = n * n
+    lefts_full = np.repeat(a, n, axis=0)  # [e=(i,j), k] = a[i,k]
+    rights_full = np.tile(b.T, (n, 1))  # [e=(i,j), k] = b[k,j]
+    ands_full = np.tile(and_leaves, (n, 1))
+    out = np.empty(n2, dtype=np.int64)
+    for lo in range(0, n2, EMIT_BAND):
+        hi = min(lo + EMIT_BAND, n2)
+        leaves = lefts_full[lo:hi].copy()
+        ands = ands_full[lo:hi]
+        leaves[ands] = circuit._emit_bulk(AND, leaves[ands], rights_full[lo:hi][ands])
+        out[lo:hi] = circuit.or_reduce_columns(leaves)
+    return out.reshape(n, n)
+
+
 def bool_matrix_product(circuit: MonotoneCircuit, a: WireMatrix, b: WireMatrix) -> WireMatrix:
     """Boolean matrix product: out[i][j] = OR_k (a[i][k] AND b[k][j]).
 
@@ -330,16 +345,7 @@ def bool_matrix_product(circuit: MonotoneCircuit, a: WireMatrix, b: WireMatrix) 
     n = a.n
     if b.n != n:
         raise InvalidParameterError(f"dimension mismatch: {n} vs {b.n}")
-    n2 = n * n
-    # lefts[e=(i,j), k] = a[i,k]; rights[e, k] = b[k,j]; banded emission.
-    lefts_full = np.repeat(a.entries, n, axis=0)
-    rights_full = np.tile(b.entries.T, (n, 1))
-    out = np.empty(n2, dtype=np.int64)
-    for lo in range(0, n2, EMIT_BAND):
-        hi = min(lo + EMIT_BAND, n2)
-        and_ids = circuit._emit_bulk(AND, lefts_full[lo:hi].ravel(), rights_full[lo:hi].ravel())
-        out[lo:hi] = circuit.or_reduce_columns(and_ids.reshape(hi - lo, n))
-    return WireMatrix(circuit, out.reshape(n, n))
+    return WireMatrix(circuit, _banded_product(circuit, a.entries, b.entries, np.ones((n, n), dtype=bool)))
 
 
 class AdjacencyMatrix:
@@ -391,9 +397,6 @@ class AdjacencyMatrix:
         for r in self.rows:
             out.extend((r >> j) & 1 for j in range(self.n))
         return out
-
-    def copy(self) -> "AdjacencyMatrix":
-        return AdjacencyMatrix(self.n, list(self.rows))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AdjacencyMatrix) and self.n == other.n and self.rows == other.rows

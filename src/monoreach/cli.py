@@ -13,16 +13,15 @@ import sys
 
 from . import __version__
 from .build import (
+    MODE_EXACT,
     MODE_EXPLICIT,
     MODE_SQUARING,
     MODE_THEOREM,
     DepthLedger,
-    Stage,
     build_explicit,
     build_reach_exact,
     build_reach_leq,
     build_recursive,
-    ceil_log2,
     depth_ratio,
     ledger_csv_lines,
     predict_depth,
@@ -81,12 +80,9 @@ def _cmd_build(args, argv) -> int:
         )
         return 2
     if args.mode == "squaring":
-        l = args.l if args.l is not None else n - 1
-        circuit = build_reach_leq(n, l)
-        ledger = DepthLedger(stages=[Stage("squaring", ceil_log2(l) * (1 + ceil_log2(n)), circuit.depth())])
+        circuit = build_reach_leq(n, args.l if args.l is not None else n - 1)
     elif args.mode == "exact":
         circuit = build_reach_exact(n, args.l)
-        ledger = DepthLedger(stages=[Stage("exact-power", circuit.depth(), circuit.depth())])
     elif args.mode == "explicit":
         circuit, ledger = build_explicit(n)
     elif args.mode == "theorem":
@@ -96,6 +92,9 @@ def _cmd_build(args, argv) -> int:
         )
     else:  # pragma: no cover - argparse restricts choices
         return 2
+    if args.mode in (MODE_SQUARING, MODE_EXACT):
+        ledger = predict_depth(args.mode, n, args.l)
+        ledger.stages[0].measured = circuit.depth()
     write_circuit(circuit, args.out)
     _write_ledger(args.out + ".ledger.csv", ledger, argv, seed=args.seed)
     print(f"wrote {args.out}: {circuit.gate_count} gates, depth {circuit.depth()}")

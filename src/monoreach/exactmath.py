@@ -12,6 +12,8 @@ from fractions import Fraction
 from math import comb, isqrt  # noqa: F401  (comb re-exported for callers)
 from random import Random
 
+from .errors import InvalidParameterError
+
 # Fixed witness set: deterministic for n < 3.3e24, and a fixed-base
 # pseudoprimality test beyond that (still deterministic output).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -52,13 +54,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def next_prime_at_least(x: int) -> int:
-    q = max(2, x)
-    while not is_prime(q):
-        q += 1
-    return q
 
 
 def child_seed(master: int, label: str) -> int:
@@ -177,13 +172,6 @@ def ln_scaled(x: int, prec: int = PREC) -> int:
     return (log2_scaled(x, prec) * ln2_scaled(prec)) >> prec
 
 
-def sqrt_scaled(value_scaled: int, prec: int = PREC) -> int:
-    """floor of sqrt(v) * 2**prec where value_scaled = v * 2**prec."""
-    if value_scaled < 0:
-        raise ValueError("negative value")
-    return isqrt(value_scaled << prec)
-
-
 def _exp2_frac_scaled(frac_scaled: int, prec: int) -> int:
     # 2**f for f = frac_scaled / 2**prec in [0, 1), as a scaled integer.
     # Product over the square-root chain 2**(1/2), 2**(1/4), ...
@@ -214,5 +202,5 @@ def floor_pow2(exponent_scaled: int, prec: int = PREC) -> int:
     flo = (lo << int_part) >> prec
     fhi = (hi << int_part) >> prec
     if flo != fhi:
-        raise ArithmeticError("floor(2**e) not certifiable at this precision")
+        raise InvalidParameterError("floor(2**e) not certifiable at this precision")
     return flo

@@ -31,27 +31,7 @@ def _check_vertex(matrix: AdjacencyMatrix, v: int) -> None:
 def bfs_reachable(matrix: AdjacencyMatrix, src: int, dst: int) -> bool:
     _check_vertex(matrix, src)
     _check_vertex(matrix, dst)
-    return _rows_reachable(matrix.rows, src, dst)
-
-
-def _rows_reachable(rows, src: int, dst: int) -> bool:
-    target = 1 << (dst - 1)
-    visited = 1 << (src - 1)
-    if visited & target:
-        return True
-    frontier = visited
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= rows[low.bit_length() - 1]
-            f ^= low
-        frontier = nxt & ~visited
-        if frontier & target:
-            return True
-        visited |= frontier
-    return False
+    return _rows_distance(matrix.rows, src, dst) is not None
 
 
 def shortest_path_length(matrix: AdjacencyMatrix, src: int, dst: int) -> int | None:
@@ -84,7 +64,10 @@ def _rows_distance(rows, src: int, dst: int) -> int | None:
 
 
 def exact_length_walk_exists(matrix: AdjacencyMatrix, src: int, dst: int, l: int) -> bool:
-    """Whether some walk of exactly l edges runs src -> dst (vertices may repeat)."""
+    """Whether some walk of exactly l edges runs src -> dst (vertices may repeat).
+
+    A walk DP, not a BFS: vertices may be revisited, so there is no visited set.
+    """
     _check_vertex(matrix, src)
     _check_vertex(matrix, dst)
     if l < 0:
@@ -118,14 +101,12 @@ def enumerate_graphs(n: int):
     input entry e).  Guarded to n <= 4."""
     if n > 4:
         raise BudgetExceededError(f"2**{n * n} graphs is over the exhaustive budget (n <= 4)")
-    full = (1 << n) - 1
     for t in range(1 << (n * n)):
-        yield AdjacencyMatrix(n, [(t >> (i * n)) & full for i in range(n)])
+        yield graph_from_index(n, t)
 
 
 def graph_from_index(n: int, t: int) -> AdjacencyMatrix:
-    full = (1 << n) - 1
-    return AdjacencyMatrix(n, [(t >> (i * n)) & full for i in range(n)])
+    return AdjacencyMatrix(n, _graph_int_rows(t, n))
 
 
 def random_graph(n: int, edge_prob: float, seed: int) -> GraphSample:
@@ -134,9 +115,7 @@ def random_graph(n: int, edge_prob: float, seed: int) -> GraphSample:
         raise InvalidParameterError("edge_prob must be in [0, 1]")
     rng = Random(seed)
     bits = bernoulli_mask(rng, n * n, edge_prob)
-    full = (1 << n) - 1
-    rows = [(bits >> (i * n)) & full for i in range(n)]
-    return GraphSample(AdjacencyMatrix(n, rows), seed, f"uniform({edge_prob})")
+    return GraphSample(AdjacencyMatrix(n, _graph_int_rows(bits, n)), seed, f"uniform({edge_prob})")
 
 
 def planted_path_graph(n: int, path_len: int, noise_prob: float, seed: int) -> GraphSample:
@@ -163,9 +142,8 @@ def planted_path_graph(n: int, path_len: int, noise_prob: float, seed: int) -> G
     for a, b in zip(path, path[1:]):
         m.set_edge(a, b)
     noise = bernoulli_mask(rng, n * n, noise_prob)
-    full = (1 << n) - 1
-    for i in range(n):
-        m.rows[i] |= (noise >> (i * n)) & full
+    for i, row in enumerate(_graph_int_rows(noise, n)):
+        m.rows[i] |= row
     return GraphSample(m, seed, f"planted-path({path_len})")
 
 
@@ -177,14 +155,10 @@ def no_path_graph(n: int, edge_prob: float, seed: int) -> GraphSample:
     rng = Random(seed)
     side = bernoulli_mask(rng, n, 0.5) | (1 << (n - 1))  # bit v-1 set: sink side
     side &= ~1  # vertex 1 stays on the source side
-    bits = bernoulli_mask(rng, n * n, edge_prob)
-    full = (1 << n) - 1
-    rows = []
+    rows = _graph_int_rows(bernoulli_mask(rng, n * n, edge_prob), n)
     for i in range(n):
-        row = (bits >> (i * n)) & full
         if not (side >> i) & 1:
-            row &= ~side  # source-side vertices may not reach the sink side
-        rows.append(row)
+            rows[i] &= ~side  # source-side vertices may not reach the sink side
     return GraphSample(AdjacencyMatrix(n, rows), seed, "no-path")
 
 
@@ -247,45 +221,31 @@ def exhaustive_input_masks(n: int) -> tuple[list[int], int]:
     return masks, width
 
 
-def graph_ints_to_masks(graph_ints, n: int) -> list[int]:
-    """Transpose per-graph packed matrices into per-entry masks (numpy packbits)."""
-    e_count = n * n
-    count = len(graph_ints)
+def _transpose_bits(rows, row_bits: int) -> list[int]:
+    """Transpose a bit matrix held as ints: bit b of result c is bit c of rows[b]."""
+    count = len(rows)
     if count == 0:
-        return [0] * e_count
-    gbytes = (e_count + 7) // 8
-    buf = bytearray(count * gbytes)
-    for t, g in enumerate(graph_ints):
-        buf[t * gbytes : (t + 1) * gbytes] = g.to_bytes(gbytes, "little")
-    arr = np.frombuffer(bytes(buf), dtype=np.uint8).reshape(count, gbytes)
-    bits = np.unpackbits(arr, axis=1, bitorder="little")[:, :e_count]
+        return [0] * row_bits
+    nbytes = (row_bits + 7) // 8
+    buf = b"".join(r.to_bytes(nbytes, "little") for r in rows)
+    arr = np.frombuffer(buf, dtype=np.uint8).reshape(count, nbytes)
+    bits = np.unpackbits(arr, axis=1, bitorder="little")[:, :row_bits]
     packed = np.packbits(bits.T, axis=1, bitorder="little")
-    return [int.from_bytes(packed[e].tobytes(), "little") for e in range(e_count)]
+    return [int.from_bytes(packed[c].tobytes(), "little") for c in range(row_bits)]
+
+
+def graph_ints_to_masks(graph_ints, n: int) -> list[int]:
+    """Transpose per-graph packed matrices into per-entry masks."""
+    return _transpose_bits(graph_ints, n * n)
 
 
 def masks_to_graph_ints(masks, width: int, n: int) -> list[int]:
     """Inverse of graph_ints_to_masks for a chunk of `width` graphs."""
-    e_count = n * n
-    if width == 0:
-        return []
-    mbytes = (width + 7) // 8
-    buf = bytearray(e_count * mbytes)
-    for e, mask in enumerate(masks):
-        buf[e * mbytes : (e + 1) * mbytes] = mask.to_bytes(mbytes, "little")
-    arr = np.frombuffer(bytes(buf), dtype=np.uint8).reshape(e_count, mbytes)
-    bits = np.unpackbits(arr, axis=1, bitorder="little")[:, :width]
-    packed = np.packbits(bits.T, axis=1, bitorder="little")
-    return [int.from_bytes(packed[t].tobytes(), "little") for t in range(width)]
+    return _transpose_bits(masks, width)
 
 
 def matrices_to_masks(matrices) -> list[int]:
-    gi = []
-    for m in matrices:
-        g = 0
-        for i, row in enumerate(m.rows):
-            g |= row << (i * m.n)
-        gi.append(g)
-    return graph_ints_to_masks(gi, matrices[0].n)
+    return graph_ints_to_masks([_graph_int(m) for m in matrices], matrices[0].n)
 
 
 def bernoulli_entry_masks(rng: Random, n: int, width: int, p: float) -> list[int]:
@@ -297,7 +257,16 @@ def bernoulli_entry_masks(rng: Random, n: int, width: int, p: float) -> list[int
     return [bernoulli_mask(rng, width, p) for _ in range(n * n)]
 
 
+def _graph_int(matrix: AdjacencyMatrix) -> int:
+    """Pack a matrix into one int, bit (i-1)*n + (j-1) for edge i -> j."""
+    g = 0
+    for i, row in enumerate(matrix.rows):
+        g |= row << (i * matrix.n)
+    return g
+
+
 def _graph_int_rows(g: int, n: int) -> list[int]:
+    """Inverse of _graph_int: the n row masks of a packed graph."""
     full = (1 << n) - 1
     return [(g >> (i * n)) & full for i in range(n)]
 
@@ -319,52 +288,48 @@ class CheckReport:
 def _oracle_masks(graph_ints, n: int, l: int | None):
     """Packed reachability bits for 1 -> n, plus the promise mask for budget l."""
     reach = 0
-    promise = 0
+    outside = 0  # reachable, but only by paths longer than l
     for t, g in enumerate(graph_ints):
-        rows = _graph_int_rows(g, n)
-        dist = _rows_distance(rows, 1, n)
+        dist = _rows_distance(_graph_int_rows(g, n), 1, n)
         if dist is not None:
             reach |= 1 << t
-        if l is None or dist is None or dist <= l:
-            promise |= 1 << t
-    return reach, promise
+            if l is not None and dist > l:
+                outside |= 1 << t
+    return reach, ((1 << len(graph_ints)) - 1) & ~outside
+
+
+def _check_circuit(circuit: MonotoneCircuit, n: int) -> None:
+    """Precondition of every comparison driver: n vertices, one output."""
+    if circuit.num_vertices != n:
+        raise InvalidParameterError("circuit size does not match n")
+    if len(circuit.outputs) != 1:
+        raise InvalidParameterError(
+            f"comparison needs a circuit with exactly one output, got {len(circuit.outputs)}"
+        )
+
+
+def _check_chunk(circuit, graph_ints, masks, expected, promise, max_report, mism) -> None:
+    """Evaluate one chunk and append mismatches inside the promise, in graph
+    order, until mism holds max_report entries."""
+    n = circuit.num_vertices
+    out = circuit.evaluate_batch(masks)[0]
+    bad = (out ^ expected) & promise
+    while bad and len(mism) < max_report:
+        low = bad & -bad
+        t = low.bit_length() - 1
+        mism.append((AdjacencyMatrix(n, _graph_int_rows(graph_ints[t], n)), (expected >> t) & 1, (out >> t) & 1))
+        bad ^= low
 
 
 def run_exhaustive_check(circuit: MonotoneCircuit, n: int, max_report: int = 4) -> CheckReport:
     """Compare the circuit against BFS on every graph over n vertices."""
-    if circuit.num_vertices != n:
-        raise InvalidParameterError("circuit size does not match n")
+    _check_circuit(circuit, n)
     masks, width = exhaustive_input_masks(n)
-    out = circuit.evaluate_batch(masks)[0]
-    full = (1 << n) - 1
-    oracle = 0
-    for t in range(width):
-        rows = [(t >> (i * n)) & full for i in range(n)]
-        if _rows_reachable(rows, 1, n):
-            oracle |= 1 << t
-    bad = out ^ oracle
-    mism = []
-    while bad and len(mism) < max_report:
-        low = bad & -bad
-        t = low.bit_length() - 1
-        mism.append((graph_from_index(n, t), (oracle >> t) & 1, (out >> t) & 1))
-        bad ^= low
+    graph_ints = range(width)  # graph t is packed as the int t
+    reach, promise = _oracle_masks(graph_ints, n, None)
+    mism: list = []
+    _check_chunk(circuit, graph_ints, masks, reach, promise, max_report, mism)
     return CheckReport(width, 0, mism)
-
-
-def _check_chunk(circuit, graph_ints, masks, l, max_report, mism):
-    n = circuit.num_vertices
-    out = circuit.evaluate_batch(masks)[0]
-    reach, promise = _oracle_masks(graph_ints, n, l)
-    bad = (out ^ reach) & promise
-    width = len(graph_ints)
-    skipped = width - promise.bit_count()
-    while bad and len(mism) < max_report:
-        low = bad & -bad
-        t = low.bit_length() - 1
-        mism.append((AdjacencyMatrix(n, _graph_int_rows(graph_ints[t], n)), (reach >> t) & 1, (out >> t) & 1))
-        bad ^= low
-    return skipped
 
 
 def run_random_check(
@@ -381,8 +346,7 @@ def run_random_check(
     With a length budget l, graphs whose shortest 1 -> n path exceeds l are
     outside the promise and are skipped, not counted as mismatches.
     """
-    if circuit.num_vertices != n:
-        raise InvalidParameterError("circuit size does not match n")
+    _check_circuit(circuit, n)
     mism: list = []
     checked = 0
     skipped = 0
@@ -394,7 +358,9 @@ def run_random_check(
             width = min(todo, CHUNK_BITS)
             masks = bernoulli_entry_masks(rng, n, width, p)
             graph_ints = masks_to_graph_ints(masks, width, n)
-            skipped += _check_chunk(circuit, graph_ints, masks, l, max_report, mism)
+            reach, promise = _oracle_masks(graph_ints, n, l)
+            _check_chunk(circuit, graph_ints, masks, reach, promise, max_report, mism)
+            skipped += width - promise.bit_count()
             checked += width
             todo -= width
     return CheckReport(checked, skipped, mism)
@@ -411,11 +377,9 @@ def run_planted_check(
 ) -> CheckReport:
     """Planted-path graphs (expected 1) alternating with no-path graphs
     (expected 0); path lengths stay within the budget l."""
-    if circuit.num_vertices != n:
-        raise InvalidParameterError("circuit size does not match n")
+    _check_circuit(circuit, n)
     limit = min(l, n - 1) if l is not None else n - 1
     mism: list = []
-    checked = 0
     rng = Random(child_seed(seed, f"planted:n={n}:l={limit}"))
     done = 0
     while done < samples:
@@ -431,20 +395,8 @@ def run_planted_check(
                 expected |= 1 << t
             else:
                 g = no_path_graph(n, 0.3, sample_seed).matrix
-            gi = 0
-            for i, row in enumerate(g.rows):
-                gi |= row << (i * n)
-            graph_ints.append(gi)
+            graph_ints.append(_graph_int(g))
         masks = graph_ints_to_masks(graph_ints, n)
-        out = circuit.evaluate_batch(masks)[0]
-        bad = out ^ expected
-        while bad and len(mism) < max_report:
-            low = bad & -bad
-            t = low.bit_length() - 1
-            mism.append(
-                (AdjacencyMatrix(n, _graph_int_rows(graph_ints[t], n)), (expected >> t) & 1, (out >> t) & 1)
-            )
-            bad ^= low
-        checked += width
+        _check_chunk(circuit, graph_ints, masks, expected, (1 << width) - 1, max_report, mism)
         done += width
-    return CheckReport(checked, 0, mism)
+    return CheckReport(done, 0, mism)

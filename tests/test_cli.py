@@ -2,6 +2,8 @@
 
 import pytest
 
+from monoreach.build import build_walk_power, predict_depth
+from monoreach.circuit import write_circuit
 from monoreach.cli import main
 
 
@@ -48,6 +50,25 @@ class TestBuildEvalStats:
         assert "max-gates" in err
         assert not (tmp_path / "big.mc").exists()
 
+    def test_exact_ledger_is_predicted(self, tmp_path, capsys):
+        out = str(tmp_path / "e.mc")
+        code, text, _ = run(capsys, "build", "--mode", "exact", "--n", "7", "--l", "13", "--out", out)
+        assert code == 0
+        predicted = predict_depth("exact", 7, 13).total_predicted
+        assert f"depth {predicted}" in text
+        ledger = (tmp_path / "e.mc.ledger.csv").read_text()
+        assert ledger.splitlines()[-1] == f"0,exact-power,{predicted},{predicted}"
+
+    @pytest.mark.parametrize("n", ["16", "17"])
+    def test_predict_agrees_with_build(self, tmp_path, capsys, n):
+        out = str(tmp_path / "s.mc")
+        code, built, _ = run(capsys, "build", "--mode", "squaring", "--n", n, "--out", out)
+        assert code == 0
+        code, predicted, _ = run(capsys, "predict", "--mode", "squaring", "--n", n)
+        assert code == 0
+        row = [line for line in predicted.splitlines() if line.startswith("0,squaring,")]
+        assert built.strip().endswith(f"depth {row[0].split(',')[2]}")
+
     def test_theorem_mode_build(self, tmp_path, capsys):
         out = str(tmp_path / "t.mc")
         code, text, _ = run(capsys, "build", "--mode", "theorem", "--n", "9", "--l", "4", "--seed", "3", "--out", out)
@@ -81,6 +102,15 @@ class TestVerify:
         assert code == 1
         assert "MISMATCH" in text
         assert "GRAPH 2" in text
+
+    def test_multi_output_circuit_refused(self, tmp_path, capsys):
+        walk = tmp_path / "walk.mc"
+        write_circuit(build_walk_power(3, 2), walk)
+        code, text, err = run(capsys, "verify", "--circuit", str(walk), "--n", "3", "--mode", "random")
+        assert code == 2
+        assert text == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
 
     def test_promise_skip_counting(self, tmp_path, capsys):
         out = str(tmp_path / "c.mc")

@@ -1,5 +1,6 @@
 """Builders: walk powers, reachability circuits, composition, predictions."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -395,6 +396,20 @@ class TestPredictDepth:
             predicted = mr.predict_depth("explicit", n)
             assert predicted.total_predicted == ledger.total_predicted == built.depth()
 
+    def test_squaring_default_is_the_builders_l(self):
+        for n in (16, 17):
+            assert mr.predict_depth("squaring", n).total_predicted == mr.build_reach(n).depth()
+
+    def test_exact_replays_the_product_tree(self):
+        for n in range(2, 10):
+            for l in range(1, 40):
+                predicted = mr.predict_depth("exact", n, l).total_predicted
+                assert predicted == mr.build_reach_exact(n, l).depth(), (n, l)
+
+    def test_exact_needs_l(self):
+        with pytest.raises(mr.InvalidParameterError):
+            mr.predict_depth("exact", 5)
+
     def test_theorem_stage_count(self):
         sched = mr.recursion_schedule(1 << 16, (1 << 16) - 1)
         ledger = mr.predict_depth("theorem", 1 << 16)
@@ -410,3 +425,45 @@ class TestPredictDepth:
             assert isinstance(sq, Fraction)
             assert isinstance(ex, Fraction)
             assert isinstance(th, Fraction)
+
+
+class TestGoldenBytes:
+    """MCIRC bytes pinned by sha256; a refactor of the emission code must
+    reproduce them exactly."""
+
+    GOLDEN = {
+        "reach_leq(16, 15)": (
+            lambda: mr.build_reach_leq(16, 15),
+            "00b5bbf920c0faa9e37c1883554c8d63e1090c8df89cd86775989052e4a4f542",
+        ),
+        "reach_leq(17, 16)": (
+            lambda: mr.build_reach_leq(17, 16),
+            "9db7c5c5fecadb350ffbc016989277a44cef6a56db157af135792aaa00c762a8",
+        ),
+        "reach_exact(9, 5)": (
+            lambda: mr.build_reach_exact(9, 5),
+            "06828b696d784856b4164fdb157928282ef8fa17802227160a09b0cfb2fc067c",
+        ),
+        "reach_exact(7, 13)": (
+            lambda: mr.build_reach_exact(7, 13),
+            "b2a712d01fe21cf40b02a444bca021fbc0fba9dd4e2eb8a6899dc7cb99efa229",
+        ),
+        "walk_power(5, 3)": (
+            lambda: mr.build_walk_power(5, 3),
+            "264fe84e85722cf372de4163c423c31f0ebc887359aec3a1b2901e2ebc4fd5d5",
+        ),
+        "explicit(16)": (
+            lambda: mr.build_explicit(16)[0],
+            "30b6543d64934e6347192387462266c549575272d964674886bd42a815ee4976",
+        ),
+        "recursive(8, 4, 0)": (
+            lambda: mr.build_recursive(8, 4, 0)[0],
+            "483fe3a77aae789fd441bd99d002263be44479e712df5996dfbd77aff3100036",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_sha256(self, name):
+        build, digest = self.GOLDEN[name]
+        text = mr.circuit_to_text(build())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from monoreach.errors import InvalidParameterError
 from monoreach.exactmath import (
     PREC,
     bernoulli_mask,
@@ -14,10 +15,10 @@ from monoreach.exactmath import (
     ln2_scaled,
     ln_scaled,
     log2_scaled,
-    next_prime_at_least,
     randbelow,
     sample_distinct,
 )
+from monoreach.families import minimal_prime_q
 
 
 class TestPrimality:
@@ -39,9 +40,10 @@ class TestPrimality:
         assert not is_prime(1_000_001)  # 101 * 9901
 
     def test_next_prime(self):
-        assert next_prime_at_least(14) == 17
-        assert next_prime_at_least(17) == 17
-        assert next_prime_at_least(2**20) == 2**20 + 7
+        # minimal_prime_q(x*x) is the smallest prime >= x.
+        assert minimal_prime_q(14 * 14) == 17
+        assert minimal_prime_q(17 * 17) == 17
+        assert minimal_prime_q(2**40) == 2**20 + 7
 
 
 class TestPortableDraws:
@@ -113,3 +115,8 @@ class TestScaledArithmetic:
     def test_floor_pow2_exact_integer_exponent(self):
         assert floor_pow2(32 << PREC) == 1 << 32
         assert floor_pow2(0) == 1
+
+    def test_floor_pow2_uncertifiable_is_a_parameter_error(self):
+        # 2**log2(3) sits on the integer 3, so the floor cannot be certified.
+        with pytest.raises(InvalidParameterError):
+            floor_pow2(log2_scaled(3))

@@ -6,10 +6,15 @@ import monoreach as mr
 from monoreach.circuit import AdjacencyMatrix
 from monoreach.oracles import (
     bernoulli_entry_masks,
+    bfs_reachable,
     exhaustive_input_masks,
     graph_from_index,
     graph_ints_to_masks,
     masks_to_graph_ints,
+    run_exhaustive_check,
+    run_planted_check,
+    run_random_check,
+    shortest_path_length,
 )
 
 
@@ -200,3 +205,38 @@ class TestGraphText:
             mr.graph_from_text("GRAPH 2\n01\n")
         with pytest.raises(mr.InvalidParameterError):
             mr.graph_from_text("GRAPH 2\n0x\n00\n")
+
+
+class TestComparisonDrivers:
+    def test_multi_output_circuit_rejected(self):
+        walk = mr.build_walk_power(3, 2)
+        with pytest.raises(mr.InvalidParameterError):
+            run_random_check(walk, 3, 100, 0)
+        with pytest.raises(mr.InvalidParameterError):
+            run_planted_check(walk, 3, 100, 0)
+        with pytest.raises(mr.InvalidParameterError):
+            run_exhaustive_check(walk, 3)
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(mr.InvalidParameterError):
+            run_random_check(mr.build_reach(4), 5, 100, 0)
+
+    @pytest.mark.parametrize(
+        "driver, l", [(run_random_check, None), (run_random_check, 4), (run_planted_check, 4)]
+    )
+    def test_mismatches_are_real_and_inside_the_promise(self, driver, l):
+        # build_reach_leq(10, 2) misses every graph whose distance is 3..9.
+        c = mr.build_reach_leq(10, 2)
+        report = driver(c, 10, 3000, 1, l=l, max_report=9)
+        assert report.checked == 3000
+        assert len(report.mismatches) == 9
+        for g, expected, got in report.mismatches:
+            assert expected == int(bfs_reachable(g, 1, 10)) != got == c.evaluate(g)
+            assert l is None or shortest_path_length(g, 1, 10) <= l
+
+    def test_exhaustive_mismatches_in_graph_order(self):
+        c = mr.build_reach_leq(3, 1)
+        report = run_exhaustive_check(c, 3, max_report=1000)
+        indices = [sum(row << (3 * i) for i, row in enumerate(g.rows)) for g, _, _ in report.mismatches]
+        assert indices == sorted(indices)
+        assert indices == [t for t in range(512) if shortest_path_length(graph_from_index(3, t), 1, 3) == 2]
