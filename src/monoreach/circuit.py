@@ -44,7 +44,6 @@ def _gc_paused():
             gc.enable()
 
 
-_OP_NAMES = {AND: "AND", OR: "OR"}
 _OP_CODES = {"AND": AND, "OR": OR}
 
 
@@ -67,7 +66,7 @@ class MonotoneCircuit:
         self._lefts = array("i")
         self._rights = array("i")
         self.outputs: list[int] = []
-        self._last_use_cache: tuple[int, list[int]] | None = None
+        self._releases_cache: tuple[int, list[int]] | None = None
 
     # -- structure ----------------------------------------------------------
 
@@ -170,15 +169,17 @@ class MonotoneCircuit:
                 return Violation(None, f"output references missing wire {o}")
         return None
 
-    def wire_depths(self) -> np.ndarray:
-        """Gate-count depth of every wire (inputs and the zero wire are 0)."""
+    def _gate_depths(self) -> np.ndarray:
+        """Gate-count depth of every gate's wire, indexed by gate."""
         n0 = self.num_inputs + 1
         ng = len(self._ops)
-        depth = np.zeros(n0 + ng, dtype=np.int64)
+        # Slot 0 holds depth 0 for every input and the zero wire, and slot
+        # g + 1 holds gate g, so nothing is allocated per input wire.
+        depth = np.zeros(ng + 1, dtype=np.int64)
         if ng == 0:
-            return depth
-        lefts = np.frombuffer(self._lefts, dtype=np.intc).astype(np.int64)
-        rights = np.frombuffer(self._rights, dtype=np.intc).astype(np.int64)
+            return depth[1:]
+        lefts = np.maximum(np.frombuffer(self._lefts, dtype=np.intc).astype(np.int64) - (n0 - 1), 0)
+        rights = np.maximum(np.frombuffer(self._rights, dtype=np.intc).astype(np.int64) - (n0 - 1), 0)
         if ng < 20000:
             dl = depth.tolist()
             ll = lefts.tolist()
@@ -186,15 +187,15 @@ class MonotoneCircuit:
             for i in range(ng):
                 a = dl[ll[i]]
                 b = dl[rl[i]]
-                dl[n0 + i] = (a if a > b else b) + 1
-            return np.asarray(dl, dtype=np.int64)
+                dl[i + 1] = (a if a > b else b) + 1
+            return np.asarray(dl[1:], dtype=np.int64)
         # Chunked scan: a run of gates that only reads wires created before
         # the run relaxes in one vectorized step.  Run ends are found by a
         # galloping probe so total scan work stays linear in the gate count.
         mo = np.maximum(lefts, rights)
         start = 0
         while start < ng:
-            bound = n0 + start
+            bound = start + 1
             span = 512
             while True:
                 limit = min(ng, start + span)
@@ -209,32 +210,41 @@ class MonotoneCircuit:
             if end == start:
                 raise InvalidReferenceError(f"gate {start} references a later wire")
             seg = slice(start, end)
-            depth[n0 + start : n0 + end] = np.maximum(depth[lefts[seg]], depth[rights[seg]]) + 1
+            depth[start + 1 : end + 1] = np.maximum(depth[lefts[seg]], depth[rights[seg]]) + 1
             start = end
-        return depth
+        return depth[1:]
+
+    def wire_depths(self) -> np.ndarray:
+        """Gate-count depth of every wire (inputs and the zero wire are 0)."""
+        return np.concatenate((np.zeros(self.num_inputs + 1, dtype=np.int64), self._gate_depths()))
 
     def depth(self) -> int:
         """Length in gates of the longest path from any input to any output."""
-        if not self.outputs:
+        gates = [o - self.num_inputs - 1 for o in self.outputs if o > self.num_inputs]
+        if not gates:
             return 0
-        depths = self.wire_depths()
-        return int(max(depths[o] for o in self.outputs))
+        return int(self._gate_depths()[gates].max())
 
     # -- evaluation ---------------------------------------------------------
 
-    def _last_use(self) -> list[int]:
+    def _releases(self) -> list[int]:
+        """Per gate, which operands it reads for the last time: bit 0 the
+        left, bit 1 the right.  Outputs are never released."""
         ng = len(self._ops)
-        cached = self._last_use_cache
+        cached = self._releases_cache
         if cached is not None and cached[0] == ng:
             return cached[1]
-        lu = [-1] * self.num_wires
-        for i, (a, b) in enumerate(zip(self._lefts, self._rights)):
-            lu[a] = i
-            lu[b] = i
-        for o in self.outputs:
-            lu[o] = ng
-        self._last_use_cache = (ng, lu)
-        return lu
+        lefts = np.frombuffer(self._lefts, dtype=np.intc)
+        rights = np.frombuffer(self._rights, dtype=np.intc)
+        gates = np.arange(ng, dtype=np.int64)
+        last_use = np.full(self.num_wires, -1, dtype=np.int64)
+        np.maximum.at(last_use, lefts, gates)
+        np.maximum.at(last_use, rights, gates)
+        last_use[self.outputs] = ng
+        # Small ints are shared objects, so the list costs one pointer per gate.
+        codes = ((last_use[lefts] == gates) + 2 * (last_use[rights] == gates)).tolist()
+        self._releases_cache = (ng, codes)
+        return codes
 
     def evaluate_batch(self, input_masks) -> list[int]:
         """Evaluate on many assignments at once, bit-parallel over Python ints.
@@ -247,19 +257,19 @@ class MonotoneCircuit:
             raise InvalidParameterError(f"expected {self.num_inputs} input masks, got {len(input_masks)}")
         if not self.outputs:
             raise InvalidParameterError("circuit has no outputs")
-        lu = self._last_use()
+        releases = self._releases()
         vals: list = [None] * self.num_wires
         vals[: self.num_inputs] = [int(m) for m in input_masks]
         vals[self.zero] = 0
         n0 = self.num_inputs + 1
         with _gc_paused():
-            for i, (op, a, b) in enumerate(zip(self._ops, self._lefts, self._rights)):
+            for i, (op, a, b, r) in enumerate(zip(self._ops, self._lefts, self._rights, releases)):
                 x = vals[a]
                 y = vals[b]
                 vals[n0 + i] = (x & y) if op == AND else (x | y)
-                if lu[a] == i:
+                if r & 1:
                     vals[a] = None
-                if lu[b] == i:
+                if r & 2:
                     vals[b] = None
         return [vals[o] for o in self.outputs]
 
@@ -410,51 +420,254 @@ class AdjacencyMatrix:
 # Line 1: "MCIRC 1 <n>".  Wires 0..n*n-1 are the inputs in row-major 1-based
 # (i, j) order, wire n*n is the zero wire.  Each "G <AND|OR> <a> <b>" line
 # defines the next wire.  Final line: "OUT <w1> [<w2> ...]".
+#
+# Files are written with single spaces and "\n" line ends.  The reader takes
+# any ASCII text that str.splitlines() and str.split() cut into those lines
+# and tokens (so CRLF, tabs and runs of spaces too), with each number an
+# optionally signed run of decimal digits.  Both work on bands of _IO_BAND
+# gates at a time, so no Python call is made per gate.
+
+# Wire ids are stored as int32, so a circuit has at most this many wires.
+MAX_WIRES = 2**31 - 1
+# Gates per band: a band's numpy temporaries stay at a few megabytes.
+_IO_BAND = 1 << 18
+# 10 .. 10**9: a wire id has one more digit than the number of these it reaches.
+_POW10 = 10 ** np.arange(1, 10, dtype=np.int64)
+# The ASCII bytes str.split() separates tokens at, and str.splitlines() lines at.
+_SEPARATOR = np.zeros(256, dtype=bool)
+_SEPARATOR[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_LINE_BREAK = np.zeros(256, dtype=bool)
+_LINE_BREAK[[10, 11, 12, 13, 28, 29, 30]] = True
 
 
-def circuit_to_lines(circuit: MonotoneCircuit):
-    yield f"MCIRC 1 {circuit.num_vertices}"
-    for op, a, b in zip(circuit._ops, circuit._lefts, circuit._rights):
-        yield f"G {_OP_NAMES[op]} {a} {b}"
-    yield "OUT " + " ".join(str(o) for o in circuit.outputs)
+def _put_digits(buf: np.ndarray, ends: np.ndarray, values: np.ndarray, counts: np.ndarray) -> None:
+    """Write each value's `counts` decimal digits into buf, ending at `ends`."""
+    for k in np.flatnonzero(np.bincount(counts)).tolist():
+        sel = np.flatnonzero(counts == k)
+        q = values[sel]
+        pos = ends[sel] - 1
+        for c in range(k):
+            rest = q // 10
+            buf[pos - c] = q - rest * 10 + ord("0")
+            q = rest
+
+
+def _gate_lines(ops: np.ndarray, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    """The "G <op> <a> <b>\\n" lines of a band of gates, as one byte buffer."""
+    is_or = ops.astype(bool)
+    lefts = lefts.astype(np.uint32)
+    rights = rights.astype(np.uint32)
+    left_digits = np.searchsorted(_POW10, lefts, side="right") + 1
+    right_digits = np.searchsorted(_POW10, rights, side="right") + 1
+    left_at = 6 - is_or  # after "G AND " or "G OR "
+    lengths = left_at + left_digits + right_digits + 2
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    buf = np.empty(int(ends[-1]), dtype=np.uint8)
+    for name, rows in ((b"G AND ", ~is_or), (b"G OR ", is_or)):
+        at = starts[rows]
+        for k, ch in enumerate(name):
+            buf[at + k] = ch
+    left_end = starts + left_at + left_digits
+    _put_digits(buf, left_end, lefts, left_digits)
+    buf[left_end] = ord(" ")
+    _put_digits(buf, ends - 1, rights, right_digits)
+    buf[ends - 1] = ord("\n")
+    return buf
+
+
+def _mcirc_chunks(circuit: MonotoneCircuit):
+    """The bytes of a circuit's MCIRC file, in order."""
+    yield f"MCIRC 1 {circuit.num_vertices}\n".encode()
+    ops = np.frombuffer(circuit._ops, dtype=np.uint8)
+    lefts = np.frombuffer(circuit._lefts, dtype=np.intc)
+    rights = np.frombuffer(circuit._rights, dtype=np.intc)
+    for lo in range(0, ops.size, _IO_BAND):
+        hi = lo + _IO_BAND
+        yield _gate_lines(ops[lo:hi], lefts[lo:hi], rights[lo:hi])
+    yield ("OUT " + " ".join(str(o) for o in circuit.outputs) + "\n").encode()
 
 
 def circuit_to_text(circuit: MonotoneCircuit) -> str:
-    return "\n".join(circuit_to_lines(circuit)) + "\n"
+    return b"".join(_mcirc_chunks(circuit)).decode("ascii")
 
 
 def write_circuit(circuit: MonotoneCircuit, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        for line in circuit_to_lines(circuit):
-            fh.write(line)
-            fh.write("\n")
+    with open(path, "wb") as fh:
+        for chunk in _mcirc_chunks(circuit):
+            fh.write(chunk)
 
 
-def circuit_from_text(text: str) -> MonotoneCircuit:
-    lines = text.splitlines()
-    if not lines:
+def _line_spans(raw: np.ndarray, breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(start, stop) byte offsets of each line, cut as str.splitlines() cuts
+    at the line-break bytes at offsets `breaks`."""
+    # "\r\n" is one line break: its "\n" ends no line, and the next line starts after it.
+    cr = np.flatnonzero(raw[breaks[:-1]] == ord("\r"))
+    crlf = cr[(breaks[cr + 1] == breaks[cr] + 1) & (raw[breaks[cr + 1]] == ord("\n"))]
+    nexts = breaks + 1
+    nexts[crlf] += 1
+    starts = np.concatenate(([0], np.delete(nexts, crlf + 1)))
+    stops = np.concatenate((np.delete(breaks, crlf + 1), [raw.size]))
+    if starts[-1] == raw.size:  # a break at the very end starts no further line
+        starts, stops = starts[:-1], stops[:-1]
+    return starts, stops
+
+
+def _token_ints(seg: np.ndarray, at: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(value, well-formed) of each token seg[at:at+length] read as [+-]?[0-9]+.
+
+    Values of tokens longer than 11 bytes are clamped to [-1, MAX_WIRES],
+    which keeps every comparison against a wire id exact.
+    """
+    values = np.zeros(at.size, dtype=np.int64)
+    ok = np.zeros(at.size, dtype=bool)
+    for k in np.flatnonzero(np.bincount(length)).tolist():
+        sel = np.flatnonzero(length == k)
+        if k > 11:
+            for i in sel.tolist():
+                value = _decimal(seg[at[i] : at[i] + k].tobytes().decode("ascii"))
+                if value is not None:
+                    values[i] = max(-1, min(value, MAX_WIRES))
+                    ok[i] = True
+            continue
+        pos = at[sel]
+        lead = seg[pos]
+        signed = (lead == ord("+")) | (lead == ord("-"))
+        digit = np.subtract(lead, ord("0"), dtype=np.uint8)
+        good = (digit < 10) | (signed & (k > 1))
+        v = np.where(signed, 0, digit).astype(np.int64)
+        for c in range(1, k):
+            digit = np.subtract(seg[pos + c], ord("0"), dtype=np.uint8)
+            good &= digit < 10
+            v *= 10
+            v += digit
+        v[lead == ord("-")] *= -1
+        values[sel] = v
+        ok[sel] = good
+    return values, ok
+
+
+def _read_gate_lines(
+    circuit: MonotoneCircuit, raw: np.ndarray, starts: np.ndarray, stops: np.ndarray, glue: np.ndarray
+) -> int:
+    """Append the gates of the leading lines that are well-formed gate lines
+    over existing wires; return how many lines that is.  `glue` holds the
+    offsets of the control bytes that str.split() keeps inside tokens."""
+    base, stop = int(starts[0]), int(stops[-1])
+    seg = raw[base:stop]
+    # in_token[1 + i] says whether seg[i] is part of a token; the ends are padding.
+    in_token = np.zeros(seg.size + 2, dtype=bool)
+    np.greater(seg, 32, out=in_token[1:-1])
+    in_token[glue[np.searchsorted(glue, base) : np.searchsorted(glue, stop)] - (base - 1)] = True
+    edges = np.flatnonzero(in_token[1:] != in_token[:-1])
+    tok_at = edges[0::2]
+    tok_len = edges[1::2] - tok_at
+    first = np.searchsorted(tok_at, starts - base)
+    lines = np.flatnonzero(np.diff(first, append=tok_at.size) == 4)
+    t = first[lines]
+    op_at, op_len = tok_at[t + 1], tok_len[t + 1]
+    # op_at + 2 stays inside seg: two more tokens follow the op token.
+    c0, c1 = seg[op_at], seg[op_at + 1]
+    is_and = (op_len == 3) & (c0 == ord("A")) & (c1 == ord("N")) & (seg[op_at + 2] == ord("D"))
+    is_or = (op_len == 2) & (c0 == ord("O")) & (c1 == ord("R"))
+    lefts, left_ok = _token_ints(seg, tok_at[t + 2], tok_len[t + 2])
+    rights, right_ok = _token_ints(seg, tok_at[t + 3], tok_len[t + 3])
+    wire = circuit.num_wires + lines
+    fine = (
+        (tok_len[t] == 1) & (seg[tok_at[t]] == ord("G")) & (is_and | is_or)
+        & left_ok & right_ok & (wire < MAX_WIRES)
+        & (lefts >= 0) & (lefts < wire) & (rights >= 0) & (rights < wire)
+    )
+    clean = np.zeros(starts.size, dtype=bool)
+    clean[lines] = fine
+    run = starts.size if clean.all() else int(clean.argmin())
+    if run:
+        circuit._ops.extend(is_or[:run].astype(np.uint8).tobytes())
+        circuit._lefts.frombytes(lefts[:run].astype(np.intc).tobytes())
+        circuit._rights.frombytes(rights[:run].astype(np.intc).tobytes())
+    return run
+
+
+def _decimal(token: str) -> int | None:
+    """The value of an optionally signed run of ASCII digits, else None."""
+    digits = token[1:] if token[0] in "+-" else token
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
+def _parse_int(token: str, ln: int) -> int:
+    value = _decimal(token)
+    if value is None:
+        raise InvalidParameterError(f"line {ln}: bad integer {token!r}")
+    return value
+
+
+def _read_record(circuit: MonotoneCircuit, ln: int, line: str, outputs):
+    """Read one line that is not a clean gate line; return the outputs of a
+    first OUT line, or raise what is wrong with the line."""
+    parts = line.split()
+    if not parts:
+        raise InvalidParameterError(f"line {ln}: blank line in circuit file")
+    if parts[0] == "G":
+        # _read_gate_lines took every good gate line, so this one has a fault.
+        if outputs is not None:
+            raise InvalidParameterError(f"line {ln}: gate after OUT line")
+        if len(parts) != 4 or parts[1] not in _OP_CODES:
+            raise InvalidParameterError(f"line {ln}: bad gate line {line!r}")
+        a, b = _parse_int(parts[2], ln), _parse_int(parts[3], ln)
+        if circuit.num_wires >= MAX_WIRES:
+            raise InvalidParameterError(f"line {ln}: a circuit has at most {MAX_WIRES} wires")
+        raise InvalidReferenceError(f"gate references missing wire ({a}, {b})")
+    if parts[0] == "OUT":
+        if outputs is not None:
+            raise InvalidParameterError(f"line {ln}: duplicate OUT line")
+        return [_parse_int(t, ln) for t in parts[1:]]
+    raise InvalidParameterError(f"line {ln}: unknown record {parts[0]!r}")
+
+
+def circuit_from_text(text: str | bytes) -> MonotoneCircuit:
+    """Parse MCIRC text, given as str or bytes.  Malformed text raises a
+    ValueError subclass; a fault in one line's syntax names that line."""
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else bytes(text)
+    raw = np.frombuffer(data, dtype=np.uint8)
+    ctrl = np.flatnonzero(raw < 32)  # every line break and every glue byte is a control byte
+    kind = raw[ctrl]
+    starts, stops = _line_spans(raw, ctrl[_LINE_BREAK[kind]])
+    glue = ctrl[~_SEPARATOR[kind]]
+    if not starts.size:
         raise InvalidParameterError("empty circuit file")
-    head = lines[0].split()
+    ascii_lines = starts.size
+    if raw.max() >= 0x80:
+        ascii_lines = int(np.searchsorted(starts, int(np.argmax(raw >= 0x80)), side="right")) - 1
+
+    def line(i: int) -> str:
+        if i >= ascii_lines:
+            raise InvalidParameterError(f"line {i + 1}: non-ASCII byte in circuit file")
+        return data[starts[i] : stops[i]].decode("ascii")
+
+    head_line = line(0)
+    head = head_line.split()
     if len(head) != 3 or head[0] != "MCIRC" or head[1] != "1":
-        raise InvalidParameterError(f"bad circuit header: {lines[0]!r}")
-    circuit = MonotoneCircuit(int(head[2]))
+        raise InvalidParameterError(f"bad circuit header: {head_line!r}")
+    circuit = MonotoneCircuit(_parse_int(head[2], 1))
+    if circuit.num_wires > MAX_WIRES:
+        raise InvalidParameterError(
+            f"line 1: {circuit.num_vertices} vertices need more than {MAX_WIRES} wires"
+        )
     outputs = None
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if not parts:
-            raise InvalidParameterError(f"line {ln}: blank line in circuit file")
-        if parts[0] == "G":
-            if outputs is not None:
-                raise InvalidParameterError(f"line {ln}: gate after OUT line")
-            if len(parts) != 4 or parts[1] not in _OP_CODES:
-                raise InvalidParameterError(f"line {ln}: bad gate line {line!r}")
-            circuit.add_gate(_OP_CODES[parts[1]], int(parts[2]), int(parts[3]))
-        elif parts[0] == "OUT":
-            if outputs is not None:
-                raise InvalidParameterError(f"line {ln}: duplicate OUT line")
-            outputs = [int(t) for t in parts[1:]]
-        else:
-            raise InvalidParameterError(f"line {ln}: unknown record {parts[0]!r}")
+    i = 1
+    while i < starts.size:
+        if outputs is None and i < ascii_lines:
+            hi = min(i + _IO_BAND, ascii_lines)
+            i += _read_gate_lines(circuit, raw, starts[i:hi], stops[i:hi], glue)
+            if i == hi:
+                continue
+        outputs = _read_record(circuit, i + 1, line(i), outputs)
+        i += 1
     if outputs is None:
         raise InvalidParameterError("circuit file has no OUT line")
     circuit.set_outputs(outputs)
@@ -465,5 +678,5 @@ def circuit_from_text(text: str) -> MonotoneCircuit:
 
 
 def read_circuit(path) -> MonotoneCircuit:
-    with open(path, "r") as fh:
+    with open(path, "rb") as fh:
         return circuit_from_text(fh.read())

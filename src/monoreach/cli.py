@@ -240,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fc.add_argument("--budget", type=int, default=10_000_000)
 
     p = sub.add_parser("predict", help="depth predictions without building gates")
-    p.add_argument("--mode", choices=[MODE_SQUARING, MODE_EXPLICIT, MODE_THEOREM], default=MODE_SQUARING)
+    p.add_argument("--mode", choices=[MODE_SQUARING, MODE_EXACT, MODE_EXPLICIT, MODE_THEOREM], default=MODE_SQUARING)
     p.add_argument("--n", help="size, or 2^E up to 2^1024")
     p.add_argument("--l", type=int)
     p.add_argument("--table", action="store_true", help="emit the ratio trend table for all modes")

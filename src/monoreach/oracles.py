@@ -165,7 +165,7 @@ def no_path_graph(n: int, edge_prob: float, seed: int) -> GraphSample:
 # -- graph text format ----------------------------------------------------------
 #
 # Line 1: "GRAPH <n>"; then n lines of n characters in {0,1}; row i lists the
-# out-edges of vertex i.
+# out-edges of vertex i.  A blank line is an error, as in MCIRC files.
 
 
 def graph_to_text(matrix: AdjacencyMatrix) -> str:
@@ -176,13 +176,16 @@ def graph_to_text(matrix: AdjacencyMatrix) -> str:
 
 
 def graph_from_text(text: str) -> AdjacencyMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = text.splitlines()
     if not lines:
         raise InvalidParameterError("empty graph file")
     head = lines[0].split()
     if len(head) != 2 or head[0] != "GRAPH":
         raise InvalidParameterError(f"bad graph header: {lines[0]!r}")
     n = int(head[1])
+    for ln, row in enumerate(lines[1:], start=2):
+        if not row.strip():
+            raise InvalidParameterError(f"line {ln}: blank line in graph file")
     if len(lines) != n + 1:
         raise InvalidParameterError(f"expected {n} rows, got {len(lines) - 1}")
     m = AdjacencyMatrix(n)

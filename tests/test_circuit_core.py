@@ -218,6 +218,25 @@ class TestValidate:
         assert v is not None and v.gate_index == 0
 
 
+class TestReleases:
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_matches_per_gate_last_use(self, data):
+        c = mr.new_circuit(data.draw(st.integers(1, 3)))
+        for _ in range(data.draw(st.integers(0, 40))):
+            op = data.draw(st.sampled_from([AND, OR]))
+            c.add_gate(op, data.draw(st.integers(0, c.num_wires - 1)), data.draw(st.integers(0, c.num_wires - 1)))
+        c.set_outputs(data.draw(st.lists(st.integers(0, c.num_wires - 1), min_size=1, max_size=3)))
+        last_use = [-1] * c.num_wires
+        for i, (a, b) in enumerate(zip(c._lefts, c._rights)):
+            last_use[a] = i
+            last_use[b] = i
+        for o in c.outputs:
+            last_use[o] = c.gate_count
+        codes = [(last_use[a] == i) + 2 * (last_use[b] == i) for i, (a, b) in enumerate(zip(c._lefts, c._rights))]
+        assert c._releases() == codes
+
+
 class TestInvariants:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1))

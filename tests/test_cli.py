@@ -2,7 +2,7 @@
 
 import pytest
 
-from monoreach.build import build_walk_power, predict_depth
+from monoreach.build import build_reach_exact, build_walk_power, predict_depth, predict_gate_count
 from monoreach.circuit import write_circuit
 from monoreach.cli import main
 
@@ -168,6 +168,24 @@ class TestPredict:
         code, _, err = run(capsys, "predict", "--mode", "squaring")
         assert code == 2
 
+    def test_exact_requires_l(self, capsys):
+        code, out, err = run(capsys, "predict", "--mode", "exact", "--n", "9")
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:")
+        assert " l" in err
+
+    @pytest.mark.parametrize("n, l", [(9, 4), (7, 13)])
+    def test_exact_matches_build(self, capsys, n, l):
+        code, text, _ = run(capsys, "predict", "--mode", "exact", "--n", str(n), "--l", str(l))
+        assert code == 0
+        built = build_reach_exact(n, l)
+        row = [line for line in text.splitlines() if line.startswith("0,exact-power,")]
+        assert row == [f"0,exact-power,{built.depth()},"]
+        assert f"# gate count if built: {predict_gate_count('exact', n, l)}" in text
+        assert predict_gate_count("exact", n, l) == built.gate_count
+
 
 class TestReproducibility:
     def test_identical_builds_are_byte_identical(self, tmp_path, capsys):
@@ -206,3 +224,21 @@ class TestErrors:
         code, _, err = run(capsys, "stats", "--circuit", str(bad))
         assert code == 2
         assert "error" in err
+
+    def test_header_beyond_int32_wire_ids_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "huge.mc"
+        bad.write_bytes(b"MCIRC 1 1000000\nOUT 0\n")
+        code, out, err = run(capsys, "stats", "--circuit", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 1: ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_largest_header_only_circuit_has_depth_0(self, tmp_path, capsys):
+        path = tmp_path / "wide.mc"
+        path.write_bytes(b"MCIRC 1 46340\nOUT 0\n")
+        code, out, _ = run(capsys, "stats", "--circuit", str(path))
+        assert code == 0
+        assert "inputs: 2147395600" in out
+        assert "depth: 0" in out
+        assert "valid: yes" in out

@@ -344,6 +344,13 @@ class TestFamilyText:
         mr.write_family(fam, path)
         assert mr.read_family(path) == fam
 
+    def test_empty_line_is_an_empty_set(self):
+        # The final newline ends the last set's line; it is not a further set.
+        fam = mr.family_from_text("FAMILY 5 3 2 4 2\n\n1 5\n\n")
+        assert fam.sets == ((), (1, 5), ())
+        with pytest.raises(mr.InvalidParameterError):
+            mr.family_from_text("FAMILY 5 3 2 4 2\n\n1 5\n\n\n")
+
     def test_bad_header(self):
         with pytest.raises(mr.InvalidParameterError):
             mr.family_from_text("FAM 1 2 3 4 5\n")

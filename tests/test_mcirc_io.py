@@ -1,0 +1,285 @@
+"""MCIRC writer and parser: bytes written, the accepted grammar, and errors.
+
+The parser reads whole bands of lines with numpy.  It is checked against
+``reference_circuit_from_text``, the per-line parser it replaced, which is
+kept here only as an oracle.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import monoreach as mr
+import monoreach.circuit as circuit_module
+from monoreach import AND, OR
+from monoreach.circuit import MAX_WIRES, MonotoneCircuit
+
+
+def reference_circuit_from_text(text, where):
+    """The line-by-line MCIRC parser that the bulk parser replaced, unchanged
+    except that it records in ``where["line"]`` the line it is reading, so
+    that an error from a bare int() can be tied to its line."""
+    op_codes = {"AND": AND, "OR": OR}
+    lines = text.splitlines()
+    if not lines:
+        raise mr.InvalidParameterError("empty circuit file")
+    where["line"] = 1
+    head = lines[0].split()
+    if len(head) != 3 or head[0] != "MCIRC" or head[1] != "1":
+        raise mr.InvalidParameterError(f"bad circuit header: {lines[0]!r}")
+    circuit = MonotoneCircuit(int(head[2]))
+    outputs = None
+    for ln, line in enumerate(lines[1:], start=2):
+        where["line"] = ln
+        parts = line.split()
+        if not parts:
+            raise mr.InvalidParameterError(f"line {ln}: blank line in circuit file")
+        if parts[0] == "G":
+            if outputs is not None:
+                raise mr.InvalidParameterError(f"line {ln}: gate after OUT line")
+            if len(parts) != 4 or parts[1] not in op_codes:
+                raise mr.InvalidParameterError(f"line {ln}: bad gate line {line!r}")
+            circuit.add_gate(op_codes[parts[1]], int(parts[2]), int(parts[3]))
+        elif parts[0] == "OUT":
+            if outputs is not None:
+                raise mr.InvalidParameterError(f"line {ln}: duplicate OUT line")
+            outputs = [int(t) for t in parts[1:]]
+        else:
+            raise mr.InvalidParameterError(f"line {ln}: unknown record {parts[0]!r}")
+    where["line"] = None
+    if outputs is None:
+        raise mr.InvalidParameterError("circuit file has no OUT line")
+    circuit.set_outputs(outputs)
+    bad = circuit.validate()
+    if bad is not None:
+        raise mr.InvalidParameterError(f"circuit file is not well-formed: {bad.reason}")
+    return circuit
+
+
+def arrays(c):
+    return ("ok", c.num_vertices, bytes(c._ops), c._lefts.tobytes(), c._rights.tobytes(), c.outputs)
+
+
+def outcome(parse, text):
+    """What a parser makes of text: the circuit's arrays, or the error."""
+    try:
+        c = parse(text)
+    except ValueError as exc:
+        return ("error", type(exc), str(exc))
+    return arrays(c)
+
+
+def assert_same_verdict(text):
+    where = {}
+    expected = outcome(lambda t: reference_circuit_from_text(t, where), text)
+    got = outcome(mr.circuit_from_text, text)
+    assert outcome(mr.circuit_from_text, text.encode()) == got
+    if expected[0] == "error" and expected[1] is ValueError:
+        # A bare int() failure: the bulk parser names the line it is on.
+        assert got[:2] == ("error", mr.InvalidParameterError), (text, got)
+        assert got[2].startswith(f"line {where['line']}: bad integer "), (text, got)
+    else:
+        assert got == expected, text
+
+
+def random_circuit(draw, max_gates=12):
+    c = mr.new_circuit(draw(st.integers(1, 3)))
+    for _ in range(draw(st.integers(0, max_gates))):
+        op = draw(st.sampled_from([AND, OR]))
+        c.add_gate(op, draw(st.integers(0, c.num_wires - 1)), draw(st.integers(0, c.num_wires - 1)))
+    c.set_outputs(draw(st.lists(st.integers(0, c.num_wires - 1), min_size=1, max_size=3)))
+    return c
+
+
+MUTATION_BYTES = "0123456789 GANDORUT+-\t\r\n"
+# Pieces of short texts, most of them only a few lines or none.
+SHORT_PIECES = ["MCIRC 1 2", "MCIRC", "1", "2", "G AND 0 1", "G", "OR", "OUT 5", "OUT", "0", "+", "-",
+                " ", "\t", "\r", "\n", "\r\n", "\x0b", "\x1c", "\x1f", "\x00"]
+
+
+class TestDifferential:
+    @settings(max_examples=600, deadline=None)
+    @given(st.data())
+    def test_mutated_text_same_verdict_as_reference(self, data):
+        text = mr.circuit_to_text(random_circuit(data.draw))
+        for _ in range(data.draw(st.integers(0, 4))):
+            kind = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+            at = data.draw(st.integers(0, len(text)))
+            ch = data.draw(st.sampled_from(MUTATION_BYTES))
+            if kind == "insert":
+                text = text[:at] + ch + text[at:]
+            elif kind == "delete":
+                text = text[:at] + text[at + 1 :]
+            else:
+                text = text[:at] + ch + text[at + 1 :]
+        assert_same_verdict(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(SHORT_PIECES), max_size=12))
+    def test_short_texts_same_verdict_as_reference(self, pieces):
+        assert_same_verdict("".join(pieces))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "\n",
+            "MCIRC 1 2",
+            "MCIRC 1 2\n",
+            "MCIRC 1 2\nOUT\n",
+            "MCIRC 1 2\nOUT 0",
+            "MCIRC 1 2\r\nG AND 0 1\r\nOUT 5\r\n",
+            "MCIRC 1 2\rG AND 0 1\rOUT 5\r",
+            "MCIRC 1 2\r\n\r\nOUT 0\r\n",
+            "MCIRC 1 2\r\r\nOUT 0\n",
+            " MCIRC\t1  2 \nG\tOR   +0 -0\t\n  OUT   05 \n",
+            "MCIRC 1 2\nG AND 0 1\n\n",
+            "MCIRC 1 2\nG AND 0 1\nOUT 5\nG OR 0 1\n",
+            "MCIRC 1 2\nOUT 0\nOUT 0\n",
+            "MCIRC 1 2\nG XOR 0 1\nOUT 0\n",
+            "MCIRC 1 2\nG AND 0\nOUT 0\n",
+            "MCIRC 1 2\nG AND 0 1 2\nOUT 0\n",
+            "MCIRC 1 2\nG AND 0 5\nOUT 0\n",
+            "MCIRC 1 2\nG AND 5 0\nOUT 0\n",
+            "MCIRC 1 2\nG AND 0 1\nG OR 6 0\nOUT 0\n",
+            "MCIRC 1 2\nG AND -1 0\nOUT 0\n",
+            "MCIRC 1 2\nG AND + 0\nOUT 0\n",
+            "MCIRC 1 2\nG AND 0 1-\nOUT 0\n",
+            "MCIRC 1 2\nG AND 000000000000000000000003 0\nOUT 5\n",
+            "MCIRC 1 2\nG AND 99999999999999999999999 0\nOUT 5\n",
+            "MCIRC 1 2\nG AND 0 1\nOUT 5 +6\n",
+            "MCIRC 1 2\nG AND 0 1\nOUT x\n",
+            "MCIRC 1 2\nGATE AND 0 1\nOUT 5\n",
+            "MCIRC 1 0\nOUT 0\n",
+            "MCIRC 1 -2\nOUT 0\n",
+            "MCIRC 1 +2\nOUT 0\n",
+            "MCIRC 1 x\nOUT 0\n",
+            "MCIRC 01 2\nOUT 0\n",
+            "MCIRC 1 2 3\nOUT 0\n",
+            # every ASCII byte str.split() or str.splitlines() treats specially
+            "MCIRC 1 2\x0bG AND 0 1\x0cOUT 5\x1c",
+            "MCIRC 1 2\x1dG\x1fAND 0\x1f1\x1eOUT 5\n",
+            "MCIRC 1 2\nG AND 0\x001\nOUT 5\n",
+            "MCIRC 1 2\nG AND 0 1\x07\nOUT 5\n",
+            # control bytes but fewer than two line breaks
+            "MCIRC 1 2\t",
+            "MCIRC\t1 2",
+            "MCIRC 1 2\x07",
+            "MCIRC 1 2\r",
+            "MCIRC 1 2\r\n",
+            "MCIRC 1 2\tOUT 0\n",
+        ],
+    )
+    def test_edge_cases_same_verdict_as_reference(self, text):
+        assert_same_verdict(text)
+
+    def test_first_fault_in_file_order_wins(self):
+        gates = "".join(f"G AND 0 {w - 1}\n" for w in range(5, 103))
+        lines = gates.splitlines()
+        lines[4] = "G AND 0 99"  # gate 5 reads a wire that does not exist yet
+        lines[97] = "G AND zero 1"  # line 99: not a number
+        text = "MCIRC 1 2\n" + "\n".join(lines) + "\nOUT 5\n"
+        with pytest.raises(mr.InvalidReferenceError, match=r"^gate references missing wire \(0, 99\)$"):
+            mr.circuit_from_text(text)
+        assert_same_verdict(text)
+
+    def test_accepted_layouts_stay_on_the_bulk_path(self, monkeypatch):
+        calls = []
+        read_record = circuit_module._read_record
+        monkeypatch.setattr(
+            circuit_module, "_read_record", lambda *args: calls.append(args[1]) or read_record(*args)
+        )
+        layouts = ["G AND {} {}", "G\tOR  +{}\t{} ", " G OR 0{}\x1f+0{} ", "G\x1fAND {}\t\t+0{}"]
+        body = [layouts[g % 4].format(g % 5, g + 4) for g in range(1000)]
+        for newline in ("\n", "\r\n", "\r", "\x0b", "\x1e"):
+            text = newline.join(["MCIRC 1 2"] + body + ["OUT 1004"]) + newline
+            calls.clear()
+            assert_same_verdict(text)
+            assert calls == [1002, 1002]  # only the OUT line, once per parse of str and bytes
+            assert mr.circuit_from_text(text).gate_count == 1000
+
+    def test_fault_beyond_the_first_band(self):
+        gates = (1 << 18) + 5
+        text = "MCIRC 1 1\n" + "G OR 0 1\n" * gates + "G OR 0 1 \n" + "G OR 0 x\n" + "OUT 2\n"
+        with pytest.raises(mr.InvalidParameterError, match=f"^line {gates + 3}: bad integer 'x'$"):
+            mr.circuit_from_text(text)
+
+
+class TestBlankLines:
+    def test_blank_line_rejected(self):
+        for text, line in (("MCIRC 1 2\n\nOUT 0\n", 2), ("MCIRC 1 2\nOUT 0\n \t\n", 3)):
+            with pytest.raises(mr.InvalidParameterError, match=f"^line {line}: blank line in circuit file$"):
+                mr.circuit_from_text(text)
+
+    def test_final_newline_is_not_a_blank_line(self):
+        assert arrays(mr.circuit_from_text("MCIRC 1 2\nOUT 0\n")) == arrays(mr.circuit_from_text("MCIRC 1 2\nOUT 0"))
+
+
+class TestNarrowing:
+    def test_digit_separator_rejected_with_line(self):
+        with pytest.raises(mr.InvalidParameterError, match=r"^line 2: bad integer '1_0'$"):
+            mr.circuit_from_text("MCIRC 1 4\nG AND 1_0 1\nOUT 17\n")
+        with pytest.raises(mr.InvalidParameterError, match=r"^line 1: bad integer '1_0'$"):
+            mr.circuit_from_text("MCIRC 1 1_0\nOUT 0\n")
+
+    @pytest.mark.parametrize("text", ["MCIRC 1 2\nG AND \u0663 1\nOUT 5\n", "MCIRC 1 2\nG\u00a0AND 0 1\nOUT 5\n"])
+    def test_non_ascii_rejected_with_line(self, text):
+        with pytest.raises(mr.InvalidParameterError, match=r"^line 2: non-ASCII byte"):
+            mr.circuit_from_text(text)
+        with pytest.raises(mr.InvalidParameterError, match=r"^line 2: non-ASCII byte"):
+            mr.circuit_from_text(text.encode())
+
+    def test_earlier_fault_beats_non_ascii(self):
+        with pytest.raises(mr.InvalidParameterError, match=r"^line 2: blank line"):
+            mr.circuit_from_text("MCIRC 1 2\n\nG AND \u0663 1\nOUT 5\n")
+
+
+class TestWireIdLimit:
+    def test_header_beyond_int32_rejected(self):
+        with pytest.raises(mr.InvalidParameterError, match=r"^line 1: 1000000 vertices"):
+            mr.circuit_from_text("MCIRC 1 1000000\nOUT 0\n")
+        with pytest.raises(mr.InvalidParameterError, match=r"^line 1: 46341 vertices"):
+            mr.circuit_from_text("MCIRC 1 46341\nOUT 0\n")
+
+    def test_gates_up_to_the_limit(self):
+        n = 46340
+        n0 = n * n + 1
+        room = MAX_WIRES - n0
+        text = "MCIRC 1 46340\n" + "G AND 0 1\n" * room + f"OUT {MAX_WIRES - 1}\n"
+        c = mr.circuit_from_text(text)
+        assert c.num_wires == MAX_WIRES
+        assert c.depth() == 1
+        with pytest.raises(mr.InvalidParameterError, match=f"^line {room + 2}: a circuit has at most"):
+            mr.circuit_from_text(text.replace("OUT", "G AND 0 1\nOUT"))
+
+
+class TestWriter:
+    def test_round_trip_at_every_digit_boundary(self):
+        # n = 46340 puts every input id below 10**9 and the zero wire at 2147395600.
+        c = mr.new_circuit(46340)
+        ids = [0] + [v for k in range(1, 10) for v in (10**k - 1, 10**k)] + [c.zero]
+        for i, a in enumerate(ids):
+            c.add_gate(OR if i % 2 else AND, a, ids[-1 - i])
+        c.add_gate(AND, c.num_wires - 1, c.num_wires - 2)
+        c.set_outputs([c.num_wires - 1, 9, 10])
+        text = mr.circuit_to_text(c)
+        for a in ids:
+            assert f" {a} " in text or f" {a}\n" in text
+        back = mr.circuit_from_text(text)
+        assert arrays(back) == arrays(c)
+        assert mr.circuit_to_text(back) == text
+
+    @pytest.mark.parametrize("gates", [0, 1, 5, (1 << 18) + 3])
+    def test_file_bytes_equal_text(self, tmp_path, gates):
+        c = mr.new_circuit(2)
+        for g in range(gates):
+            c.add_gate(g % 2, g % c.num_wires, c.num_wires - 1)
+        c.set_outputs([c.num_wires - 1])
+        path = tmp_path / "c.mc"
+        mr.write_circuit(c, path)
+        text = mr.circuit_to_text(c)
+        assert path.read_bytes() == text.encode()
+        assert text == "MCIRC 1 2\n" + "".join(
+            f"G {'OR' if op else 'AND'} {a} {b}\n" for op, a, b in zip(c._ops, c._lefts, c._rights)
+        ) + f"OUT {c.num_wires - 1}\n"
+        assert arrays(mr.read_circuit(path)) == arrays(c)

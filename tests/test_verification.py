@@ -206,6 +206,17 @@ class TestGraphText:
         with pytest.raises(mr.InvalidParameterError):
             mr.graph_from_text("GRAPH 2\n0x\n00\n")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [("GRAPH 2\n\n01\n00\n", 2), ("GRAPH 2\n01\n \t\n00\n", 3), ("GRAPH 2\n01\n00\n\n", 4)],
+    )
+    def test_blank_line_rejected(self, text, line):
+        with pytest.raises(mr.InvalidParameterError, match=f"^line {line}: blank line in graph file$"):
+            mr.graph_from_text(text)
+
+    def test_final_newline_is_not_a_blank_line(self):
+        assert mr.graph_from_text("GRAPH 2\n01\n00\n") == mr.graph_from_text("GRAPH 2\n01\n00")
+
 
 class TestComparisonDrivers:
     def test_multi_output_circuit_rejected(self):
