@@ -136,7 +136,9 @@ def build_walk_power(n: int, t: int) -> MonotoneCircuit:
 
 def build_reach_leq(n: int, l: int) -> MonotoneCircuit:
     """Bounded-length reachability promise circuit: outputs 1 whenever some
-    1 -> n path of at most l edges exists, 0 whenever no path exists."""
+    1 -> n path of at most l edges exists, 0 whenever no path exists.
+
+    Holds only the gates the output reads."""
     if n < 2:
         raise InvalidParameterError("n must be >= 2")
     if l < 1:
@@ -144,42 +146,47 @@ def build_reach_leq(n: int, l: int) -> MonotoneCircuit:
     circuit = new_circuit(n)
     cur = _walk_power_entries(circuit, ceil_log2(l))
     circuit.set_outputs([int(cur[0, n - 1])])
+    circuit.prune()
     return circuit
 
 
 def build_reach_exact(n: int, l: int) -> MonotoneCircuit:
     """Exact-length circuit: 1 iff a walk 1 -> n of exactly l edges exists.
 
-    Squares the edge matrix for each binary digit of l and multiplies the
-    set-bit factors with a balanced product tree."""
+    Holds only the gates the output reads."""
     if n < 2:
         raise InvalidParameterError("n must be >= 2")
     if l < 1:
         raise InvalidParameterError("l must be >= 1")
     circuit = new_circuit(n)
-    power = input_matrix(circuit)
+    walks = _exact_product_tree(input_matrix(circuit), l, lambda a, b: bool_matrix_product(circuit, a, b))
+    circuit.set_outputs([walks.entry(1, n)])
+    circuit.prune()
+    return circuit
+
+
+def _exact_product_tree(source, l: int, multiply):
+    """The l-th power of `source`: square it once per binary digit of l,
+    then multiply the set-bit powers in a balanced tree that pairs
+    neighbours left to right and carries an odd straggler up.
+
+    build_reach_exact runs it on wire matrices, and its gate and depth
+    predictions on matrix ids and depths, so they cannot drift apart.
+    """
+    power = source
     factors = []
     top = l.bit_length() - 1
     for i in range(top + 1):
         if (l >> i) & 1:
             factors.append(power)
         if i < top:
-            power = bool_matrix_product(circuit, power, power)
-    product = _pairwise_fold(factors, lambda a, b: bool_matrix_product(circuit, a, b))
-    circuit.set_outputs([product.entry(1, n)])
-    return circuit
-
-
-def _pairwise_fold(items: list, combine):
-    """Balanced fold: pair neighbours left to right each round, carrying an
-    odd straggler up.  build_reach_exact's product tree and its depth
-    prediction both use it, so the two cannot drift apart."""
-    while len(items) > 1:
-        nxt = [combine(items[t], items[t + 1]) for t in range(0, len(items) - 1, 2)]
-        if len(items) % 2:
-            nxt.append(items[-1])
-        items = nxt
-    return items[0]
+            power = multiply(power, power)
+    while len(factors) > 1:
+        pairs = [multiply(factors[t], factors[t + 1]) for t in range(0, len(factors) - 1, 2)]
+        if len(factors) % 2:
+            pairs.append(factors[-1])
+        factors = pairs
+    return factors[0]
 
 
 def build_reach(n: int) -> MonotoneCircuit:
@@ -446,38 +453,86 @@ MODE_THEOREM = "theorem"
 
 
 def _squaring_gates(n: int, steps: int) -> int:
+    """Gates of `steps` squarings of the whole walk matrix."""
     if n < 2:
         return 0
     return steps * n * n * (2 * n - 2)
 
 
+def _reach_leq_gates(n: int, steps: int) -> int:
+    """Gates of build_reach_leq's output cone after `steps` squarings.
+
+    Counting steps back from the output, the last one computes entry (1, n),
+    the one before it row 1 and column n less entry (n, n), the one before
+    that every entry but (n, n), and earlier ones all n*n entries.  An
+    entry costs 2n - 2 gates.
+    """
+    if n < 2:
+        return 0
+    entries = sum([1, 2 * n - 2, n * n - 1][:steps]) + max(steps - 3, 0) * n * n
+    return entries * (2 * n - 2)
+
+
+def _reach_exact_gates(n: int, l: int) -> int:
+    """Gates of build_reach_exact's output cone, from sizes alone.
+
+    Replays its products backwards from the output.  A product entry (i, j)
+    reads row i of the left factor and column j of the right one, at 2n - 1
+    gates.  Below the output every matrix is needed as a set of full rows
+    and full columns, and those sets are always empty, the first row or
+    column n, or all, so only their sizes are kept.
+    """
+    operands: list[tuple[int, int]] = []  # of products 1, 2, ...; matrix 0 is the input
+
+    def product(a: int, b: int) -> int:
+        operands.append((a, b))
+        return len(operands)
+
+    root = _exact_product_tree(0, l, product)
+    if root == 0:
+        return 0
+    rows = [0] * root  # rows[m]: full rows of matrix m that are needed
+    cols = [0] * root
+    left, right = operands[root - 1]
+    rows[left] = cols[right] = 1  # the output entry (1, n)
+    entries = 1
+    for m in range(root - 1, 0, -1):
+        r, c = rows[m], cols[m]
+        entries += (r + c) * n - r * c
+        left, right = operands[m - 1]
+        rows[left] = max(rows[left], n if c else r)
+        cols[right] = max(cols[right], n if r else c)
+    return entries * (2 * n - 1)
+
+
 def predict_gate_count(mode: str, n: int, l: int | None = None) -> int:
     """Exact gate count of a build without materializing it.
 
-    Counts depend only on the mode parameters (clone sizes are fixed by the
-    declared family shape, not by which sets get sampled).
+    Counts depend only on the mode parameters: squaring and exact builds
+    hold their output cone, and composed builds keep their whole closure
+    block, so clone sizes are fixed by the declared family shape, not by
+    which sets get sampled.
     """
     if mode == MODE_SQUARING:
         if l is None:
             l = n - 1
-        return _squaring_gates(n, ceil_log2(max(1, l)))
+        return _reach_leq_gates(n, ceil_log2(max(1, l)))
     if mode == MODE_EXACT:
         if l is None:
             raise InvalidParameterError("exact mode needs l")
-        products = max(l.bit_length() - 1, 0) + l.bit_count() - 1
-        return products * n * n * (2 * n - 1)
+        return _reach_exact_gates(n, l)
     if mode == MODE_EXPLICIT:
         q = minimal_prime_q(n)
         d = minimal_deficiency(q)
         m = q * (q + 1)
-        inner = _squaring_gates(q + 2, ceil_log2(max(1, n // d)))
+        inner = _reach_leq_gates(q + 2, ceil_log2(max(1, n // d)))
         return _squaring_gates(n, ceil_log2(2 * d)) + m * inner + (m - 1)
     if mode == MODE_THEOREM:
         if l is None:
             l = n - 1
         sched = recursion_schedule(n, l)
         n_k, l_k = sched.levels[sched.k]
-        gates = _squaring_gates(n_k, ceil_log2(max(1, l_k)))
+        gates = _reach_leq_gates(n_k, ceil_log2(max(1, l_k)))
         for i in range(sched.k - 1, -1, -1):
             n_i = sched.levels[i][0]
             gates = _squaring_gates(n_i, ceil_log2(2 * sched.d)) + n_i * gates + (n_i - 1)
@@ -506,11 +561,9 @@ def predict_depth(mode: str, n: int, l: int | None = None) -> DepthLedger:
             raise InvalidParameterError("exact mode needs l")
         if n < 2 or l < 1:
             raise InvalidParameterError("exact mode needs n >= 2 and l >= 1")
-        # Replay build_reach_exact on depths: the factor for bit i of l is
-        # the walk matrix after i squarings, and every product adds a step.
+        # Replay build_reach_exact on depths: every product adds a step.
         step = 1 + ceil_log2(n)
-        factors = [i * step for i in range(l.bit_length()) if (l >> i) & 1]
-        return DepthLedger(stages=[Stage("exact-power", _pairwise_fold(factors, lambda a, b: max(a, b) + step))])
+        return DepthLedger(stages=[Stage("exact-power", _exact_product_tree(0, l, lambda a, b: max(a, b) + step))])
     if mode == MODE_EXPLICIT:
         if n < 2:
             raise InvalidParameterError("explicit mode needs n >= 2")

@@ -180,15 +180,6 @@ class MonotoneCircuit:
             return depth[1:]
         lefts = np.maximum(np.frombuffer(self._lefts, dtype=np.intc).astype(np.int64) - (n0 - 1), 0)
         rights = np.maximum(np.frombuffer(self._rights, dtype=np.intc).astype(np.int64) - (n0 - 1), 0)
-        if ng < 20000:
-            dl = depth.tolist()
-            ll = lefts.tolist()
-            rl = rights.tolist()
-            for i in range(ng):
-                a = dl[ll[i]]
-                b = dl[rl[i]]
-                dl[i + 1] = (a if a > b else b) + 1
-            return np.asarray(dl[1:], dtype=np.int64)
         # Chunked scan: a run of gates that only reads wires created before
         # the run relaxes in one vectorized step.  Run ends are found by a
         # galloping probe so total scan work stays linear in the gate count.
@@ -224,6 +215,51 @@ class MonotoneCircuit:
         if not gates:
             return 0
         return int(self._gate_depths()[gates].max())
+
+    def live_gates(self) -> np.ndarray:
+        """Per gate, whether some output reads it, directly or through
+        other gates.  Walks back from the outputs one frontier at a time."""
+        n0 = self.num_inputs + 1
+        ng = len(self._ops)
+        live = np.zeros(ng, dtype=bool)
+        lefts = np.frombuffer(self._lefts, dtype=np.intc)
+        rights = np.frombuffer(self._rights, dtype=np.intc)
+        # Deduplicates a frontier without sorting: of equal gates only the
+        # one whose position ends up in `stamp` survives.
+        stamp = np.empty(ng, dtype=np.int64)
+        frontier = np.asarray(self.outputs, dtype=np.int64) - n0
+        frontier = frontier[frontier >= 0]
+        while frontier.size:
+            live[frontier] = True
+            reads = np.concatenate((lefts[frontier], rights[frontier])) - n0
+            reads = reads[reads >= 0]
+            reads = reads[~live[reads]]
+            at = np.arange(reads.size)
+            stamp[reads] = at
+            frontier = reads[stamp[reads] == at]
+        return live
+
+    def prune(self) -> None:
+        """Drop every gate no output reads.  Kept gates keep their order and
+        are renumbered densely, so the result depends only on the circuit."""
+        live = self.live_gates()
+        if live.all():
+            return
+        n0 = self.num_inputs + 1
+        keep = np.flatnonzero(live)
+        # renumber[g] is the new wire id of gate g (meaningful where live).
+        renumber = np.cumsum(live, dtype=np.int64) + (n0 - 1)
+
+        def wire(ids: np.ndarray) -> np.ndarray:
+            return np.where(ids < n0, ids, renumber[np.maximum(ids - n0, 0)])
+
+        lefts = np.frombuffer(self._lefts, dtype=np.intc)[keep].astype(np.int64)
+        rights = np.frombuffer(self._rights, dtype=np.intc)[keep].astype(np.int64)
+        self._ops = bytearray(np.frombuffer(self._ops, dtype=np.uint8)[keep].tobytes())
+        self._lefts = array("i", wire(lefts).astype(np.intc).tobytes())
+        self._rights = array("i", wire(rights).astype(np.intc).tobytes())
+        self.outputs = wire(np.asarray(self.outputs, dtype=np.int64)).tolist()
+        self._releases_cache = None
 
     # -- evaluation ---------------------------------------------------------
 

@@ -69,7 +69,7 @@ def _write_ledger(path, ledger: DepthLedger, argv, seed=None):
 def _cmd_build(args, argv) -> int:
     n = _parse_n(args.n)
     if args.mode == "exact" and args.l is None:
-        print("build --mode exact requires --l", file=sys.stderr)
+        print("error: build --mode exact requires --l", file=sys.stderr)
         return 2
     expected_gates = predict_gate_count(args.mode, n, args.l)
     if expected_gates > args.max_gates:
@@ -92,12 +92,13 @@ def _cmd_build(args, argv) -> int:
         )
     else:  # pragma: no cover - argparse restricts choices
         return 2
+    depth = circuit.depth()
     if args.mode in (MODE_SQUARING, MODE_EXACT):
         ledger = predict_depth(args.mode, n, args.l)
-        ledger.stages[0].measured = circuit.depth()
+        ledger.stages[0].measured = depth
     write_circuit(circuit, args.out)
     _write_ledger(args.out + ".ledger.csv", ledger, argv, seed=args.seed)
-    print(f"wrote {args.out}: {circuit.gate_count} gates, depth {circuit.depth()}")
+    print(f"wrote {args.out}: {circuit.gate_count} gates, depth {depth}")
     return 0
 
 
@@ -167,7 +168,7 @@ def _cmd_predict(args, argv) -> int:
             print(f"{e},{float(sq):.6f},{float(ex):.6f},{float(th):.6f}")
         return 0
     if args.n is None:
-        print("predict requires --n (or --table)", file=sys.stderr)
+        print("error: predict requires --n (or --table)", file=sys.stderr)
         return 2
     n = _parse_n(args.n)
     ledger = predict_depth(args.mode, n, args.l)
@@ -186,6 +187,7 @@ def _cmd_stats(args, argv) -> int:
     print(f"vertices: {circuit.num_vertices}")
     print(f"inputs: {circuit.num_inputs}")
     print(f"gates: {circuit.gate_count}")
+    print(f"dead gates: {circuit.gate_count - int(circuit.live_gates().sum())}")
     print(f"outputs: {len(circuit.outputs)}")
     print(f"depth: {circuit.depth()}")
     print(f"valid: {'yes' if bad is None else 'NO: ' + bad.reason}")

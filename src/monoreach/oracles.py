@@ -18,6 +18,9 @@ from .errors import BudgetExceededError, InvalidParameterError
 from .exactmath import bernoulli_mask, child_seed, randbelow, sample_distinct
 
 CHUNK_BITS = 16384  # graphs per bit-parallel evaluation chunk
+# Most vertices a comparison driver accepts: one chunk at 256 vertices
+# already holds 65,536 input masks of CHUNK_BITS bits.
+MAX_CHECK_VERTICES = 256
 
 
 # -- oracles -------------------------------------------------------------------
@@ -302,7 +305,12 @@ def _oracle_masks(graph_ints, n: int, l: int | None):
 
 
 def _check_circuit(circuit: MonotoneCircuit, n: int) -> None:
-    """Precondition of every comparison driver: n vertices, one output."""
+    """Precondition of every comparison driver: n vertices, within the
+    vertex budget, and one output."""
+    if n > MAX_CHECK_VERTICES:
+        raise BudgetExceededError(
+            f"checking circuits over {n} vertices is over the budget of {MAX_CHECK_VERTICES} vertices"
+        )
     if circuit.num_vertices != n:
         raise InvalidParameterError("circuit size does not match n")
     if len(circuit.outputs) != 1:

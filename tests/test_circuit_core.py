@@ -237,6 +237,61 @@ class TestReleases:
         assert c._releases() == codes
 
 
+def per_gate_live(c):
+    """Which gates some output reads, by one backward pass per gate."""
+    n0 = c.num_inputs + 1
+    live = [False] * c.gate_count
+    for o in c.outputs:
+        if o >= n0:
+            live[o - n0] = True
+    for g in range(c.gate_count - 1, -1, -1):
+        if live[g]:
+            for w in c.gate(g)[1:]:
+                if w >= n0:
+                    live[w - n0] = True
+    return live
+
+
+class TestPrune:
+    def test_drops_dead_gates_and_renumbers(self):
+        c = mr.new_circuit(2)  # inputs 0..3, zero wire 4
+        c.add_gate(AND, 0, 1)  # wire 5, read by nothing
+        g = c.add_gate(OR, 0, 1)  # wire 6
+        c.add_gate(AND, 5, 6)  # wire 7, read by nothing
+        out = c.add_gate(AND, g, 3)  # wire 8
+        c.set_outputs([out])
+        assert c.live_gates().tolist() == [False, True, False, True]
+        c.prune()
+        assert [c.gate(i) for i in range(c.gate_count)] == [(OR, 0, 1), (AND, 5, 3)]
+        assert c.outputs == [6]
+
+    def test_outputs_on_inputs_keep_no_gate(self):
+        c = mr.new_circuit(2)
+        c.add_gate(AND, 0, 1)
+        c.set_outputs([c.input_wire(1, 2), c.zero])
+        c.prune()
+        assert c.gate_count == 0
+        assert c.outputs == [1, 4]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_keeps_outputs_and_depth(self, data):
+        c = mr.new_circuit(data.draw(st.integers(1, 3)))
+        for _ in range(data.draw(st.integers(0, 40))):
+            op = data.draw(st.sampled_from([AND, OR]))
+            c.add_gate(op, data.draw(st.integers(0, c.num_wires - 1)), data.draw(st.integers(0, c.num_wires - 1)))
+        c.set_outputs(data.draw(st.lists(st.integers(0, c.num_wires - 1), min_size=1, max_size=3)))
+        masks = [data.draw(st.integers(0, 2**64 - 1)) for _ in range(c.num_inputs)]
+        live = per_gate_live(c)
+        assert c.live_gates().tolist() == live
+        before = (c.evaluate_batch(masks), c.depth())
+        c.prune()
+        assert c.gate_count == sum(live)
+        assert c.validate() is None
+        assert (c.evaluate_batch(masks), c.depth()) == before
+        assert c.live_gates().all()
+
+
 class TestInvariants:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1))

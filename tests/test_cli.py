@@ -1,9 +1,15 @@
 """Command-line harness: round trips, exit codes, reproducibility."""
 
-import pytest
+import os
+import subprocess
+import sys
 
+import pytest
+from test_circuit_core import per_gate_live
+
+import monoreach
 from monoreach.build import build_reach_exact, build_walk_power, predict_depth, predict_gate_count
-from monoreach.circuit import write_circuit
+from monoreach.circuit import read_circuit, write_circuit
 from monoreach.cli import main
 
 
@@ -40,6 +46,22 @@ class TestBuildEvalStats:
         code, _, err = run(capsys, "build", "--mode", "exact", "--n", "4", "--out", str(tmp_path / "x.mc"))
         assert code == 2
         assert "--l" in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+
+    def test_stats_dead_gates(self, tmp_path, capsys):
+        squaring = str(tmp_path / "s.mc")
+        run(capsys, "build", "--mode", "squaring", "--n", "9", "--out", squaring)
+        code, text, _ = run(capsys, "stats", "--circuit", squaring)
+        assert code == 0
+        assert "dead gates: 0\n" in text
+        explicit = tmp_path / "e.mc"
+        run(capsys, "build", "--mode", "explicit", "--n", "16", "--out", str(explicit))
+        code, text, _ = run(capsys, "stats", "--circuit", str(explicit))
+        assert code == 0
+        dead = per_gate_live(read_circuit(explicit)).count(False)
+        assert dead > 0
+        assert f"dead gates: {dead}\n" in text
 
     def test_max_gates_budget_refusal(self, tmp_path, capsys):
         code, _, err = run(
@@ -112,6 +134,22 @@ class TestVerify:
         assert len(err.splitlines()) == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("mode", ["random", "planted", "exhaustive"])
+    def test_vertex_budget_refuses_a_tiny_wide_file(self, tmp_path, mode):
+        # The header alone asks for 46340**2 input masks per chunk.
+        path = tmp_path / "wide.mc"
+        path.write_bytes(b"MCIRC 1 46340\nOUT 0\n")
+        src = os.path.dirname(os.path.dirname(monoreach.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "monoreach.cli", "verify", "--circuit", str(path), "--n", "46340", "--mode", mode],
+            capture_output=True, text=True, timeout=20, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error:")
+
     def test_promise_skip_counting(self, tmp_path, capsys):
         out = str(tmp_path / "c.mc")
         run(capsys, "build", "--mode", "squaring", "--n", "8", "--l", "2", "--out", out)
@@ -167,6 +205,9 @@ class TestPredict:
     def test_missing_n(self, capsys):
         code, _, err = run(capsys, "predict", "--mode", "squaring")
         assert code == 2
+        assert "--n" in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
 
     def test_exact_requires_l(self, capsys):
         code, out, err = run(capsys, "predict", "--mode", "exact", "--n", "9")

@@ -3,11 +3,14 @@
 import hashlib
 import math
 from fractions import Fraction
+from random import Random
 
 import pytest
+from test_circuit_core import per_gate_live
 
 import monoreach as mr
-from monoreach.circuit import AdjacencyMatrix
+from monoreach.build import _exact_product_tree, _walk_power_entries, predict_gate_count
+from monoreach.circuit import AdjacencyMatrix, bool_matrix_product, input_matrix
 from monoreach.exactmath import child_seed
 from monoreach.families import CoveringFamily, FamilyParams
 from monoreach.oracles import (
@@ -370,10 +373,107 @@ class TestPredictGateCount:
         for mode, n, l, circuit in cases:
             assert predict_gate_count(mode, n, l) == circuit.gate_count, (mode, n, l)
 
+    def test_squaring_matches_every_small_build(self):
+        for n in range(2, 21):
+            for l in range(1, 41):
+                assert predict_gate_count("squaring", n, l) == mr.build_reach_leq(n, l).gate_count, (n, l)
+
+    def test_exact_matches_every_small_build(self):
+        for n in range(2, 10):
+            for l in range(1, 40):
+                assert predict_gate_count("exact", n, l) == mr.build_reach_exact(n, l).gate_count, (n, l)
+
+    def test_explicit_matches_every_small_build(self):
+        for n in range(2, 41):
+            assert predict_gate_count("explicit", n) == mr.build_explicit(n)[0].gate_count, n
+
+    @pytest.mark.parametrize("n, l", [(16, 12), (8, 4)])
+    def test_theorem_matches_builds_at_every_seed(self, n, l):
+        for seed in range(3):
+            assert predict_gate_count("theorem", n, l) == mr.build_recursive(n, l, seed)[0].gate_count, seed
+
+    def test_exact_cone_is_smaller_than_the_product_tree(self):
+        assert predict_gate_count("exact", 9, 4) == 306  # 2,754 before pruning
+
     def test_astronomic_sizes_stay_cheap(self):
         from monoreach.build import predict_gate_count
 
         assert predict_gate_count("squaring", 1 << 20, None) > 10**18
+
+
+def unpruned_reach_leq(n, l):
+    c = mr.new_circuit(n)
+    cur = _walk_power_entries(c, mr.ceil_log2(l))
+    c.set_outputs([int(cur[0, n - 1])])
+    return c
+
+
+def unpruned_reach_exact(n, l):
+    c = mr.new_circuit(n)
+    walks = _exact_product_tree(input_matrix(c), l, lambda a, b: bool_matrix_product(c, a, b))
+    c.set_outputs([walks.entry(1, n)])
+    return c
+
+
+def dead_gate_count(c):
+    return per_gate_live(c).count(False)
+
+
+PRUNED_BUILDS = [
+    ("squaring", n, l, mr.build_reach_leq, unpruned_reach_leq) for n in range(2, 10) for l in (1, 2, 3, 4, 5, 8, 9)
+] + [
+    ("exact", n, l, mr.build_reach_exact, unpruned_reach_exact) for n in range(2, 10) for l in (1, 2, 3, 5, 6, 7, 13)
+]
+
+
+class TestPrunedBuilds:
+    @pytest.mark.parametrize("mode, n, l, build, unpruned", PRUNED_BUILDS)
+    def test_same_outputs_and_depth_as_the_whole_circuit(self, mode, n, l, build, unpruned):
+        pruned, whole = build(n, l), unpruned(n, l)
+        rng = Random(child_seed(n * 100 + l, mode))
+        masks = []  # 64 assignments at each edge density 1/2, 1/4 and 1/8
+        for _ in range(n * n):
+            half = rng.getrandbits(64)
+            quarter = half & rng.getrandbits(64)
+            eighth = quarter & rng.getrandbits(64)
+            masks.append(half | quarter << 64 | eighth << 128)
+        assert pruned.evaluate_batch(masks) == whole.evaluate_batch(masks)
+        assert pruned.depth() == whole.depth()
+        assert pruned.gate_count <= whole.gate_count
+
+    @pytest.mark.parametrize("mode, n, l, build, unpruned", PRUNED_BUILDS[::5])
+    def test_pruning_twice_is_pruning_once(self, mode, n, l, build, unpruned):
+        once = unpruned(n, l)
+        once.prune()
+        text = mr.circuit_to_text(once)
+        assert text == mr.circuit_to_text(build(n, l))
+        once.prune()
+        assert mr.circuit_to_text(once) == text
+
+    @pytest.mark.parametrize("mode, n, l, build, unpruned", PRUNED_BUILDS)
+    def test_no_dead_gates(self, mode, n, l, build, unpruned):
+        assert dead_gate_count(build(n, l)) == 0
+
+    def test_composed_ledgers_are_unchanged(self):
+        for n in (9, 16):
+            family = mr.plane_family(n)
+            q, d = family.params.s, family.params.d
+            pruned = mr.compose_family(family, mr.build_reach_leq(q + 2, n // d))
+            whole = mr.compose_family(family, unpruned_reach_leq(q + 2, n // d))
+            assert pruned[1] == whole[1]
+            assert pruned[0].depth() == whole[0].depth() == pruned[1].total_measured
+
+    def test_composed_builds_keep_only_closure_waste(self):
+        circuit, _ = mr.build_explicit(16)
+        closure = mr.new_circuit(16)
+        _walk_power_entries(closure, mr.ceil_log2(2 * mr.plane_family(16).params.d))
+        assert 0 < dead_gate_count(circuit) < closure.gate_count
+
+    def test_walk_power_keeps_every_gate(self):
+        c = mr.build_walk_power(5, 3)
+        text = mr.circuit_to_text(c)
+        c.prune()
+        assert mr.circuit_to_text(c) == text
 
 
 class TestPredictDepth:
@@ -434,19 +534,19 @@ class TestGoldenBytes:
     GOLDEN = {
         "reach_leq(16, 15)": (
             lambda: mr.build_reach_leq(16, 15),
-            "00b5bbf920c0faa9e37c1883554c8d63e1090c8df89cd86775989052e4a4f542",
+            "97f4fe05d9d18971cbaa37827bf7c6e6546c216a630c84bde22f7dd2a049ce50",
         ),
         "reach_leq(17, 16)": (
             lambda: mr.build_reach_leq(17, 16),
-            "9db7c5c5fecadb350ffbc016989277a44cef6a56db157af135792aaa00c762a8",
+            "71b528857eeec8a3a67552cb762bbba3d5a823b39b4beccabc50e8fc04602228",
         ),
         "reach_exact(9, 5)": (
             lambda: mr.build_reach_exact(9, 5),
-            "06828b696d784856b4164fdb157928282ef8fa17802227160a09b0cfb2fc067c",
+            "8b7950ba12c6fd3b90dec1dce4a01bc7a33bd48152bf693bde10f0d96879fa2e",
         ),
         "reach_exact(7, 13)": (
             lambda: mr.build_reach_exact(7, 13),
-            "b2a712d01fe21cf40b02a444bca021fbc0fba9dd4e2eb8a6899dc7cb99efa229",
+            "f91e8f664539b460aa26847f4bda3aaa3d0c43848a857e04509aa005ccf436a5",
         ),
         "walk_power(5, 3)": (
             lambda: mr.build_walk_power(5, 3),
@@ -454,7 +554,7 @@ class TestGoldenBytes:
         ),
         "explicit(16)": (
             lambda: mr.build_explicit(16)[0],
-            "30b6543d64934e6347192387462266c549575272d964674886bd42a815ee4976",
+            "4226f553a131dc108ac4cd9a3ba292f1735a5f913b749e1e618ac2f6d73ae011",
         ),
         "recursive(8, 4, 0)": (
             lambda: mr.build_recursive(8, 4, 0)[0],

@@ -5,6 +5,7 @@ import pytest
 import monoreach as mr
 from monoreach.circuit import AdjacencyMatrix
 from monoreach.oracles import (
+    MAX_CHECK_VERTICES,
     bernoulli_entry_masks,
     bfs_reachable,
     exhaustive_input_masks,
@@ -227,6 +228,17 @@ class TestComparisonDrivers:
             run_planted_check(walk, 3, 100, 0)
         with pytest.raises(mr.InvalidParameterError):
             run_exhaustive_check(walk, 3)
+
+    def test_vertex_budget(self):
+        wide = mr.new_circuit(MAX_CHECK_VERTICES + 1)
+        wide.set_outputs([wide.zero])
+        for check in (
+            lambda: run_random_check(wide, wide.num_vertices, 100, 0),
+            lambda: run_planted_check(wide, wide.num_vertices, 100, 0),
+            lambda: run_exhaustive_check(wide, wide.num_vertices),
+        ):
+            with pytest.raises(mr.BudgetExceededError, match=str(MAX_CHECK_VERTICES)):
+                check()
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(mr.InvalidParameterError):
