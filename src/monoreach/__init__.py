@@ -66,6 +66,7 @@ from .families import (
     plane_family,
     read_family,
     sample_family,
+    sample_verified_family,
     sampling_failure_bound,
     sampling_guarantee_holds,
     sampling_log_failure_bound,

@@ -30,15 +30,9 @@ from .circuit import (
     new_circuit,
     or_tree,
 )
-from .errors import (
-    BudgetExceededError,
-    ConstructionFailedError,
-    InvalidParameterError,
-)
+from .errors import InvalidParameterError
 from .exactmath import (
     PREC,
-    child_seed,
-    comb,
     floor_pow2,
     isqrt,
     ln_scaled,
@@ -49,12 +43,10 @@ from .families import (
     CoveringFamily,
     FamilyParams,
     augment_with_terminals,
-    check_family_exact,
-    check_family_sampled,
     minimal_deficiency,
     minimal_prime_q,
     plane_family,
-    sample_family,
+    sample_verified_family,
 )
 
 
@@ -366,22 +358,13 @@ def recursion_schedule(n: int, l: int) -> RecursionSchedule:
     return RecursionSchedule(n, l, d, k, Fraction(growth_scaled, 1 << PREC), tuple(levels))
 
 
-def build_recursive(
-    n: int,
-    l: int,
-    seed: int,
-    attempt_budget: int = 10,
-    allow_sampled: bool = False,
-    sampled_trials: int = 100_000,
-    exact_budget: int = 10_000_000,
-):
+def build_recursive(n: int, l: int, seed: int, attempt_budget: int = 10, exact_budget: int = 10_000_000):
     """Recursive composed build: squaring at the deepest level, then one
     sampled covering family and composition per level, outside in.
 
-    Families are validated with the exact checker whenever its enumeration
-    fits the budget; otherwise the build refuses unless allow_sampled is
-    set, in which case Monte Carlo validation with sampled_trials is
-    accepted.  Returns (circuit, ledger, schedule).
+    Every family is verified with the exact checker before it is composed;
+    a check over exact_budget refuses the build.  Returns (circuit,
+    ledger, schedule).
     """
     sched = recursion_schedule(n, l)
     n_k, l_k = sched.levels[sched.k]
@@ -394,9 +377,7 @@ def build_recursive(
     level_stages: list[list[Stage]] = []
     for i in range(sched.k - 1, -1, -1):
         params = sched.family_params(i)
-        family = _sample_verified_family(
-            params, seed, i, attempt_budget, allow_sampled, sampled_trials, exact_budget
-        )
+        family, _ = sample_verified_family(params, seed, attempt_budget, label=f"level{i}:", max_subsets=exact_budget)
         circuit, ledger = compose_family(family, circuit)
         closure, blocks, orstage = ledger.stages
         level_stages.append(
@@ -410,38 +391,6 @@ def build_recursive(
         stages.extend(pair)
     stages.append(base_stage)
     return circuit, DepthLedger(stages=stages), sched
-
-
-def _sample_verified_family(
-    params: FamilyParams,
-    seed: int,
-    level: int,
-    attempt_budget: int,
-    allow_sampled: bool,
-    sampled_trials: int,
-    exact_budget: int,
-) -> CoveringFamily:
-    cost = comb(params.n, params.d)
-    exact = cost <= exact_budget
-    if not exact and not allow_sampled:
-        raise BudgetExceededError(
-            f"level {level} family check needs C({params.n},{params.d}) = {cost} subsets; "
-            f"pass allow_sampled=True to accept Monte Carlo validation"
-        )
-    last = None
-    for attempt in range(attempt_budget):
-        fam_seed = child_seed(seed, f"level{level}:attempt{attempt}")
-        family = sample_family(params, fam_seed)
-        if exact:
-            last = check_family_exact(family, max_subsets=exact_budget)
-        else:
-            last = check_family_sampled(family, sampled_trials, child_seed(fam_seed, "check"))
-        if last is None:
-            return family
-    raise ConstructionFailedError(
-        f"no covering family for {params} within {attempt_budget} attempts",
-        last_counterexample=last,
-    )
 
 
 # -- gate-count and depth prediction ---------------------------------------------------

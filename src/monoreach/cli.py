@@ -29,17 +29,16 @@ from .build import (
     trend_table,
 )
 from .circuit import read_circuit, write_circuit
-from .errors import MonoreachError
+from .errors import ConstructionFailedError, MonoreachError
 from .families import (
     FamilyParams,
     check_family_exact,
     check_family_sampled,
     plane_family,
     read_family,
-    sample_family,
+    sample_verified_family,
     write_family,
 )
-from .exactmath import child_seed
 from .oracles import (
     graph_to_text,
     read_graph,
@@ -87,9 +86,7 @@ def _cmd_build(args, argv) -> int:
         circuit, ledger = build_explicit(n)
     elif args.mode == "theorem":
         l = args.l if args.l is not None else n - 1
-        circuit, ledger, _ = build_recursive(
-            n, l, args.seed, attempt_budget=args.attempts, allow_sampled=args.allow_sampled
-        )
+        circuit, ledger, _ = build_recursive(n, l, args.seed, attempt_budget=args.attempts)
     else:  # pragma: no cover - argparse restricts choices
         return 2
     depth = circuit.depth()
@@ -139,14 +136,14 @@ def _cmd_family(args, argv) -> int:
         return 0
     if args.family_cmd == "sample":
         params = FamilyParams(args.n, args.m, args.s, args.l, args.d)
-        for attempt in range(args.attempts):
-            fam = sample_family(params, child_seed(args.seed, f"attempt{attempt}"))
-            if check_family_exact(fam, max_subsets=args.budget) is None:
-                write_family(fam, args.out)
-                print(f"wrote {args.out} after {attempt + 1} attempt(s)")
-                return 0
-        print(f"no verified family within {args.attempts} attempts", file=sys.stderr)
-        return 1
+        try:
+            fam, attempts = sample_verified_family(params, args.seed, args.attempts, max_subsets=args.budget)
+        except ConstructionFailedError:
+            print(f"no verified family within {args.attempts} attempts", file=sys.stderr)
+            return 1
+        write_family(fam, args.out)
+        print(f"wrote {args.out} after {attempts} attempt(s)")
+        return 0
     # check
     fam = read_family(args.file)
     if args.mode == "exact":
@@ -205,7 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--l", type=int)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--attempts", type=int, default=10)
-    b.add_argument("--allow-sampled", action="store_true", help="accept Monte Carlo family validation")
     b.add_argument("--max-gates", type=int, default=200_000_000, help="refuse builds above this gate count")
     b.add_argument("--out", required=True)
 
@@ -232,14 +228,18 @@ def _build_parser() -> argparse.ArgumentParser:
         fs.add_argument(flag, required=True, type=int)
     fs.add_argument("--seed", type=int, default=0)
     fs.add_argument("--attempts", type=int, default=10)
-    fs.add_argument("--budget", type=int, default=10_000_000)
+    fs.add_argument(
+        "--budget", type=int, default=10_000_000, help="subsets the exact check may visit before refusing"
+    )
     fs.add_argument("--out", required=True)
     fc = fsub.add_parser("check", help="check a family file")
     fc.add_argument("--file", required=True)
     fc.add_argument("--mode", required=True, choices=["exact", "sampled"])
     fc.add_argument("--trials", type=int, default=100_000)
     fc.add_argument("--seed", type=int, default=0)
-    fc.add_argument("--budget", type=int, default=10_000_000)
+    fc.add_argument(
+        "--budget", type=int, default=10_000_000, help="subsets the exact check may visit before refusing"
+    )
 
     p = sub.add_parser("predict", help="depth predictions without building gates")
     p.add_argument("--mode", choices=[MODE_SQUARING, MODE_EXACT, MODE_EXPLICIT, MODE_THEOREM], default=MODE_SQUARING)

@@ -17,10 +17,11 @@ from random import Random
 
 from .errors import (
     BudgetExceededError,
+    ConstructionFailedError,
     FamilyViolationError,
     InvalidParameterError,
 )
-from .exactmath import comb, is_prime, isqrt, sample_distinct
+from .exactmath import child_seed, comb, is_prime, isqrt, sample_distinct
 
 
 @dataclass(frozen=True)
@@ -62,13 +63,17 @@ class CoveringFamily:
         self.params = params
         self.sets = sets
 
-    def element_set_masks(self) -> list[int]:
-        """For each element v of 1..n, the bitmask of set indices containing v."""
-        masks = [0] * (self.params.n + 1)
+    def element_set_masks(self) -> dict[int, int]:
+        """For each element v in some set, the bitmask of set indices containing v.
+
+        Keyed by the elements the sets hold, so its size never follows the
+        declared n; an element in no set has mask 0.
+        """
+        masks: dict[int, int] = {}
         for idx, s in enumerate(self.sets):
             bit = 1 << idx
             for v in s:
-                masks[v] |= bit
+                masks[v] = masks.get(v, 0) | bit
         return masks
 
     def __eq__(self, other):
@@ -96,7 +101,7 @@ def _violation_at(family: CoveringFamily, d_subset, elem_masks, full_mask) -> Fa
     p = family.params
     avoid = 0
     for v in d_subset:
-        avoid |= elem_masks[v]
+        avoid |= elem_masks.get(v, 0)
     disjoint = full_mask & ~avoid
     count = disjoint.bit_count()
     if count * p.l >= p.m * p.d:
@@ -106,24 +111,45 @@ def _violation_at(family: CoveringFamily, d_subset, elem_masks, full_mask) -> Fa
 
 
 def check_family_exact(family: CoveringFamily, max_subsets: int = 10_000_000) -> FamilyCounterexample | None:
-    """Decide the covering condition by enumerating every d-subset of {1..n}.
+    """Decide the covering condition by branch and bound over d-subsets of {1..n}.
 
-    Returns None on pass, else the lexicographically first counterexample.
-    Refuses (never silently samples) when C(n, d) exceeds the budget.
+    A lexicographic depth-first search ORs in each element's set mask as it
+    goes deeper.  It prunes a branch once fewer than m*d/l sets avoid it,
+    since adding elements can only lower that count; so the first leaf it
+    reaches is the lexicographically first counterexample.  Returns that
+    counterexample, or None on pass.  Refuses (never samples) once it has
+    visited more than max_subsets subsets of size 1..d.
     """
     p = family.params
-    cost = comb(p.n, p.d)
-    if cost > max_subsets:
-        raise BudgetExceededError(
-            f"exact check needs C({p.n},{p.d}) = {cost} subset evaluations, over budget {max_subsets}"
-        )
+    n, m, l, d = p.n, p.m, p.l, p.d
+    need = m * d  # a subset avoided by `count` sets violates once count * l >= need
     elem_masks = family.element_set_masks()
-    full = (1 << p.m) - 1
-    for combo in combinations(range(1, p.n + 1), p.d):
-        bad = _violation_at(family, combo, elem_masks, full)
-        if bad is not None:
-            return bad
-    return None
+    path: list[int] = []  # the elements chosen so far
+    meets = [0]  # meets[k]: bitmask of the sets that meet path[:k]
+    v = 1  # next candidate for position len(path)
+    visited = 0
+    while True:
+        k = len(path)
+        if v > n - d + k + 1:  # too few elements left to fill the subset
+            if not k:
+                return None
+            v = path.pop() + 1
+            meets.pop()
+            continue
+        visited += 1
+        if visited > max_subsets:
+            raise BudgetExceededError(
+                f"exact check over C({n},{d}) subsets found no verdict within {max_subsets} visited subsets"
+            )
+        meet = meets[k] | elem_masks.get(v, 0)
+        if (m - meet.bit_count()) * l < need:
+            v += 1
+        elif k + 1 == d:
+            return _violation_at(family, (*path, v), elem_masks, (1 << m) - 1)
+        else:
+            path.append(v)
+            meets.append(meet)
+            v += 1
 
 
 def check_family_sampled(family: CoveringFamily, trials: int, seed: int) -> FamilyCounterexample | None:
@@ -181,6 +207,28 @@ def sample_family(params: FamilyParams, seed: int) -> CoveringFamily:
         row = [_uniform_element(rng, n) for _ in range(params.s)]
         rows.append(row)
     return CoveringFamily(params, rows)
+
+
+def sample_verified_family(
+    params: FamilyParams, seed: int, attempts: int, label: str = "", max_subsets: int = 10_000_000
+) -> tuple[CoveringFamily, int]:
+    """Sample families until one passes check_family_exact.
+
+    Attempt k draws from child_seed(seed, f"{label}attempt{k}").  Returns
+    the family and the number of attempts it took; raises
+    ConstructionFailedError carrying the last counterexample when every
+    attempt fails.
+    """
+    last = None
+    for attempt in range(attempts):
+        family = sample_family(params, child_seed(seed, f"{label}attempt{attempt}"))
+        last = check_family_exact(family, max_subsets=max_subsets)
+        if last is None:
+            return family, attempt + 1
+    raise ConstructionFailedError(
+        f"no covering family for {params} within {attempts} attempts",
+        last_counterexample=last,
+    )
 
 
 def _uniform_element(rng: Random, n: int) -> int:

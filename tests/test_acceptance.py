@@ -91,13 +91,13 @@ def test_c05_line_cover_bound_exhaustive():
 
 
 def test_c06_plane_family_correctness():
-    for n in (4, 9):
+    for n in (4, 9, 16, 25, 36):
         assert mr.check_family_exact(mr.plane_family(n)) is None
     for n in (16, 25, 49):
         fam = mr.plane_family(n)
         bad = mr.check_family_sampled(fam, 100_000, seed=child_seed(ACCEPT_SEED, f"c6:{n}"))
         assert bad is None, f"n={n}: {bad}"
-    report("plane families (exact n=4,9; sampled 1e5 trials n=16,25,49)", True)
+    report("plane families (exact n=4,9,16,25,36; sampled 1e5 trials n=16,25,49)", True)
 
 
 def test_c07_sampler_guarantee():

@@ -1,6 +1,7 @@
 """Command-line harness: round trips, exit codes, reproducibility."""
 
 import os
+import resource
 import subprocess
 import sys
 
@@ -11,12 +12,22 @@ import monoreach
 from monoreach.build import build_reach_exact, build_walk_power, predict_depth, predict_gate_count
 from monoreach.circuit import read_circuit, write_circuit
 from monoreach.cli import main
+from monoreach.exactmath import child_seed
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv, **kwargs):
+    """Run the CLI in a fresh interpreter that imports this source tree."""
+    src = os.path.dirname(os.path.dirname(monoreach.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "monoreach.cli", *argv], capture_output=True, text=True, env=env, **kwargs
+    )
 
 
 class TestBuildEvalStats:
@@ -139,12 +150,7 @@ class TestVerify:
         # The header alone asks for 46340**2 input masks per chunk.
         path = tmp_path / "wide.mc"
         path.write_bytes(b"MCIRC 1 46340\nOUT 0\n")
-        src = os.path.dirname(os.path.dirname(monoreach.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "monoreach.cli", "verify", "--circuit", str(path), "--n", "46340", "--mode", mode],
-            capture_output=True, text=True, timeout=20, env=env,
-        )
+        proc = run_process("verify", "--circuit", str(path), "--n", "46340", "--mode", mode, timeout=20)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
@@ -187,6 +193,41 @@ class TestFamilyCommands:
         code, text, _ = run(capsys, "family", "check", "--file", str(fam), "--mode", "exact")
         assert code == 1
         assert "counterexample" in text
+
+    SHAPE = ["--n", "48", "--m", "48", "--s", "16", "--l", "8", "--d", "4", "--seed", "0"]
+
+    def test_sample_gives_up_after_its_attempts(self, tmp_path, capsys):
+        # Seed 0's first three (48,48,16,8,4) families have counterexamples.
+        fam = tmp_path / "f.fam"
+        code, text, err = run(capsys, "family", "sample", *self.SHAPE, "--attempts", "3", "--out", str(fam))
+        assert code == 1
+        assert text == ""
+        assert err == "no verified family within 3 attempts\n"
+        assert not fam.exists()
+
+    def test_sample_writes_the_first_verified_attempt(self, tmp_path, capsys):
+        fam = tmp_path / "f.fam"
+        code, text, _ = run(capsys, "family", "sample", *self.SHAPE, "--attempts", "4", "--out", str(fam))
+        assert code == 0
+        assert text == f"wrote {fam} after 4 attempt(s)\n"
+        want = monoreach.sample_family(monoreach.FamilyParams(48, 48, 16, 8, 4), child_seed(0, "attempt3"))
+        assert fam.read_text() == monoreach.family_to_text(want)
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_hostile_universe_allocates_nothing_sized_by_n(self, tmp_path, mode):
+        # 28 bytes declaring n = 10**9; the child may map only 1.5 GB.
+        path = tmp_path / "huge.fam"
+        path.write_bytes(b"FAMILY 1000000000 1 1 1 1\n1\n")
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+        proc = run_process("family", "check", "--file", str(path), "--mode", mode, timeout=60, preexec_fn=cap_memory)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.startswith("counterexample: ")
+        if mode == "exact":
+            assert proc.stdout.startswith("counterexample: D=(2,) ")
 
 
 class TestPredict:
@@ -254,6 +295,12 @@ class TestErrors:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+    def test_build_has_no_sampled_validation_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["build", "--mode", "theorem", "--n", "9", "--l", "4", "--allow-sampled", "--out", str(tmp_path)])
+        assert err.value.code == 2
+        assert "--allow-sampled" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "stats", "--circuit", "/nonexistent/c.mc")

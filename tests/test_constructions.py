@@ -9,6 +9,7 @@ import pytest
 from test_circuit_core import per_gate_live
 
 import monoreach as mr
+import monoreach.families
 from monoreach.build import _exact_product_tree, _walk_power_entries, predict_gate_count
 from monoreach.circuit import AdjacencyMatrix, bool_matrix_product, input_matrix
 from monoreach.exactmath import child_seed
@@ -355,6 +356,59 @@ class TestBuildRecursive:
         b, _, _ = mr.build_recursive(9, 4, seed=7)
         assert bytes(a._ops) == bytes(b._ops)
         assert a._lefts.tobytes() == b._lefts.tobytes()
+
+    def test_failed_build_carries_the_last_attempts_counterexample(self, monkeypatch):
+        # Every sampled family is emptied, so every attempt fails its check.
+        sampled = []
+
+        def empty_family(params, seed):
+            sampled.append(CoveringFamily(params, [()] * params.m))
+            return sampled[-1]
+
+        monkeypatch.setattr(monoreach.families, "sample_family", empty_family)
+        with pytest.raises(mr.ConstructionFailedError) as err:
+            mr.build_recursive(16, 12, seed=42, attempt_budget=3)
+        assert len(sampled) == 3
+        assert err.value.last_counterexample is not None
+        assert err.value.last_counterexample == mr.check_family_exact(sampled[-1])
+
+
+class TestFormerlySampledLevels:
+    # The 20 level families with the largest C(n_i, d) among the theorem
+    # pairs under the default --max-gates, from a sweep of all 4,174 pairs
+    # with some C(n_i, d) > 1e7, which builds once validated by sampling.
+    PAIRS = [(292, l) for l in range(20, 6, -1)] + [(291, l) for l in range(20, 14, -1)]
+
+    @pytest.mark.parametrize("n, l", PAIRS)
+    def test_first_attempt_passes_the_exact_check(self, n, l):
+        assert predict_gate_count("theorem", n, l) <= 200_000_000
+        sched = mr.recursion_schedule(n, l)
+        for i in range(sched.k):
+            params = sched.family_params(i)
+            assert math.comb(params.n, params.d) > 10_000_000
+            family = mr.sample_family(params, child_seed(0, f"level{i}:attempt0"))
+            assert mr.check_family_exact(family) is None
+
+
+class TestSampleVerifiedFamily:
+    PARAMS = FamilyParams(48, 48, 16, 8, 4)  # seed 0 passes on its 4th attempt
+
+    def test_gives_up_with_the_last_counterexample(self):
+        with pytest.raises(mr.ConstructionFailedError) as err:
+            mr.sample_verified_family(self.PARAMS, 0, 3)
+        last = mr.check_family_exact(mr.sample_family(self.PARAMS, child_seed(0, "attempt2")))
+        assert last is not None
+        assert err.value.last_counterexample == last
+
+    def test_returns_the_first_verified_attempt(self):
+        family, attempts = mr.sample_verified_family(self.PARAMS, 0, 10)
+        assert attempts == 4
+        assert family == mr.sample_family(self.PARAMS, child_seed(0, "attempt3"))
+
+    def test_label_prefixes_the_seed_stream(self):
+        params = mr.recursion_schedule(16, 12).family_params(0)
+        family, attempts = mr.sample_verified_family(params, 42, 10, "level0:")
+        assert family == mr.sample_family(params, child_seed(42, f"level0:attempt{attempts - 1}"))
 
 
 class TestPredictGateCount:

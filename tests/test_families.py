@@ -2,18 +2,49 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import monoreach as mr
+import monoreach.families
 from monoreach.exactmath import child_seed
-from monoreach.families import CoveringFamily, FamilyParams
+from monoreach.families import CoveringFamily, FamilyCounterexample, FamilyParams
 
 
 def gf2_plane_sets():
     return mr.affine_lines(2).lines  # the six 2-subsets of the 4 points
+
+
+def enumerated_first_violation(fam):
+    """Reference for check_family_exact: enumerate every d-subset in
+    lexicographic order and return the first one avoided by at least
+    m*d/l sets, or None."""
+    p = fam.params
+    sets_of = {v: 0 for v in range(1, p.n + 1)}  # element -> bitmask of sets holding it
+    for i, s in enumerate(fam.sets):
+        for v in s:
+            sets_of[v] |= 1 << i
+    for d_subset in combinations(range(1, p.n + 1), p.d):
+        meets = 0
+        for v in d_subset:
+            meets |= sets_of[v]
+        count = p.m - meets.bit_count()
+        if count * p.l >= p.m * p.d:
+            avoiders = tuple(i for i in range(p.m) if not (meets >> i) & 1)
+            return FamilyCounterexample(d_subset, avoiders, count, p.threshold())
+    return None
+
+
+@st.composite
+def small_families(draw):
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(1, 8))
+    sets = draw(st.lists(st.frozensets(st.integers(1, n), max_size=n), min_size=m, max_size=m))
+    s = max([1] + [len(x) for x in sets])
+    return CoveringFamily(FamilyParams(n, m, s, draw(st.integers(1, 12)), draw(st.integers(1, n))), sets)
 
 
 class TestExactChecker:
@@ -53,6 +84,54 @@ class TestExactChecker:
         with pytest.raises(mr.BudgetExceededError) as err:
             mr.check_family_exact(fam, max_subsets=1000)
         assert "C(49,13)" in str(err.value)
+
+    @settings(max_examples=400, deadline=None)
+    @given(small_families())
+    def test_matches_enumeration(self, fam):
+        assert mr.check_family_exact(fam) == enumerated_first_violation(fam)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(79, 79, 195, 7, 4), (56, 56, 129, 5, 4), (40, 40, 12, 8, 5), (48, 48, 16, 8, 4),
+         (24, 24, 10, 6, 6), (34, 34, 20, 12, 4)],
+    )
+    def test_sampled_shapes_match_enumeration(self, shape):
+        for seed in range(4):
+            fam = mr.sample_family(FamilyParams(*shape), seed)
+            assert mr.check_family_exact(fam) == enumerated_first_violation(fam), seed
+
+    def test_deep_search_returns_the_whole_universe(self):
+        # Two empty sets avoid everything, so the first leaf is {1..1500},
+        # 1500 levels down: the search must not recurse.
+        fam = mr.family_from_text("FAMILY 1500 2 1 1500 1500\n\n\n")
+        bad = mr.check_family_exact(fam)
+        assert bad == FamilyCounterexample(tuple(range(1, 1501)), (0, 1), 2, Fraction(2))
+
+    def test_budget_counts_visited_subsets(self):
+        # The deep search above visits exactly one subset per level.
+        fam = mr.family_from_text("FAMILY 1500 2 1 1500 1500\n\n\n")
+        assert mr.check_family_exact(fam, max_subsets=1500) is not None
+        with pytest.raises(mr.BudgetExceededError, match="C\\(1500,1500\\)"):
+            mr.check_family_exact(fam, max_subsets=1499)
+
+    def test_budget_refusal_is_deterministic_and_never_samples(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the exact check sampled")
+
+        for name in ("Random", "sample_distinct", "check_family_sampled"):
+            monkeypatch.setattr(monoreach.families, name, no_sampling)
+        fam = mr.plane_family(49)
+        messages = set()
+        for _ in range(2):
+            with pytest.raises(mr.BudgetExceededError) as err:
+                mr.check_family_exact(fam, max_subsets=1000)
+            messages.add(str(err.value))
+        assert len(messages) == 1
+        assert mr.check_family_exact(mr.plane_family(9)) is None
+
+    def test_element_masks_follow_the_sets_not_n(self):
+        fam = CoveringFamily(FamilyParams(10**9, 2, 2, 1, 1), [(1, 10**9), (1,)])
+        assert fam.element_set_masks() == {1: 0b11, 10**9: 0b01}
 
 
 class TestSampledChecker:
@@ -314,6 +393,10 @@ class TestPlaneFamily:
         fam = mr.plane_family(16)
         assert fam.params == FamilyParams(16, 30, 5, 16, 8)
         assert mr.check_family_sampled(fam, 20_000, seed=1) is None
+
+    @pytest.mark.parametrize("n", [16, 25, 36])
+    def test_passes_exactly(self, n):
+        assert mr.check_family_exact(mr.plane_family(n)) is None
 
 
 class TestCoverBoundExhaustive:
