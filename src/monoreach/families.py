@@ -123,6 +123,8 @@ def check_family_exact(family: CoveringFamily, max_subsets: int = 10_000_000) ->
     p = family.params
     n, m, l, d = p.n, p.m, p.l, p.d
     need = m * d  # a subset avoided by `count` sets violates once count * l >= need
+    if l < d:  # then need > count * l for every count <= m: no subset violates
+        return None
     elem_masks = family.element_set_masks()
     path: list[int] = []  # the elements chosen so far
     meets = [0]  # meets[k]: bitmask of the sets that meet path[:k]

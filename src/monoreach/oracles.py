@@ -291,17 +291,42 @@ class CheckReport:
         return not self.mismatches
 
 
-def _oracle_masks(graph_ints, n: int, l: int | None):
-    """Packed reachability bits for 1 -> n, plus the promise mask for budget l."""
+def _oracle_masks(masks, width: int, n: int, l: int | None):
+    """Packed reachability bits for 1 -> n, plus the promise mask for budget l.
+
+    A layered BFS from vertex 1 on every graph of a chunk at once, read from
+    the per-entry masks: bit t of masks[(u-1)*n + (v-1)] is edge u -> v of
+    graph t.  frontier maps each vertex to the graphs whose BFS first reached
+    it in the last round, so the round in which vertex n first gets a graph's
+    bit is that graph's distance.  Vertex n and the graphs that reached it
+    leave the frontier.
+    """
+    full = (1 << width) - 1
+    if n == 1:
+        return full, full  # src == dst: distance 0
+    last = n - 1
+    seen = [0] * n
+    frontier = {0: full}
     reach = 0
     outside = 0  # reachable, but only by paths longer than l
-    for t, g in enumerate(graph_ints):
-        dist = _rows_distance(_graph_int_rows(g, n), 1, n)
-        if dist is not None:
-            reach |= 1 << t
-            if l is not None and dist > l:
-                outside |= 1 << t
-    return reach, ((1 << len(graph_ints)) - 1) & ~outside
+    dist = 0
+    while frontier:
+        dist += 1
+        new = [0] * n
+        for u, fu in frontier.items():
+            new = [acc | (e & fu) for acc, e in zip(new, masks[u * n : u * n + n])]
+        hit = new[last]
+        reach |= hit
+        if l is not None and dist > l:
+            outside |= hit
+        live = full & ~reach
+        frontier = {}
+        for v in range(1, last):  # vertex 1 is seen in every graph from round 0
+            fv = new[v] & live & ~seen[v]
+            if fv:
+                seen[v] |= fv
+                frontier[v] = fv
+    return reach, full & ~outside
 
 
 def _check_circuit(circuit: MonotoneCircuit, n: int) -> None:
@@ -319,12 +344,16 @@ def _check_circuit(circuit: MonotoneCircuit, n: int) -> None:
         )
 
 
-def _check_chunk(circuit, graph_ints, masks, expected, promise, max_report, mism) -> None:
+def _check_chunk(circuit, masks, width, expected, promise, max_report, mism) -> None:
     """Evaluate one chunk and append mismatches inside the promise, in graph
-    order, until mism holds max_report entries."""
+    order, until mism holds max_report entries.  The chunk is transposed into
+    per-graph ints only when it has a mismatch left to report."""
     n = circuit.num_vertices
     out = circuit.evaluate_batch(masks)[0]
     bad = (out ^ expected) & promise
+    if not bad or len(mism) >= max_report:
+        return
+    graph_ints = masks_to_graph_ints(masks, width, n)
     while bad and len(mism) < max_report:
         low = bad & -bad
         t = low.bit_length() - 1
@@ -336,10 +365,9 @@ def run_exhaustive_check(circuit: MonotoneCircuit, n: int, max_report: int = 4) 
     """Compare the circuit against BFS on every graph over n vertices."""
     _check_circuit(circuit, n)
     masks, width = exhaustive_input_masks(n)
-    graph_ints = range(width)  # graph t is packed as the int t
-    reach, promise = _oracle_masks(graph_ints, n, None)
+    reach, promise = _oracle_masks(masks, width, n, None)
     mism: list = []
-    _check_chunk(circuit, graph_ints, masks, reach, promise, max_report, mism)
+    _check_chunk(circuit, masks, width, reach, promise, max_report, mism)
     return CheckReport(width, 0, mism)
 
 
@@ -368,9 +396,8 @@ def run_random_check(
         while todo > 0:
             width = min(todo, CHUNK_BITS)
             masks = bernoulli_entry_masks(rng, n, width, p)
-            graph_ints = masks_to_graph_ints(masks, width, n)
-            reach, promise = _oracle_masks(graph_ints, n, l)
-            _check_chunk(circuit, graph_ints, masks, reach, promise, max_report, mism)
+            reach, promise = _oracle_masks(masks, width, n, l)
+            _check_chunk(circuit, masks, width, reach, promise, max_report, mism)
             skipped += width - promise.bit_count()
             checked += width
             todo -= width
@@ -408,6 +435,6 @@ def run_planted_check(
                 g = no_path_graph(n, 0.3, sample_seed).matrix
             graph_ints.append(_graph_int(g))
         masks = graph_ints_to_masks(graph_ints, n)
-        _check_chunk(circuit, graph_ints, masks, expected, (1 << width) - 1, max_report, mism)
+        _check_chunk(circuit, masks, width, expected, (1 << width) - 1, max_report, mism)
         done += width
     return CheckReport(done, 0, mism)

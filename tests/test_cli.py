@@ -194,6 +194,13 @@ class TestFamilyCommands:
         assert code == 1
         assert "counterexample" in text
 
+    def test_check_passes_when_l_is_below_d(self, tmp_path, capsys):
+        fam = tmp_path / "wide.fam"
+        fam.write_text("FAMILY 1000000000 1 1 1 2\n1\n")
+        code, text, _ = run(capsys, "family", "check", "--file", str(fam), "--mode", "exact")
+        assert code == 0
+        assert text.strip() == "pass"
+
     SHAPE = ["--n", "48", "--m", "48", "--s", "16", "--l", "8", "--d", "4", "--seed", "0"]
 
     def test_sample_gives_up_after_its_attempts(self, tmp_path, capsys):

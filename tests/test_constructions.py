@@ -159,8 +159,9 @@ class TestComposeFamily:
         assert len(graph_ints) == 1 + 81 + 3240 + 85320
         for lo in range(0, len(graph_ints), CHUNK_BITS):
             chunk = graph_ints[lo : lo + CHUNK_BITS]
-            out = circuit.evaluate_batch(graph_ints_to_masks(chunk, 9))[0]
-            reach, _ = _oracle_masks(chunk, 9, None)
+            masks = graph_ints_to_masks(chunk, 9)
+            out = circuit.evaluate_batch(masks)[0]
+            reach, _ = _oracle_masks(masks, len(chunk), 9, None)
             assert out == reach
 
     def test_ledger_identity(self):

@@ -129,6 +129,12 @@ class TestExactChecker:
         assert len(messages) == 1
         assert mr.check_family_exact(mr.plane_family(9)) is None
 
+    def test_l_below_d_passes_without_a_search(self):
+        # A violating subset needs count * l >= m * d with count <= m, so
+        # l < d rules every subset out before any is visited.
+        fam = mr.family_from_text("FAMILY 1000000000 1 1 1 2\n1\n")
+        assert mr.check_family_exact(fam, max_subsets=1) is None
+
     def test_element_masks_follow_the_sets_not_n(self):
         fam = CoveringFamily(FamilyParams(10**9, 2, 2, 1, 1), [(1, 10**9), (1,)])
         assert fam.element_set_masks() == {1: 0b11, 10**9: 0b01}

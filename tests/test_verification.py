@@ -1,16 +1,28 @@
 """Oracles and graph generators."""
 
+import ast
+import hashlib
+from pathlib import Path
+from random import Random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import monoreach as mr
+import monoreach.oracles
 from monoreach.circuit import AdjacencyMatrix
 from monoreach.oracles import (
     MAX_CHECK_VERTICES,
+    _graph_int_rows,
+    _oracle_masks,
+    _rows_distance,
     bernoulli_entry_masks,
     bfs_reachable,
     exhaustive_input_masks,
     graph_from_index,
     graph_ints_to_masks,
+    graph_to_text,
     masks_to_graph_ints,
     run_exhaustive_check,
     run_planted_check,
@@ -21,6 +33,20 @@ from monoreach.oracles import (
 
 def matrix_of(n, *edges):
     return AdjacencyMatrix.from_edges(n, edges)
+
+
+def per_graph_oracle(masks, width, n, l):
+    """Reference for _oracle_masks: transpose the chunk into per-graph ints
+    and run one _rows_distance BFS per graph."""
+    reach = 0
+    outside = 0
+    for t, g in enumerate(masks_to_graph_ints(masks, width, n)):
+        dist = _rows_distance(_graph_int_rows(g, n), 1, n)
+        if dist is not None:
+            reach |= 1 << t
+            if l is not None and dist > l:
+                outside |= 1 << t
+    return reach, ((1 << width) - 1) & ~outside
 
 
 class TestBfs:
@@ -263,3 +289,72 @@ class TestComparisonDrivers:
         indices = [sum(row << (3 * i) for i, row in enumerate(g.rows)) for g, _, _ in report.mismatches]
         assert indices == sorted(indices)
         assert indices == [t for t in range(512) if shortest_path_length(graph_from_index(3, t), 1, 3) == 2]
+
+
+class TestSlicedOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 20),
+        p=st.sampled_from([0, 0.02, 0.1, 0.3, 0.5, 1]),
+        l_kind=st.sampled_from(["none", "one", "half", "n-1"]),
+        width=st.one_of(st.sampled_from([1, 7, 8, 64, 1000]), st.integers(1, 300)),
+        seed=st.integers(0, 2**32),
+    )
+    def test_matches_per_graph_bfs(self, n, p, l_kind, width, seed):
+        l = {"none": None, "one": 1, "half": n // 2, "n-1": n - 1}[l_kind]
+        masks = bernoulli_entry_masks(Random(seed), n, width, p)
+        assert _oracle_masks(masks, width, n, l) == per_graph_oracle(masks, width, n, l)
+
+    @pytest.mark.parametrize("p", [0.02, 0.05, 0.1, 0.5])
+    @pytest.mark.parametrize("l", [None, 1, 32, 63])
+    def test_matches_per_graph_bfs_at_n64(self, p, l):
+        masks = bernoulli_entry_masks(Random(64), 64, 700, p)
+        assert _oracle_masks(masks, 700, 64, l) == per_graph_oracle(masks, 700, 64, l)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_per_graph_bfs_on_every_graph(self, n):
+        masks, width = exhaustive_input_masks(n)
+        for l in (None, 1, n - 1):
+            assert _oracle_masks(masks, width, n, l) == per_graph_oracle(masks, width, n, l)
+
+
+class TestReportGoldens:
+    # Pinned from the per-graph oracle the sliced one replaced: the reports
+    # of a wrong circuit (it misses every distance above 3) must not move.
+    @pytest.mark.parametrize(
+        "l, skipped, digest",
+        [
+            (None, 0, "e56810a0e9ab5e9cc17fe3a808a4a9f800fbafa4df5460f664c88cfc23c94826"),
+            (5, 291, "befbc1e759b95fcee7ebc39572093ee2a46601ae8ecb859d2825ef3f5433e6ff"),
+        ],
+    )
+    def test_random_report_digest(self, l, skipped, digest):
+        report = run_random_check(mr.build_reach_leq(16, 3), 16, 40000, seed=7, l=l, max_report=6)
+        h = hashlib.sha256(f"{report.checked} {report.skipped}\n".encode())
+        for g, expected, got in report.mismatches:
+            h.update((graph_to_text(g) + f"{expected} {got}\n").encode())
+        assert (report.checked, report.skipped, len(report.mismatches)) == (40000, skipped, 6)
+        assert h.hexdigest() == digest
+
+
+class TestOracleIndependence:
+    def test_oracles_import_nothing_from_the_builders(self):
+        # The oracle checks the builders, so it must share no code with them.
+        # The package root re-exports every builder, so it is off limits too.
+        tree = ast.parse(Path(monoreach.oracles.__file__).read_text())
+        imported = []  # (absolute module, name or None for a whole module)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [(alias.name, None) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if node.level:
+                    module = "monoreach" + (f".{module}" if module else "")
+                imported += [(module, alias.name) for alias in node.names]
+        ours = [(module, name) for module, name in imported if module.split(".")[0] == "monoreach"]
+        assert ours, "found no package imports: the scan is broken"
+        for module, name in ours:
+            assert module != "monoreach", f"imports {name} from the package root"
+            assert module.split(".")[:2] != ["monoreach", "build"], f"imports {name or module} from the builders"
+            if module == "monoreach.circuit":
+                assert name in ("AdjacencyMatrix", "MonotoneCircuit"), f"imports {name or module} from circuit"
