@@ -42,7 +42,6 @@ from .exactmath import (
 from .families import (
     CoveringFamily,
     FamilyParams,
-    augment_with_terminals,
     minimal_deficiency,
     minimal_prime_q,
     plane_family,
@@ -54,6 +53,11 @@ def ceil_log2(x: int) -> int:
     if x < 1:
         raise InvalidParameterError("ceil_log2 needs x >= 1")
     return (x - 1).bit_length()
+
+
+def _squaring_depth(n: int, l: int) -> int:
+    """Depth of squaring an n-vertex walk matrix up to length l."""
+    return ceil_log2(l) * (1 + ceil_log2(n))
 
 
 # -- depth ledger ---------------------------------------------------------------
@@ -194,30 +198,22 @@ def build_reach(n: int) -> MonotoneCircuit:
 def _splice(circuit: MonotoneCircuit, inner: MonotoneCircuit, input_map: np.ndarray) -> int:
     """Append a clone of `inner`, rewiring its inputs through input_map
     (index: inner wire id over inputs+zero).  Returns the clone's output wire."""
-    n0_in = inner.num_inputs + 1
     base = circuit.num_wires
-    ng = inner.gate_count
-    if ng:
-        in_l = np.frombuffer(inner._lefts, dtype=np.intc).astype(np.int64)
-        in_r = np.frombuffer(inner._rights, dtype=np.intc).astype(np.int64)
-        tl = np.where(in_l < n0_in, input_map[np.minimum(in_l, n0_in - 1)], in_l - n0_in + base)
-        tr = np.where(in_r < n0_in, input_map[np.minimum(in_r, n0_in - 1)], in_r - n0_in + base)
-        circuit._ops.extend(inner._ops)
-        circuit._lefts.frombytes(np.ascontiguousarray(tl, dtype=np.intc).tobytes())
-        circuit._rights.frombytes(np.ascontiguousarray(tr, dtype=np.intc).tobytes())
-    out = inner.outputs[0]
-    if out < n0_in:
-        return int(input_map[out])
-    return out - n0_in + base
+    wire = np.concatenate((input_map, np.arange(base, base + inner.gate_count)))  # inner wire -> wire here
+    circuit._ops.extend(inner._ops)
+    circuit._lefts.frombytes(wire[np.frombuffer(inner._lefts, dtype=np.intc)].astype(np.intc).tobytes())
+    circuit._rights.frombytes(wire[np.frombuffer(inner._rights, dtype=np.intc)].astype(np.intc).tobytes())
+    return int(wire[inner.outputs[0]])
 
 
 def compose_family(family: CoveringFamily, inner: MonotoneCircuit):
     """Compose an inner bounded-length circuit through a covering family.
 
-    Steps: add the terminals 1 and n to every set; build the closure block
-    (walk powers up to 2**ceil(log2 2d) >= 2d edges); clone the inner
-    circuit once per set on the closure outputs restricted to that set,
-    padding unused input slots with the zero wire; OR the clone outputs.
+    Steps: build the closure block (walk powers up to 2**ceil(log2 2d) >= 2d
+    edges); clone the inner circuit once per set, with slot 1 on vertex 1,
+    the last slot on vertex n and the set's other vertices in between, its
+    inputs the closure entries between the slots' vertices and the zero
+    wire on unused slots; OR the clone outputs.
 
     Returns (circuit, ledger); the ledger's measured stage contributions sum
     to the measured depth exactly.
@@ -232,50 +228,34 @@ def compose_family(family: CoveringFamily, inner: MonotoneCircuit):
     n = p.n
     if n < 2:
         raise InvalidParameterError("family universe must have n >= 2")
-    augmented = augment_with_terminals(family)
-    slots = augmented.params.s  # == p.s + 2 == inner.num_vertices
+    slots = inner.num_vertices
     circuit = new_circuit(n)
-    t_c = ceil_log2(2 * p.d)
-    closure = _walk_power_entries(circuit, t_c)
-    closure_wires = [int(w) for w in closure.ravel()]
+    closure = _walk_power_entries(circuit, ceil_log2(2 * p.d))
 
     clone_outs = []
-    n0_in = inner.num_inputs + 1
-    for s in augmented.sets:
-        vertex_of_slot = [None] * (slots + 1)  # 1-based clone slots
-        vertex_of_slot[1] = 1
-        vertex_of_slot[slots] = n
-        middle = [v for v in s if v not in (1, n)]
-        for offset, v in enumerate(middle):
-            vertex_of_slot[2 + offset] = v
-        input_map = np.full(n0_in, circuit.zero, dtype=np.int64)
-        for a in range(1, slots + 1):
-            va = vertex_of_slot[a]
-            if va is None:
-                continue
-            for b in range(1, slots + 1):
-                vb = vertex_of_slot[b]
-                if vb is None:
-                    continue
-                input_map[(a - 1) * slots + (b - 1)] = closure[va - 1, vb - 1]
+    for s in family.sets:  # sorted, so middle slots follow vertex order
+        middle = np.array([v for v in s if v not in (1, n)], dtype=np.int64)
+        slot = np.concatenate(([0], np.arange(1, 1 + middle.size), [slots - 1]))
+        vertex = np.concatenate(([0], middle - 1, [n - 1]))
+        input_map = np.full(inner.num_inputs + 1, circuit.zero, dtype=np.int64)
+        input_map[slot[:, None] * slots + slot] = closure[np.ix_(vertex, vertex)]
         clone_outs.append(_splice(circuit, inner, input_map))
 
     out = or_tree(circuit, clone_outs)
     circuit.set_outputs([out])
 
     depths = circuit.wire_depths()
-    closure_meas = int(max(depths[w] for w in closure_wires))
-    blocks_meas = int(max(depths[w] for w in clone_outs)) - closure_meas
+    closure_meas = int(depths[closure].max())
+    blocks_meas = int(depths[clone_outs].max()) - closure_meas
     or_meas = int(depths[out]) - closure_meas - blocks_meas
-    l_n = ceil_log2(n)
     inner_depth = inner.depth()
     ledger = DepthLedger(
         stages=[
-            Stage("closure", t_c * (1 + l_n), closure_meas),
+            Stage("closure", _squaring_depth(n, 2 * p.d), closure_meas),
             Stage("blocks", inner_depth, blocks_meas),
             Stage("or", ceil_log2(p.m), or_meas),
         ],
-        overhead=int(depths[out]) - ceil_log2(p.m) - ceil_log2(p.d) * l_n - inner_depth,
+        overhead=int(depths[out]) - ceil_log2(p.m) - ceil_log2(p.d) * ceil_log2(n) - inner_depth,
     )
     return circuit, ledger
 
@@ -319,15 +299,18 @@ class RecursionSchedule:
         n_next = self.levels[i + 1][0]
         return FamilyParams(n_i, n_i, n_next - 2, l_i, self.d)
 
-    def predicted_depth(self) -> int:
-        """Integer depth a build from this schedule achieves: per level an
-        OR over n_i blocks plus the 2d-closure, then the base squaring."""
-        total = 0
+    def ledger(self) -> DepthLedger:
+        """Integer depth ledger a build from this schedule achieves, predicted
+        column only: per level the 2d-closure and an OR over n_i blocks,
+        outside in, then the base squaring."""
+        stages = []
         for i in range(self.k):
             n_i = self.levels[i][0]
-            total += ceil_log2(n_i) + ceil_log2(2 * self.d) * (1 + ceil_log2(n_i))
+            stages.append(Stage(f"level{i}.closure", _squaring_depth(n_i, 2 * self.d)))
+            stages.append(Stage(f"level{i}.or", ceil_log2(n_i)))
         n_k, l_k = self.levels[self.k]
-        return total + ceil_log2(max(1, l_k)) * (1 + ceil_log2(n_k))
+        stages.append(Stage(f"level{self.k}.squaring", _squaring_depth(n_k, l_k)))
+        return DepthLedger(stages=stages)
 
 
 def recursion_schedule(n: int, l: int) -> RecursionSchedule:
@@ -358,39 +341,27 @@ def recursion_schedule(n: int, l: int) -> RecursionSchedule:
     return RecursionSchedule(n, l, d, k, Fraction(growth_scaled, 1 << PREC), tuple(levels))
 
 
-def build_recursive(n: int, l: int, seed: int, attempt_budget: int = 10, exact_budget: int = 10_000_000):
+def build_recursive(n: int, l: int, seed: int, attempt_budget: int = 10):
     """Recursive composed build: squaring at the deepest level, then one
     sampled covering family and composition per level, outside in.
 
     Every family is verified with the exact checker before it is composed;
-    a check over exact_budget refuses the build.  Returns (circuit,
-    ledger, schedule).
+    a check over its default budget refuses the build.  Returns (circuit,
+    ledger, schedule); the ledger is the schedule's, with each stage's
+    measured depth filled in.
     """
     sched = recursion_schedule(n, l)
+    ledger = sched.ledger()
     n_k, l_k = sched.levels[sched.k]
-    circuit = build_reach_leq(n_k, max(1, l_k))
-    base_stage = Stage(
-        f"level{sched.k}.squaring",
-        ceil_log2(max(1, l_k)) * (1 + ceil_log2(n_k)),
-        circuit.depth(),
-    )
-    level_stages: list[list[Stage]] = []
+    circuit = build_reach_leq(n_k, l_k)
+    ledger.stages[-1].measured = circuit.depth()
     for i in range(sched.k - 1, -1, -1):
-        params = sched.family_params(i)
-        family, _ = sample_verified_family(params, seed, attempt_budget, label=f"level{i}:", max_subsets=exact_budget)
-        circuit, ledger = compose_family(family, circuit)
-        closure, blocks, orstage = ledger.stages
-        level_stages.append(
-            [
-                Stage(f"level{i}.closure", closure.predicted, closure.measured),
-                Stage(f"level{i}.or", orstage.predicted, orstage.measured),
-            ]
-        )
-    stages: list[Stage] = []
-    for pair in reversed(level_stages):
-        stages.extend(pair)
-    stages.append(base_stage)
-    return circuit, DepthLedger(stages=stages), sched
+        family, _ = sample_verified_family(sched.family_params(i), seed, attempt_budget, label=f"level{i}:")
+        circuit, level = compose_family(family, circuit)
+        closure, _, orstage = level.stages
+        ledger.stages[2 * i].measured = closure.measured
+        ledger.stages[2 * i + 1].measured = orstage.measured
+    return circuit, ledger, sched
 
 
 # -- gate-count and depth prediction ---------------------------------------------------
@@ -481,7 +452,7 @@ def predict_gate_count(mode: str, n: int, l: int | None = None) -> int:
             l = n - 1
         sched = recursion_schedule(n, l)
         n_k, l_k = sched.levels[sched.k]
-        gates = _reach_leq_gates(n_k, ceil_log2(max(1, l_k)))
+        gates = _reach_leq_gates(n_k, ceil_log2(l_k))
         for i in range(sched.k - 1, -1, -1):
             n_i = sched.levels[i][0]
             gates = _squaring_gates(n_i, ceil_log2(2 * sched.d)) + n_i * gates + (n_i - 1)
@@ -504,7 +475,7 @@ def predict_depth(mode: str, n: int, l: int | None = None) -> DepthLedger:
             l = n - 1
         if n < 2 or l < 1:
             raise InvalidParameterError("squaring mode needs n >= 2 and l >= 1")
-        return DepthLedger(stages=[Stage("squaring", ceil_log2(l) * (1 + ceil_log2(n)))])
+        return DepthLedger(stages=[Stage("squaring", _squaring_depth(n, l))])
     if mode == MODE_EXACT:
         if l is None:
             raise InvalidParameterError("exact mode needs l")
@@ -522,8 +493,8 @@ def predict_depth(mode: str, n: int, l: int | None = None) -> DepthLedger:
         l_in = max(1, n // d)
         return DepthLedger(
             stages=[
-                Stage("closure", ceil_log2(2 * d) * (1 + ceil_log2(n))),
-                Stage("blocks", ceil_log2(l_in) * (1 + ceil_log2(q + 2))),
+                Stage("closure", _squaring_depth(n, 2 * d)),
+                Stage("blocks", _squaring_depth(q + 2, l_in)),
                 Stage("or", ceil_log2(m)),
             ]
         )
@@ -537,7 +508,7 @@ def predict_depth(mode: str, n: int, l: int | None = None) -> DepthLedger:
             n_i = sched.levels[i][0]
             stages.append(Stage(f"level{i}", log_d * log2_fraction(n_i)))
         n_k, l_k = sched.levels[sched.k]
-        base = log2_fraction(max(1, l_k)) * log2_fraction(n_k)
+        base = log2_fraction(l_k) * log2_fraction(n_k)
         stages.append(Stage(f"level{sched.k}.squaring", base))
         return DepthLedger(stages=stages)
     raise InvalidParameterError(f"unknown prediction mode {mode!r}")

@@ -29,7 +29,7 @@ from .build import (
     trend_table,
 )
 from .circuit import read_circuit, write_circuit
-from .errors import ConstructionFailedError, MonoreachError
+from .errors import ConstructionFailedError, InvalidParameterError, MonoreachError
 from .families import (
     FamilyParams,
     check_family_exact,
@@ -49,9 +49,13 @@ from .oracles import (
 
 
 def _parse_n(text: str) -> int:
-    """Accept plain integers or power-of-two exponents written as 2^E."""
+    """Accept plain integers or power-of-two exponents written as 2^E,
+    0 <= E <= 1024; E is checked before any shift."""
     if text.startswith("2^"):
-        return 1 << int(text[2:])
+        e = int(text[2:])
+        if not 0 <= e <= 1024:
+            raise InvalidParameterError(f"--n 2^E needs 0 <= E <= 1024, got E = {e}")
+        return 1 << e
     return int(text)
 
 

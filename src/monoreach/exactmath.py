@@ -132,30 +132,30 @@ PREC = 96
 _GUARD = 32
 
 
-def log2_scaled(x: int, prec: int = PREC) -> int:
-    """floor-ish of log2(x) * 2**prec for an integer x >= 1 (error < 2**-90)."""
+def log2_scaled(x: int) -> int:
+    """floor-ish of log2(x) * 2**PREC for an integer x >= 1 (error < 2**-90)."""
     if x < 1:
         raise ValueError("x must be >= 1")
     e0 = x.bit_length() - 1
-    g = prec + _GUARD + 16
+    g = PREC + _GUARD + 16
     y = (x << g) >> e0  # y/2**g in [1, 2)
     frac = 0
-    for _ in range(prec):
+    for _ in range(PREC):
         y = (y * y) >> g
         frac <<= 1
         if y >> (g + 1):
             frac |= 1
             y >>= 1
-    return (e0 << prec) | frac
+    return (e0 << PREC) | frac
 
 
-def log2_fraction(x: int, prec: int = PREC) -> Fraction:
-    return Fraction(log2_scaled(x, prec), 1 << prec)
+def log2_fraction(x: int) -> Fraction:
+    return Fraction(log2_scaled(x), 1 << PREC)
 
 
-def ln2_scaled(prec: int = PREC) -> int:
-    """ln(2) * 2**prec via the atanh(1/3) series, truncated when certified."""
-    g = prec + _GUARD
+def ln2_scaled() -> int:
+    """ln(2) * 2**PREC via the atanh(1/3) series, truncated when certified."""
+    g = PREC + _GUARD
     total = 0
     k = 0
     while True:
@@ -167,40 +167,40 @@ def ln2_scaled(prec: int = PREC) -> int:
     return total >> _GUARD
 
 
-def ln_scaled(x: int, prec: int = PREC) -> int:
-    """ln(x) * 2**prec for integer x >= 1."""
-    return (log2_scaled(x, prec) * ln2_scaled(prec)) >> prec
+def ln_scaled(x: int) -> int:
+    """ln(x) * 2**PREC for integer x >= 1."""
+    return (log2_scaled(x) * ln2_scaled()) >> PREC
 
 
-def _exp2_frac_scaled(frac_scaled: int, prec: int) -> int:
-    # 2**f for f = frac_scaled / 2**prec in [0, 1), as a scaled integer.
+def _exp2_frac_scaled(frac_scaled: int) -> int:
+    # 2**f for f = frac_scaled / 2**PREC in [0, 1), as a scaled integer.
     # Product over the square-root chain 2**(1/2), 2**(1/4), ...
-    one = 1 << prec
+    one = 1 << PREC
     if frac_scaled == 0:
         return one
-    root = isqrt(2 << (2 * prec))  # 2**(1/2) scaled
+    root = isqrt(2 << (2 * PREC))  # 2**(1/2) scaled
     acc = one
-    for bit_index in range(1, prec + 1):
-        if frac_scaled >> (prec - bit_index) & 1:
-            acc = (acc * root) >> prec
-        root = isqrt(root << prec)
+    for bit_index in range(1, PREC + 1):
+        if frac_scaled >> (PREC - bit_index) & 1:
+            acc = (acc * root) >> PREC
+        root = isqrt(root << PREC)
     return acc
 
 
-def floor_pow2(exponent_scaled: int, prec: int = PREC) -> int:
-    """floor(2**e) for e = exponent_scaled / 2**prec >= 0.
+def floor_pow2(exponent_scaled: int) -> int:
+    """floor(2**e) for e = exponent_scaled / 2**PREC >= 0.
 
     The fractional part is evaluated at two precisions; if the floors
     disagree the value sits too close to an integer to certify.
     """
-    int_part = exponent_scaled >> prec
-    frac = exponent_scaled & ((1 << prec) - 1)
+    int_part = exponent_scaled >> PREC
+    frac = exponent_scaled & ((1 << PREC) - 1)
     if frac == 0:
         return 1 << int_part
-    lo = _exp2_frac_scaled(frac, prec)
-    hi = lo + (prec * 4)  # generous ulp slack for the chain truncations
-    flo = (lo << int_part) >> prec
-    fhi = (hi << int_part) >> prec
+    lo = _exp2_frac_scaled(frac)
+    hi = lo + (PREC * 4)  # generous ulp slack for the chain truncations
+    flo = (lo << int_part) >> PREC
+    fhi = (hi << int_part) >> PREC
     if flo != fhi:
         raise InvalidParameterError("floor(2**e) not certifiable at this precision")
     return flo

@@ -21,6 +21,7 @@ CHUNK_BITS = 16384  # graphs per bit-parallel evaluation chunk
 # Most vertices a comparison driver accepts: one chunk at 256 vertices
 # already holds 65,536 input masks of CHUNK_BITS bits.
 MAX_CHECK_VERTICES = 256
+PLANTED_NOISE_PROB = 0.05  # noise edge density of run_planted_check's planted graphs
 
 
 # -- oracles -------------------------------------------------------------------
@@ -410,11 +411,11 @@ def run_planted_check(
     samples: int,
     seed: int,
     l: int | None = None,
-    noise_prob: float = 0.05,
     max_report: int = 4,
 ) -> CheckReport:
     """Planted-path graphs (expected 1) alternating with no-path graphs
-    (expected 0); path lengths stay within the budget l."""
+    (expected 0); path lengths stay within the budget l, and each planted
+    graph adds noise edges with probability PLANTED_NOISE_PROB."""
     _check_circuit(circuit, n)
     limit = min(l, n - 1) if l is not None else n - 1
     mism: list = []
@@ -429,7 +430,7 @@ def run_planted_check(
             sample_seed = child_seed(seed, f"planted:{idx}")
             if idx % 2 == 0:
                 path_len = 1 + randbelow(rng, limit)
-                g = planted_path_graph(n, path_len, noise_prob, sample_seed).matrix
+                g = planted_path_graph(n, path_len, PLANTED_NOISE_PROB, sample_seed).matrix
                 expected |= 1 << t
             else:
                 g = no_path_graph(n, 0.3, sample_seed).matrix

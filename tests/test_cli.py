@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 from test_circuit_core import per_gate_live
@@ -274,6 +275,45 @@ class TestPredict:
         assert row == [f"0,exact-power,{built.depth()},"]
         assert f"# gate count if built: {predict_gate_count('exact', n, l)}" in text
         assert predict_gate_count("exact", n, l) == built.gate_count
+
+
+class TestPowerOfTwoN:
+    """--n 2^E takes 0 <= E <= 1024, checked before the shift sizes an int."""
+
+    @pytest.mark.parametrize("exponent", ["-3", "1025", "1000000000"])
+    @pytest.mark.parametrize("cmd", ["predict", "build"])
+    def test_exponent_out_of_range_exits_2_at_once(self, tmp_path, capsys, cmd, exponent):
+        out = tmp_path / "c.mc"
+        argv = ["predict"] if cmd == "predict" else ["build", "--mode", "theorem", "--out", str(out)]
+        start = time.perf_counter()
+        code, text, err = run(capsys, *argv, "--n", f"2^{exponent}")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert text == ""
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert f"E = {exponent}" in err
+        assert not out.exists()
+
+    def test_huge_exponent_allocates_nothing(self, tmp_path):
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, 2_000_000_000))
+
+        proc = run_process(
+            "build", "--mode", "squaring", "--n", "2^1000000000", "--out", str(tmp_path / "c.mc"),
+            timeout=60, preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_largest_exponent_still_predicts(self, capsys):
+        code, text, err = run(capsys, "predict", "--n", "2^1024")
+        assert code == 0
+        assert err == ""
+        assert f"0,squaring,{1024 * 1025}," in text
+        assert "ratio to (log2 n)^2" in text
 
 
 class TestReproducibility:

@@ -10,7 +10,7 @@ from test_circuit_core import per_gate_live
 
 import monoreach as mr
 import monoreach.families
-from monoreach.build import _exact_product_tree, _walk_power_entries, predict_gate_count
+from monoreach.build import _exact_product_tree, _walk_power_entries, ledger_csv_lines, predict_gate_count
 from monoreach.circuit import AdjacencyMatrix, bool_matrix_product, input_matrix
 from monoreach.exactmath import child_seed
 from monoreach.families import CoveringFamily, FamilyParams
@@ -308,7 +308,7 @@ class TestRecursionSchedule:
         s = mr.recursion_schedule(16, 12)
         assert s.family_params(0) == FamilyParams(16, 16, 32, 12, 4)
         assert s.m == 16
-        assert s.predicted_depth() == 4 + 3 * 5 + 2 * (1 + 6)  # or + closure + inner
+        assert s.ledger().total_predicted == 4 + 3 * 5 + 2 * (1 + 6)  # or + closure + inner
 
     def test_precondition(self):
         with pytest.raises(mr.InvalidParameterError):
@@ -551,6 +551,12 @@ class TestPredictDepth:
             predicted = mr.predict_depth("explicit", n)
             assert predicted.total_predicted == ledger.total_predicted == built.depth()
 
+    def test_explicit_stages_match_every_small_build(self):
+        for n in range(2, 41):
+            predicted = mr.predict_depth("explicit", n).stages
+            built = mr.build_explicit(n)[1].stages
+            assert [(s.label, s.predicted) for s in predicted] == [(s.label, s.predicted) for s in built], n
+
     def test_squaring_default_is_the_builders_l(self):
         for n in (16, 17):
             assert mr.predict_depth("squaring", n).total_predicted == mr.build_reach(n).depth()
@@ -615,6 +621,18 @@ class TestGoldenBytes:
             lambda: mr.build_recursive(8, 4, 0)[0],
             "483fe3a77aae789fd441bd99d002263be44479e712df5996dfbd77aff3100036",
         ),
+        # k = 2 over a 0-gate base circuit; 63,474 gates.
+        "recursive(5, 4, 0)": (
+            lambda: mr.build_recursive(5, 4, 0)[0],
+            "8aff1539d1c60ce6bcd9a7efd6d7c08a8671436f9d18a2014899001ac8f73ef3",
+        ),
+        # Sets shorter than s and sets that hold a terminal; 791 gates.
+        "compose(short sets)": (
+            lambda: mr.compose_family(
+                mr.sample_family(FamilyParams(6, 8, 3, 5, 2), child_seed(99, "37")), mr.build_reach_leq(5, 2)
+            )[0],
+            "8316987b8b14610c23c8f797f9fe0b3df0afb4ce35580cf3fddf9636bf791d24",
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -622,3 +640,66 @@ class TestGoldenBytes:
         build, digest = self.GOLDEN[name]
         text = mr.circuit_to_text(build())
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestGoldenLedgers:
+    """Ledger CSV bytes (no comment lines) pinned by sha256."""
+
+    GOLDEN = {
+        "explicit(16)": (
+            lambda: mr.build_explicit(16)[1],
+            "1d31d2f5b1ce5739c9d0e16863654c27312c148d73509c0541e3290f8e1cdc6e",
+        ),
+        "explicit(64)": (
+            lambda: mr.build_explicit(64)[1],
+            "91c91275f188b95bcfd4118f8410cdf4e4b11b642e247ea726c334a0722a963d",
+        ),
+        "recursive(8, 4, 0)": (
+            lambda: mr.build_recursive(8, 4, 0)[1],
+            "46dec9897456787c8b6b25130d269aefe93abaa59567725667b885ad5fa16f73",
+        ),
+        "recursive(16, 12, 0)": (
+            lambda: mr.build_recursive(16, 12, 0)[1],
+            "4312bfeeaf63fb4930189b81e2f60a0c442e5af902fc277315ec8b23739954cc",
+        ),
+        "recursive(5, 4, 0)": (
+            lambda: mr.build_recursive(5, 4, 0)[1],
+            "cf8def5f9a05ac3df422c8f87b10d1575d5b12d7b26d94b9014dbec651c65fe1",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_sha256(self, name):
+        build, digest = self.GOLDEN[name]
+        text = "".join(line + "\n" for line in ledger_csv_lines(build()))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# Every theorem pair with 3 <= n <= 24 and a build of at most 20,000 gates
+# (k = 0 or 1), plus (5, 4) for k = 2.
+THEOREM_GRID = [
+    (n, l) for n in range(3, 25) for l in range(2, n) if predict_gate_count("theorem", n, l) <= 20_000
+] + [(5, 4)]
+
+
+class TestScheduleLedger:
+    def test_grid_covers_k_0_1_and_2(self):
+        assert len(THEOREM_GRID) == 85
+        assert {mr.recursion_schedule(n, l).k for n, l in THEOREM_GRID} == {0, 1, 2}
+
+    def test_predicted_column_only(self):
+        ledger = mr.recursion_schedule(5, 4).ledger()
+        assert [s.label for s in ledger.stages] == [
+            "level0.closure", "level0.or", "level1.closure", "level1.or", "level2.squaring",
+        ]
+        assert all(s.measured is None for s in ledger.stages)
+        assert ledger.total_measured is None
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_schedule_ledger_is_the_built_ledger(self, seed):
+        for n, l in THEOREM_GRID:
+            circuit, built, sched = mr.build_recursive(n, l, seed)
+            stages = sched.ledger().stages
+            assert [(s.label, s.predicted) for s in stages] == [(s.label, s.predicted) for s in built.stages], (n, l)
+            assert [s.predicted for s in stages] == [s.measured for s in built.stages], (n, l)
+            assert built.total_measured == circuit.depth()
