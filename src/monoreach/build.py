@@ -105,13 +105,80 @@ def ledger_csv_lines(ledger: DepthLedger, comments=()):
 # -- squaring builders ------------------------------------------------------------
 
 
-def _walk_power_entries(circuit: MonotoneCircuit, steps: int) -> np.ndarray:
-    """Square the walk matrix `steps` times: lengths 1..L become 1..2L each
-    time.  Leaf k = j is cur[i][j] itself, which absorbs the k = j product."""
-    cur = input_matrix(circuit).entries
-    off_diagonal = ~np.eye(cur.shape[0], dtype=bool)
+# Entries of a walk matrix fall into classes by the roles of their row and
+# column vertex: "1" is vertex 1, "n" is vertex n and "m" is any other
+# (middle) vertex; a middle row splits into its own diagonal entry ("m",
+# "m") and the entries of other middle columns ("m", "m'").  Which entries
+# a builder needs is closed under relabelling the middle vertices, so a
+# set of classes (a pattern) names it exactly, at any n.
+ROLE_CLASSES = (
+    ("1", "1"), ("1", "m"), ("1", "n"),
+    ("m", "1"), ("m", "m"), ("m", "n"),
+    ("n", "1"), ("n", "m"), ("n", "n"),
+    ("m", "m'"),
+)
+ALL_ENTRIES = frozenset(ROLE_CLASSES)
+TERMINAL_ENTRY = frozenset({("1", "n")})
+
+
+def _class_size(cls: tuple[str, str], n: int) -> int:
+    """Entries of an n-vertex matrix in one role class."""
+    middle = max(n - 2, 0)
+    size = {"1": 1, "m": middle, "n": 1, "m'": max(middle - 1, 0)}
+    return middle if cls == ("m", "m") else size[cls[0]] * size[cls[1]]
+
+
+def _cone(last: frozenset, n: int, steps: int) -> list[frozenset]:
+    """Needed entries of walk-power steps 0..steps (0 is the input matrix)
+    when the last step is needed at the classes `last`.
+
+    Counting back one step: entry (i, j) reads row i and column j less the
+    diagonal entry (j, j) of the step before (its leaf k = j is cur[i][j]
+    itself).  Classes with no entry at this n are dropped.
+    """
+    cone = [frozenset(c for c in last if _class_size(c, n) > 0)]
     for _ in range(steps):
-        cur = _banded_product(circuit, cur, cur, off_diagonal)
+        rows = {r for r, _ in cone[0]}
+        cols = {c.rstrip("'") for _, c in cone[0]}
+        earlier = (c for c in ROLE_CLASSES if c[0] in rows or (c[0] != c[1] and c[1].rstrip("'") in cols))
+        cone.insert(0, frozenset(c for c in earlier if _class_size(c, n) > 0))
+    return cone
+
+
+def _role_classes(n: int) -> np.ndarray:
+    """Index into ROLE_CLASSES of every entry of an n-vertex matrix."""
+    role = np.ones(n, dtype=np.int64)  # 0: vertex 1, 1: middle, 2: vertex n
+    role[0], role[-1] = 0, 2
+    classes = 3 * role[:, None] + role[None, :]
+    classes[(classes == 4) & ~np.eye(n, dtype=bool)] = 9
+    return classes
+
+
+def _pattern_mask(pattern: frozenset, n: int) -> np.ndarray:
+    return np.isin(_role_classes(n), [ROLE_CLASSES.index(c) for c in pattern])
+
+
+def _read_pattern(circuit: MonotoneCircuit) -> frozenset:
+    """Role classes of the inputs some gate or output of `circuit` reads."""
+    wires = np.concatenate(
+        (np.frombuffer(circuit._lefts, dtype=np.intc), np.frombuffer(circuit._rights, dtype=np.intc), circuit.outputs)
+    )
+    read = np.unique(wires[wires < circuit.num_inputs])
+    return frozenset(ROLE_CLASSES[c] for c in np.unique(_role_classes(circuit.num_vertices).ravel()[read]))
+
+
+def _walk_power_entries(circuit: MonotoneCircuit, steps: int, last: frozenset = ALL_ENTRIES) -> np.ndarray:
+    """Square the walk matrix `steps` times: lengths 1..L become 1..2L each
+    time.  Leaf k = j is cur[i][j] itself, which absorbs the k = j product.
+
+    Each step emits only the entries the classes `last` of the last step
+    need (`_cone`); the others are -1.
+    """
+    n = circuit.num_vertices
+    cur = input_matrix(circuit).entries
+    off_diagonal = ~np.eye(n, dtype=bool)
+    for pattern in _cone(last, n, steps)[1:]:
+        cur = _banded_product(circuit, cur, cur, off_diagonal, _pattern_mask(pattern, n))
     return cur
 
 
@@ -134,15 +201,14 @@ def build_reach_leq(n: int, l: int) -> MonotoneCircuit:
     """Bounded-length reachability promise circuit: outputs 1 whenever some
     1 -> n path of at most l edges exists, 0 whenever no path exists.
 
-    Holds only the gates the output reads."""
+    Emits only the gates the output reads."""
     if n < 2:
         raise InvalidParameterError("n must be >= 2")
     if l < 1:
         raise InvalidParameterError("l must be >= 1")
     circuit = new_circuit(n)
-    cur = _walk_power_entries(circuit, ceil_log2(l))
+    cur = _walk_power_entries(circuit, ceil_log2(l), TERMINAL_ENTRY)
     circuit.set_outputs([int(cur[0, n - 1])])
-    circuit.prune()
     return circuit
 
 
@@ -215,6 +281,12 @@ def compose_family(family: CoveringFamily, inner: MonotoneCircuit):
     inputs the closure entries between the slots' vertices and the zero
     wire on unused slots; OR the clone outputs.
 
+    The closure holds only the cone of the entries a clone can read, taken
+    by slot role from the inner circuit's reads: slot 1 stands for vertex
+    1, the last slot for vertex n and a middle slot for every other vertex.
+    So its size depends on the inner circuit, never on the sampled sets; a
+    vertex that no set holds leaves its entries dead.
+
     Returns (circuit, ledger); the ledger's measured stage contributions sum
     to the measured depth exactly.
     """
@@ -230,7 +302,7 @@ def compose_family(family: CoveringFamily, inner: MonotoneCircuit):
         raise InvalidParameterError("family universe must have n >= 2")
     slots = inner.num_vertices
     circuit = new_circuit(n)
-    closure = _walk_power_entries(circuit, ceil_log2(2 * p.d))
+    closure = _walk_power_entries(circuit, ceil_log2(2 * p.d), _read_pattern(inner))
 
     clone_outs = []
     for s in family.sets:  # sorted, so middle slots follow vertex order
@@ -245,7 +317,7 @@ def compose_family(family: CoveringFamily, inner: MonotoneCircuit):
     circuit.set_outputs([out])
 
     depths = circuit.wire_depths()
-    closure_meas = int(depths[closure].max())
+    closure_meas = int(depths[closure[closure >= 0]].max())
     blocks_meas = int(depths[clone_outs].max()) - closure_meas
     or_meas = int(depths[out]) - closure_meas - blocks_meas
     inner_depth = inner.depth()
@@ -372,25 +444,21 @@ MODE_EXPLICIT = "explicit"
 MODE_THEOREM = "theorem"
 
 
-def _squaring_gates(n: int, steps: int) -> int:
-    """Gates of `steps` squarings of the whole walk matrix."""
-    if n < 2:
-        return 0
-    return steps * n * n * (2 * n - 2)
+def _cone_gates(last: frozenset, n: int, steps: int) -> tuple[int, frozenset]:
+    """(gates, input classes read) of `_walk_power_entries(circuit, steps,
+    last)` on n vertices, from class sizes alone: an entry costs 2n - 2
+    gates."""
+    cone = _cone(last, n, steps)
+    entries = sum(_class_size(c, n) for pattern in cone[1:] for c in pattern)
+    return entries * (2 * n - 2), cone[0]
 
 
-def _reach_leq_gates(n: int, steps: int) -> int:
-    """Gates of build_reach_leq's output cone after `steps` squarings.
-
-    Counting steps back from the output, the last one computes entry (1, n),
-    the one before it row 1 and column n less entry (n, n), the one before
-    that every entry but (n, n), and earlier ones all n*n entries.  An
-    entry costs 2n - 2 gates.
-    """
-    if n < 2:
-        return 0
-    entries = sum([1, 2 * n - 2, n * n - 1][:steps]) + max(steps - 3, 0) * n * n
-    return entries * (2 * n - 2)
+def _composed_gates(n: int, sets: int, steps: int, inner: tuple[int, frozenset]) -> tuple[int, frozenset]:
+    """(gates, input classes read) of compose_family over `sets` sets of an
+    n-vertex universe, a closure of `steps` squarings and an inner circuit
+    of (gates, input classes read)."""
+    closure, reads = _cone_gates(inner[1], n, steps)
+    return closure + sets * inner[0] + (sets - 1), reads
 
 
 def _reach_exact_gates(n: int, l: int) -> int:
@@ -428,15 +496,16 @@ def _reach_exact_gates(n: int, l: int) -> int:
 def predict_gate_count(mode: str, n: int, l: int | None = None) -> int:
     """Exact gate count of a build without materializing it.
 
-    Counts depend only on the mode parameters: squaring and exact builds
-    hold their output cone, and composed builds keep their whole closure
-    block, so clone sizes are fixed by the declared family shape, not by
-    which sets get sampled.
+    Counts depend only on the mode parameters.  Every build holds only its
+    output cone.  A composed build's closure holds the cone of the role
+    classes its inner circuit reads (`_cone`), so clone and closure sizes
+    are fixed by the declared family shape, not by which sets get sampled.
+    Each count is a closed form over role classes, cheap at any n.
     """
     if mode == MODE_SQUARING:
         if l is None:
             l = n - 1
-        return _reach_leq_gates(n, ceil_log2(max(1, l)))
+        return _cone_gates(TERMINAL_ENTRY, n, ceil_log2(max(1, l)))[0]
     if mode == MODE_EXACT:
         if l is None:
             raise InvalidParameterError("exact mode needs l")
@@ -444,19 +513,18 @@ def predict_gate_count(mode: str, n: int, l: int | None = None) -> int:
     if mode == MODE_EXPLICIT:
         q = minimal_prime_q(n)
         d = minimal_deficiency(q)
-        m = q * (q + 1)
-        inner = _reach_leq_gates(q + 2, ceil_log2(max(1, n // d)))
-        return _squaring_gates(n, ceil_log2(2 * d)) + m * inner + (m - 1)
+        inner = _cone_gates(TERMINAL_ENTRY, q + 2, ceil_log2(max(1, n // d)))
+        return _composed_gates(n, q * (q + 1), ceil_log2(2 * d), inner)[0]
     if mode == MODE_THEOREM:
         if l is None:
             l = n - 1
         sched = recursion_schedule(n, l)
         n_k, l_k = sched.levels[sched.k]
-        gates = _reach_leq_gates(n_k, ceil_log2(l_k))
+        built = _cone_gates(TERMINAL_ENTRY, n_k, ceil_log2(l_k))
         for i in range(sched.k - 1, -1, -1):
             n_i = sched.levels[i][0]
-            gates = _squaring_gates(n_i, ceil_log2(2 * sched.d)) + n_i * gates + (n_i - 1)
-        return gates
+            built = _composed_gates(n_i, n_i, ceil_log2(2 * sched.d), built)
+        return built[0]
     raise InvalidParameterError(f"unknown mode {mode!r}")
 
 

@@ -239,6 +239,12 @@ class MonotoneCircuit:
             frontier = reads[stamp[reads] == at]
         return live
 
+    def zero_wire_operands(self) -> int:
+        """Number of gates with the zero wire as an operand."""
+        lefts = np.frombuffer(self._lefts, dtype=np.intc)
+        rights = np.frombuffer(self._rights, dtype=np.intc)
+        return int(np.count_nonzero((lefts == self.zero) | (rights == self.zero)))
+
     def prune(self) -> None:
         """Drop every gate no output reads.  Kept gates keep their order and
         are renumbered densely, so the result depends only on the circuit."""
@@ -358,26 +364,36 @@ def input_matrix(circuit: MonotoneCircuit) -> WireMatrix:
     return WireMatrix(circuit, ids)
 
 
-def _banded_product(circuit: MonotoneCircuit, a: np.ndarray, b: np.ndarray, and_leaves: np.ndarray) -> np.ndarray:
+def _banded_product(
+    circuit: MonotoneCircuit, a: np.ndarray, b: np.ndarray, and_leaves: np.ndarray, need: np.ndarray | None = None
+) -> np.ndarray:
     """Banded AND-then-OR emission: out[i][j] = OR_k leaf(i, j, k).
 
     leaf(i, j, k) is a new gate a[i][k] AND b[k][j] where and_leaves[j][k]
     holds, and the wire a[i][k] itself otherwise.  Per band of entries the
     AND gates are emitted in (entry, k) order, then each entry's leaves go
     through one balanced OR, so emission order is fixed by the operands.
+
+    Only entries where `need` holds (all by default) are emitted, in the
+    same bands, so the gates are those of emitting every entry and pruning
+    the others.  An entry left out is -1 in the result.
     """
     n = a.shape[0]
     n2 = n * n
-    lefts_full = np.repeat(a, n, axis=0)  # [e=(i,j), k] = a[i,k]
-    rights_full = np.tile(b.T, (n, 1))  # [e=(i,j), k] = b[k,j]
-    ands_full = np.tile(and_leaves, (n, 1))
-    out = np.empty(n2, dtype=np.int64)
-    for lo in range(0, n2, EMIT_BAND):
-        hi = min(lo + EMIT_BAND, n2)
-        leaves = lefts_full[lo:hi].copy()
-        ands = ands_full[lo:hi]
-        leaves[ands] = circuit._emit_bulk(AND, leaves[ands], rights_full[lo:hi][ands])
-        out[lo:hi] = circuit.or_reduce_columns(leaves)
+    entries = np.arange(n2) if need is None else np.flatnonzero(need)
+    rows, cols = np.divmod(entries, n)
+    lefts = a[rows]  # [e=(i,j), k] = a[i,k]
+    rights = b.T[cols]  # [e=(i,j), k] = b[k,j]
+    ands = and_leaves[cols]
+    out = np.full(n2, -1, dtype=np.int64)
+    bounds = np.searchsorted(entries, np.arange(0, n2 + EMIT_BAND, EMIT_BAND))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if lo == hi:
+            continue
+        leaves = lefts[lo:hi]
+        band_ands = ands[lo:hi]
+        leaves[band_ands] = circuit._emit_bulk(AND, leaves[band_ands], rights[lo:hi][band_ands])
+        out[entries[lo:hi]] = circuit.or_reduce_columns(leaves)
     return out.reshape(n, n)
 
 

@@ -9,6 +9,7 @@ reproduce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
@@ -26,6 +27,7 @@ from .build import (
     ledger_csv_lines,
     predict_depth,
     predict_gate_count,
+    recursion_schedule,
     trend_table,
 )
 from .circuit import read_circuit, write_circuit
@@ -59,6 +61,14 @@ def _parse_n(text: str) -> int:
     return int(text)
 
 
+def _count_text(count: int) -> str:
+    """A count in decimal, or as the power of ten it exceeds when it is too
+    long for str() (over about 3,000 digits)."""
+    if count.bit_length() <= 10_000:
+        return str(count)
+    return f"over 10^{int((count.bit_length() - 1) * math.log10(2))}"
+
+
 def _write_ledger(path, ledger: DepthLedger, argv, seed=None):
     comments = [f"monoreach {__version__}", "command: " + " ".join(argv)]
     if seed is not None:
@@ -77,7 +87,7 @@ def _cmd_build(args, argv) -> int:
     expected_gates = predict_gate_count(args.mode, n, args.l)
     if expected_gates > args.max_gates:
         print(
-            f"error: build would emit {expected_gates} gates, over the "
+            f"error: build would emit {_count_text(expected_gates)} gates, over the "
             f"--max-gates budget of {args.max_gates}",
             file=sys.stderr,
         )
@@ -179,6 +189,11 @@ def _cmd_predict(args, argv) -> int:
     print(f"# ratio to (log2 n)^2: {float(ratio):.6f}")
     if n.bit_length() <= 28:  # gate counts only meaningful at buildable sizes
         print(f"# gate count if built: {predict_gate_count(args.mode, n, args.l)}")
+    if args.mode == MODE_THEOREM:
+        built = recursion_schedule(n, n - 1 if args.l is None else args.l).ledger()
+        print(f"# integer depth if built: {built.total_predicted}")
+        for line in ledger_csv_lines(built):
+            print(f"# {line}")
     return 0
 
 
@@ -189,6 +204,7 @@ def _cmd_stats(args, argv) -> int:
     print(f"inputs: {circuit.num_inputs}")
     print(f"gates: {circuit.gate_count}")
     print(f"dead gates: {circuit.gate_count - int(circuit.live_gates().sum())}")
+    print(f"zero-wire operands: {circuit.zero_wire_operands()}")
     print(f"outputs: {len(circuit.outputs)}")
     print(f"depth: {circuit.depth()}")
     print(f"valid: {'yes' if bad is None else 'NO: ' + bad.reason}")

@@ -23,6 +23,10 @@ from .errors import (
 )
 from .exactmath import child_seed, comb, is_prime, isqrt, sample_distinct
 
+# Points over all q(q+1) lines of q points each that affine_lines may build:
+# q <= 31, about 1 s and 50 MB with the incidence check.
+PLANE_POINT_BUDGET = 1 << 15
+
 
 @dataclass(frozen=True)
 class FamilyParams:
@@ -354,10 +358,16 @@ def affine_lines(q: int) -> AffinePlaneFamily:
     """Enumerate the plane over GF(q), q prime, one line per (a, b, c) class.
 
     Non-vertical lines are normalized to b = 1 (ordered by a then c),
-    followed by the q vertical lines x = -c (ordered by c).
+    followed by the q vertical lines x = -c (ordered by c).  Refuses a
+    plane of more than PLANE_POINT_BUDGET points before building a line.
     """
     if not is_prime(q):
         raise InvalidParameterError(f"q = {q} is not prime")
+    if q * (q + 1) * q > PLANE_POINT_BUDGET:
+        raise BudgetExceededError(
+            f"the plane over GF({q}) has {q * (q + 1)} lines of {q} points, "
+            f"over the budget of {PLANE_POINT_BUDGET} points"
+        )
     label = lambda x, y: x * q + y + 1
     lines = []
     for a in range(q):

@@ -8,9 +8,10 @@ import time
 
 import pytest
 from test_circuit_core import per_gate_live
+from test_constructions import uncovered_vertex_build
 
 import monoreach
-from monoreach.build import build_reach_exact, build_walk_power, predict_depth, predict_gate_count
+from monoreach.build import build_reach_exact, build_recursive, build_walk_power, predict_depth, predict_gate_count
 from monoreach.circuit import read_circuit, write_circuit
 from monoreach.cli import main
 from monoreach.exactmath import child_seed
@@ -67,13 +68,39 @@ class TestBuildEvalStats:
         code, text, _ = run(capsys, "stats", "--circuit", squaring)
         assert code == 0
         assert "dead gates: 0\n" in text
-        explicit = tmp_path / "e.mc"
-        run(capsys, "build", "--mode", "explicit", "--n", "16", "--out", str(explicit))
-        code, text, _ = run(capsys, "stats", "--circuit", str(explicit))
+        # A family that leaves a vertex out of every set leaves its closure
+        # entries dead; composed builds over covering families have none.
+        uncovered = tmp_path / "u.mc"
+        write_circuit(uncovered_vertex_build()[0], str(uncovered))
+        code, text, _ = run(capsys, "stats", "--circuit", str(uncovered))
         assert code == 0
-        dead = per_gate_live(read_circuit(explicit)).count(False)
+        dead = per_gate_live(read_circuit(uncovered)).count(False)
         assert dead > 0
         assert f"dead gates: {dead}\n" in text
+
+    def test_stats_zero_wire_operands(self, tmp_path, capsys):
+        out = tmp_path / "t.mc"
+        run(capsys, "build", "--mode", "explicit", "--n", "16", "--out", str(out))
+        code, text, _ = run(capsys, "stats", "--circuit", str(out))
+        assert code == 0
+        circuit = read_circuit(out)
+        zero = sum(circuit.zero in circuit.gate(g)[1:] for g in range(circuit.gate_count))
+        assert zero == 66  # clone inputs on the slots of sets shorter than q
+        assert f"zero-wire operands: {zero}\n" in text
+        squaring = str(tmp_path / "s.mc")
+        run(capsys, "build", "--mode", "squaring", "--n", "9", "--out", squaring)
+        code, text, _ = run(capsys, "stats", "--circuit", squaring)
+        assert "zero-wire operands: 0\n" in text
+
+    def test_refusal_names_a_count_too_long_to_print(self, tmp_path, capsys):
+        out = tmp_path / "big.mc"
+        start = time.perf_counter()
+        code, text, err = run(capsys, "build", "--mode", "theorem", "--n", "2^1000", "--out", str(out))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert text == ""
+        assert err == "error: build would emit over 10^6678 gates, over the --max-gates budget of 200000000\n"
+        assert not out.exists()
 
     def test_max_gates_budget_refusal(self, tmp_path, capsys):
         code, _, err = run(
@@ -177,6 +204,18 @@ class TestFamilyCommands:
         assert code == 0
         assert text.strip() == "pass"
 
+    def test_plane_over_budget_refused_before_any_line(self, tmp_path, capsys):
+        fam = tmp_path / "f.fam"
+        start = time.perf_counter()
+        code, text, err = run(capsys, "family", "plane", "--n", "2^100", "--out", str(fam))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert text == ""
+        assert err.startswith("error: the plane over GF(")
+        assert "budget" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not fam.exists()
+
     def test_sample_and_check(self, tmp_path, capsys):
         fam = str(tmp_path / "s.fam")
         code, _, _ = run(
@@ -265,6 +304,22 @@ class TestPredict:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("error:")
         assert " l" in err
+
+    def test_theorem_shows_integer_depths_after_the_main_terms(self, capsys):
+        code, text, _ = run(capsys, "predict", "--mode", "theorem", "--n", "16", "--l", "12")
+        assert code == 0
+        lines = text.splitlines()
+        gates = lines.index(f"# gate count if built: {predict_gate_count('theorem', 16, 12)}")
+        assert lines[3:gates - 1] == ["0,level0,8.000000,", "1,level1.squaring,8.063438,"]
+        assert lines[gates + 1 :] == [
+            "# integer depth if built: 33",
+            "# stage,label,predicted,measured",
+            "# 0,level0.closure,15,",
+            "# 1,level0.or,4,",
+            "# 2,level1.squaring,14,",
+        ]
+        circuit, _, _ = build_recursive(16, 12, 0)
+        assert circuit.depth() == 33
 
     @pytest.mark.parametrize("n, l", [(9, 4), (7, 13)])
     def test_exact_matches_build(self, capsys, n, l):

@@ -5,12 +5,23 @@ import math
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 from test_circuit_core import per_gate_live
 
 import monoreach as mr
+import monoreach.build
 import monoreach.families
-from monoreach.build import _exact_product_tree, _walk_power_entries, ledger_csv_lines, predict_gate_count
+from monoreach.build import (
+    ALL_ENTRIES,
+    ROLE_CLASSES,
+    _cone,
+    _exact_product_tree,
+    _pattern_mask,
+    _walk_power_entries,
+    ledger_csv_lines,
+    predict_gate_count,
+)
 from monoreach.circuit import AdjacencyMatrix, bool_matrix_product, input_matrix
 from monoreach.exactmath import child_seed
 from monoreach.families import CoveringFamily, FamilyParams
@@ -518,17 +529,126 @@ class TestPrunedBuilds:
             assert pruned[1] == whole[1]
             assert pruned[0].depth() == whole[0].depth() == pruned[1].total_measured
 
-    def test_composed_builds_keep_only_closure_waste(self):
-        circuit, _ = mr.build_explicit(16)
-        closure = mr.new_circuit(16)
-        _walk_power_entries(closure, mr.ceil_log2(2 * mr.plane_family(16).params.d))
-        assert 0 < dead_gate_count(circuit) < closure.gate_count
-
     def test_walk_power_keeps_every_gate(self):
         c = mr.build_walk_power(5, 3)
         text = mr.circuit_to_text(c)
         c.prune()
         assert mr.circuit_to_text(c) == text
+
+
+def entry_cone(last, steps):
+    """Needed entries of walk-power steps 0..steps, counted back entry by
+    entry: (i, j) needs row i and column j, less (j, j), of the step before."""
+    needs = [last]
+    for _ in range(steps):
+        rows, cols = needs[0].any(axis=1), needs[0].any(axis=0)
+        earlier = rows[:, None] | cols[None, :]
+        np.fill_diagonal(earlier, rows)
+        needs.insert(0, earlier)
+    return needs
+
+
+def clone_reads(family, inner):
+    """Closure entries that the clones of `inner` over the family's sets read."""
+    n, slots = family.params.n, inner.num_vertices
+    wires = {*inner._lefts, *inner._rights, *inner.outputs}
+    pairs = [divmod(w, slots) for w in wires if w < inner.num_inputs]
+    read = np.zeros((n, n), dtype=bool)
+    for s in family.sets:
+        middle = [v for v in s if v not in (1, n)]
+        vertex = {0: 1, slots - 1: n, **{t + 1: v for t, v in enumerate(middle)}}
+        for a, b in pairs:
+            if a in vertex and b in vertex:
+                read[vertex[a] - 1, vertex[b] - 1] = True
+    return read
+
+
+def uncovered_vertex_build(n=16, v=7):
+    """build_explicit(n) with vertex v taken out of every set of its plane
+    family: (circuit, family, inner)."""
+    plane = mr.plane_family(n)
+    family = CoveringFamily(plane.params, [[u for u in s if u != v] for s in plane.sets])
+    inner = mr.build_reach_leq(plane.params.s + 2, n // plane.params.d)
+    return mr.compose_family(family, inner)[0], family, inner
+
+
+def fail(*args, **kwargs):
+    raise AssertionError("not expected to run")
+
+
+class TestClosureCone:
+    def test_role_cone_is_the_entry_cone(self):
+        rng = Random(5)
+        for n in range(2, 9):
+            for _ in range(20):
+                last = frozenset(c for c in ROLE_CLASSES if rng.random() < 0.3)
+                roles = [_pattern_mask(p, n) for p in _cone(last, n, 3)]
+                entries = entry_cone(_pattern_mask(last, n), 3)
+                assert all((a == b).all() for a, b in zip(roles, entries)), (n, last)
+
+    def test_explicit_builds_have_no_dead_gates(self):
+        for n in [*range(2, 41), 49, 64]:
+            assert mr.build_explicit(n)[0].live_gates().all(), n
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_theorem_builds_have_no_dead_gates(self, seed):
+        for n, l in THEOREM_GRID:
+            assert mr.build_recursive(n, l, seed)[0].live_gates().all(), (n, l)
+
+    COMPOSED = {
+        "explicit(5)": lambda: mr.build_explicit(5)[0],
+        "explicit(16)": lambda: mr.build_explicit(16)[0],
+        "explicit(33)": lambda: mr.build_explicit(33)[0],
+        "recursive(16, 12, 0)": lambda: mr.build_recursive(16, 12, 0)[0],
+        "recursive(9, 5, 0)": lambda: mr.build_recursive(9, 5, 0)[0],
+        "recursive(5, 4, 0)": lambda: mr.build_recursive(5, 4, 0)[0],
+        "uncovered vertex": lambda: uncovered_vertex_build()[0],
+    }
+
+    @pytest.mark.parametrize("name", sorted(COMPOSED))
+    def test_cone_is_the_pruned_whole_closure(self, name, monkeypatch):
+        cone = self.COMPOSED[name]()
+        with monkeypatch.context() as whole_closure:
+            whole_closure.setattr(monoreach.build, "_read_pattern", lambda inner: ALL_ENTRIES)
+            whole = self.COMPOSED[name]()
+        assert whole.gate_count > cone.gate_count
+        whole.prune()
+        if name == "uncovered vertex":  # its entries are emitted, and dead
+            cone.prune()
+        assert mr.circuit_to_text(whole) == mr.circuit_to_text(cone)
+
+    def test_uncovered_vertex_leaves_exactly_its_entries_dead(self):
+        n, v = 16, 7
+        circuit, family, inner = uncovered_vertex_build(n, v)
+        assert predict_gate_count("explicit", n) == circuit.gate_count
+        m = family.params.m
+        closure_gates = circuit.gate_count - m * inner.gate_count - (m - 1)
+        steps = mr.ceil_log2(2 * family.params.d)
+        emitted = entry_cone(clone_reads(mr.plane_family(n), inner), steps)[1:]
+        read = entry_cone(clone_reads(family, inner), steps)[1:]
+        assert sum(int(e.sum()) for e in emitted) * (2 * n - 2) == closure_gates
+        dead = [e & ~r for e, r in zip(emitted, read)]
+        for step in dead:
+            rows, cols = np.nonzero(step)
+            assert ((rows == v - 1) | (cols == v - 1)).all()
+        live = circuit.live_gates()
+        assert live[closure_gates:].all()
+        assert np.count_nonzero(~live) == sum(int(d.sum()) for d in dead) * (2 * n - 2) > 0
+
+    @pytest.mark.parametrize("n, l", [(n, l) for n in (2, 3, 5, 9, 16) for l in (1, 2, 3, 5, 9, 15)])
+    def test_reach_leq_emits_no_gate_it_drops(self, n, l, monkeypatch):
+        with monkeypatch.context() as no_prune:
+            no_prune.setattr(mr.MonotoneCircuit, "prune", fail)
+            circuit = mr.build_reach_leq(n, l)
+        assert circuit.live_gates().all()
+        whole = unpruned_reach_leq(n, l)
+        whole.prune()
+        assert mr.circuit_to_text(whole) == mr.circuit_to_text(circuit)
+
+    def test_counts_come_from_the_closed_form(self, monkeypatch):
+        monkeypatch.setattr(mr.MonotoneCircuit, "_emit_bulk", fail)
+        assert predict_gate_count("theorem", 24, 23) == 8_650_271
+        assert predict_gate_count("explicit", 64) == 2_599_529
 
 
 class TestPredictDepth:
@@ -615,23 +735,23 @@ class TestGoldenBytes:
         ),
         "explicit(16)": (
             lambda: mr.build_explicit(16)[0],
-            "4226f553a131dc108ac4cd9a3ba292f1735a5f913b749e1e618ac2f6d73ae011",
+            "53c932a4896215a53c9261a26f15cec937fbfaabf0439c784d565fa00aa6c491",
         ),
         "recursive(8, 4, 0)": (
             lambda: mr.build_recursive(8, 4, 0)[0],
-            "483fe3a77aae789fd441bd99d002263be44479e712df5996dfbd77aff3100036",
+            "49f427d8833ee42cc3ff8bc2bb735b294b38bb902ce809945bd2ae2a2a9284b0",
         ),
-        # k = 2 over a 0-gate base circuit; 63,474 gates.
+        # k = 2 over a 0-gate base circuit; 4,526 gates.
         "recursive(5, 4, 0)": (
             lambda: mr.build_recursive(5, 4, 0)[0],
-            "8aff1539d1c60ce6bcd9a7efd6d7c08a8671436f9d18a2014899001ac8f73ef3",
+            "246ee7f5c45dd1a1601df7ceb6872f8d0e234e7ed86fd62b66afa45c07b72e67",
         ),
-        # Sets shorter than s and sets that hold a terminal; 791 gates.
+        # Sets shorter than s and sets that hold a terminal; 521 gates.
         "compose(short sets)": (
             lambda: mr.compose_family(
                 mr.sample_family(FamilyParams(6, 8, 3, 5, 2), child_seed(99, "37")), mr.build_reach_leq(5, 2)
             )[0],
-            "8316987b8b14610c23c8f797f9fe0b3df0afb4ce35580cf3fddf9636bf791d24",
+            "c1ee48d304d8aa7a4203592c6a587c7232c3051e1416076e51967a8744af0476",
         ),
     }
 
@@ -676,15 +796,13 @@ class TestGoldenLedgers:
 
 
 # Every theorem pair with 3 <= n <= 24 and a build of at most 20,000 gates
-# (k = 0 or 1), plus (5, 4) for k = 2.
-THEOREM_GRID = [
-    (n, l) for n in range(3, 25) for l in range(2, n) if predict_gate_count("theorem", n, l) <= 20_000
-] + [(5, 4)]
+# (k = 0, 1 or 2).
+THEOREM_GRID = [(n, l) for n in range(3, 25) for l in range(2, n) if predict_gate_count("theorem", n, l) <= 20_000]
 
 
 class TestScheduleLedger:
     def test_grid_covers_k_0_1_and_2(self):
-        assert len(THEOREM_GRID) == 85
+        assert len(THEOREM_GRID) == 116
         assert {mr.recursion_schedule(n, l).k for n, l in THEOREM_GRID} == {0, 1, 2}
 
     def test_predicted_column_only(self):
