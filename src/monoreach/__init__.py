@@ -54,7 +54,6 @@ from .families import (
     FamilyParams,
     HittingWitness,
     affine_lines,
-    augment_with_terminals,
     check_family_exact,
     check_family_sampled,
     family_from_text,

@@ -66,7 +66,7 @@ class MonotoneCircuit:
         self._lefts = array("i")
         self._rights = array("i")
         self.outputs: list[int] = []
-        self._releases_cache: tuple[int, list[int]] | None = None
+        self._codes_cache: tuple[int, list[int]] | None = None
 
     # -- structure ----------------------------------------------------------
 
@@ -106,6 +106,7 @@ class MonotoneCircuit:
             if not 0 <= o < w:
                 raise InvalidReferenceError(f"output references missing wire {o}")
         self.outputs = wires
+        self._codes_cache = None
 
     def _emit_bulk(self, op: int, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
         """Append many gates of one op; operands must all be existing wires."""
@@ -265,54 +266,57 @@ class MonotoneCircuit:
         self._lefts = array("i", wire(lefts).astype(np.intc).tobytes())
         self._rights = array("i", wire(rights).astype(np.intc).tobytes())
         self.outputs = wire(np.asarray(self.outputs, dtype=np.int64)).tolist()
-        self._releases_cache = None
+        self._codes_cache = None
 
     # -- evaluation ---------------------------------------------------------
 
-    def _releases(self) -> list[int]:
-        """Per gate, which operands it reads for the last time: bit 0 the
-        left, bit 1 the right.  Outputs are never released."""
+    def _codes(self) -> list[int]:
+        """One evaluation code per gate: bit 0 set when the gate is the last
+        reader of its left operand, bit 1 the same for its right operand, and
+        bit 2 the op (set for OR).  Outputs are never released."""
         ng = len(self._ops)
-        cached = self._releases_cache
+        cached = self._codes_cache
         if cached is not None and cached[0] == ng:
             return cached[1]
         lefts = np.frombuffer(self._lefts, dtype=np.intc)
         rights = np.frombuffer(self._rights, dtype=np.intc)
+        ops = np.frombuffer(self._ops, dtype=np.uint8)
         gates = np.arange(ng, dtype=np.int64)
         last_use = np.full(self.num_wires, -1, dtype=np.int64)
         np.maximum.at(last_use, lefts, gates)
         np.maximum.at(last_use, rights, gates)
         last_use[self.outputs] = ng
         # Small ints are shared objects, so the list costs one pointer per gate.
-        codes = ((last_use[lefts] == gates) + 2 * (last_use[rights] == gates)).tolist()
-        self._releases_cache = (ng, codes)
+        codes = ((last_use[lefts] == gates) + 2 * (last_use[rights] == gates) + 4 * (ops == OR)).tolist()
+        self._codes_cache = (ng, codes)
         return codes
 
     def evaluate_batch(self, input_masks) -> list[int]:
         """Evaluate on many assignments at once, bit-parallel over Python ints.
 
-        ``input_masks[e]`` packs one bit per assignment for input wire e.
-        Returns one packed mask per output.  Intermediate values are freed
-        at their last use, so memory stays near two live wire layers.
+        ``input_masks[e]`` packs one bit per assignment for input wire e, so
+        one call walks the gate list once for every assignment its masks
+        hold.  Returns one packed mask per output.  Each value is freed at
+        its last read, so memory stays near two live wire layers.
         """
         if len(input_masks) != self.num_inputs:
             raise InvalidParameterError(f"expected {self.num_inputs} input masks, got {len(input_masks)}")
         if not self.outputs:
             raise InvalidParameterError("circuit has no outputs")
-        releases = self._releases()
-        vals: list = [None] * self.num_wires
-        vals[: self.num_inputs] = [int(m) for m in input_masks]
-        vals[self.zero] = 0
-        n0 = self.num_inputs + 1
+        codes = self._codes()
+        vals = [int(m) for m in input_masks]
+        vals.append(0)  # the zero wire
+        put = vals.append
         with _gc_paused():
-            for i, (op, a, b, r) in enumerate(zip(self._ops, self._lefts, self._rights, releases)):
+            for code, a, b in zip(codes, self._lefts, self._rights):
                 x = vals[a]
                 y = vals[b]
-                vals[n0 + i] = (x & y) if op == AND else (x | y)
-                if r & 1:
-                    vals[a] = None
-                if r & 2:
-                    vals[b] = None
+                put((x | y) if code & 4 else (x & y))
+                if code & 3:
+                    if code & 1:
+                        vals[a] = None
+                    if code & 2:
+                        vals[b] = None
         return [vals[o] for o in self.outputs]
 
     def evaluate_all(self, matrix: "AdjacencyMatrix") -> tuple[int, ...]:

@@ -17,7 +17,7 @@ from .circuit import AdjacencyMatrix, MonotoneCircuit
 from .errors import BudgetExceededError, InvalidParameterError
 from .exactmath import bernoulli_mask, child_seed, randbelow, sample_distinct
 
-CHUNK_BITS = 16384  # graphs per bit-parallel evaluation chunk
+CHUNK_BITS = 16384  # graphs per evaluation batch
 # Most vertices a comparison driver accepts: one chunk at 256 vertices
 # already holds 65,536 input masks of CHUNK_BITS bits.
 MAX_CHECK_VERTICES = 256
@@ -346,8 +346,8 @@ def _check_circuit(circuit: MonotoneCircuit, n: int) -> None:
 
 
 def _check_chunk(circuit, masks, width, expected, promise, max_report, mism) -> None:
-    """Evaluate one chunk and append mismatches inside the promise, in graph
-    order, until mism holds max_report entries.  The chunk is transposed into
+    """Evaluate one batch and append mismatches inside the promise, in graph
+    order, until mism holds max_report entries.  The batch is transposed into
     per-graph ints only when it has a mismatch left to report."""
     n = circuit.num_vertices
     out = circuit.evaluate_batch(masks)[0]
@@ -372,6 +372,46 @@ def run_exhaustive_check(circuit: MonotoneCircuit, n: int, max_report: int = 4) 
     return CheckReport(width, 0, mism)
 
 
+def _check_draws(samples: int, l: int | None) -> None:
+    """Precondition on the sample count and length budget of the random and
+    planted drivers: a check that would run no graph must not pass."""
+    if samples < 1:
+        raise InvalidParameterError(f"samples must be at least 1, got {samples}")
+    if l is not None and l < 1:
+        raise InvalidParameterError(f"length budget l must be at least 1, got {l}")
+
+
+def _random_chunks(n: int, samples: int, seed: int, densities):
+    """(masks, width) of each draw chunk of the random check, in draw order.
+
+    Each density draws its share from its own seeded Random, CHUNK_BITS
+    graphs at a time; the first density takes the remainder.
+    """
+    share = samples // len(densities)
+    for pi, p in enumerate(densities):
+        todo = samples - share * (len(densities) - 1) if pi == 0 else share
+        rng = Random(child_seed(seed, f"random:n={n}:p={p}"))
+        while todo > 0:
+            width = min(todo, CHUNK_BITS)
+            yield bernoulli_entry_masks(rng, n, width, p), width
+            todo -= width
+
+
+def _batches(chunks):
+    """Pack consecutive (masks, width) chunks into batches of at most
+    CHUNK_BITS graphs: a chunk's graphs follow the batch's earlier graphs,
+    and a chunk that would overflow the batch flushes it first."""
+    batch, width = None, 0
+    for masks, w in chunks:
+        if width + w > CHUNK_BITS:
+            yield batch, width
+            batch, width = None, 0
+        batch = masks if batch is None else [m | (c << width) for m, c in zip(batch, masks)]
+        width += w
+    if width:
+        yield batch, width
+
+
 def run_random_check(
     circuit: MonotoneCircuit,
     n: int,
@@ -384,24 +424,25 @@ def run_random_check(
     """Compare against BFS on seeded random graphs at the given densities.
 
     With a length budget l, graphs whose shortest 1 -> n path exceeds l are
-    outside the promise and are skipped, not counted as mismatches.
+    outside the promise and are skipped, not counted as mismatches.  The
+    draws of consecutive densities share evaluation batches, so the graphs
+    and the report do not depend on how they are batched.
     """
     _check_circuit(circuit, n)
+    _check_draws(samples, l)
+    if not densities:
+        raise InvalidParameterError("densities must not be empty")
+    for p in densities:
+        if not 0.0 <= p <= 1.0:  # also refuses NaN
+            raise InvalidParameterError(f"edge density p must be in [0, 1], got {p}")
     mism: list = []
     checked = 0
     skipped = 0
-    share = samples // len(densities)
-    for pi, p in enumerate(densities):
-        todo = samples - share * (len(densities) - 1) if pi == 0 else share
-        rng = Random(child_seed(seed, f"random:n={n}:p={p}"))
-        while todo > 0:
-            width = min(todo, CHUNK_BITS)
-            masks = bernoulli_entry_masks(rng, n, width, p)
-            reach, promise = _oracle_masks(masks, width, n, l)
-            _check_chunk(circuit, masks, width, reach, promise, max_report, mism)
-            skipped += width - promise.bit_count()
-            checked += width
-            todo -= width
+    for masks, width in _batches(_random_chunks(n, samples, seed, densities)):
+        reach, promise = _oracle_masks(masks, width, n, l)
+        _check_chunk(circuit, masks, width, reach, promise, max_report, mism)
+        skipped += width - promise.bit_count()
+        checked += width
     return CheckReport(checked, skipped, mism)
 
 
@@ -417,6 +458,7 @@ def run_planted_check(
     (expected 0); path lengths stay within the budget l, and each planted
     graph adds noise edges with probability PLANTED_NOISE_PROB."""
     _check_circuit(circuit, n)
+    _check_draws(samples, l)
     limit = min(l, n - 1) if l is not None else n - 1
     mism: list = []
     rng = Random(child_seed(seed, f"planted:n={n}:l={limit}"))

@@ -218,7 +218,22 @@ class TestValidate:
         assert v is not None and v.gate_index == 0
 
 
-class TestReleases:
+def per_gate_codes(c):
+    """Each gate's evaluation code by a per-gate last-use loop: bit 0 and
+    bit 1 mark the last read of the left and right operand, bit 2 an OR."""
+    last_use = [-1] * c.num_wires
+    for i, (a, b) in enumerate(zip(c._lefts, c._rights)):
+        last_use[a] = i
+        last_use[b] = i
+    for o in c.outputs:
+        last_use[o] = c.gate_count
+    return [
+        (last_use[a] == i) + 2 * (last_use[b] == i) + 4 * (op == OR)
+        for i, (op, a, b) in enumerate(zip(c._ops, c._lefts, c._rights))
+    ]
+
+
+class TestGateCodes:
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_matches_per_gate_last_use(self, data):
@@ -227,14 +242,39 @@ class TestReleases:
             op = data.draw(st.sampled_from([AND, OR]))
             c.add_gate(op, data.draw(st.integers(0, c.num_wires - 1)), data.draw(st.integers(0, c.num_wires - 1)))
         c.set_outputs(data.draw(st.lists(st.integers(0, c.num_wires - 1), min_size=1, max_size=3)))
-        last_use = [-1] * c.num_wires
-        for i, (a, b) in enumerate(zip(c._lefts, c._rights)):
-            last_use[a] = i
-            last_use[b] = i
-        for o in c.outputs:
-            last_use[o] = c.gate_count
-        codes = [(last_use[a] == i) + 2 * (last_use[b] == i) for i, (a, b) in enumerate(zip(c._lefts, c._rights))]
-        assert c._releases() == codes
+        assert c._codes() == per_gate_codes(c)
+
+    def test_add_gate_invalidates(self):
+        c = mr.new_circuit(2)
+        g = c.add_gate(AND, 0, 1)
+        c.set_outputs([g])
+        assert c._codes() == [3]
+        c.add_gate(OR, 0, 2)  # now the last reader of wire 0
+        assert c._codes() == per_gate_codes(c) == [2, 7]
+        assert c.evaluate(matrix_of(2, (1, 1), (1, 2))) == 1
+
+    def test_set_outputs_invalidates(self):
+        # The first output's last reader releases it; a later evaluation
+        # with it as the output must not find it released.
+        c = mr.new_circuit(2)
+        g = c.add_gate(OR, 0, 1)
+        h = c.add_gate(AND, g, 2)
+        c.set_outputs([h])
+        assert c.evaluate(matrix_of(2, (1, 1))) == 0
+        c.set_outputs([g])
+        assert c._codes() == per_gate_codes(c) == [7, 2]
+        assert c.evaluate(matrix_of(2, (1, 1))) == 1
+
+    def test_prune_invalidates(self):
+        c = mr.new_circuit(2)
+        dead = c.add_gate(AND, 0, 1)
+        g = c.add_gate(OR, 0, 1)
+        c.set_outputs([c.add_gate(AND, g, 3)])
+        assert c._codes() == per_gate_codes(c)
+        c.add_gate(OR, dead, 2)  # a second dead gate keeps the count at 4 after pruning two
+        c.prune()
+        assert c.gate_count == 2
+        assert c._codes() == per_gate_codes(c) == [7, 3]
 
 
 def per_gate_live(c):

@@ -194,6 +194,26 @@ class TestVerify:
         assert code == 0
         assert "skipped" in text
 
+    @pytest.mark.parametrize(
+        "mode, flags, message",
+        [
+            ("random", ["--samples", "-5"], "samples must be at least 1, got -5"),
+            ("random", ["--samples", "0"], "samples must be at least 1, got 0"),
+            ("planted", ["--samples", "0"], "samples must be at least 1, got 0"),
+            ("random", ["--p", "1.5"], "edge density p must be in [0, 1], got 1.5"),
+            ("random", ["--p", "-0.1"], "edge density p must be in [0, 1], got -0.1"),
+            ("random", ["--p", "nan"], "edge density p must be in [0, 1], got nan"),
+            ("random", ["--p", "0.1,inf"], "edge density p must be in [0, 1], got inf"),
+            ("planted", ["--l", "0"], "length budget l must be at least 1, got 0"),
+            ("random", ["--l", "-1"], "length budget l must be at least 1, got -1"),
+        ],
+    )
+    def test_a_check_that_runs_no_graph_is_refused(self, tmp_path, capsys, mode, flags, message):
+        out = str(tmp_path / "c.mc")
+        run(capsys, "build", "--mode", "squaring", "--n", "4", "--out", out)
+        code, text, err = run(capsys, "verify", "--circuit", out, "--n", "4", "--mode", mode, *flags)
+        assert (code, text, err) == (2, "", f"error: {message}\n")
+
 
 class TestFamilyCommands:
     def test_plane_round_trip(self, tmp_path, capsys):

@@ -225,14 +225,12 @@ class TestComposeFamily:
 class TestHittingIntegration:
     def test_planted_paths_decompose_into_closure_edges(self):
         # The executable core of the composition argument: for a planted
-        # shortest path, some augmented set gives indices whose consecutive
+        # shortest path, some family set gives indices whose consecutive
         # pairs are closure edges and whose interior points lie in the set.
-        from monoreach.families import augment_with_terminals
         from monoreach.oracles import planted_path_graph, shortest_path_length
 
         fam = mr.plane_family(25)
         p = fam.params
-        augmented = augment_with_terminals(fam)
         t_c = mr.ceil_log2(2 * p.d)
         closure = mr.build_walk_power(p.n, t_c)
         for seed in range(40):
@@ -245,9 +243,9 @@ class TestHittingIntegration:
             while path[-1] != 25:
                 row = g.rows[path[-1] - 1]
                 path.append(row.bit_length())
-            w = mr.hitting_decomposition(augmented, path)
+            w = mr.hitting_decomposition(fam, path)
             closure_bits = closure.evaluate_all(g)
-            chosen = set(augmented.sets[w.set_index])
+            chosen = set(fam.sets[w.set_index])
             for t in w.indices[1:-1]:
                 assert path[t] in chosen
             for a, b in zip(w.indices, w.indices[1:]):

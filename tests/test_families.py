@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import monoreach as mr
 import monoreach.families
 from monoreach.exactmath import child_seed
-from monoreach.families import CoveringFamily, FamilyCounterexample, FamilyParams
+from monoreach.families import CoveringFamily, FamilyCounterexample, FamilyParams, _check_incidence
 
 
 def gf2_plane_sets():
@@ -308,25 +308,6 @@ class TestHittingDecomposition:
                     assert seq[t] in chosen
 
 
-class TestAugment:
-    def test_plain_set(self):
-        fam = CoveringFamily(FamilyParams(5, 1, 2, 4, 2), [(2, 3)])
-        out = mr.augment_with_terminals(fam)
-        assert out.sets == ((1, 2, 3, 5),)
-        assert out.params.s == 4
-
-    def test_idempotent_contents(self):
-        fam = CoveringFamily(FamilyParams(5, 1, 3, 4, 2), [(1, 3, 5)])
-        out = mr.augment_with_terminals(fam)
-        assert out.sets == ((1, 3, 5),)
-        assert out.params.s == 5
-
-    def test_empty_set(self):
-        fam = CoveringFamily(FamilyParams(5, 1, 1, 4, 2), [()])
-        out = mr.augment_with_terminals(fam)
-        assert out.sets == ((1, 5),)
-
-
 class TestPlanePrimitives:
     def test_minimal_prime_examples(self):
         assert mr.minimal_prime_q(9) == 3
@@ -373,6 +354,10 @@ class TestPlanePrimitives:
         with pytest.raises(mr.InvalidParameterError):
             mr.affine_lines(4)
 
+    def test_every_plane_in_budget_passes_incidence(self):
+        for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            assert len(mr.affine_lines(q).lines) == q * (q + 1)
+
     def test_line_cover_bound_values(self):
         assert mr.line_cover_bound(3, 0) == 12
         assert mr.line_cover_bound(2, 2) == Fraction(3, 2)
@@ -381,6 +366,64 @@ class TestPlanePrimitives:
     def test_line_cover_bound_range_check(self):
         with pytest.raises(mr.InvalidParameterError):
             mr.line_cover_bound(2, 5)
+
+
+def dict_scan_incidence(q, lines):
+    """The incidence check the pair count replaced: a dict of every pair."""
+    seen = {}
+    for idx, line in enumerate(lines):
+        if len(line) != q:
+            raise mr.InvalidParameterError(f"line {idx} has {len(line)} points, expected {q}")
+        for pair in combinations(line, 2):
+            if pair in seen:
+                raise mr.InvalidParameterError(f"pair {pair} on two lines ({seen[pair]}, {idx})")
+            seen[pair] = idx
+    if len(seen) != math.comb(q * q, 2):
+        raise mr.InvalidParameterError("some point pair lies on no line")
+
+
+def incidence_verdict(check, q, lines):
+    try:
+        check(q, lines)
+    except mr.InvalidParameterError as exc:
+        return str(exc)
+    return None
+
+
+class TestIncidenceCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_verdict_as_a_dict_scan(self, data):
+        q = data.draw(st.sampled_from([2, 3, 5]))
+        lines = [list(line) for line in mr.affine_lines(q).lines]
+        for _ in range(data.draw(st.integers(0, 3))):
+            kind = data.draw(st.sampled_from(["move", "drop", "copy", "cut"]))
+            i = data.draw(st.integers(0, len(lines) - 1))
+            if kind == "move" and lines[i]:
+                lines[i][data.draw(st.integers(0, len(lines[i]) - 1))] = data.draw(st.integers(1, q * q))
+            elif kind == "drop" and len(lines) > 1:
+                del lines[i]
+            elif kind == "copy":
+                lines.insert(data.draw(st.integers(0, len(lines))), list(lines[i]))
+            elif kind == "cut" and lines[i]:
+                lines[i].pop()
+        lines = [tuple(line) for line in lines]
+        assert incidence_verdict(_check_incidence, q, lines) == incidence_verdict(dict_scan_incidence, q, lines)
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], None),
+            ([(1, 2), (1, 3), (1, 2), (2, 3), (2, 4), (3, 4)], "pair (1, 2) on two lines (0, 2)"),
+            ([(1, 2), (1, 3), (1,), (1, 2), (2, 4), (3, 4)], "line 2 has 1 points, expected 2"),
+            ([(1, 2), (1, 2), (1,), (2, 3), (2, 4), (3, 4)], "pair (1, 2) on two lines (0, 1)"),
+            ([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)], "some point pair lies on no line"),
+            ([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5)], "line 5 has a point outside 1..4"),
+            ([(1, 2), (1, 3), (1, 4), (2, 3), (0, 4), (3, 4)], "line 4 has a point outside 1..4"),
+        ],
+    )
+    def test_first_fault_in_line_order(self, lines, message):
+        assert incidence_verdict(_check_incidence, 2, lines) == message
 
 
 class TestPlaneFamily:

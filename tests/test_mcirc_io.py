@@ -18,7 +18,9 @@ from monoreach.circuit import MAX_WIRES, MonotoneCircuit
 def reference_circuit_from_text(text, where):
     """The line-by-line MCIRC parser that the bulk parser replaced, unchanged
     except that it records in ``where["line"]`` the line it is reading, so
-    that an error from a bare int() can be tied to its line."""
+    that an error from a bare int() can be tied to its line, and that it
+    refuses a header whose input and zero wires alone pass MAX_WIRES, as
+    the format has since wire ids became int32."""
     op_codes = {"AND": AND, "OR": OR}
     lines = text.splitlines()
     if not lines:
@@ -28,6 +30,8 @@ def reference_circuit_from_text(text, where):
     if len(head) != 3 or head[0] != "MCIRC" or head[1] != "1":
         raise mr.InvalidParameterError(f"bad circuit header: {lines[0]!r}")
     circuit = MonotoneCircuit(int(head[2]))
+    if circuit.num_wires > MAX_WIRES:
+        raise mr.InvalidParameterError(f"line 1: {circuit.num_vertices} vertices need more than {MAX_WIRES} wires")
     outputs = None
     for ln, line in enumerate(lines[1:], start=2):
         where["line"] = ln
@@ -151,6 +155,8 @@ class TestDifferential:
             "MCIRC 1 2\nG AND 0 1\nOUT x\n",
             "MCIRC 1 2\nGATE AND 0 1\nOUT 5\n",
             "MCIRC 1 0\nOUT 0\n",
+            "MCIRC 1 211111",
+            "MCIRC 1 46341\nOUT 0\n",
             "MCIRC 1 -2\nOUT 0\n",
             "MCIRC 1 +2\nOUT 0\n",
             "MCIRC 1 x\nOUT 0\n",

@@ -266,6 +266,28 @@ class TestComparisonDrivers:
             with pytest.raises(mr.BudgetExceededError, match=str(MAX_CHECK_VERTICES)):
                 check()
 
+    @pytest.mark.parametrize("driver", [run_random_check, run_planted_check])
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_no_samples_refused(self, driver, samples):
+        # A check that runs no graph must not report a pass.
+        with pytest.raises(mr.InvalidParameterError, match=f"^samples must be at least 1, got {samples}$"):
+            driver(mr.build_reach(4), 4, samples, 0)
+
+    @pytest.mark.parametrize("p", [1.5, -0.1, float("nan"), float("inf")])
+    def test_density_outside_the_unit_interval_refused(self, p):
+        with pytest.raises(mr.InvalidParameterError, match=r"^edge density p must be in \[0, 1\]"):
+            run_random_check(mr.build_reach(4), 4, 100, 0, densities=(0.1, p))
+
+    def test_no_densities_refused(self):
+        with pytest.raises(mr.InvalidParameterError, match="densities"):
+            run_random_check(mr.build_reach(4), 4, 100, 0, densities=())
+
+    @pytest.mark.parametrize("driver", [run_random_check, run_planted_check])
+    @pytest.mark.parametrize("l", [0, -1])
+    def test_empty_length_budget_refused(self, driver, l):
+        with pytest.raises(mr.InvalidParameterError, match=f"^length budget l must be at least 1, got {l}$"):
+            driver(mr.build_reach(4), 4, 100, 0, l=l)
+
     def test_size_mismatch_rejected(self):
         with pytest.raises(mr.InvalidParameterError):
             run_random_check(mr.build_reach(4), 5, 100, 0)
@@ -318,6 +340,13 @@ class TestSlicedOracle:
             assert _oracle_masks(masks, width, n, l) == per_graph_oracle(masks, width, n, l)
 
 
+def report_digest(report):
+    h = hashlib.sha256(f"{report.checked} {report.skipped}\n".encode())
+    for g, expected, got in report.mismatches:
+        h.update((graph_to_text(g) + f"{expected} {got}\n").encode())
+    return h.hexdigest()
+
+
 class TestReportGoldens:
     # Pinned from the per-graph oracle the sliced one replaced: the reports
     # of a wrong circuit (it misses every distance above 3) must not move.
@@ -330,11 +359,90 @@ class TestReportGoldens:
     )
     def test_random_report_digest(self, l, skipped, digest):
         report = run_random_check(mr.build_reach_leq(16, 3), 16, 40000, seed=7, l=l, max_report=6)
-        h = hashlib.sha256(f"{report.checked} {report.skipped}\n".encode())
-        for g, expected, got in report.mismatches:
-            h.update((graph_to_text(g) + f"{expected} {got}\n").encode())
         assert (report.checked, report.skipped, len(report.mismatches)) == (40000, skipped, 6)
-        assert h.hexdigest() == digest
+        assert report_digest(report) == digest
+
+
+class TestPackedBatches:
+    # Pinned from the driver that evaluated each density's draws on their
+    # own, over sample counts whose draws pack differently: 16,384 fills one
+    # batch, 20,000 two, 50,000 six, and 1 graph leaves two densities empty.
+    # With seed 11 the wrong circuit's first density holds 1 mismatch at
+    # 16,384 samples, none at 20,000 and 5 at 50,000: a cut of 3 falls
+    # inside it at 50,000 and across a density boundary at 16,384, a cut of
+    # 8 falls across one at 50,000, and 10**6 reports every mismatch.
+    @pytest.mark.parametrize(
+        "samples, l, max_report, skipped, found, digest",
+        [
+            (16384, None, 3, 0, 3, "12d20e39a888583d025e36fd843dc78a226c6b26dfba9a89dbc4ef74a98119a8"),
+            (16384, None, 8, 0, 8, "a7dd9e158e9e7bfea8a070dab5c68f9b0f996c571e11d57070d69bc910108113"),
+            (16384, None, 10**6, 0, 300, "09ec3308f7f64e53fbe657c803c25e67436f2cc144fed40ecd5cac142084e148"),
+            (16384, 5, 3, 131, 3, "ed53488dd75d36d51696ca8a1bfe7c78961e7854ed1e279faf17a2b0871c06e8"),
+            (16384, 5, 8, 131, 8, "91563e2b3cf806ebfe0c067f9dbecd300e8c31a31a4cf043a092473051a8da17"),
+            (16384, 5, 10**6, 131, 169, "c5a780882a21d3e6019418c7fde3cbb0b2eb1bbb18253cb7e7cfabb149b47b6a"),
+            (20000, None, 3, 0, 3, "929a932d8bd8a6f64f5285d32b9562a2c3e3eac1bc32c14f86e17972f81561fd"),
+            (20000, None, 10**6, 0, 370, "edbfb3526abfca1c6c50879edde2734e2e853c19fa1685956d82686eb6412404"),
+            (20000, 5, 3, 171, 3, "220d7685c34d1fb27c0d28afd7d06b156e6e00ad5a5d3b553b641d0b4a3bb038"),
+            (20000, 5, 10**6, 171, 199, "935c27070a4aa1f15d45f5b26fb53bfba6e64302ef9a14a88e1b818963fe7b14"),
+            (50000, None, 3, 0, 3, "45b3dc74c8708b7922a0318612bdb802eecef2a499907718787c4699abb0e81b"),
+            (50000, None, 8, 0, 8, "ec31854017247bb41ec853cbcdddf054995a38326a0205ef08c4c2a481782865"),
+            (50000, None, 10**6, 0, 938, "362d61e417b6778b4b8c5424d047176538911663f54bd58b2afaa24741409698"),
+            (50000, 5, 3, 397, 3, "218c037a126ffd285747a256390c48121ce3d698b6e39a7965dff5e26e280919"),
+            (50000, 5, 8, 397, 8, "208a6bc04a324be25e9bb10de6767f1d4a0beddb8ec8f67385be63d34ba41a44"),
+            (50000, 5, 10**6, 397, 541, "071a7de46ddf420fc6d3d74a2f03ebd2d2508f27dfd2e4bd759959ac3be8af5a"),
+            (1, None, 3, 0, 0, "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7"),
+            (1, 5, 3, 0, 0, "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7"),
+        ],
+    )
+    def test_wrong_circuit_report_digest(self, samples, l, max_report, skipped, found, digest):
+        report = run_random_check(mr.build_reach_leq(16, 3), 16, samples, seed=11, l=l, max_report=max_report)
+        assert (report.checked, report.skipped, len(report.mismatches)) == (samples, skipped, found)
+        assert report_digest(report) == digest
+
+    @pytest.mark.parametrize(
+        "samples, l, skipped, digest",
+        [
+            (16384, None, 0, "d5e6d271a7129c745f419e78ace7a0cccc304a072451ae804a805b8f156c19a0"),
+            (16384, 5, 131, "026b739a20744eaf2176e9a5d2af8b5e83a73732b184cce9d3d31e2f55088925"),
+            (20000, None, 0, "ed80930cbac300bdb3300c87fcab8073239cd953efac375ff3ba3ad74debdff3"),
+            (20000, 5, 171, "7cac03c55f8cd099b8e1d7586edb1a99bf64e699d61f49944b6e711457ea270e"),
+            (50000, None, 0, "594ad4a45a28d07865bac4998f36573188eff44b915b4ed817d7ce0d1246dd0d"),
+            (50000, 5, 397, "89858a4d2945f36754330641452bf4eaa859cf97075a7b5a85d77273ac4d098d"),
+        ],
+    )
+    def test_correct_circuit_report_digest(self, samples, l, skipped, digest):
+        report = run_random_check(mr.build_reach_leq(16, 15), 16, samples, seed=11, l=l)
+        assert (report.checked, report.skipped, report.ok) == (samples, skipped, True)
+        assert report_digest(report) == digest
+
+    @pytest.mark.parametrize(
+        "samples, widths",
+        [
+            (1, [1]),
+            (16384, [16384]),
+            (20000, [13334, 6666]),
+            (50000, [16384, 284, 16384, 282, 16384, 282]),
+            (393216, [16384] * 24),
+        ],
+    )
+    def test_one_evaluation_per_batch(self, monkeypatch, samples, widths):
+        calls = []
+        seen = []
+        evaluate = mr.MonotoneCircuit.evaluate_batch
+        oracle = monoreach.oracles._oracle_masks
+
+        def counted(self, masks):
+            calls.append(len(masks))
+            return evaluate(self, masks)
+
+        def sized(masks, width, n, l):
+            seen.append(width)
+            return oracle(masks, width, n, l)
+
+        monkeypatch.setattr(mr.MonotoneCircuit, "evaluate_batch", counted)
+        monkeypatch.setattr(monoreach.oracles, "_oracle_masks", sized)
+        assert run_random_check(mr.build_reach_leq(2, 1), 2, samples, seed=1).checked == samples
+        assert (len(calls), seen) == (len(widths), widths)
 
 
 class TestOracleIndependence:
