@@ -29,11 +29,8 @@ from .circuit import (
     OR,
     AdjacencyMatrix,
     MonotoneCircuit,
-    WireMatrix,
-    bool_matrix_product,
     circuit_from_text,
     circuit_to_text,
-    input_matrix,
     new_circuit,
     or_tree,
     read_circuit,

@@ -25,8 +25,6 @@ import numpy as np
 from .circuit import (
     MonotoneCircuit,
     _banded_product,
-    bool_matrix_product,
-    input_matrix,
     new_circuit,
     or_tree,
 )
@@ -175,7 +173,7 @@ def _walk_power_entries(circuit: MonotoneCircuit, steps: int, last: frozenset = 
     need (`_cone`); the others are -1.
     """
     n = circuit.num_vertices
-    cur = input_matrix(circuit).entries
+    cur = np.arange(n * n, dtype=np.int64).reshape(n, n)
     off_diagonal = ~np.eye(n, dtype=bool)
     for pattern in _cone(last, n, steps)[1:]:
         cur = _banded_product(circuit, cur, cur, off_diagonal, _pattern_mask(pattern, n))
@@ -215,27 +213,49 @@ def build_reach_leq(n: int, l: int) -> MonotoneCircuit:
 def build_reach_exact(n: int, l: int) -> MonotoneCircuit:
     """Exact-length circuit: 1 iff a walk 1 -> n of exactly l edges exists.
 
-    Holds only the gates the output reads."""
-    if n < 2:
-        raise InvalidParameterError("n must be >= 2")
-    if l < 1:
-        raise InvalidParameterError("l must be >= 1")
+    Emits only the gates the output reads: each product of `_exact_plan`
+    only at the entries a later product or the output reads."""
+    plan = _exact_plan(n, l)
     circuit = new_circuit(n)
-    walks = _exact_product_tree(input_matrix(circuit), l, lambda a, b: bool_matrix_product(circuit, a, b))
-    circuit.set_outputs([walks.entry(1, n)])
-    circuit.prune()
+    mats = [np.arange(n * n, dtype=np.int64).reshape(n, n)]
+    ones = np.ones((n, n), dtype=bool)
+    for k, (a, b, rows, cols) in enumerate(plan, 1):
+        need = np.zeros((n, n), dtype=bool)
+        need[:rows] = True
+        need[:, n - cols :] = True
+        if k == len(plan):
+            need[0, n - 1] = True  # the output entry
+        mats.append(_banded_product(circuit, mats[a], mats[b], ones, need))
+    circuit.set_outputs([int(mats[-1][0, n - 1])])
     return circuit
 
 
-def _exact_product_tree(source, l: int, multiply):
-    """The l-th power of `source`: square it once per binary digit of l,
-    then multiply the set-bit powers in a balanced tree that pairs
-    neighbours left to right and carries an odd straggler up.
+def _exact_plan(n: int, l: int) -> list[tuple[int, int, int, int]]:
+    """The products of build_reach_exact, in emission order: product k
+    (from 1) is matrix k and matrix 0 is the input.
 
-    build_reach_exact runs it on wire matrices, and its gate and depth
-    predictions on matrix ids and depths, so they cannot drift apart.
+    The l-th power of the input: square it once per binary digit of l, then
+    multiply the set-bit powers in a balanced tree that pairs neighbours
+    left to right and carries an odd straggler up.  The last product (the
+    input for l = 1) is the output matrix, read only at entry (1, n).
+
+    Each product is (left, right, rows, cols): its operand matrices, and
+    the leading rows and trailing columns of it that a later product reads.
+    A product entry (i, j) reads row i of its left operand and column j of
+    its right one, so counted back from entry (1, n) those sets are always
+    empty, row 1 or column n, or all: each of rows and cols is 0, 1 or n.
     """
-    power = source
+    if n < 2:
+        raise InvalidParameterError("n must be >= 2")
+    if l < 1:
+        raise InvalidParameterError(f"l must be at least 1, got {l}")
+    operands: list[tuple[int, int]] = []
+
+    def multiply(a: int, b: int) -> int:
+        operands.append((a, b))
+        return len(operands)
+
+    power = 0
     factors = []
     top = l.bit_length() - 1
     for i in range(top + 1):
@@ -248,7 +268,16 @@ def _exact_product_tree(source, l: int, multiply):
         if len(factors) % 2:
             pairs.append(factors[-1])
         factors = pairs
-    return factors[0]
+
+    root = len(operands)
+    rows = [0] * (root + 1)
+    cols = [0] * (root + 1)
+    for k in range(root, 0, -1):
+        a, b = operands[k - 1]
+        out = int(k == root)  # the output entry (1, n)
+        rows[a] = max(rows[a], n if cols[k] else max(rows[k], out))
+        cols[b] = max(cols[b], n if rows[k] else max(cols[k], out))
+    return [(a, b, rows[k], cols[k]) for k, (a, b) in enumerate(operands, 1)]
 
 
 def build_reach(n: int) -> MonotoneCircuit:
@@ -462,35 +491,11 @@ def _composed_gates(n: int, sets: int, steps: int, inner: tuple[int, frozenset])
 
 
 def _reach_exact_gates(n: int, l: int) -> int:
-    """Gates of build_reach_exact's output cone, from sizes alone.
-
-    Replays its products backwards from the output.  A product entry (i, j)
-    reads row i of the left factor and column j of the right one, at 2n - 1
-    gates.  Below the output every matrix is needed as a set of full rows
-    and full columns, and those sets are always empty, the first row or
-    column n, or all, so only their sizes are kept.
-    """
-    operands: list[tuple[int, int]] = []  # of products 1, 2, ...; matrix 0 is the input
-
-    def product(a: int, b: int) -> int:
-        operands.append((a, b))
-        return len(operands)
-
-    root = _exact_product_tree(0, l, product)
-    if root == 0:
-        return 0
-    rows = [0] * root  # rows[m]: full rows of matrix m that are needed
-    cols = [0] * root
-    left, right = operands[root - 1]
-    rows[left] = cols[right] = 1  # the output entry (1, n)
-    entries = 1
-    for m in range(root - 1, 0, -1):
-        r, c = rows[m], cols[m]
-        entries += (r + c) * n - r * c
-        left, right = operands[m - 1]
-        rows[left] = max(rows[left], n if c else r)
-        cols[right] = max(cols[right], n if r else c)
-    return entries * (2 * n - 1)
+    """Gates of build_reach_exact, from `_exact_plan` alone: each needed
+    product entry costs 2n - 1 gates."""
+    plan = _exact_plan(n, l)
+    entries = sum((rows + cols) * n - rows * cols for _, _, rows, cols in plan)
+    return (entries + 1) * (2 * n - 1) if plan else 0
 
 
 def predict_gate_count(mode: str, n: int, l: int | None = None) -> int:
@@ -511,9 +516,11 @@ def predict_gate_count(mode: str, n: int, l: int | None = None) -> int:
             raise InvalidParameterError("exact mode needs l")
         return _reach_exact_gates(n, l)
     if mode == MODE_EXPLICIT:
+        if n < 2:
+            raise InvalidParameterError("explicit mode needs n >= 2")
         q = minimal_prime_q(n)
         d = minimal_deficiency(q)
-        inner = _cone_gates(TERMINAL_ENTRY, q + 2, ceil_log2(max(1, n // d)))
+        inner = _cone_gates(TERMINAL_ENTRY, q + 2, ceil_log2(n // d))
         return _composed_gates(n, q * (q + 1), ceil_log2(2 * d), inner)[0]
     if mode == MODE_THEOREM:
         if l is None:
@@ -547,22 +554,20 @@ def predict_depth(mode: str, n: int, l: int | None = None) -> DepthLedger:
     if mode == MODE_EXACT:
         if l is None:
             raise InvalidParameterError("exact mode needs l")
-        if n < 2 or l < 1:
-            raise InvalidParameterError("exact mode needs n >= 2 and l >= 1")
-        # Replay build_reach_exact on depths: every product adds a step.
-        step = 1 + ceil_log2(n)
-        return DepthLedger(stages=[Stage("exact-power", _exact_product_tree(0, l, lambda a, b: max(a, b) + step))])
+        depth = [0]  # of matrix k; every product adds 1 + ceil(log2 n)
+        for a, b, _, _ in _exact_plan(n, l):
+            depth.append(max(depth[a], depth[b]) + 1 + ceil_log2(n))
+        return DepthLedger(stages=[Stage("exact-power", depth[-1])])
     if mode == MODE_EXPLICIT:
         if n < 2:
             raise InvalidParameterError("explicit mode needs n >= 2")
         q = minimal_prime_q(n)
         d = minimal_deficiency(q)
         m = q * (q + 1)
-        l_in = max(1, n // d)
         return DepthLedger(
             stages=[
                 Stage("closure", _squaring_depth(n, 2 * d)),
-                Stage("blocks", _squaring_depth(q + 2, l_in)),
+                Stage("blocks", _squaring_depth(q + 2, n // d)),
                 Stage("or", ceil_log2(m)),
             ]
         )

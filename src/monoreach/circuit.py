@@ -347,27 +347,6 @@ def or_tree(circuit: MonotoneCircuit, wires) -> int:
     return int(circuit.or_reduce_columns(np.array([list(wires)], dtype=np.int64))[0])
 
 
-@dataclass
-class WireMatrix:
-    """An n x n matrix of wires of one circuit (a boolean matrix in flight)."""
-
-    circuit: MonotoneCircuit
-    entries: np.ndarray  # (n, n) int64 wire ids
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def entry(self, i: int, j: int) -> int:
-        return int(self.entries[i - 1, j - 1])
-
-
-def input_matrix(circuit: MonotoneCircuit) -> WireMatrix:
-    n = circuit.num_vertices
-    ids = np.arange(n * n, dtype=np.int64).reshape(n, n)
-    return WireMatrix(circuit, ids)
-
-
 def _banded_product(
     circuit: MonotoneCircuit, a: np.ndarray, b: np.ndarray, and_leaves: np.ndarray, need: np.ndarray | None = None
 ) -> np.ndarray:
@@ -377,6 +356,8 @@ def _banded_product(
     holds, and the wire a[i][k] itself otherwise.  Per band of entries the
     AND gates are emitted in (entry, k) order, then each entry's leaves go
     through one balanced OR, so emission order is fixed by the operands.
+    With every leaf an AND gate it adds exactly 1 + ceil(log2 n) depth
+    above equal-depth operands.
 
     Only entries where `need` holds (all by default) are emitted, in the
     same bands, so the gates are those of emitting every entry and pruning
@@ -399,19 +380,6 @@ def _banded_product(
         leaves[band_ands] = circuit._emit_bulk(AND, leaves[band_ands], rights[lo:hi][band_ands])
         out[entries[lo:hi]] = circuit.or_reduce_columns(leaves)
     return out.reshape(n, n)
-
-
-def bool_matrix_product(circuit: MonotoneCircuit, a: WireMatrix, b: WireMatrix) -> WireMatrix:
-    """Boolean matrix product: out[i][j] = OR_k (a[i][k] AND b[k][j]).
-
-    Adds exactly 1 + ceil(log2 n) depth above equal-depth operands.
-    """
-    if a.circuit is not circuit or b.circuit is not circuit:
-        raise InvalidParameterError("operand matrices must belong to the target circuit")
-    n = a.n
-    if b.n != n:
-        raise InvalidParameterError(f"dimension mismatch: {n} vs {b.n}")
-    return WireMatrix(circuit, _banded_product(circuit, a.entries, b.entries, np.ones((n, n), dtype=bool)))
 
 
 class AdjacencyMatrix:

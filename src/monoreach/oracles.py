@@ -45,6 +45,16 @@ def shortest_path_length(matrix: AdjacencyMatrix, src: int, dst: int) -> int | N
     return _rows_distance(matrix.rows, src, dst)
 
 
+def _successors(rows, frontier: int) -> int:
+    """Vertex set one edge past `frontier`: the OR of its members' rows."""
+    nxt = 0
+    while frontier:
+        low = frontier & -frontier
+        nxt |= rows[low.bit_length() - 1]
+        frontier ^= low
+    return nxt
+
+
 def _rows_distance(rows, src: int, dst: int) -> int | None:
     target = 1 << (dst - 1)
     visited = 1 << (src - 1)
@@ -53,14 +63,8 @@ def _rows_distance(rows, src: int, dst: int) -> int | None:
     frontier = visited
     dist = 0
     while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= rows[low.bit_length() - 1]
-            f ^= low
         dist += 1
-        frontier = nxt & ~visited
+        frontier = _successors(rows, frontier) & ~visited
         if frontier & target:
             return dist
         visited |= frontier
@@ -78,13 +82,7 @@ def exact_length_walk_exists(matrix: AdjacencyMatrix, src: int, dst: int, l: int
         raise InvalidParameterError("l must be >= 0")
     frontier = 1 << (src - 1)
     for _ in range(l):
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= matrix.rows[low.bit_length() - 1]
-            f ^= low
-        frontier = nxt
+        frontier = _successors(matrix.rows, frontier)
         if not frontier:
             return False
     return bool(frontier & (1 << (dst - 1)))

@@ -62,6 +62,13 @@ class TestBuildEvalStats:
         assert len(err.splitlines()) == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("l", ["0", "-1"])
+    def test_build_exact_refuses_l_below_1(self, tmp_path, capsys, l):
+        out = tmp_path / "x.mc"
+        code, text, err = run(capsys, "build", "--mode", "exact", "--n", "5", "--l", l, "--out", str(out))
+        assert (code, text, err) == (2, "", f"error: l must be at least 1, got {l}\n")
+        assert not out.exists()
+
     def test_stats_dead_gates(self, tmp_path, capsys):
         squaring = str(tmp_path / "s.mc")
         run(capsys, "build", "--mode", "squaring", "--n", "9", "--out", squaring)

@@ -1,8 +1,10 @@
 """Builders: walk powers, reachability circuits, composition, predictions."""
 
+import ast
 import hashlib
 import math
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -16,13 +18,13 @@ from monoreach.build import (
     ALL_ENTRIES,
     ROLE_CLASSES,
     _cone,
-    _exact_product_tree,
+    _exact_plan,
     _pattern_mask,
     _walk_power_entries,
     ledger_csv_lines,
     predict_gate_count,
 )
-from monoreach.circuit import AdjacencyMatrix, bool_matrix_product, input_matrix
+from monoreach.circuit import AdjacencyMatrix, _banded_product
 from monoreach.exactmath import child_seed
 from monoreach.families import CoveringFamily, FamilyParams
 from monoreach.oracles import (
@@ -281,6 +283,17 @@ class TestBuildExplicit:
             circuit, _ = mr.build_explicit(n)
             assert circuit.validate() is None
 
+    def test_deficiency_never_exceeds_n(self):
+        # So the inner length budget n // d is at least 1 with no guard.
+        for n in range(2, 20_001):
+            assert mr.minimal_deficiency(mr.minimal_prime_q(n)) <= n, n
+
+    def test_one_vertex_is_refused_before_the_inner_length(self):
+        # minimal_deficiency(minimal_prime_q(1)) = 2 > 1 would give n // d = 0.
+        for predict in (predict_gate_count, mr.predict_depth):
+            with pytest.raises(mr.InvalidParameterError, match="^explicit mode needs n >= 2$"):
+                predict("explicit", 1)
+
 
 class TestRecursionSchedule:
     def test_big_power_of_two_example(self):
@@ -473,9 +486,12 @@ def unpruned_reach_leq(n, l):
 
 
 def unpruned_reach_exact(n, l):
+    """Every entry of every product of the exact plan."""
     c = mr.new_circuit(n)
-    walks = _exact_product_tree(input_matrix(c), l, lambda a, b: bool_matrix_product(c, a, b))
-    c.set_outputs([walks.entry(1, n)])
+    mats = [np.arange(n * n).reshape(n, n)]
+    for a, b, _, _ in _exact_plan(n, l):
+        mats.append(_banded_product(c, mats[a], mats[b], np.ones((n, n), dtype=bool), need=None))
+    c.set_outputs([int(mats[-1][0, n - 1])])
     return c
 
 
@@ -647,6 +663,55 @@ class TestClosureCone:
         monkeypatch.setattr(mr.MonotoneCircuit, "_emit_bulk", fail)
         assert predict_gate_count("theorem", 24, 23) == 8_650_271
         assert predict_gate_count("explicit", 64) == 2_599_529
+
+
+EXACT_CONES = [(n, l) for mode, n, l, _, _ in PRUNED_BUILDS if mode == "exact"] + [(16, 15), (13, 100), (5, 10**22)]
+
+
+class TestExactPlan:
+    @pytest.mark.parametrize("n, l", EXACT_CONES)
+    def test_reach_exact_emits_no_gate_it_drops(self, n, l, monkeypatch):
+        with monkeypatch.context() as no_prune:
+            no_prune.setattr(mr.MonotoneCircuit, "prune", fail)
+            circuit = mr.build_reach_exact(n, l)
+        assert circuit.live_gates().all()
+        whole = unpruned_reach_exact(n, l)
+        whole.prune()
+        assert mr.circuit_to_text(whole) == mr.circuit_to_text(circuit)
+
+    def test_counts_come_from_the_plan(self, monkeypatch):
+        monkeypatch.setattr(mr.MonotoneCircuit, "_emit_bulk", fail)
+        assert predict_gate_count("exact", 64, 63) == 2_633_599
+        assert predict_gate_count("exact", 5, 10**22) == 20_529
+        assert predict_gate_count("exact", 1 << 20, 1000) == 20_752_585_983_409_520_639
+
+    def test_needs_are_empty_row_one_column_n_or_all(self):
+        for n in range(2, 7):
+            for l in range(1, 70):
+                plan = _exact_plan(n, l)
+                for k, (a, b, rows, cols) in enumerate(plan, 1):
+                    assert a < k and b < k
+                    assert rows in (0, 1, n) and cols in (0, 1, n)
+                    assert (rows, cols) != (0, 0) or k == len(plan), (n, l, k)
+
+    @pytest.mark.parametrize("l", [0, -1])
+    def test_length_below_one_is_refused(self, l):
+        for predict in (predict_gate_count, mr.predict_depth):
+            with pytest.raises(mr.InvalidParameterError, match=f"^l must be at least 1, got {l}$"):
+                predict("exact", 5, l)
+        with pytest.raises(mr.InvalidParameterError, match=f"^l must be at least 1, got {l}$"):
+            mr.build_reach_exact(5, l)
+
+    def test_builders_never_prune(self):
+        # Every builder emits only its output cone; prune() is a reference.
+        tree = ast.parse(Path(monoreach.build.__file__).read_text())
+        methods = {
+            node.func.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        }
+        assert "set_outputs" in methods, "found no method calls: the scan is broken"
+        assert "prune" not in methods
 
 
 class TestPredictDepth:
