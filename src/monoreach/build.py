@@ -510,7 +510,9 @@ def predict_gate_count(mode: str, n: int, l: int | None = None) -> int:
     if mode == MODE_SQUARING:
         if l is None:
             l = n - 1
-        return _cone_gates(TERMINAL_ENTRY, n, ceil_log2(max(1, l)))[0]
+        if n < 2 or l < 1:
+            raise InvalidParameterError("squaring mode needs n >= 2 and l >= 1")
+        return _cone_gates(TERMINAL_ENTRY, n, ceil_log2(l))[0]
     if mode == MODE_EXACT:
         if l is None:
             raise InvalidParameterError("exact mode needs l")

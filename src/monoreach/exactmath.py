@@ -93,33 +93,37 @@ def sample_distinct(rng: Random, count: int, n: int) -> tuple[int, ...]:
 _PROB_BITS = 24
 
 
-def bernoulli_mask(rng: Random, width: int, p: float) -> int:
-    """Integer with `width` independent bits, each 1 with probability ~p.
+def bernoulli_digits(p: float) -> tuple[int, ...]:
+    """The draw schedule of a Bernoulli mask at density p: one binary digit
+    of p per getrandbits draw, least significant first.
 
-    p is quantized to a multiple of 2**-24.  Built from getrandbits by
-    processing the quantized probability binary-digit by binary-digit
-    (AND halves the density, OR averages it with one).
+    p is quantized to a multiple of 2**-24.  The first draw (digit 1) seeds
+    the mask; each later draw is ORed in for a 1 digit, which averages the
+    density with one, and ANDed in for a 0 digit, which halves it.  Trailing
+    zero digits only AND into an all-zero mask and are skipped; every digit
+    above them, including leading zeros, is drawn.  An empty schedule means
+    no draws: the mask is all zeros for p <= 0 and all ones for p >= 1.
     """
-    if width <= 0:
-        return 0
-    if p <= 0.0:
-        return 0
-    if p >= 1.0:
-        return (1 << width) - 1
+    if p <= 0.0 or p >= 1.0:
+        return ()
     q = round(p * (1 << _PROB_BITS))
     q = min(max(q, 1), (1 << _PROB_BITS) - 1)
-    # Horner over the binary digits of q/2**B, least significant first:
-    # a 0 digit halves the density (AND), a 1 digit averages with one (OR).
-    # Trailing zero digits only AND into an all-zero mask and are skipped;
-    # every digit above them, including leading zeros, must be processed.
     trailing = (q & -q).bit_length() - 1
-    q >>= trailing
+    return tuple((q >> b) & 1 for b in range(trailing, _PROB_BITS))
+
+
+def bernoulli_mask(rng: Random, width: int, p: float) -> int:
+    """Integer with `width` independent bits, each 1 with probability ~p,
+    drawn by the schedule of bernoulli_digits(p)."""
+    if width <= 0:
+        return 0
+    digits = bernoulli_digits(p)
+    if not digits:
+        return (1 << width) - 1 if p >= 1.0 else 0
     acc = rng.getrandbits(width)
-    q >>= 1
-    for _ in range(_PROB_BITS - trailing - 1):
+    for digit in digits[1:]:
         r = rng.getrandbits(width)
-        acc = (acc | r) if (q & 1) else (acc & r)
-        q >>= 1
+        acc = (acc | r) if digit else (acc & r)
     return acc
 
 

@@ -222,6 +222,13 @@ class TestVerify:
         assert (code, text, err) == (2, "", f"error: {message}\n")
 
 
+    def test_planted_check_refuses_one_vertex(self, tmp_path, capsys):
+        path = tmp_path / "one.mc"
+        path.write_text("MCIRC 1 1\nOUT 1\n")
+        code, text, err = run(capsys, "verify", "--circuit", str(path), "--n", "1", "--mode", "planted")
+        assert (code, text, err) == (2, "", "error: planted graphs need at least 2 vertices, got n = 1\n")
+
+
 class TestFamilyCommands:
     def test_plane_round_trip(self, tmp_path, capsys):
         fam = str(tmp_path / "f.fam")

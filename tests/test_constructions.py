@@ -295,6 +295,18 @@ class TestBuildExplicit:
                 predict("explicit", 1)
 
 
+class TestSquaringPredictionRefusals:
+    # The count used to read 0 on input that predict_depth and the builder
+    # refuse.
+    @pytest.mark.parametrize("n, l", [(5, -3), (1, 5), (5, 0)])
+    def test_gate_count_refuses_what_the_builder_refuses(self, n, l):
+        for refuse in (predict_gate_count, mr.predict_depth):
+            with pytest.raises(mr.InvalidParameterError, match="^squaring mode needs n >= 2 and l >= 1$"):
+                refuse("squaring", n, l)
+        with pytest.raises(mr.InvalidParameterError):
+            mr.build_reach_leq(n, l)
+
+
 class TestRecursionSchedule:
     def test_big_power_of_two_example(self):
         s = mr.recursion_schedule(1 << 16, 1 << 15)

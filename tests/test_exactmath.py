@@ -8,6 +8,7 @@ import pytest
 from monoreach.errors import InvalidParameterError
 from monoreach.exactmath import (
     PREC,
+    bernoulli_digits,
     bernoulli_mask,
     child_seed,
     floor_pow2,
@@ -83,6 +84,48 @@ class TestPortableDraws:
 
     def test_bernoulli_determinism(self):
         assert bernoulli_mask(Random(5), 4096, 0.37) == bernoulli_mask(Random(5), 4096, 0.37)
+
+    @pytest.mark.parametrize(
+        "p, digits",
+        [
+            (0.0, ()),
+            (-0.5, ()),
+            (1.0, ()),
+            (0.5, (1,)),
+            (0.75, (1, 1)),
+            (0.25, (1, 0)),
+            (2**-24, (1,) + (0,) * 23),
+            (1e-12, (1,) + (0,) * 23),  # rounds up to the least step
+            (1 - 1e-12, (1,) * 24),  # rounds down to the last step
+        ],
+    )
+    def test_bernoulli_digits(self, p, digits):
+        assert bernoulli_digits(p) == digits
+
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.37, 0.999, 1e-9, 0.0, 1.0, 0.25, 2**-24])
+    @pytest.mark.parametrize("width", [1, 31, 32, 33, 256, 1000])
+    def test_bernoulli_mask_matches_inline_horner(self, p, width):
+        # The Horner of bernoulli_mask before its digit schedule was factored
+        # out into bernoulli_digits: the same draws, in the same order.
+        def inline(rng):
+            if p <= 0.0:
+                return 0
+            if p >= 1.0:
+                return (1 << width) - 1
+            q = min(max(round(p * (1 << 24)), 1), (1 << 24) - 1)
+            trailing = (q & -q).bit_length() - 1
+            q >>= trailing
+            acc = rng.getrandbits(width)
+            q >>= 1
+            for _ in range(24 - trailing - 1):
+                r = rng.getrandbits(width)
+                acc = (acc | r) if (q & 1) else (acc & r)
+                q >>= 1
+            return acc
+
+        ours, theirs = Random(width), Random(width)
+        assert [bernoulli_mask(ours, width, p) for _ in range(3)] == [inline(theirs) for _ in range(3)]
+        assert ours.getstate() == theirs.getstate()
 
 
 class TestScaledArithmetic:

@@ -10,10 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import monoreach as mr
+import monoreach.exactmath
 import monoreach.oracles
 from monoreach.circuit import AdjacencyMatrix
+from monoreach.exactmath import bernoulli_mask, child_seed, randbelow, sample_distinct
 from monoreach.oracles import (
+    CHUNK_BITS,
     MAX_CHECK_VERTICES,
+    NO_PATH_EDGE_PROB,
+    PLANTED_NOISE_PROB,
     _graph_int_rows,
     _oracle_masks,
     _rows_distance,
@@ -24,6 +29,7 @@ from monoreach.oracles import (
     graph_ints_to_masks,
     graph_to_text,
     masks_to_graph_ints,
+    planted_entry_masks,
     run_exhaustive_check,
     run_planted_check,
     run_random_check,
@@ -47,6 +53,90 @@ def per_graph_oracle(masks, width, n, l):
             if l is not None and dist > l:
                 outside |= 1 << t
     return reach, ((1 << width) - 1) & ~outside
+
+
+def reference_planted_path_graph(n, path_len, noise_prob, seed):
+    """The per-graph planted sampler that planted_entry_masks runs
+    lane-parallel: distinct intermediates, a Fisher-Yates interleaving of
+    them, then noise edges, all from one Random(seed)."""
+    rng = Random(seed)
+    order = list(sample_distinct(rng, path_len - 1, n - 2))  # sorted labels in 1..n-2
+    for i in range(len(order) - 1, 0, -1):
+        j = randbelow(rng, i + 1)
+        order[i], order[j] = order[j], order[i]
+    path = [1] + [v + 1 for v in order] + [n]
+    m = AdjacencyMatrix(n)
+    for a, b in zip(path, path[1:]):
+        m.set_edge(a, b)
+    for i, row in enumerate(_graph_int_rows(bernoulli_mask(rng, n * n, noise_prob), n)):
+        m.rows[i] |= row
+    return m
+
+
+def reference_no_path_graph(n, edge_prob, seed):
+    """The per-graph no-path sampler: a sink side holding n but not 1, then
+    random edges with every source-side -> sink-side edge withheld."""
+    rng = Random(seed)
+    side = bernoulli_mask(rng, n, 0.5) | (1 << (n - 1))  # bit v-1 set: sink side
+    side &= ~1
+    rows = _graph_int_rows(bernoulli_mask(rng, n * n, edge_prob), n)
+    for i in range(n):
+        if not (side >> i) & 1:
+            rows[i] &= ~side
+    return AdjacencyMatrix(n, rows)
+
+
+def reference_graph_int(matrix):
+    return sum(row << (i * matrix.n) for i, row in enumerate(matrix.rows))
+
+
+def reference_planted_chunks(n, samples, seed, l):
+    """The per-graph planted driver: (masks, width, expected) of each chunk."""
+    limit = min(l, n - 1) if l is not None else n - 1
+    rng = Random(child_seed(seed, f"planted:n={n}:l={limit}"))
+    chunks = []
+    for done in range(0, samples, CHUNK_BITS):
+        width = min(samples - done, CHUNK_BITS)
+        graph_ints, expected = [], 0
+        for t in range(width):
+            idx = done + t
+            sample_seed = child_seed(seed, f"planted:{idx}")
+            if idx % 2 == 0:
+                g = reference_planted_path_graph(n, 1 + randbelow(rng, limit), PLANTED_NOISE_PROB, sample_seed)
+                expected |= 1 << t
+            else:
+                g = reference_no_path_graph(n, NO_PATH_EDGE_PROB, sample_seed)
+            graph_ints.append(reference_graph_int(g))
+        chunks.append((graph_ints_to_masks(graph_ints, n), width, expected))
+    return chunks
+
+
+def planted_chunks(n, samples, seed, l):
+    """(masks, width, expected) of each chunk run_planted_check evaluates,
+    on a circuit that is never evaluated."""
+    chunks = []
+
+    def capture(circuit, masks, width, expected, promise, max_report, mism):
+        assert promise == (1 << width) - 1
+        chunks.append((list(masks), width, expected))
+
+    circuit = mr.new_circuit(n)
+    circuit.set_outputs([circuit.zero])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monoreach.oracles, "_check_chunk", capture)
+        assert run_planted_check(circuit, n, samples, seed, l=l).checked == samples
+    return chunks
+
+
+def chunks_digest(chunks):
+    h = hashlib.sha256()
+    for masks, width, expected in chunks:
+        nbytes = (width + 7) // 8
+        h.update(f"{width} {len(masks)}\n".encode())
+        for m in masks:
+            h.update(m.to_bytes(nbytes, "little"))
+        h.update(expected.to_bytes(nbytes, "little"))
+    return h.hexdigest()
 
 
 class TestBfs:
@@ -288,6 +378,14 @@ class TestComparisonDrivers:
         with pytest.raises(mr.InvalidParameterError, match=f"^length budget l must be at least 1, got {l}$"):
             driver(mr.build_reach(4), 4, 100, 0, l=l)
 
+    def test_planted_check_refuses_one_vertex(self, monkeypatch):
+        # Refused before any draw, naming the vertex count.
+        monkeypatch.setattr(monoreach.oracles, "child_seed", None)
+        circuit = mr.new_circuit(1)
+        circuit.set_outputs([circuit.zero])
+        with pytest.raises(mr.InvalidParameterError, match="^planted graphs need at least 2 vertices, got n = 1$"):
+            run_planted_check(circuit, 1, 100, 0)
+
     def test_size_mismatch_rejected(self):
         with pytest.raises(mr.InvalidParameterError):
             run_random_check(mr.build_reach(4), 5, 100, 0)
@@ -445,6 +543,133 @@ class TestPackedBatches:
         assert (len(calls), seen) == (len(widths), widths)
 
 
+class TestPlantedGoldens:
+    # Pinned from the per-graph planted driver that chunk generation
+    # replaced: n**2 = 25 and 1089 are not multiples of 32, n = 2 and 3 leave
+    # no intermediate to shuffle, 203 graphs are not a multiple of 8, 16,393
+    # and 16,390 take two chunks, and l = None or 100 clamp to n - 1.
+    @pytest.mark.parametrize(
+        "n, samples, seed, l, widths, digest",
+        [
+        (2, 203, 3, 1, [203], "4d8503036494251942ac00b77942bf1119d6146e06498154a418cec074db0cb5"),
+        (5, 203, 3, 1, [203], "5113d459d2f9986e6e7b3676c5a51040a24ace3c91ce29ff4363639c835e1c9d"),
+        (5, 203, 3, 2, [203], "1ac9d17354ed2531f284b25508cdfe007fb010d93696b860e9c65f8bd93c81d4"),
+        (5, 203, 3, 4, [203], "9b228a1d66660b28a6b8e88f81abb4d93ff7bf9d281b1901f482d09fb7b3867b"),
+        (16, 203, 3, 1, [203], "a156774ef3c7e29b36a2e6f70a3c8ae55fb5cc84599655949f87a0896cace65c"),
+        (16, 203, 3, 8, [203], "7d13dbd6053772afd2b96f08f423e0e490c52ecf60968d99e359267f7b7bbf83"),
+        (16, 203, 3, 15, [203], "e6e8ab1ff366b863bbeaef67c1de30207d6d82135ae032744f623e0fc8c95e65"),
+        (25, 203, 3, 1, [203], "f64ac9feab225253b913643fe8b1ff6fbc34c0787d97b322623deed5fd51e1b7"),
+        (25, 203, 3, 12, [203], "4eaea3335df23399b4ba301985c9b9be091e80e7c05be2913a18ee6d2a012b6a"),
+        (25, 203, 3, 24, [203], "e94c0a4db8c8fb2dfafec381063371cf4d2ae44201d2ea85b8588b622e3081a8"),
+        (33, 203, 3, 1, [203], "86a372b8dac2bfd22d9d88e8513d2a5d06c79911d923a0d5d23a7c1c8c8fdb1f"),
+        (33, 203, 3, 16, [203], "24996b790d95c6776fddc629303fd48436f197c65c44ce8a684725578a9a3bfe"),
+        (33, 203, 3, 32, [203], "a1b4afcae0618cc18518eb0f925b8375edad6e9157f6932070fda0f35c0d1ecd"),
+        (64, 203, 3, 1, [203], "659b69c923f75deab64f738c5c6c499d8cc70a2cbaf3019723e1b5d579e6eefd"),
+        (64, 203, 3, 32, [203], "1ffb5d8567d11c727eb6d09cf0609835a109b24df5e3e4391587a940eda63683"),
+        (64, 203, 3, 63, [203], "cd14acf530a9a0cbf3d2071b3a5e7e598cfb1ed0364ac73bd51ebc7fdf074fa7"),
+        (16, 1, 0, 12, [1], "ca6bd690bda8a2a13600f24ce543d5e582f321fba2bb2468f7a1371a28f132b5"),
+        (2, 1, 0, 1, [1], "33af51d8ee87208bc0e96280793ce57a8ba70cd2567dcc9e0745bcd8886c7ae1"),
+        (16, 16393, 5, 12, [16384, 9], "8657770df4b5b49f04921901336d83dc87cc7bad8389955843ef2903e06ea3ee"),
+        (5, 16390, 0, 4, [16384, 6], "7418a025e099cc2c379e0f149896c4ba2ac3b50f25c997aadd571f4e0db2c1a1"),
+        (16, 203, 3, None, [203], "e6e8ab1ff366b863bbeaef67c1de30207d6d82135ae032744f623e0fc8c95e65"),
+        (16, 203, 3, 100, [203], "e6e8ab1ff366b863bbeaef67c1de30207d6d82135ae032744f623e0fc8c95e65"),
+        (9, 1000, 0, 3, [1000], "28153055c03f979f503b116037d282b03273c0f036be8d89135ad1e8a1ddf4e4"),
+        (3, 203, 3, 1, [203], "7855a526c87912f6a11a4d9ff50b20b41f60317abceb07385a60bf28d7507275"),
+        (3, 203, 3, 2, [203], "0c4f6b4ffee636b7304af117f034b6e204c5e88b63e6d798233983ee465bb4c1"),
+        (3, 77, 0, 2, [77], "7dd25c9d52e42976c69efce4b004215d13cd6adfa3527d47e515dfd7243371b4"),
+        ],
+    )
+    def test_chunk_digest(self, n, samples, seed, l, widths, digest):
+        chunks = planted_chunks(n, samples, seed, l)
+        assert [width for _, width, _ in chunks] == widths
+        assert chunks_digest(chunks) == digest
+
+    # The reports of a correct circuit and of one that misses every distance
+    # above 3, over two chunks: the 1,031 mismatches at l = 5 span both.
+    @pytest.mark.parametrize(
+        "circuit_l, l, max_report, found, digest",
+        [
+        (15, None, 6, 0, "ed80930cbac300bdb3300c87fcab8073239cd953efac375ff3ba3ad74debdff3"),
+        (3, None, 1, 1, "bb3e56b49e21a6d69f68d962a1b50bf3139bb2c5cba6fcf63dbfffe1b69fa906"),
+        (3, None, 6, 6, "e6e26cb2364c7fc15b0de0b63dac4420e2e506ae4a47548e291eddbbb99c1435"),
+        (3, 12, 1, 1, "dbb374c584ab1037d496555fac485ac015a158e20583cee6152381262bfc67e8"),
+        (3, 12, 6, 6, "63dfb69c175e1a323e59fd1efe34543beeb59f206da7a03e53788901d51f41f1"),
+        (3, 5, 1000000, 1031, "9206d1c26ba5fa75f6c673021f9f4053b01c73fe78f0046310a2efd5171ff995"),
+        ],
+    )
+    def test_report_digest(self, circuit_l, l, max_report, found, digest):
+        report = run_planted_check(mr.build_reach_leq(16, circuit_l), 16, 20000, seed=3, l=l, max_report=max_report)
+        assert (report.checked, report.skipped, len(report.mismatches)) == (20000, 0, found)
+        assert report_digest(report) == digest
+
+
+class TestPlantedChunks:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        l_kind=st.sampled_from(["none", "one", "half", "n-1", "big"]),
+        samples=st.one_of(st.sampled_from([1, 2, 7, 8, 9]), st.integers(1, 200)),
+        seed=st.integers(0, 2**64),
+        lanes=st.sampled_from([8, 16, 2048]),
+    )
+    def test_matches_per_graph_driver(self, n, l_kind, samples, seed, lanes):
+        l = {"none": None, "one": 1, "half": max(1, n // 2), "n-1": n - 1, "big": 10 * n}[l_kind]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(monoreach.oracles, "_MAX_LANES", lanes)  # several sub-batches per chunk
+            assert planted_chunks(n, samples, seed, l) == reference_planted_chunks(n, samples, seed, l)
+
+    def test_partial_last_sub_batch(self):
+        # 2,053 graphs: one full sub-batch of 2,048, then 5 lanes.
+        assert planted_chunks(7, 2053, 4, 6) == reference_planted_chunks(7, 2053, 4, 6)
+
+    @pytest.mark.parametrize("n, l", [(64, 63), (16, 12), (3, 2)])
+    def test_word_budget_overflow_is_drawn_again(self, monkeypatch, n, l):
+        # With no words budgeted for randbelow, most planted lanes run out and
+        # are drawn again with more words; the graphs must not change.
+        budgets = []
+        lane_graphs = monoreach.oracles._lane_graphs
+
+        def recorded(n, seeds, path_lens, noise_prob, edge_prob, words):
+            budgets.append(words)
+            return lane_graphs(n, seeds, path_lens, noise_prob, edge_prob, words)
+
+        monkeypatch.setattr(monoreach.oracles, "_DRAW_WORDS", 0)
+        monkeypatch.setattr(monoreach.oracles, "_lane_graphs", recorded)
+        assert planted_chunks(n, 300, 8, l) == reference_planted_chunks(n, 300, 8, l)
+        assert max(budgets) > min(budgets)
+
+    @pytest.mark.parametrize("draw_words", [0, 2])
+    @pytest.mark.parametrize("p", [0.0, 1.0, 0.2])
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 25, 33])
+    def test_one_lane_generators_match_per_graph(self, monkeypatch, draw_words, p, n):
+        monkeypatch.setattr(monoreach.oracles, "_DRAW_WORDS", draw_words)
+        for seed in range(6):
+            for path_len in sorted({1, max(1, n // 2), n - 1}):
+                got = mr.planted_path_graph(n, path_len, p, seed).matrix
+                assert got == reference_planted_path_graph(n, path_len, p, seed), (path_len, seed)
+            assert mr.no_path_graph(n, p, seed).matrix == reference_no_path_graph(n, p, seed), seed
+
+    @pytest.mark.parametrize("noise_prob", [0.0, 1.0, 0.2])
+    @pytest.mark.parametrize("edge_prob", [0.0, 1.0, 0.2])
+    def test_lanes_match_per_graph_at_every_density(self, noise_prob, edge_prob):
+        n = 9
+        rng = Random(noise_prob + 2 * edge_prob)
+        path_lens = [rng.choice([0, randbelow(rng, n - 1) + 1]) for _ in range(61)]
+        seeds = [rng.getrandbits(64) for _ in path_lens]
+        graphs = [
+            reference_planted_path_graph(n, k, noise_prob, s) if k else reference_no_path_graph(n, edge_prob, s)
+            for k, s in zip(path_lens, seeds)
+        ]
+        masks = planted_entry_masks(n, seeds, path_lens, noise_prob, edge_prob)
+        assert masks == graph_ints_to_masks([reference_graph_int(g) for g in graphs], n)
+
+    @pytest.mark.parametrize("path_lens", [[0, 9], [-1], [1, 2, 10]])
+    def test_path_lengths_outside_the_graph_refused(self, path_lens):
+        # A path of n or more edges cannot be simple: its draws would never end.
+        with pytest.raises(mr.InvalidParameterError, match=r"^path lengths must be in 0\.\.8$"):
+            planted_entry_masks(9, list(range(len(path_lens))), path_lens, 0.1, 0.1)
+
+
 class TestOracleIndependence:
     def test_oracles_import_nothing_from_the_builders(self):
         # The oracle checks the builders, so it must share no code with them.
@@ -466,3 +691,26 @@ class TestOracleIndependence:
             assert module.split(".")[:2] != ["monoreach", "build"], f"imports {name or module} from the builders"
             if module == "monoreach.circuit":
                 assert name in ("AdjacencyMatrix", "MonotoneCircuit"), f"imports {name or module} from circuit"
+
+    @pytest.mark.parametrize("module", [monoreach.oracles, monoreach.exactmath])
+    def test_draws_never_use_numpy_random(self, module):
+        # Every documented draw comes from random.Random (MT19937); no graph
+        # or mask may drift to numpy's generators.
+        tree = ast.parse(Path(module.__file__).read_text())
+        numpy_names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    assert alias.name.split(".")[:2] != ["numpy", "random"], f"imports {alias.name}"
+                    if alias.name == "numpy":
+                        numpy_names.add(alias.asname or "numpy")
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                assert node.module.split(".")[:2] != ["numpy", "random"], f"imports from {node.module}"
+                if node.module == "numpy":
+                    assert "random" not in [alias.name for alias in node.names], "imports numpy's random"
+        assert numpy_names == ({"np"} if module is monoreach.oracles else set()), "the import scan is broken"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "random":
+                assert not (isinstance(node.value, ast.Name) and node.value.id in numpy_names), (
+                    f"line {node.lineno} uses {node.value.id}.random"
+                )
