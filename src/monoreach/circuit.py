@@ -66,7 +66,10 @@ class MonotoneCircuit:
         self._lefts = array("i")
         self._rights = array("i")
         self.outputs: list[int] = []
-        self._codes_cache: tuple[int, list[int]] | None = None
+        # Both caches are keyed by the gate count they were made at, since
+        # gates are only appended; prune() resets both, set_outputs() the plan.
+        self._depths_cache: tuple[int, np.ndarray] | None = None
+        self._plan_cache: tuple[int, tuple[bytes, array, array, list[int]]] | None = None
 
     # -- structure ----------------------------------------------------------
 
@@ -106,7 +109,7 @@ class MonotoneCircuit:
             if not 0 <= o < w:
                 raise InvalidReferenceError(f"output references missing wire {o}")
         self.outputs = wires
-        self._codes_cache = None
+        self._plan_cache = None
 
     def _emit_bulk(self, op: int, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
         """Append many gates of one op; operands must all be existing wires."""
@@ -171,12 +174,22 @@ class MonotoneCircuit:
         return None
 
     def _gate_depths(self) -> np.ndarray:
-        """Gate-count depth of every gate's wire, indexed by gate."""
+        """Gate-count depth of every gate's wire, indexed by gate, as a
+        read-only int32 array scanned once per gate count."""
+        ng = len(self._ops)
+        cached = self._depths_cache
+        if cached is None or cached[0] != ng:
+            depths = self._depth_scan()
+            depths.flags.writeable = False
+            cached = self._depths_cache = (ng, depths)
+        return cached[1]
+
+    def _depth_scan(self) -> np.ndarray:
         n0 = self.num_inputs + 1
         ng = len(self._ops)
         # Slot 0 holds depth 0 for every input and the zero wire, and slot
         # g + 1 holds gate g, so nothing is allocated per input wire.
-        depth = np.zeros(ng + 1, dtype=np.int64)
+        depth = np.zeros(ng + 1, dtype=np.int32)
         if ng == 0:
             return depth[1:]
         lefts = np.maximum(np.frombuffer(self._lefts, dtype=np.intc).astype(np.int64) - (n0 - 1), 0)
@@ -208,7 +221,7 @@ class MonotoneCircuit:
 
     def wire_depths(self) -> np.ndarray:
         """Gate-count depth of every wire (inputs and the zero wire are 0)."""
-        return np.concatenate((np.zeros(self.num_inputs + 1, dtype=np.int64), self._gate_depths()))
+        return np.concatenate((np.zeros(self.num_inputs + 1, dtype=np.int32), self._gate_depths()))
 
     def depth(self) -> int:
         """Length in gates of the longest path from any input to any output."""
@@ -266,49 +279,99 @@ class MonotoneCircuit:
         self._lefts = array("i", wire(lefts).astype(np.intc).tobytes())
         self._rights = array("i", wire(rights).astype(np.intc).tobytes())
         self.outputs = wire(np.asarray(self.outputs, dtype=np.int64)).tolist()
-        self._codes_cache = None
+        self._depths_cache = None
+        self._plan_cache = None
 
     # -- evaluation ---------------------------------------------------------
 
-    def _codes(self) -> list[int]:
-        """One evaluation code per gate: bit 0 set when the gate is the last
-        reader of its left operand, bit 1 the same for its right operand, and
-        bit 2 the op (set for OR).  Outputs are never released."""
-        ng = len(self._ops)
-        cached = self._codes_cache
-        if cached is not None and cached[0] == ng:
-            return cached[1]
+    def _plan_order(self) -> np.ndarray:
+        """The gates in the order evaluate_batch runs them.
+
+        A gate that exactly one gate reads, and that is not an output,
+        belongs to its reader's tree; every other gate roots a tree of its
+        own.  Trees run in the file order of their roots, and the gates of
+        a tree in file order, so each tree runs just before its root.  An
+        operand outside a gate's tree is some tree's root, which comes
+        earlier in the file, so the order is topological.
+        """
+        n0 = self.num_inputs + 1
+        nw = self.num_wires
         lefts = np.frombuffer(self._lefts, dtype=np.intc)
         rights = np.frombuffer(self._rights, dtype=np.intc)
-        ops = np.frombuffer(self._ops, dtype=np.uint8)
-        gates = np.arange(ng, dtype=np.int64)
-        last_use = np.full(self.num_wires, -1, dtype=np.int64)
+        gates = np.arange(len(self._ops), dtype=np.intc)
+        # A gate that reads one wire twice is one reader of it.
+        readers = np.bincount(lefts, minlength=nw)
+        readers += np.bincount(rights[rights != lefts], minlength=nw)
+        in_tree = readers[n0:] == 1
+        del readers
+        in_tree[[o - n0 for o in self.outputs if o >= n0]] = False
+        # reader[w] is some gate that reads w, the only one where in_tree holds.
+        reader = np.empty(nw, dtype=np.intc)
+        reader[lefts] = gates
+        reader[rights] = gates
+        root = np.where(in_tree, reader[n0:], gates)
+        del reader, in_tree
+        while True:  # pointer jumping: each pass doubles how far a gate looks up its tree
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+        return np.argsort(root, kind="stable")
+
+    def _plan(self) -> tuple[bytes, array, array, list[int]]:
+        """(codes, lefts, rights, outputs) of the gates in ``_plan_order``,
+        with every gate wire renumbered in that order.
+
+        Each code has bit 0 set when the gate is the last reader of its left
+        operand in this order, bit 1 the same for its right operand, and
+        bit 2 the op (set for OR).  Outputs are never released.
+        """
+        ng = len(self._ops)
+        cached = self._plan_cache
+        if cached is not None and cached[0] == ng:
+            return cached[1]
+        n0 = self.num_inputs + 1
+        nw = self.num_wires
+        order = self._plan_order()
+        codes = (np.frombuffer(self._ops, dtype=np.uint8)[order] == OR) * np.uint8(4)
+        renumber = np.arange(nw, dtype=np.intc)
+        renumber[n0 + order] = np.arange(n0, nw, dtype=np.intc)
+        lefts = renumber[np.frombuffer(self._lefts, dtype=np.intc)[order]]
+        rights = renumber[np.frombuffer(self._rights, dtype=np.intc)[order]]
+        outputs = renumber[self.outputs]
+        del renumber, order
+        gates = np.arange(ng, dtype=np.intc)
+        last_use = np.full(nw, -1, dtype=np.intc)
         np.maximum.at(last_use, lefts, gates)
         np.maximum.at(last_use, rights, gates)
-        last_use[self.outputs] = ng
-        # Small ints are shared objects, so the list costs one pointer per gate.
-        codes = ((last_use[lefts] == gates) + 2 * (last_use[rights] == gates) + 4 * (ops == OR)).tolist()
-        self._codes_cache = (ng, codes)
-        return codes
+        last_use[outputs] = ng
+        codes += last_use[lefts] == gates
+        codes += (last_use[rights] == gates) * np.uint8(2)
+        # Iterating bytes yields cached small ints, one byte per gate.
+        plan = (codes.tobytes(), _int_array(lefts), _int_array(rights), outputs.tolist())
+        self._plan_cache = (ng, plan)
+        return plan
 
     def evaluate_batch(self, input_masks) -> list[int]:
         """Evaluate on many assignments at once, bit-parallel over Python ints.
 
         ``input_masks[e]`` packs one bit per assignment for input wire e, so
-        one call walks the gate list once for every assignment its masks
-        hold.  Returns one packed mask per output.  Each value is freed at
-        its last read, so memory stays near two live wire layers.
+        one call walks the gates once for every assignment its masks hold.
+        Returns one packed mask per output.  The gates run in the order of
+        ``_plan_order``, each single-reader tree just before its root, and each
+        value is freed at its last read in that order, so few values are
+        live at once.
         """
         if len(input_masks) != self.num_inputs:
             raise InvalidParameterError(f"expected {self.num_inputs} input masks, got {len(input_masks)}")
         if not self.outputs:
             raise InvalidParameterError("circuit has no outputs")
-        codes = self._codes()
+        codes, lefts, rights, outputs = self._plan()
         vals = [int(m) for m in input_masks]
         vals.append(0)  # the zero wire
         put = vals.append
         with _gc_paused():
-            for code, a, b in zip(codes, self._lefts, self._rights):
+            for code, a, b in zip(codes, lefts, rights):
                 x = vals[a]
                 y = vals[b]
                 put((x | y) if code & 4 else (x & y))
@@ -317,7 +380,7 @@ class MonotoneCircuit:
                         vals[a] = None
                     if code & 2:
                         vals[b] = None
-        return [vals[o] for o in self.outputs]
+        return [vals[o] for o in outputs]
 
     def evaluate_all(self, matrix: "AdjacencyMatrix") -> tuple[int, ...]:
         """Output bit vector under the assignment g[i][j] := matrix(i, j)."""
@@ -332,6 +395,13 @@ class MonotoneCircuit:
         if len(self.outputs) != 1:
             raise InvalidParameterError("evaluate requires exactly one output")
         return self.evaluate_all(matrix)[0]
+
+
+def _int_array(values: np.ndarray) -> array:
+    """An array('i') copy of a C-contiguous int32 array, made in one copy."""
+    out = array("i")
+    out.frombytes(memoryview(values).cast("B"))
+    return out
 
 
 def new_circuit(num_vertices: int) -> MonotoneCircuit:

@@ -61,6 +61,17 @@ def _parse_n(text: str) -> int:
     return int(text)
 
 
+def _parse_densities(text: str) -> tuple[float, ...]:
+    """The comma-separated edge densities of --p, each as a float."""
+    densities = []
+    for token in text.split(","):
+        try:
+            densities.append(float(token))
+        except ValueError:
+            raise InvalidParameterError(f"--p takes comma-separated numbers, got {token!r}") from None
+    return tuple(densities)
+
+
 def _count_text(count: int) -> str:
     """A count in decimal, or as the power of ten it exceeds when it is too
     long for str() (over about 3,000 digits)."""
@@ -127,7 +138,7 @@ def _cmd_verify(args, argv) -> int:
     if args.mode == "exhaustive":
         report = run_exhaustive_check(circuit, n)
     elif args.mode == "random":
-        densities = tuple(float(p) for p in args.p.split(","))
+        densities = _parse_densities(args.p)
         report = run_random_check(circuit, n, args.samples, args.seed, densities=densities, l=args.l)
     else:
         report = run_planted_check(circuit, n, args.samples, args.seed, l=args.l)

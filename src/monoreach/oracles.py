@@ -143,6 +143,8 @@ def no_path_graph(n: int, edge_prob: float, seed: int) -> GraphSample:
     one lane of planted_entry_masks."""
     if n < 2:
         raise InvalidParameterError("n must be >= 2")
+    if not 0.0 <= edge_prob <= 1.0:
+        raise InvalidParameterError("edge_prob must be in [0, 1]")
     return GraphSample(_one_lane(n, seed, 0, edge_prob), seed, "no-path")
 
 

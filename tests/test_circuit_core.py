@@ -1,5 +1,6 @@
 """Circuit IR: construction, evaluation, depth, validation, serialization."""
 
+from array import array
 from functools import reduce
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import monoreach as mr
-from monoreach import AND, OR
+from monoreach import AND, OR, cli
+from monoreach.build import predict_gate_count
 from monoreach.circuit import AdjacencyMatrix, _banded_product
 
 
@@ -220,19 +222,149 @@ class TestValidate:
         assert v is not None and v.gate_index == 0
 
 
-def per_gate_codes(c):
+def random_circuit(data, max_gates=40):
+    """A random circuit whose operands lean on recent wires, so it has
+    single-reader trees; outputs may be inputs, the zero wire, repeats, or
+    gates that later gates read."""
+    c = mr.new_circuit(data.draw(st.integers(1, 3)))
+    for _ in range(data.draw(st.integers(0, max_gates))):
+        op = data.draw(st.sampled_from([AND, OR]))
+        w = c.num_wires
+        a = data.draw(st.integers(max(0, w - 6), w - 1) | st.integers(0, w - 1))
+        b = data.draw(st.just(a) | st.integers(max(0, w - 6), w - 1) | st.integers(0, w - 1))
+        c.add_gate(op, a, b)
+    outs = data.draw(st.lists(st.integers(0, c.num_wires - 1), min_size=1, max_size=4))
+    c.set_outputs(outs + data.draw(st.lists(st.sampled_from(outs), max_size=2)))
+    return c
+
+
+def file_order_eval(c, masks):
+    """Reference evaluator: every gate in file order, nothing released."""
+    vals = list(masks) + [0]
+    for op, a, b in zip(c._ops, c._lefts, c._rights):
+        vals.append(vals[a] | vals[b] if op == OR else vals[a] & vals[b])
+    return [vals[o] for o in c.outputs]
+
+
+def per_gate_order(c):
+    """The plan order by a per-gate loop: a gate with exactly one reader
+    gate that is not an output joins its reader's tree; trees run in their
+    roots' file order, each tree's gates in file order."""
+    n0 = c.num_inputs + 1
+    readers = [set() for _ in range(c.gate_count)]
+    for g, (a, b) in enumerate(zip(c._lefts, c._rights)):
+        for w in (a, b):
+            if w >= n0:
+                readers[w - n0].add(g)
+    outs = set(c.outputs)
+    root = list(range(c.gate_count))
+    for g in range(c.gate_count - 1, -1, -1):
+        if len(readers[g]) == 1 and g + n0 not in outs:
+            root[g] = root[next(iter(readers[g]))]
+    return sorted(range(c.gate_count), key=lambda g: (root[g], g))
+
+
+def per_gate_codes(lefts, rights, ops, outputs, num_wires):
     """Each gate's evaluation code by a per-gate last-use loop: bit 0 and
     bit 1 mark the last read of the left and right operand, bit 2 an OR."""
-    last_use = [-1] * c.num_wires
-    for i, (a, b) in enumerate(zip(c._lefts, c._rights)):
+    last_use = [-1] * num_wires
+    for i, (a, b) in enumerate(zip(lefts, rights)):
         last_use[a] = i
         last_use[b] = i
-    for o in c.outputs:
-        last_use[o] = c.gate_count
+    for o in outputs:
+        last_use[o] = len(ops)
     return [
         (last_use[a] == i) + 2 * (last_use[b] == i) + 4 * (op == OR)
-        for i, (op, a, b) in enumerate(zip(c._ops, c._lefts, c._rights))
+        for i, (op, a, b) in enumerate(zip(ops, lefts, rights))
     ]
+
+
+def plan_codes(c):
+    return list(c._plan()[0])
+
+
+def expected_plan_codes(c):
+    """Per-gate codes of the plan, from the plan's own operands and the
+    ops of the gates in per_gate_order."""
+    _, lefts, rights, outputs = c._plan()
+    ops = [c._ops[g] for g in per_gate_order(c)]
+    return per_gate_codes(lefts, rights, ops, outputs, c.num_wires)
+
+
+def peak_live(num_inputs, codes, lefts, rights):
+    """Most values held at once by an evaluation that frees each value at
+    the read its code marks, counted after each gate's releases; the
+    inputs and the zero wire start live."""
+    live = peak = num_inputs + 1
+    for code, a, b in zip(codes, lefts, rights):
+        released = {w for w, bit in ((a, 1), (b, 2)) if code & bit}
+        live += 1 - len(released)
+        peak = max(peak, live)
+    return peak
+
+
+class TestPlan:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_file_order_evaluation(self, data):
+        c = random_circuit(data, max_gates=60)
+        masks = [data.draw(st.integers(0, 2**70 - 1)) for _ in range(c.num_inputs)]
+        assert c.evaluate_batch(masks) == file_order_eval(c, masks)
+
+    def test_covers_the_corner_cases(self):
+        # a == b, outputs on an input, the zero wire and a repeated gate,
+        # and an output gate that a later gate reads.
+        c = mr.new_circuit(2)  # inputs 0..3, zero wire 4
+        g5 = c.add_gate(AND, 1, 1)
+        g6 = c.add_gate(OR, g5, g5)
+        g7 = c.add_gate(AND, 0, 2)
+        g8 = c.add_gate(OR, g6, g7)
+        g9 = c.add_gate(AND, g8, 3)
+        c.set_outputs([g9, 2, c.zero, g8, g9, g6])
+        for t in range(16):
+            masks = [t >> e & 1 for e in range(4)]
+            assert c.evaluate_batch(masks) == file_order_eval(c, masks)
+        masks = [0b1100, 0b1010, 0b0110, 0b1111]
+        assert c.evaluate_batch(masks) == file_order_eval(c, masks)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_order_is_a_topological_permutation(self, data):
+        c = random_circuit(data)
+        n0 = c.num_inputs + 1
+        order = c._plan_order().tolist()
+        assert sorted(order) == list(range(c.gate_count))
+        assert order == per_gate_order(c)
+        position = {g: p for p, g in enumerate(order)}
+        for g in order:
+            for w in c.gate(g)[1:]:
+                assert w < n0 or position[w - n0] < position[g]
+        # The plan's operands and outputs are the gates' own, renumbered.
+        wire = list(range(n0)) + [n0 + position[g] for g in range(c.gate_count)]
+        _, lefts, rights, outputs = c._plan()
+        assert list(lefts) == [wire[c.gate(g)[1]] for g in order]
+        assert list(rights) == [wire[c.gate(g)[2]] for g in order]
+        assert outputs == [wire[o] for o in c.outputs]
+
+    def test_runs_each_tree_before_its_root(self):
+        c = mr.new_circuit(2)
+        leaf = c.add_gate(AND, 0, 1)  # read only by the last gate
+        first = c.add_gate(AND, 2, 3)
+        c.set_outputs([first, c.add_gate(OR, leaf, 2)])
+        assert c._plan_order().tolist() == [1, 0, 2]
+        assert c._plan() == (bytes([2, 3, 7]), array("i", [2, 0, 6]), array("i", [3, 1, 2]), [5, 7])
+
+    def test_peak_live_values(self):
+        # File order keeps a whole band's AND leaves live before its OR
+        # trees; the plan runs each entry's tree before its root.
+        for circuit, in_file_order, in_plan_order in (
+            (mr.build_explicit(16)[0], 4097, 509),
+            (mr.build_reach_leq(16, 15), 4097, 692),
+        ):
+            file_codes = per_gate_codes(circuit._lefts, circuit._rights, circuit._ops, circuit.outputs, circuit.num_wires)
+            assert peak_live(circuit.num_inputs, file_codes, circuit._lefts, circuit._rights) == in_file_order
+            codes, lefts, rights, _ = circuit._plan()
+            assert peak_live(circuit.num_inputs, codes, lefts, rights) == in_plan_order
 
 
 class TestGateCodes:
@@ -244,15 +376,15 @@ class TestGateCodes:
             op = data.draw(st.sampled_from([AND, OR]))
             c.add_gate(op, data.draw(st.integers(0, c.num_wires - 1)), data.draw(st.integers(0, c.num_wires - 1)))
         c.set_outputs(data.draw(st.lists(st.integers(0, c.num_wires - 1), min_size=1, max_size=3)))
-        assert c._codes() == per_gate_codes(c)
+        assert plan_codes(c) == expected_plan_codes(c)
 
     def test_add_gate_invalidates(self):
         c = mr.new_circuit(2)
         g = c.add_gate(AND, 0, 1)
         c.set_outputs([g])
-        assert c._codes() == [3]
+        assert plan_codes(c) == [3]
         c.add_gate(OR, 0, 2)  # now the last reader of wire 0
-        assert c._codes() == per_gate_codes(c) == [2, 7]
+        assert plan_codes(c) == expected_plan_codes(c) == [2, 7]
         assert c.evaluate(matrix_of(2, (1, 1), (1, 2))) == 1
 
     def test_set_outputs_invalidates(self):
@@ -264,7 +396,7 @@ class TestGateCodes:
         c.set_outputs([h])
         assert c.evaluate(matrix_of(2, (1, 1))) == 0
         c.set_outputs([g])
-        assert c._codes() == per_gate_codes(c) == [7, 2]
+        assert plan_codes(c) == expected_plan_codes(c) == [7, 2]
         assert c.evaluate(matrix_of(2, (1, 1))) == 1
 
     def test_prune_invalidates(self):
@@ -272,11 +404,42 @@ class TestGateCodes:
         dead = c.add_gate(AND, 0, 1)
         g = c.add_gate(OR, 0, 1)
         c.set_outputs([c.add_gate(AND, g, 3)])
-        assert c._codes() == per_gate_codes(c)
+        assert plan_codes(c) == expected_plan_codes(c)
         c.add_gate(OR, dead, 2)  # a second dead gate keeps the count at 4 after pruning two
         c.prune()
         assert c.gate_count == 2
-        assert c._codes() == per_gate_codes(c) == [7, 3]
+        assert plan_codes(c) == expected_plan_codes(c) == [7, 3]
+
+
+class TestDepthCache:
+    def test_one_scan_per_explicit_build(self, tmp_path, monkeypatch):
+        scanned = []
+        scan = mr.MonotoneCircuit._depth_scan
+
+        def counting_scan(self):
+            scanned.append(self)
+            return scan(self)
+
+        monkeypatch.setattr(mr.MonotoneCircuit, "_depth_scan", counting_scan)
+        assert cli.main(["build", "--mode", "explicit", "--n", "16", "--out", str(tmp_path / "c.mc")]) == 0
+        # The inner squaring circuit and the composed circuit, once each.
+        assert len(scanned) == len({id(c) for c in scanned}) == 2
+        assert max(c.gate_count for c in scanned) == predict_gate_count("explicit", 16)
+
+    def test_add_gate_and_prune_invalidate(self):
+        c = mr.new_circuit(2)
+        c.add_gate(AND, 0, 1)  # read by nothing
+        g = c.add_gate(OR, 0, 1)
+        h = c.add_gate(AND, g, 2)
+        c.set_outputs([h])
+        assert c.depth() == 2
+        assert c._gate_depths().dtype == np.int32
+        c.set_outputs([c.add_gate(OR, h, 3)])
+        assert c.depth() == 3
+        assert c.wire_depths().tolist() == [0] * 5 + [1, 1, 2, 3]
+        c.prune()
+        c.add_gate(AND, 0, 0)  # four gates again, so only prune's reset shows this one
+        assert c.wire_depths().tolist() == [0] * 5 + [1, 2, 3, 1]
 
 
 def per_gate_live(c):

@@ -222,6 +222,13 @@ class TestVerify:
         assert (code, text, err) == (2, "", f"error: {message}\n")
 
 
+    @pytest.mark.parametrize("p, token", [("abc", "'abc'"), (",", "''"), ("0.1,,0.2", "''"), ("0.1,x", "'x'")])
+    def test_unreadable_density_names_the_flag(self, tmp_path, capsys, p, token):
+        out = str(tmp_path / "c.mc")
+        run(capsys, "build", "--mode", "squaring", "--n", "4", "--out", out)
+        code, text, err = run(capsys, "verify", "--circuit", out, "--n", "4", "--mode", "random", "--p", p)
+        assert (code, text, err) == (2, "", f"error: --p takes comma-separated numbers, got {token}\n")
+
     def test_planted_check_refuses_one_vertex(self, tmp_path, capsys):
         path = tmp_path / "one.mc"
         path.write_text("MCIRC 1 1\nOUT 1\n")

@@ -274,6 +274,11 @@ class TestGenerators:
         with pytest.raises(mr.InvalidParameterError):
             mr.random_graph(4, 1.5, 1)
 
+    @pytest.mark.parametrize("edge_prob", [1.5, -2.0, float("nan")])
+    def test_no_path_graph_refuses_a_density_outside_0_1(self, edge_prob):
+        with pytest.raises(mr.InvalidParameterError, match=r"^edge_prob must be in \[0, 1\]$"):
+            mr.no_path_graph(4, edge_prob, 0)
+
 
 class TestBitPacking:
     def test_exhaustive_masks_match_index_decoding(self):
