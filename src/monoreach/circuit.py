@@ -15,9 +15,12 @@ only reference earlier wires, which makes the gate list a topological order.
 from __future__ import annotations
 
 import gc
+import os
+import stat
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -161,11 +164,13 @@ class MonotoneCircuit:
                 return Violation(g, f"gate {g} has non-monotone op code {self._ops[g]}")
             lefts = np.frombuffer(self._lefts, dtype=np.intc)
             rights = np.frombuffer(self._rights, dtype=np.intc)
-            limit = np.arange(n0, n0 + ng)
-            bad = np.nonzero((lefts < 0) | (lefts >= limit) | (rights < 0) | (rights >= limit))[0]
-            if bad.size:
-                g = int(bad[0])
-                return Violation(g, f"gate {g} references wire >= its own id (forward or dangling)")
+            for lo in range(0, ng, _IO_BAND):  # a band at a time: the wire ids are int64
+                a, b = lefts[lo : lo + _IO_BAND], rights[lo : lo + _IO_BAND]
+                limit = np.arange(n0 + lo, n0 + lo + a.size)
+                bad = np.flatnonzero((a < 0) | (a >= limit) | (b < 0) | (b >= limit))
+                if bad.size:
+                    g = lo + int(bad[0])
+                    return Violation(g, f"gate {g} references wire >= its own id (forward or dangling)")
         if not self.outputs:
             return Violation(None, "circuit has no outputs")
         for o in self.outputs:
@@ -519,12 +524,18 @@ class AdjacencyMatrix:
 # any ASCII text that str.splitlines() and str.split() cut into those lines
 # and tokens (so CRLF, tabs and runs of spaces too), with each number an
 # optionally signed run of decimal digits.  Both work on bands of _IO_BAND
-# gates at a time, so no Python call is made per gate.
+# gates at a time, so no Python call is made per gate, and the reader holds
+# one block of input at a time.
 
 # Wire ids are stored as int32, so a circuit has at most this many wires.
 MAX_WIRES = 2**31 - 1
-# Gates per band: a band's numpy temporaries stay at a few megabytes.
-_IO_BAND = 1 << 18
+# Gates per band: the reader's numpy temporaries for a band of gate lines
+# come to about 250 bytes a line, some 8 MB.
+_IO_BAND = 1 << 15
+# Bytes the reader takes from a file at a time, about 200,000 explicit gate
+# lines.  Much smaller blocks leave no large block to free, so later phases
+# fault fresh pages in and run slower.
+_READ_BLOCK = 1 << 22
 # 10 .. 10**9: a wire id has one more digit than the number of these it reaches.
 _POW10 = 10 ** np.arange(1, 10, dtype=np.int64)
 # The ASCII bytes str.split() separates tokens at, and str.splitlines() lines at.
@@ -592,9 +603,18 @@ def write_circuit(circuit: MonotoneCircuit, path) -> None:
             fh.write(chunk)
 
 
-def _line_spans(raw: np.ndarray, breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(start, stop) byte offsets of each line, cut as str.splitlines() cuts
-    at the line-break bytes at offsets `breaks`."""
+def _block_lines(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(starts, stops, glue, ascii_lines) of a block of whole lines.
+
+    Lines span raw[starts[i]:stops[i]], cut as str.splitlines() cuts them;
+    `glue` holds the offsets of the control bytes that str.split() keeps
+    inside tokens, and the first `ascii_lines` lines are ASCII.
+    """
+    ctrl = np.flatnonzero(raw < 32)  # every line break and every glue byte is a control byte
+    kind = raw[ctrl]
+    glue = ctrl[~_SEPARATOR[kind]]
+    breaks = ctrl[_LINE_BREAK[kind]]
+    del ctrl, kind
     # "\r\n" is one line break: its "\n" ends no line, and the next line starts after it.
     cr = np.flatnonzero(raw[breaks[:-1]] == ord("\r"))
     crlf = cr[(breaks[cr + 1] == breaks[cr] + 1) & (raw[breaks[cr + 1]] == ord("\n"))]
@@ -604,7 +624,10 @@ def _line_spans(raw: np.ndarray, breaks: np.ndarray) -> tuple[np.ndarray, np.nda
     stops = np.concatenate((np.delete(breaks, crlf + 1), [raw.size]))
     if starts[-1] == raw.size:  # a break at the very end starts no further line
         starts, stops = starts[:-1], stops[:-1]
-    return starts, stops
+    ascii_lines = starts.size
+    if raw.max() >= 0x80:
+        ascii_lines = int(np.searchsorted(starts, int(np.argmax(raw >= 0x80)), side="right")) - 1
+    return starts, stops, glue, ascii_lines
 
 
 def _token_ints(seg: np.ndarray, at: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -723,45 +746,122 @@ def _read_record(circuit: MonotoneCircuit, ln: int, line: str, outputs):
     raise InvalidParameterError(f"line {ln}: unknown record {parts[0]!r}")
 
 
-def circuit_from_text(text: str | bytes) -> MonotoneCircuit:
-    """Parse MCIRC text, given as str or bytes.  Malformed text raises a
-    ValueError subclass; a fault in one line's syntax names that line."""
-    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else bytes(text)
-    raw = np.frombuffer(data, dtype=np.uint8)
-    ctrl = np.flatnonzero(raw < 32)  # every line break and every glue byte is a control byte
-    kind = raw[ctrl]
-    starts, stops = _line_spans(raw, ctrl[_LINE_BREAK[kind]])
-    glue = ctrl[~_SEPARATOR[kind]]
-    if not starts.size:
-        raise InvalidParameterError("empty circuit file")
-    ascii_lines = starts.size
-    if raw.max() >= 0x80:
-        ascii_lines = int(np.searchsorted(starts, int(np.argmax(raw >= 0x80)), side="right")) - 1
-
-    def line(i: int) -> str:
-        if i >= ascii_lines:
-            raise InvalidParameterError(f"line {i + 1}: non-ASCII byte in circuit file")
-        return data[starts[i] : stops[i]].decode("ascii")
-
-    head_line = line(0)
-    head = head_line.split()
+def _read_header(line: str) -> MonotoneCircuit:
+    head = line.split()
     if len(head) != 3 or head[0] != "MCIRC" or head[1] != "1":
-        raise InvalidParameterError(f"bad circuit header: {head_line!r}")
+        raise InvalidParameterError(f"bad circuit header: {line!r}")
     circuit = MonotoneCircuit(_parse_int(head[2], 1))
     if circuit.num_wires > MAX_WIRES:
         raise InvalidParameterError(
             f"line 1: {circuit.num_vertices} vertices need more than {MAX_WIRES} wires"
         )
-    outputs = None
-    i = 1
-    while i < starts.size:
-        if outputs is None and i < ascii_lines:
-            hi = min(i + _IO_BAND, ascii_lines)
-            i += _read_gate_lines(circuit, raw, starts[i:hi], stops[i:hi], glue)
-            if i == hi:
-                continue
-        outputs = _read_record(circuit, i + 1, line(i), outputs)
-        i += 1
+    return circuit
+
+
+def _cut(window: np.ndarray, final: bool, clean: int) -> int:
+    """How many leading bytes of `window` are whole lines: all of them at
+    the end of input, else those up to its last line break, 0 if it has
+    none.  A final "\\r" is not taken as a break, since a "\\n" that may
+    follow it belongs to the same break.  The first `clean` bytes are known
+    to hold no break, so a long line is searched only once."""
+    if final:
+        return window.size
+    stop = window.size
+    if stop and window[-1] == ord("\r"):
+        stop -= 1
+    span = 1 << 12
+    while stop > clean:  # look back from the end over a doubling span
+        lo = max(clean, stop - span)
+        hits = np.flatnonzero(_LINE_BREAK[window[lo:stop]])
+        if hits.size:
+            return lo + int(hits[-1]) + 1
+        stop = lo
+        span *= 2
+    return 0
+
+
+def _first_room(fh: BinaryIO) -> int:
+    """_READ_BLOCK, or one byte more than is left of a regular file that is
+    smaller.  A small file then never maps a whole block: freeing one would
+    raise glibc's mmap threshold and with it the peak RSS of what follows."""
+    try:
+        st = os.fstat(fh.fileno())
+        left = st.st_size - fh.tell()
+    except (AttributeError, OSError, ValueError):  # no file descriptor, or no position
+        return _READ_BLOCK
+    if not stat.S_ISREG(st.st_mode) or left < 0:
+        return _READ_BLOCK
+    return min(_READ_BLOCK, left + 1)
+
+
+def _blocks(source: str | bytes | BinaryIO):
+    """The input as uint8 arrays of whole lines, in order, each at most
+    about _READ_BLOCK bytes unless one line is longer.
+
+    str and bytes are cut into views of one buffer.  A binary file is read
+    _READ_BLOCK bytes at a time into one buffer whose head holds the
+    unfinished line carried over from the block before; a line longer than
+    the buffer doubles it.  Each block is valid until the next is taken.
+    The carried bytes hold no line break but perhaps a last "\\r".
+    """
+    if isinstance(source, str):
+        source = source.encode("utf-8", "surrogatepass")
+    if isinstance(source, (bytes, bytearray, memoryview)):
+        data = np.frombuffer(source, dtype=np.uint8)
+        start = end = 0
+        while end < data.size:
+            clean = max(end - start - 1, 0)
+            end = min(end + _READ_BLOCK, data.size)
+            cut = start + _cut(data[start:end], end == data.size, clean)
+            if cut > start:
+                yield data[start:cut]
+                start = cut
+        return
+    buf = np.empty(_first_room(source), dtype=np.uint8)
+    carry = 0
+    while True:
+        if carry == buf.size:
+            buf = np.concatenate((buf, np.empty_like(buf)))
+        got = source.readinto(memoryview(buf)[carry:])
+        end = carry + got
+        cut = _cut(buf[:end], got == 0, max(carry - 1, 0))
+        if cut:
+            yield buf[:cut]
+        if got == 0:
+            return
+        carry = end - cut
+        buf[:carry] = buf[cut:end]
+
+
+def circuit_from_text(text: str | bytes | BinaryIO) -> MonotoneCircuit:
+    """Parse MCIRC input: str, bytes, or a binary file read a block at a
+    time.  Malformed input raises a ValueError subclass; a fault in one
+    line's syntax names that line."""
+    circuit = outputs = None
+    lines_before = 0
+    for raw in _blocks(text):
+        starts, stops, glue, ascii_lines = _block_lines(raw)
+
+        def line(i: int) -> str:
+            if i >= ascii_lines:
+                raise InvalidParameterError(f"line {lines_before + i + 1}: non-ASCII byte in circuit file")
+            return raw[starts[i] : stops[i]].tobytes().decode("ascii")
+
+        i = 0
+        if circuit is None:
+            circuit = _read_header(line(0))
+            i = 1
+        while i < starts.size:
+            if outputs is None and i < ascii_lines:
+                hi = min(i + _IO_BAND, ascii_lines)
+                i += _read_gate_lines(circuit, raw, starts[i:hi], stops[i:hi], glue)
+                if i == hi:
+                    continue
+            outputs = _read_record(circuit, lines_before + i + 1, line(i), outputs)
+            i += 1
+        lines_before += starts.size
+    if circuit is None:
+        raise InvalidParameterError("empty circuit file")
     if outputs is None:
         raise InvalidParameterError("circuit file has no OUT line")
     circuit.set_outputs(outputs)
@@ -773,4 +873,4 @@ def circuit_from_text(text: str | bytes) -> MonotoneCircuit:
 
 def read_circuit(path) -> MonotoneCircuit:
     with open(path, "rb") as fh:
-        return circuit_from_text(fh.read())
+        return circuit_from_text(fh)

@@ -209,8 +209,7 @@ def _cmd_predict(args, argv) -> int:
 
 
 def _cmd_stats(args, argv) -> int:
-    circuit = read_circuit(args.circuit)
-    bad = circuit.validate()
+    circuit = read_circuit(args.circuit)  # refuses a circuit that fails validate()
     print(f"vertices: {circuit.num_vertices}")
     print(f"inputs: {circuit.num_inputs}")
     print(f"gates: {circuit.gate_count}")
@@ -218,8 +217,8 @@ def _cmd_stats(args, argv) -> int:
     print(f"zero-wire operands: {circuit.zero_wire_operands()}")
     print(f"outputs: {len(circuit.outputs)}")
     print(f"depth: {circuit.depth()}")
-    print(f"valid: {'yes' if bad is None else 'NO: ' + bad.reason}")
-    return 0 if bad is None else 1
+    print("valid: yes")
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

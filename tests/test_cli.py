@@ -257,6 +257,19 @@ class TestFamilyCommands:
         assert len(err.strip().splitlines()) == 1
         assert not fam.exists()
 
+    @pytest.mark.parametrize("m, s", [("99999999999", "2"), ("2", "99999999999")])
+    def test_sample_over_budget_refused_before_any_draw(self, tmp_path, capsys, m, s):
+        fam = tmp_path / "f.fam"
+        start = time.perf_counter()
+        code, text, err = run(
+            capsys, "family", "sample", "--n", "3", "--m", m, "--s", s, "--l", "2", "--d", "1", "--out", str(fam)
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert text == ""
+        assert err == f"error: sampling m={m} sets of s={s} entries is over the budget of 1048576 entries\n"
+        assert not fam.exists()
+
     def test_sample_and_check(self, tmp_path, capsys):
         fam = str(tmp_path / "s.fam")
         code, _, _ = run(
@@ -455,6 +468,13 @@ class TestErrors:
         code, _, err = run(capsys, "stats", "--circuit", str(bad))
         assert code == 2
         assert "error" in err
+
+    def test_circuit_that_fails_validation_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "no-outputs.mc"
+        bad.write_text("MCIRC 1 2\nG AND 0 1\nOUT\n")
+        code, out, err = run(capsys, "stats", "--circuit", str(bad))
+        assert (code, out) == (2, "")
+        assert err == "error: circuit file is not well-formed: circuit has no outputs\n"
 
     def test_header_beyond_int32_wire_ids_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "huge.mc"

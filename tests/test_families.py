@@ -232,6 +232,28 @@ class TestSampleFamily:
             assert len(s) <= 5
             assert all(1 <= v <= 7 for v in s)
 
+    def test_over_budget_refused_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(monoreach.families, "_uniform_element", None)  # a draw would raise TypeError
+        budget = monoreach.families.SAMPLE_ENTRY_BUDGET
+        for m, s in ((99_999_999_999, 2), (2, 99_999_999_999), (budget // 1024, 1025)):
+            with pytest.raises(mr.BudgetExceededError, match="over the budget"):
+                mr.sample_family(FamilyParams(3, m, s, 2, 1), seed=0)
+
+    # The benchmark's family-exact shapes; every other shape the tests sample
+    # directly is smaller than the first.
+    SAMPLED_SHAPES = [(79, 79, 195, 7, 4), (56, 56, 129, 5, 4), (40, 40, 12, 8, 5), (48, 48, 16, 8, 4)]
+    # Theorem builds of the tests and benchmark, and (368, 7), whose level-0
+    # family has the most entries of any theorem build under --max-gates.
+    THEOREM_PAIRS = [(5, 4), (9, 4), (9, 5), (16, 3), (16, 8), (16, 12), (24, 23), (291, 20), (292, 20), (368, 7)]
+
+    def test_shapes_in_use_fit_the_budget(self):
+        shapes = [FamilyParams(*shape) for shape in self.SAMPLED_SHAPES]
+        for n, l in self.THEOREM_PAIRS:
+            sched = mr.recursion_schedule(n, l)
+            shapes += [sched.family_params(i) for i in range(sched.k)]
+        assert max(p.m * p.s for p in shapes) == 285_568  # (368, 7)
+        assert all(p.m * p.s <= monoreach.families.SAMPLE_ENTRY_BUDGET for p in shapes)
+
     def test_existence_within_ten_seeds(self):
         params = FamilyParams(16, 16, 12, 8, 8)
         assert mr.sampling_guarantee_holds(16, 16, 12, 8, 8)

@@ -2,9 +2,16 @@
 
 The parser reads whole bands of lines with numpy.  It is checked against
 ``reference_circuit_from_text``, the per-line parser it replaced, which is
-kept here only as an oracle.
+kept here only as an oracle.  Input is read a block at a time, and parsing
+in tiny blocks is checked against parsing the text whole.
 """
 
+import io
+import sys
+import tracemalloc
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +93,18 @@ def assert_same_verdict(text):
         assert got == expected, text
 
 
+def assert_same_verdict_in_blocks(text, folder):
+    """read_circuit on a file holding text, and circuit_from_text on text,
+    with tiny read blocks, give the verdict that parsing text whole gives."""
+    whole = outcome(mr.circuit_from_text, text)
+    path = folder / "blocks.mc"
+    path.write_bytes(text.encode())
+    for size in BLOCK_SIZES:
+        with mock.patch.object(circuit_module, "_READ_BLOCK", size):
+            assert outcome(mr.read_circuit, path) == whole, (size, text)
+            assert outcome(mr.circuit_from_text, text) == whole, (size, text)
+
+
 def random_circuit(draw, max_gates=12):
     c = mr.new_circuit(draw(st.integers(1, 3)))
     for _ in range(draw(st.integers(0, max_gates))):
@@ -95,87 +114,96 @@ def random_circuit(draw, max_gates=12):
     return c
 
 
+def mutated_text(draw):
+    """The text of a small random circuit with up to four bytes inserted,
+    deleted or replaced."""
+    text = mr.circuit_to_text(random_circuit(draw))
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+        at = draw(st.integers(0, len(text)))
+        ch = draw(st.sampled_from(MUTATION_BYTES))
+        if kind == "insert":
+            text = text[:at] + ch + text[at:]
+        elif kind == "delete":
+            text = text[:at] + text[at + 1 :]
+        else:
+            text = text[:at] + ch + text[at + 1 :]
+    return text
+
+
 MUTATION_BYTES = "0123456789 GANDORUT+-\t\r\n"
 # Pieces of short texts, most of them only a few lines or none.
 SHORT_PIECES = ["MCIRC 1 2", "MCIRC", "1", "2", "G AND 0 1", "G", "OR", "OUT 5", "OUT", "0", "+", "-",
                 " ", "\t", "\r", "\n", "\r\n", "\x0b", "\x1c", "\x1f", "\x00"]
 
 
+EDGE_CASES = [
+    "",
+    "\n",
+    "MCIRC 1 2",
+    "MCIRC 1 2\n",
+    "MCIRC 1 2\nOUT\n",
+    "MCIRC 1 2\nOUT 0",
+    "MCIRC 1 2\r\nG AND 0 1\r\nOUT 5\r\n",
+    "MCIRC 1 2\rG AND 0 1\rOUT 5\r",
+    "MCIRC 1 2\r\n\r\nOUT 0\r\n",
+    "MCIRC 1 2\r\r\nOUT 0\n",
+    " MCIRC\t1  2 \nG\tOR   +0 -0\t\n  OUT   05 \n",
+    "MCIRC 1 2\nG AND 0 1\n\n",
+    "MCIRC 1 2\nG AND 0 1\nOUT 5\nG OR 0 1\n",
+    "MCIRC 1 2\nOUT 0\nOUT 0\n",
+    "MCIRC 1 2\nG XOR 0 1\nOUT 0\n",
+    "MCIRC 1 2\nG AND 0\nOUT 0\n",
+    "MCIRC 1 2\nG AND 0 1 2\nOUT 0\n",
+    "MCIRC 1 2\nG AND 0 5\nOUT 0\n",
+    "MCIRC 1 2\nG AND 5 0\nOUT 0\n",
+    "MCIRC 1 2\nG AND 0 1\nG OR 6 0\nOUT 0\n",
+    "MCIRC 1 2\nG AND -1 0\nOUT 0\n",
+    "MCIRC 1 2\nG AND + 0\nOUT 0\n",
+    "MCIRC 1 2\nG AND 0 1-\nOUT 0\n",
+    "MCIRC 1 2\nG AND 000000000000000000000003 0\nOUT 5\n",
+    "MCIRC 1 2\nG AND 99999999999999999999999 0\nOUT 5\n",
+    "MCIRC 1 2\nG AND 0 1\nOUT 5 +6\n",
+    "MCIRC 1 2\nG AND 0 1\nOUT x\n",
+    "MCIRC 1 2\nGATE AND 0 1\nOUT 5\n",
+    "MCIRC 1 0\nOUT 0\n",
+    "MCIRC 1 211111",
+    "MCIRC 1 46341\nOUT 0\n",
+    "MCIRC 1 -2\nOUT 0\n",
+    "MCIRC 1 +2\nOUT 0\n",
+    "MCIRC 1 x\nOUT 0\n",
+    "MCIRC 01 2\nOUT 0\n",
+    "MCIRC 1 2 3\nOUT 0\n",
+    # every ASCII byte str.split() or str.splitlines() treats specially
+    "MCIRC 1 2\x0bG AND 0 1\x0cOUT 5\x1c",
+    "MCIRC 1 2\x1dG\x1fAND 0\x1f1\x1eOUT 5\n",
+    "MCIRC 1 2\nG AND 0\x001\nOUT 5\n",
+    "MCIRC 1 2\nG AND 0 1\x07\nOUT 5\n",
+    # control bytes but fewer than two line breaks
+    "MCIRC 1 2\t",
+    "MCIRC\t1 2",
+    "MCIRC 1 2\x07",
+    "MCIRC 1 2\r",
+    "MCIRC 1 2\r\n",
+    "MCIRC 1 2\tOUT 0\n",
+]
+# Read block sizes the block-edge tests patch in: 1 cuts a text at every
+# byte, the others at offsets that drift against its lines.
+BLOCK_SIZES = (1, 2, 3, 7, 64)
+
+
 class TestDifferential:
     @settings(max_examples=600, deadline=None)
     @given(st.data())
     def test_mutated_text_same_verdict_as_reference(self, data):
-        text = mr.circuit_to_text(random_circuit(data.draw))
-        for _ in range(data.draw(st.integers(0, 4))):
-            kind = data.draw(st.sampled_from(["insert", "delete", "replace"]))
-            at = data.draw(st.integers(0, len(text)))
-            ch = data.draw(st.sampled_from(MUTATION_BYTES))
-            if kind == "insert":
-                text = text[:at] + ch + text[at:]
-            elif kind == "delete":
-                text = text[:at] + text[at + 1 :]
-            else:
-                text = text[:at] + ch + text[at + 1 :]
-        assert_same_verdict(text)
+        assert_same_verdict(mutated_text(data.draw))
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(st.sampled_from(SHORT_PIECES), max_size=12))
     def test_short_texts_same_verdict_as_reference(self, pieces):
         assert_same_verdict("".join(pieces))
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "\n",
-            "MCIRC 1 2",
-            "MCIRC 1 2\n",
-            "MCIRC 1 2\nOUT\n",
-            "MCIRC 1 2\nOUT 0",
-            "MCIRC 1 2\r\nG AND 0 1\r\nOUT 5\r\n",
-            "MCIRC 1 2\rG AND 0 1\rOUT 5\r",
-            "MCIRC 1 2\r\n\r\nOUT 0\r\n",
-            "MCIRC 1 2\r\r\nOUT 0\n",
-            " MCIRC\t1  2 \nG\tOR   +0 -0\t\n  OUT   05 \n",
-            "MCIRC 1 2\nG AND 0 1\n\n",
-            "MCIRC 1 2\nG AND 0 1\nOUT 5\nG OR 0 1\n",
-            "MCIRC 1 2\nOUT 0\nOUT 0\n",
-            "MCIRC 1 2\nG XOR 0 1\nOUT 0\n",
-            "MCIRC 1 2\nG AND 0\nOUT 0\n",
-            "MCIRC 1 2\nG AND 0 1 2\nOUT 0\n",
-            "MCIRC 1 2\nG AND 0 5\nOUT 0\n",
-            "MCIRC 1 2\nG AND 5 0\nOUT 0\n",
-            "MCIRC 1 2\nG AND 0 1\nG OR 6 0\nOUT 0\n",
-            "MCIRC 1 2\nG AND -1 0\nOUT 0\n",
-            "MCIRC 1 2\nG AND + 0\nOUT 0\n",
-            "MCIRC 1 2\nG AND 0 1-\nOUT 0\n",
-            "MCIRC 1 2\nG AND 000000000000000000000003 0\nOUT 5\n",
-            "MCIRC 1 2\nG AND 99999999999999999999999 0\nOUT 5\n",
-            "MCIRC 1 2\nG AND 0 1\nOUT 5 +6\n",
-            "MCIRC 1 2\nG AND 0 1\nOUT x\n",
-            "MCIRC 1 2\nGATE AND 0 1\nOUT 5\n",
-            "MCIRC 1 0\nOUT 0\n",
-            "MCIRC 1 211111",
-            "MCIRC 1 46341\nOUT 0\n",
-            "MCIRC 1 -2\nOUT 0\n",
-            "MCIRC 1 +2\nOUT 0\n",
-            "MCIRC 1 x\nOUT 0\n",
-            "MCIRC 01 2\nOUT 0\n",
-            "MCIRC 1 2 3\nOUT 0\n",
-            # every ASCII byte str.split() or str.splitlines() treats specially
-            "MCIRC 1 2\x0bG AND 0 1\x0cOUT 5\x1c",
-            "MCIRC 1 2\x1dG\x1fAND 0\x1f1\x1eOUT 5\n",
-            "MCIRC 1 2\nG AND 0\x001\nOUT 5\n",
-            "MCIRC 1 2\nG AND 0 1\x07\nOUT 5\n",
-            # control bytes but fewer than two line breaks
-            "MCIRC 1 2\t",
-            "MCIRC\t1 2",
-            "MCIRC 1 2\x07",
-            "MCIRC 1 2\r",
-            "MCIRC 1 2\r\n",
-            "MCIRC 1 2\tOUT 0\n",
-        ],
-    )
+    @pytest.mark.parametrize("text", EDGE_CASES)
     def test_edge_cases_same_verdict_as_reference(self, text):
         assert_same_verdict(text)
 
@@ -209,6 +237,126 @@ class TestDifferential:
         text = "MCIRC 1 1\n" + "G OR 0 1\n" * gates + "G OR 0 1 \n" + "G OR 0 x\n" + "OUT 2\n"
         with pytest.raises(mr.InvalidParameterError, match=f"^line {gates + 3}: bad integer 'x'$"):
             mr.circuit_from_text(text)
+
+
+@pytest.fixture(scope="module")
+def block_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("blocks")
+
+
+class TestBlocks:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mutated_text_same_verdict_in_blocks(self, block_dir, data):
+        assert_same_verdict_in_blocks(mutated_text(data.draw), block_dir)
+
+    @pytest.mark.parametrize("text", EDGE_CASES)
+    def test_edge_cases_same_verdict_in_blocks(self, text, block_dir):
+        assert_same_verdict_in_blocks(text, block_dir)
+
+    def test_crlf_split_at_every_block_edge(self, tmp_path):
+        text = "MCIRC 1 2\r\nG AND 0 1\r\nG OR 5 2\r\nOUT 6\r\n"
+        path = tmp_path / "crlf.mc"
+        path.write_bytes(text.encode())
+        want = arrays(mr.circuit_from_text(text))
+        for size in range(1, len(text) + 1):
+            with mock.patch.object(circuit_module, "_READ_BLOCK", size):
+                assert arrays(mr.read_circuit(path)) == want, size
+        # A "\r" at the end of input is a whole line break.
+        with mock.patch.object(circuit_module, "_READ_BLOCK", 2):
+            assert outcome(mr.circuit_from_text, "MCIRC 1 2\r\n\r") == outcome(mr.circuit_from_text, "MCIRC 1 2\r\n\r\n")
+
+    def test_line_longer_than_a_block(self, tmp_path):
+        text = "MCIRC 1 2\nG AND " + "0" * 150 + "3 " + " " * 300 + "1\nOUT 5\n"
+        assert mr.circuit_from_text(text).gate(0) == (AND, 3, 1)
+        assert_same_verdict_in_blocks(text, tmp_path)
+
+    def test_out_line_and_faults_in_a_later_block(self, tmp_path):
+        lines = ["MCIRC 1 2"] + [f"G OR {w - 1} {w % 4}" for w in range(5, 205)] + ["OUT 204"]
+        good = "\n".join(lines) + "\n"
+        assert mr.circuit_from_text(good).gate_count == 200
+        assert_same_verdict_in_blocks(good, tmp_path)
+
+        def with_lines(changed):  # {line number: new text}
+            return "\n".join(changed.get(ln, line) for ln, line in enumerate(lines, start=1)) + "\n"
+
+        for bad, message in (
+            (good + "G OR 0 1\n", "^line 203: gate after OUT line$"),
+            (with_lines({150: "G OR 150 x"}), "^line 150: bad integer 'x'$"),
+            (with_lines({150: "G OR 150 \u0663"}), "^line 150: non-ASCII byte"),
+            (with_lines({150: "G OR 150 \u0663", 96: ""}), "^line 96: blank line"),
+        ):
+            with pytest.raises(mr.InvalidParameterError, match=message):
+                mr.circuit_from_text(bad)
+            assert_same_verdict_in_blocks(bad, tmp_path)
+
+    def test_binary_file_and_buffers(self):
+        text = "MCIRC 1 2\nG AND 0 1\nOUT 5\n"
+        want = arrays(mr.circuit_from_text(text))
+        for source in (io.BytesIO(text.encode()), bytearray(text.encode()), memoryview(text.encode())):
+            assert arrays(mr.circuit_from_text(source)) == want
+
+    def test_read_circuit_parses_through_circuit_from_text(self, tmp_path, monkeypatch):
+        # Tracing wraps circuit_from_text by name to time the parse.
+        path = tmp_path / "c.mc"
+        path.write_text("MCIRC 1 2\nOUT 0\n")
+        sources = []
+        parse = circuit_module.circuit_from_text
+        monkeypatch.setattr(circuit_module, "circuit_from_text", lambda src: sources.append(src) or parse(src))
+        assert mr.read_circuit(path).outputs == [0]
+        assert len(sources) == 1 and sources[0].name == str(path)
+
+
+# Gates of the file the memory test reads, and its vertex count: every wire
+# id of a circuit on 40,000 vertices has ten digits.
+MEMORY_GATES = 2_000_000
+MEMORY_VERTICES = 40_000
+
+
+@pytest.fixture(scope="module")
+def big_circuit_file(tmp_path_factory):
+    """An MCIRC file of MEMORY_GATES gates over wires of ten digits, and the
+    bytes of its gate arrays."""
+    c = mr.new_circuit(MEMORY_VERTICES)
+    rng = np.random.default_rng(5)
+    wires = c.num_wires + np.arange(MEMORY_GATES)
+    lefts = rng.integers(10**9, wires).astype(np.intc)
+    rights = (wires - 1 - rng.integers(0, 1000, MEMORY_GATES)).astype(np.intc)
+    c._ops = bytearray(rng.integers(0, 2, MEMORY_GATES, dtype=np.uint8).tobytes())
+    c._lefts.frombytes(lefts.tobytes())
+    c._rights.frombytes(rights.tobytes())
+    c.set_outputs([c.num_wires - 1])
+    path = tmp_path_factory.mktemp("memory") / "big.mc"
+    mr.write_circuit(c, path)
+    return path, arrays(c)
+
+
+def traced_read(path):
+    """read_circuit(path), and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        c = mr.read_circuit(path)
+        return c, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestReadMemory:
+    def test_peak_is_the_arrays_plus_a_few_blocks(self, big_circuit_file):
+        path, want = big_circuit_file
+        c, peak = traced_read(path)
+        assert arrays(c) == want
+        held = sys.getsizeof(c._ops) + sys.getsizeof(c._lefts) + sys.getsizeof(c._rights)
+        bound = held + 4 * circuit_module._READ_BLOCK
+        assert bound < 0.7 * path.stat().st_size
+        assert peak < bound, (peak, held)
+
+    def test_small_file_takes_no_whole_block(self, tmp_path):
+        path = tmp_path / "small.mc"
+        path.write_text("MCIRC 1 2\nG AND 0 1\nOUT 5\n")
+        c, peak = traced_read(path)
+        assert c.gate_count == 1
+        assert peak < circuit_module._READ_BLOCK // 16
 
 
 class TestBlankLines:
