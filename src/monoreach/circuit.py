@@ -15,8 +15,7 @@ only reference earlier wires, which makes the gate list a topological order.
 from __future__ import annotations
 
 import gc
-import os
-import stat
+import io
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -758,108 +757,55 @@ def _read_header(line: str) -> MonotoneCircuit:
     return circuit
 
 
-def _cut(window: np.ndarray, final: bool, clean: int) -> int:
-    """How many leading bytes of `window` are whole lines: all of them at
-    the end of input, else those up to its last line break, 0 if it has
-    none.  A final "\\r" is not taken as a break, since a "\\n" that may
-    follow it belongs to the same break.  The first `clean` bytes are known
-    to hold no break, so a long line is searched only once."""
-    if final:
-        return window.size
-    stop = window.size
-    if stop and window[-1] == ord("\r"):
-        stop -= 1
-    span = 1 << 12
-    while stop > clean:  # look back from the end over a doubling span
-        lo = max(clean, stop - span)
-        hits = np.flatnonzero(_LINE_BREAK[window[lo:stop]])
-        if hits.size:
-            return lo + int(hits[-1]) + 1
-        stop = lo
-        span *= 2
-    return 0
+def _blocks(fh: BinaryIO):
+    """The input as uint8 arrays of whole lines, in order: a block of about
+    _READ_BLOCK bytes, read on to the end of the line it stops in.  A binary
+    readline() stops only after a "\\n", so a "\\r\\n" break is never
+    split, and a line longer than a block comes whole (input with no "\\n"
+    at all is one block)."""
+    while block := fh.read(_READ_BLOCK):
+        block += fh.readline()
+        yield np.frombuffer(block, dtype=np.uint8)
 
 
-def _first_room(fh: BinaryIO) -> int:
-    """_READ_BLOCK, or one byte more than is left of a regular file that is
-    smaller.  A small file then never maps a whole block: freeing one would
-    raise glibc's mmap threshold and with it the peak RSS of what follows."""
-    try:
-        st = os.fstat(fh.fileno())
-        left = st.st_size - fh.tell()
-    except (AttributeError, OSError, ValueError):  # no file descriptor, or no position
-        return _READ_BLOCK
-    if not stat.S_ISREG(st.st_mode) or left < 0:
-        return _READ_BLOCK
-    return min(_READ_BLOCK, left + 1)
+def _read_block(raw: np.ndarray, circuit: MonotoneCircuit | None, outputs, lines_before: int):
+    """Parse a block of whole lines that follows `lines_before` lines; the
+    circuit is None before the header is read.  Returns (circuit, outputs,
+    lines read so far)."""
+    starts, stops, glue, ascii_lines = _block_lines(raw)
 
+    def line(i: int) -> str:
+        if i >= ascii_lines:
+            raise InvalidParameterError(f"line {lines_before + i + 1}: non-ASCII byte in circuit file")
+        return raw[starts[i] : stops[i]].tobytes().decode("ascii")
 
-def _blocks(source: str | bytes | BinaryIO):
-    """The input as uint8 arrays of whole lines, in order, each at most
-    about _READ_BLOCK bytes unless one line is longer.
-
-    str and bytes are cut into views of one buffer.  A binary file is read
-    _READ_BLOCK bytes at a time into one buffer whose head holds the
-    unfinished line carried over from the block before; a line longer than
-    the buffer doubles it.  Each block is valid until the next is taken.
-    The carried bytes hold no line break but perhaps a last "\\r".
-    """
-    if isinstance(source, str):
-        source = source.encode("utf-8", "surrogatepass")
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        data = np.frombuffer(source, dtype=np.uint8)
-        start = end = 0
-        while end < data.size:
-            clean = max(end - start - 1, 0)
-            end = min(end + _READ_BLOCK, data.size)
-            cut = start + _cut(data[start:end], end == data.size, clean)
-            if cut > start:
-                yield data[start:cut]
-                start = cut
-        return
-    buf = np.empty(_first_room(source), dtype=np.uint8)
-    carry = 0
-    while True:
-        if carry == buf.size:
-            buf = np.concatenate((buf, np.empty_like(buf)))
-        got = source.readinto(memoryview(buf)[carry:])
-        end = carry + got
-        cut = _cut(buf[:end], got == 0, max(carry - 1, 0))
-        if cut:
-            yield buf[:cut]
-        if got == 0:
-            return
-        carry = end - cut
-        buf[:carry] = buf[cut:end]
+    i = 0
+    if circuit is None:
+        circuit = _read_header(line(0))
+        i = 1
+    while i < starts.size:
+        if outputs is None and i < ascii_lines:
+            hi = min(i + _IO_BAND, ascii_lines)
+            i += _read_gate_lines(circuit, raw, starts[i:hi], stops[i:hi], glue)
+            if i == hi:
+                continue
+        outputs = _read_record(circuit, lines_before + i + 1, line(i), outputs)
+        i += 1
+    return circuit, outputs, lines_before + starts.size
 
 
 def circuit_from_text(text: str | bytes | BinaryIO) -> MonotoneCircuit:
     """Parse MCIRC input: str, bytes, or a binary file read a block at a
     time.  Malformed input raises a ValueError subclass; a fault in one
     line's syntax names that line."""
+    if isinstance(text, str):
+        text = text.encode("utf-8", "surrogatepass")
+    if isinstance(text, (bytes, bytearray, memoryview)):
+        text = io.BytesIO(text)
     circuit = outputs = None
-    lines_before = 0
+    lines = 0
     for raw in _blocks(text):
-        starts, stops, glue, ascii_lines = _block_lines(raw)
-
-        def line(i: int) -> str:
-            if i >= ascii_lines:
-                raise InvalidParameterError(f"line {lines_before + i + 1}: non-ASCII byte in circuit file")
-            return raw[starts[i] : stops[i]].tobytes().decode("ascii")
-
-        i = 0
-        if circuit is None:
-            circuit = _read_header(line(0))
-            i = 1
-        while i < starts.size:
-            if outputs is None and i < ascii_lines:
-                hi = min(i + _IO_BAND, ascii_lines)
-                i += _read_gate_lines(circuit, raw, starts[i:hi], stops[i:hi], glue)
-                if i == hi:
-                    continue
-            outputs = _read_record(circuit, lines_before + i + 1, line(i), outputs)
-            i += 1
-        lines_before += starts.size
+        circuit, outputs, lines = _read_block(raw, circuit, outputs, lines)
     if circuit is None:
         raise InvalidParameterError("empty circuit file")
     if outputs is None:

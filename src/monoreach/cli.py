@@ -31,8 +31,9 @@ from .build import (
     trend_table,
 )
 from .circuit import read_circuit, write_circuit
-from .errors import ConstructionFailedError, InvalidParameterError, MonoreachError
+from .errors import BudgetExceededError, ConstructionFailedError, InvalidParameterError, MonoreachError
 from .families import (
+    SAMPLE_ENTRY_BUDGET,
     FamilyParams,
     check_family_exact,
     check_family_sampled,
@@ -161,6 +162,11 @@ def _cmd_family(args, argv) -> int:
         return 0
     if args.family_cmd == "sample":
         params = FamilyParams(args.n, args.m, args.s, args.l, args.d)
+        if params.m * params.s > SAMPLE_ENTRY_BUDGET:
+            raise BudgetExceededError(
+                f"sampling m={params.m} sets of s={params.s} entries is over the budget of "
+                f"{SAMPLE_ENTRY_BUDGET} entries"
+            )
         try:
             fam, attempts = sample_verified_family(params, args.seed, args.attempts, max_subsets=args.budget)
         except ConstructionFailedError:

@@ -27,9 +27,8 @@ from .exactmath import child_seed, comb, is_prime, isqrt, sample_distinct
 # Points over all q(q+1) lines of q points each that affine_lines may build:
 # q <= 31, about 30 ms with the incidence check.
 PLANE_POINT_BUDGET = 1 << 15
-# Entries m*s that sample_family may draw: about 0.6 s and a process peak
-# RSS of 80 MB.  The largest family a theorem build under the default
-# --max-gates samples has 285,568 entries (n = 368, l = 7).
+# Entries m*s that `family sample` may draw: about 0.6 s and a process peak
+# RSS of 80 MB.  Theorem builds are bounded by --max-gates instead.
 SAMPLE_ENTRY_BUDGET = 1 << 20
 
 
@@ -209,14 +208,8 @@ def sample_family(params: FamilyParams, seed: int) -> CoveringFamily:
 
     Duplicates within a row collapse, so sets may have fewer than s
     elements.  Entries are drawn row-major from a fresh generator, so a
-    fixed seed reproduces the family exactly.  Refuses more than
-    SAMPLE_ENTRY_BUDGET entries before drawing any.
+    fixed seed reproduces the family exactly.
     """
-    if params.m * params.s > SAMPLE_ENTRY_BUDGET:
-        raise BudgetExceededError(
-            f"sampling m={params.m} sets of s={params.s} entries is over the budget of "
-            f"{SAMPLE_ENTRY_BUDGET} entries"
-        )
     rng = Random(seed)
     n = params.n
     rows = []

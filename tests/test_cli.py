@@ -257,8 +257,9 @@ class TestFamilyCommands:
         assert len(err.strip().splitlines()) == 1
         assert not fam.exists()
 
-    @pytest.mark.parametrize("m, s", [("99999999999", "2"), ("2", "99999999999")])
-    def test_sample_over_budget_refused_before_any_draw(self, tmp_path, capsys, m, s):
+    @pytest.mark.parametrize("m, s", [("99999999999", "2"), ("2", "99999999999"), ("1024", "1025")])
+    def test_sample_over_budget_refused_before_any_draw(self, tmp_path, capsys, monkeypatch, m, s):
+        monkeypatch.setattr(monoreach.families, "_uniform_element", None)  # a draw would raise TypeError
         fam = tmp_path / "f.fam"
         start = time.perf_counter()
         code, text, err = run(

@@ -232,12 +232,13 @@ class TestSampleFamily:
             assert len(s) <= 5
             assert all(1 <= v <= 7 for v in s)
 
-    def test_over_budget_refused_before_any_draw(self, monkeypatch):
-        monkeypatch.setattr(monoreach.families, "_uniform_element", None)  # a draw would raise TypeError
-        budget = monoreach.families.SAMPLE_ENTRY_BUDGET
-        for m, s in ((99_999_999_999, 2), (2, 99_999_999_999), (budget // 1024, 1025)):
-            with pytest.raises(mr.BudgetExceededError, match="over the budget"):
-                mr.sample_family(FamilyParams(3, m, s, 2, 1), seed=0)
+    def test_library_sampler_has_no_entry_budget(self, monkeypatch):
+        # Only `family sample` is refused by SAMPLE_ENTRY_BUDGET; theorem
+        # builds are bounded by --max-gates.
+        monkeypatch.setattr(monoreach.families, "SAMPLE_ENTRY_BUDGET", 1)
+        assert len(mr.sample_family(FamilyParams(3, 2, 2, 2, 1), seed=0).sets) == 2
+        circuit, _, _ = mr.build_recursive(9, 4, seed=0)
+        assert circuit.gate_count > 0
 
     # The benchmark's family-exact shapes; every other shape the tests sample
     # directly is smaller than the first.

@@ -351,13 +351,6 @@ class TestReadMemory:
         assert bound < 0.7 * path.stat().st_size
         assert peak < bound, (peak, held)
 
-    def test_small_file_takes_no_whole_block(self, tmp_path):
-        path = tmp_path / "small.mc"
-        path.write_text("MCIRC 1 2\nG AND 0 1\nOUT 5\n")
-        c, peak = traced_read(path)
-        assert c.gate_count == 1
-        assert peak < circuit_module._READ_BLOCK // 16
-
 
 class TestBlankLines:
     def test_blank_line_rejected(self):
