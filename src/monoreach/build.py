@@ -100,7 +100,7 @@ def ledger_csv_lines(ledger: DepthLedger, comments=()):
         yield f"{idx},{s.label},{pred},{meas}"
 
 
-# -- squaring builders ------------------------------------------------------------
+# -- matrix-power builders ---------------------------------------------------------
 
 
 # Entries of a walk matrix fall into classes by the roles of their row and
@@ -126,21 +126,33 @@ def _class_size(cls: tuple[str, str], n: int) -> int:
     return middle if cls == ("m", "m") else size[cls[0]] * size[cls[1]]
 
 
-def _cone(last: frozenset, n: int, steps: int) -> list[frozenset]:
-    """Needed entries of walk-power steps 0..steps (0 is the input matrix)
-    when the last step is needed at the classes `last`.
+def _needs(plan: list[tuple[int, int]], last: frozenset, n: int, absorb: bool) -> list[frozenset]:
+    """Needed role classes of matrices 0..len(plan) of a product plan (matrix
+    0 is the input, product k from 1 is matrix k, with operands plan[k - 1])
+    when the last matrix is needed at the classes `last`.
 
-    Counting back one step: entry (i, j) reads row i and column j less the
-    diagonal entry (j, j) of the step before (its leaf k = j is cur[i][j]
-    itself).  Classes with no entry at this n are dropped.
+    Counting back: entry (i, j) of a product reads row i of its left operand
+    and column j of its right one; with `absorb` (squaring) it skips the
+    diagonal entry (j, j) of that column, since its leaf k = j is the left
+    operand's entry (i, j) itself.  Classes with no entry at this n are
+    dropped before their rows and columns are taken.
     """
-    cone = [frozenset(c for c in last if _class_size(c, n) > 0)]
-    for _ in range(steps):
-        rows = {r for r, _ in cone[0]}
-        cols = {c.rstrip("'") for _, c in cone[0]}
-        earlier = (c for c in ROLE_CLASSES if c[0] in rows or (c[0] != c[1] and c[1].rstrip("'") in cols))
-        cone.insert(0, frozenset(c for c in earlier if _class_size(c, n) > 0))
-    return cone
+    live = lambda classes: frozenset(c for c in classes if _class_size(c, n) > 0)
+    needs = [set() for _ in plan] + [last]
+    for k in range(len(plan), 0, -1):
+        needs[k] = live(needs[k])
+        rows = {r for r, _ in needs[k]}
+        cols = {c.rstrip("'") for _, c in needs[k]}
+        left, right = plan[k - 1]
+        needs[left].update(c for c in ROLE_CLASSES if c[0] in rows)
+        needs[right].update(c for c in ROLE_CLASSES if c[1].rstrip("'") in cols and not (absorb and c[0] == c[1]))
+    needs[0] = live(needs[0])
+    return needs
+
+
+def _squaring_plan(steps: int) -> list[tuple[int, int]]:
+    """Square the input `steps` times: walk lengths 1..L become 1..2L each time."""
+    return [(k, k) for k in range(steps)]
 
 
 def _role_classes(n: int) -> np.ndarray:
@@ -165,19 +177,22 @@ def _read_pattern(circuit: MonotoneCircuit) -> frozenset:
     return frozenset(ROLE_CLASSES[c] for c in np.unique(_role_classes(circuit.num_vertices).ravel()[read]))
 
 
-def _walk_power_entries(circuit: MonotoneCircuit, steps: int, last: frozenset = ALL_ENTRIES) -> np.ndarray:
-    """Square the walk matrix `steps` times: lengths 1..L become 1..2L each
-    time.  Leaf k = j is cur[i][j] itself, which absorbs the k = j product.
-
-    Each step emits only the entries the classes `last` of the last step
-    need (`_cone`); the others are -1.
-    """
+def _emit_plan(circuit: MonotoneCircuit, plan: list[tuple[int, int]], last: frozenset, absorb: bool) -> np.ndarray:
+    """Emit the products of `plan` on the circuit's input matrix, each only
+    at the entries `_needs` gives it; returns the last matrix, -1 where
+    nothing is emitted.  With `absorb` leaf k = j of entry (i, j) is the
+    left operand's (i, j) itself, not an AND gate."""
     n = circuit.num_vertices
-    cur = np.arange(n * n, dtype=np.int64).reshape(n, n)
-    off_diagonal = ~np.eye(n, dtype=bool)
-    for pattern in _cone(last, n, steps)[1:]:
-        cur = _banded_product(circuit, cur, cur, off_diagonal, _pattern_mask(pattern, n))
-    return cur
+    mats = [np.arange(n * n, dtype=np.int64).reshape(n, n)]
+    and_leaves = ~np.eye(n, dtype=bool) if absorb else np.ones((n, n), dtype=bool)
+    for (left, right), need in zip(plan, _needs(plan, last, n, absorb)[1:]):
+        mats.append(_banded_product(circuit, mats[left], mats[right], and_leaves, _pattern_mask(need, n)))
+    return mats[-1]
+
+
+def _walk_power_entries(circuit: MonotoneCircuit, steps: int, last: frozenset = ALL_ENTRIES) -> np.ndarray:
+    """The walk matrix squared `steps` times, emitted at the classes `last`."""
+    return _emit_plan(circuit, _squaring_plan(steps), last, absorb=True)
 
 
 def build_walk_power(n: int, t: int) -> MonotoneCircuit:
@@ -213,37 +228,23 @@ def build_reach_leq(n: int, l: int) -> MonotoneCircuit:
 def build_reach_exact(n: int, l: int) -> MonotoneCircuit:
     """Exact-length circuit: 1 iff a walk 1 -> n of exactly l edges exists.
 
-    Emits only the gates the output reads: each product of `_exact_plan`
-    only at the entries a later product or the output reads."""
+    Emits the products of `_exact_plan`, each only at the entries a later
+    product or the output reads."""
     plan = _exact_plan(n, l)
     circuit = new_circuit(n)
-    mats = [np.arange(n * n, dtype=np.int64).reshape(n, n)]
-    ones = np.ones((n, n), dtype=bool)
-    for k, (a, b, rows, cols) in enumerate(plan, 1):
-        need = np.zeros((n, n), dtype=bool)
-        need[:rows] = True
-        need[:, n - cols :] = True
-        if k == len(plan):
-            need[0, n - 1] = True  # the output entry
-        mats.append(_banded_product(circuit, mats[a], mats[b], ones, need))
-    circuit.set_outputs([int(mats[-1][0, n - 1])])
+    out = _emit_plan(circuit, plan, TERMINAL_ENTRY, absorb=False)
+    circuit.set_outputs([int(out[0, n - 1])])
     return circuit
 
 
-def _exact_plan(n: int, l: int) -> list[tuple[int, int, int, int]]:
-    """The products of build_reach_exact, in emission order: product k
-    (from 1) is matrix k and matrix 0 is the input.
+def _exact_plan(n: int, l: int) -> list[tuple[int, int]]:
+    """The product plan of build_reach_exact: the operands of each product,
+    in emission order.
 
     The l-th power of the input: square it once per binary digit of l, then
     multiply the set-bit powers in a balanced tree that pairs neighbours
     left to right and carries an odd straggler up.  The last product (the
     input for l = 1) is the output matrix, read only at entry (1, n).
-
-    Each product is (left, right, rows, cols): its operand matrices, and
-    the leading rows and trailing columns of it that a later product reads.
-    A product entry (i, j) reads row i of its left operand and column j of
-    its right one, so counted back from entry (1, n) those sets are always
-    empty, row 1 or column n, or all: each of rows and cols is 0, 1 or n.
     """
     if n < 2:
         raise InvalidParameterError("n must be >= 2")
@@ -268,16 +269,7 @@ def _exact_plan(n: int, l: int) -> list[tuple[int, int, int, int]]:
         if len(factors) % 2:
             pairs.append(factors[-1])
         factors = pairs
-
-    root = len(operands)
-    rows = [0] * (root + 1)
-    cols = [0] * (root + 1)
-    for k in range(root, 0, -1):
-        a, b = operands[k - 1]
-        out = int(k == root)  # the output entry (1, n)
-        rows[a] = max(rows[a], n if cols[k] else max(rows[k], out))
-        cols[b] = max(cols[b], n if rows[k] else max(cols[k], out))
-    return [(a, b, rows[k], cols[k]) for k, (a, b) in enumerate(operands, 1)]
+    return operands
 
 
 def build_reach(n: int) -> MonotoneCircuit:
@@ -473,29 +465,35 @@ MODE_EXPLICIT = "explicit"
 MODE_THEOREM = "theorem"
 
 
-def _cone_gates(last: frozenset, n: int, steps: int) -> tuple[int, frozenset]:
-    """(gates, input classes read) of `_walk_power_entries(circuit, steps,
-    last)` on n vertices, from class sizes alone: an entry costs 2n - 2
-    gates."""
-    cone = _cone(last, n, steps)
-    entries = sum(_class_size(c, n) for pattern in cone[1:] for c in pattern)
-    return entries * (2 * n - 2), cone[0]
+def _plan_gates(plan: list[tuple[int, int]], last: frozenset, n: int, absorb: bool) -> tuple[int, frozenset]:
+    """(gates, input classes read) of `_emit_plan(circuit, plan, last,
+    absorb)` on n vertices, from class sizes alone: an entry costs 2n - 1
+    gates, one fewer when absorbing."""
+    needs = _needs(plan, last, n, absorb)
+    entries = sum(_class_size(c, n) for need in needs[1:] for c in need)
+    return entries * (2 * n - 1 - absorb), needs[0]
 
 
 def _composed_gates(n: int, sets: int, steps: int, inner: tuple[int, frozenset]) -> tuple[int, frozenset]:
     """(gates, input classes read) of compose_family over `sets` sets of an
     n-vertex universe, a closure of `steps` squarings and an inner circuit
     of (gates, input classes read)."""
-    closure, reads = _cone_gates(inner[1], n, steps)
+    closure, reads = _plan_gates(_squaring_plan(steps), inner[1], n, absorb=True)
     return closure + sets * inner[0] + (sets - 1), reads
 
 
-def _reach_exact_gates(n: int, l: int) -> int:
-    """Gates of build_reach_exact, from `_exact_plan` alone: each needed
-    product entry costs 2n - 1 gates."""
-    plan = _exact_plan(n, l)
-    entries = sum((rows + cols) * n - rows * cols for _, _, rows, cols in plan)
-    return (entries + 1) * (2 * n - 1) if plan else 0
+def _mode_l(mode: str, n: int, l: int | None) -> int | None:
+    """The l a build of `mode` uses, l = n - 1 by default for squaring and
+    theorem; refuses what the mode cannot build."""
+    if l is None and mode in (MODE_SQUARING, MODE_THEOREM):
+        l = n - 1
+    if mode == MODE_SQUARING and (n < 2 or l < 1):
+        raise InvalidParameterError("squaring mode needs n >= 2 and l >= 1")
+    if mode == MODE_EXACT and l is None:
+        raise InvalidParameterError("exact mode needs l")
+    if mode == MODE_EXPLICIT and n < 2:
+        raise InvalidParameterError("explicit mode needs n >= 2")
+    return l
 
 
 def predict_gate_count(mode: str, n: int, l: int | None = None) -> int:
@@ -503,33 +501,24 @@ def predict_gate_count(mode: str, n: int, l: int | None = None) -> int:
 
     Counts depend only on the mode parameters.  Every build holds only its
     output cone.  A composed build's closure holds the cone of the role
-    classes its inner circuit reads (`_cone`), so clone and closure sizes
+    classes its inner circuit reads (`_needs`), so clone and closure sizes
     are fixed by the declared family shape, not by which sets get sampled.
     Each count is a closed form over role classes, cheap at any n.
     """
+    l = _mode_l(mode, n, l)
     if mode == MODE_SQUARING:
-        if l is None:
-            l = n - 1
-        if n < 2 or l < 1:
-            raise InvalidParameterError("squaring mode needs n >= 2 and l >= 1")
-        return _cone_gates(TERMINAL_ENTRY, n, ceil_log2(l))[0]
+        return _plan_gates(_squaring_plan(ceil_log2(l)), TERMINAL_ENTRY, n, absorb=True)[0]
     if mode == MODE_EXACT:
-        if l is None:
-            raise InvalidParameterError("exact mode needs l")
-        return _reach_exact_gates(n, l)
+        return _plan_gates(_exact_plan(n, l), TERMINAL_ENTRY, n, absorb=False)[0]
     if mode == MODE_EXPLICIT:
-        if n < 2:
-            raise InvalidParameterError("explicit mode needs n >= 2")
         q = minimal_prime_q(n)
         d = minimal_deficiency(q)
-        inner = _cone_gates(TERMINAL_ENTRY, q + 2, ceil_log2(n // d))
+        inner = _plan_gates(_squaring_plan(ceil_log2(n // d)), TERMINAL_ENTRY, q + 2, absorb=True)
         return _composed_gates(n, q * (q + 1), ceil_log2(2 * d), inner)[0]
     if mode == MODE_THEOREM:
-        if l is None:
-            l = n - 1
         sched = recursion_schedule(n, l)
         n_k, l_k = sched.levels[sched.k]
-        built = _cone_gates(TERMINAL_ENTRY, n_k, ceil_log2(l_k))
+        built = _plan_gates(_squaring_plan(ceil_log2(l_k)), TERMINAL_ENTRY, n_k, absorb=True)
         for i in range(sched.k - 1, -1, -1):
             n_i = sched.levels[i][0]
             built = _composed_gates(n_i, n_i, ceil_log2(2 * sched.d), built)
@@ -547,22 +536,15 @@ def predict_depth(mode: str, n: int, l: int | None = None) -> DepthLedger:
     overheads vanish against (log2 n)**2 and are excluded, so the numbers
     trace the construction's limiting trajectory.
     """
+    l = _mode_l(mode, n, l)
     if mode == MODE_SQUARING:
-        if l is None:
-            l = n - 1
-        if n < 2 or l < 1:
-            raise InvalidParameterError("squaring mode needs n >= 2 and l >= 1")
         return DepthLedger(stages=[Stage("squaring", _squaring_depth(n, l))])
     if mode == MODE_EXACT:
-        if l is None:
-            raise InvalidParameterError("exact mode needs l")
         depth = [0]  # of matrix k; every product adds 1 + ceil(log2 n)
-        for a, b, _, _ in _exact_plan(n, l):
+        for a, b in _exact_plan(n, l):
             depth.append(max(depth[a], depth[b]) + 1 + ceil_log2(n))
         return DepthLedger(stages=[Stage("exact-power", depth[-1])])
     if mode == MODE_EXPLICIT:
-        if n < 2:
-            raise InvalidParameterError("explicit mode needs n >= 2")
         q = minimal_prime_q(n)
         d = minimal_deficiency(q)
         m = q * (q + 1)
@@ -574,8 +556,6 @@ def predict_depth(mode: str, n: int, l: int | None = None) -> DepthLedger:
             ]
         )
     if mode == MODE_THEOREM:
-        if l is None:
-            l = n - 1
         sched = recursion_schedule(n, l)
         log_d = log2_fraction(sched.d)
         stages = []

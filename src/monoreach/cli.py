@@ -19,6 +19,7 @@ from .build import (
     MODE_SQUARING,
     MODE_THEOREM,
     DepthLedger,
+    _mode_l,
     build_explicit,
     build_reach_exact,
     build_reach_leq,
@@ -96,7 +97,8 @@ def _cmd_build(args, argv) -> int:
     if args.mode == "exact" and args.l is None:
         print("error: build --mode exact requires --l", file=sys.stderr)
         return 2
-    expected_gates = predict_gate_count(args.mode, n, args.l)
+    l = _mode_l(args.mode, n, args.l)
+    expected_gates = predict_gate_count(args.mode, n, l)
     if expected_gates > args.max_gates:
         print(
             f"error: build would emit {_count_text(expected_gates)} gates, over the "
@@ -105,19 +107,18 @@ def _cmd_build(args, argv) -> int:
         )
         return 2
     if args.mode == "squaring":
-        circuit = build_reach_leq(n, args.l if args.l is not None else n - 1)
+        circuit = build_reach_leq(n, l)
     elif args.mode == "exact":
-        circuit = build_reach_exact(n, args.l)
+        circuit = build_reach_exact(n, l)
     elif args.mode == "explicit":
         circuit, ledger = build_explicit(n)
     elif args.mode == "theorem":
-        l = args.l if args.l is not None else n - 1
         circuit, ledger, _ = build_recursive(n, l, args.seed, attempt_budget=args.attempts)
     else:  # pragma: no cover - argparse restricts choices
         return 2
     depth = circuit.depth()
     if args.mode in (MODE_SQUARING, MODE_EXACT):
-        ledger = predict_depth(args.mode, n, args.l)
+        ledger = predict_depth(args.mode, n, l)
         ledger.stages[0].measured = depth
     write_circuit(circuit, args.out)
     _write_ledger(args.out + ".ledger.csv", ledger, argv, seed=args.seed)
@@ -207,7 +208,7 @@ def _cmd_predict(args, argv) -> int:
     if n.bit_length() <= 28:  # gate counts only meaningful at buildable sizes
         print(f"# gate count if built: {predict_gate_count(args.mode, n, args.l)}")
     if args.mode == MODE_THEOREM:
-        built = recursion_schedule(n, n - 1 if args.l is None else args.l).ledger()
+        built = recursion_schedule(n, _mode_l(MODE_THEOREM, n, args.l)).ledger()
         print(f"# integer depth if built: {built.total_predicted}")
         for line in ledger_csv_lines(built):
             print(f"# {line}")

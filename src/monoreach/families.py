@@ -22,7 +22,7 @@ from .errors import (
     FamilyViolationError,
     InvalidParameterError,
 )
-from .exactmath import child_seed, comb, is_prime, isqrt, sample_distinct
+from .exactmath import child_seed, comb, is_prime, isqrt, randbelow, sample_distinct
 
 # Points over all q(q+1) lines of q points each that affine_lines may build:
 # q <= 31, about 30 ms with the incidence check.
@@ -30,6 +30,11 @@ PLANE_POINT_BUDGET = 1 << 15
 # Entries m*s that `family sample` may draw: about 0.6 s and a process peak
 # RSS of 80 MB.  Theorem builds are bounded by --max-gates instead.
 SAMPLE_ENTRY_BUDGET = 1 << 20
+# Bits d * (m + 576) that a family check may hold for its d levels: the
+# exact search keeps an m-bit mask and an element per level, at about 72
+# bytes of object headers and list slots each.  The largest shape in use,
+# plane_family(961) with m = 992 and d = 145, needs 227,360.
+CHECK_BIT_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -118,6 +123,16 @@ def _violation_at(family: CoveringFamily, d_subset, elem_masks, full_mask) -> Fa
     return None
 
 
+def _check_budget(p: FamilyParams, mode: str) -> None:
+    """Refuse a check whose d levels of m-bit masks exceed CHECK_BIT_BUDGET."""
+    bits = p.d * (p.m + 576)
+    if bits > CHECK_BIT_BUDGET:
+        raise BudgetExceededError(
+            f"{mode} check with d={p.d} and m={p.m} needs d * (m + 576) = {bits} bits, "
+            f"over the budget of {CHECK_BIT_BUDGET}"
+        )
+
+
 def check_family_exact(family: CoveringFamily, max_subsets: int = 10_000_000) -> FamilyCounterexample | None:
     """Decide the covering condition by branch and bound over d-subsets of {1..n}.
 
@@ -125,7 +140,8 @@ def check_family_exact(family: CoveringFamily, max_subsets: int = 10_000_000) ->
     goes deeper.  It prunes a branch once fewer than m*d/l sets avoid it,
     since adding elements can only lower that count; so the first leaf it
     reaches is the lexicographically first counterexample.  Returns that
-    counterexample, or None on pass.  Refuses (never samples) once it has
+    counterexample, or None on pass.  Refuses (never samples) a search of
+    more than CHECK_BIT_BUDGET bits before it starts, and once it has
     visited more than max_subsets subsets of size 1..d.
     """
     p = family.params
@@ -133,6 +149,7 @@ def check_family_exact(family: CoveringFamily, max_subsets: int = 10_000_000) ->
     need = m * d  # a subset avoided by `count` sets violates once count * l >= need
     if l < d:  # then need > count * l for every count <= m: no subset violates
         return None
+    _check_budget(p, "exact")
     elem_masks = family.element_set_masks()
     path: list[int] = []  # the elements chosen so far
     meets = [0]  # meets[k]: bitmask of the sets that meet path[:k]
@@ -166,10 +183,12 @@ def check_family_sampled(family: CoveringFamily, trials: int, seed: int) -> Fami
     """Monte Carlo falsification over uniform d-subsets.
 
     Finding nothing is not a proof; any counterexample returned is real.
+    Refuses a family over CHECK_BIT_BUDGET before the first draw.
     """
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
     p = family.params
+    _check_budget(p, "sampled")
     elem_masks = family.element_set_masks()
     full = (1 << p.m) - 1
     rng = Random(seed)
@@ -214,7 +233,7 @@ def sample_family(params: FamilyParams, seed: int) -> CoveringFamily:
     n = params.n
     rows = []
     for _ in range(params.m):
-        row = [_uniform_element(rng, n) for _ in range(params.s)]
+        row = [randbelow(rng, n) + 1 for _ in range(params.s)]
         rows.append(row)
     return CoveringFamily(params, rows)
 
@@ -239,14 +258,6 @@ def sample_verified_family(
         f"no covering family for {params} within {attempts} attempts",
         last_counterexample=last,
     )
-
-
-def _uniform_element(rng: Random, n: int) -> int:
-    bits = n.bit_length()
-    while True:
-        r = rng.getrandbits(bits)
-        if r < n:
-            return r + 1
 
 
 @dataclass(frozen=True)
@@ -344,7 +355,6 @@ class AffinePlaneFamily:
 
     q: int
     lines: tuple[tuple[int, ...], ...]
-    point_subset: tuple[int, ...]
     d: int
 
 
@@ -371,7 +381,7 @@ def affine_lines(q: int) -> AffinePlaneFamily:
         x = (-c) % q
         lines.append(tuple(sorted(label(x, y) for y in range(q))))
     _check_incidence(q, lines)
-    return AffinePlaneFamily(q, tuple(lines), tuple(range(1, q * q + 1)), minimal_deficiency(q))
+    return AffinePlaneFamily(q, tuple(lines), minimal_deficiency(q))
 
 
 def _check_incidence(q: int, lines) -> None:

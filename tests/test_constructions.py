@@ -17,8 +17,8 @@ import monoreach.families
 from monoreach.build import (
     ALL_ENTRIES,
     ROLE_CLASSES,
-    _cone,
     _exact_plan,
+    _needs,
     _pattern_mask,
     _walk_power_entries,
     ledger_csv_lines,
@@ -501,7 +501,7 @@ def unpruned_reach_exact(n, l):
     """Every entry of every product of the exact plan."""
     c = mr.new_circuit(n)
     mats = [np.arange(n * n).reshape(n, n)]
-    for a, b, _, _ in _exact_plan(n, l):
+    for a, b in _exact_plan(n, l):
         mats.append(_banded_product(c, mats[a], mats[b], np.ones((n, n), dtype=bool), need=None))
     c.set_outputs([int(mats[-1][0, n - 1])])
     return c
@@ -608,7 +608,7 @@ class TestClosureCone:
         for n in range(2, 9):
             for _ in range(20):
                 last = frozenset(c for c in ROLE_CLASSES if rng.random() < 0.3)
-                roles = [_pattern_mask(p, n) for p in _cone(last, n, 3)]
+                roles = [_pattern_mask(p, n) for p in _needs([(k, k) for k in range(3)], last, n, True)]
                 entries = entry_cone(_pattern_mask(last, n), 3)
                 assert all((a == b).all() for a, b in zip(roles, entries)), (n, last)
 
@@ -697,14 +697,27 @@ class TestExactPlan:
         assert predict_gate_count("exact", 5, 10**22) == 20_529
         assert predict_gate_count("exact", 1 << 20, 1000) == 20_752_585_983_409_520_639
 
-    def test_needs_are_empty_row_one_column_n_or_all(self):
-        for n in range(2, 7):
-            for l in range(1, 70):
-                plan = _exact_plan(n, l)
-                for k, (a, b, rows, cols) in enumerate(plan, 1):
-                    assert a < k and b < k
-                    assert rows in (0, 1, n) and cols in (0, 1, n)
-                    assert (rows, cols) != (0, 0) or k == len(plan), (n, l, k)
+    @pytest.mark.parametrize("absorb", [False, True])
+    def test_needs_are_the_per_entry_reads(self, absorb):
+        # Counted back entry by entry: (i, j) needs row i of its left operand
+        # and column j of its right one, less (j, j) only when absorbing.
+        rng = Random(int(absorb))
+        for n in range(2, 9):
+            for _ in range(25):
+                if absorb:
+                    plan = [(k, k) for k in range(rng.randrange(5))]
+                else:
+                    plan = _exact_plan(n, rng.randrange(1, 200))
+                last = frozenset(c for c in ROLE_CLASSES if rng.random() < 0.3)
+                want = [np.zeros((n, n), dtype=bool) for _ in range(len(plan))] + [_pattern_mask(last, n)]
+                for k in range(len(plan), 0, -1):
+                    left, right = plan[k - 1]
+                    for i, j in zip(*np.nonzero(want[k])):
+                        want[left][i] = True
+                        want[right][np.arange(n) != j if absorb else slice(None), j] = True
+                got = [_pattern_mask(need, n) for need in _needs(plan, last, n, absorb)]
+                assert len(got) == len(want)
+                assert all((a == b).all() for a, b in zip(got, want)), (n, plan, last)
 
     @pytest.mark.parametrize("l", [0, -1])
     def test_length_below_one_is_refused(self, l):

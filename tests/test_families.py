@@ -1,6 +1,7 @@
 """Covering families: checkers, sampler bounds, planes, hitting witnesses."""
 
 import math
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -263,6 +264,48 @@ class TestSampleFamily:
             for i in range(10)
         )
         assert found
+
+
+class TestCheckBudget:
+    """Both checkers refuse d * (m + 576) bits over CHECK_BIT_BUDGET up front."""
+
+    def test_shapes_in_use_fit_the_budget(self):
+        shapes = [FamilyParams(*shape) for shape in TestSampleFamily.SAMPLED_SHAPES]
+        for n, l in TestSampleFamily.THEOREM_PAIRS:
+            sched = mr.recursion_schedule(n, l)
+            shapes += [sched.family_params(i) for i in range(sched.k)]
+        for n in range(2, 962):  # every plane family under PLANE_POINT_BUDGET
+            q = mr.minimal_prime_q(n)
+            shapes.append(FamilyParams(n, q * (q + 1), q, n, mr.minimal_deficiency(q)))
+        assert mr.plane_family(961).params == shapes[-1]
+        bits = [p.d * (p.m + 576) for p in shapes]
+        assert max(bits) == bits[-1] == 145 * (992 + 576) == 227_360
+        assert max(bits) <= monoreach.families.CHECK_BIT_BUDGET
+
+    @pytest.mark.parametrize("check", ["exact", "sampled"])
+    def test_refused_just_over_the_budget(self, check, monkeypatch):
+        monkeypatch.setattr(monoreach.families, "sample_distinct", None)  # a draw would raise TypeError
+        monkeypatch.setattr(CoveringFamily, "element_set_masks", None)
+        # 1024 * (15808 + 576) == 2**24, so one more level is one too many.
+        fam = CoveringFamily(FamilyParams(1025, 15808, 1, 1025, 1025), [()] * 15808)
+        message = (
+            f"{check} check with d=1025 and m=15808 needs d * (m + 576) = 16793600 bits, "
+            "over the budget of 16777216"
+        )
+        with pytest.raises(mr.BudgetExceededError, match=f"^{re.escape(message)}$"):
+            if check == "exact":
+                mr.check_family_exact(fam)
+            else:
+                mr.check_family_sampled(fam, 1, seed=0)
+
+    def test_at_the_budget_the_search_runs(self):
+        fam = CoveringFamily(FamilyParams(1024, 15808, 1, 1024, 1024), [()] * 15808)
+        assert mr.check_family_exact(fam).d_subset == tuple(range(1, 1025))
+        assert mr.check_family_sampled(fam, 1, seed=0).d_subset == tuple(range(1, 1025))
+
+    def test_l_below_d_still_passes_over_the_budget(self):
+        fam = CoveringFamily(FamilyParams(10**9, 1, 1, 1, 10**9), [(1,)])
+        assert mr.check_family_exact(fam) is None
 
 
 class TestHittingDecomposition:

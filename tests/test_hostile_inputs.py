@@ -1,0 +1,92 @@
+"""The CLI under a memory cap: a small hostile file or flag ends in a normal
+result or in one `error:` line, never in a traceback, a kill or a hang."""
+
+import resource
+
+import pytest
+from test_cli import run_process
+
+from monoreach.build import build_reach_leq
+from monoreach.circuit import write_circuit
+
+MEMORY_CAP = 768 << 20  # bytes of address space the child may map
+TIMEOUT_S = 20
+
+
+def cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
+def run_capped(*argv):
+    """Run monoreach.cli.main in a child limited to MEMORY_CAP and TIMEOUT_S,
+    and check that it ends cleanly: exit 0 or 1, or exit 2 with exactly one
+    `error:` line.  Returns the finished process."""
+    proc = run_process(*argv, timeout=TIMEOUT_S, preexec_fn=cap_memory)
+    assert "Traceback" not in proc.stderr, proc.stderr[-2000:]
+    if proc.returncode == 2:
+        assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    else:
+        assert proc.returncode in (0, 1), (proc.returncode, proc.stderr[-2000:])
+    return proc
+
+
+def deep_family(path):
+    """40,000 singleton sets and d = 39,999: an exact search d levels deep."""
+    path.write_text("FAMILY 40000 40000 1 1000000000000 39999\n" + "".join(f"{v}\n" for v in range(1, 40001)))
+
+
+def huge_d_family(path):
+    """46 bytes declaring d = 10**9: one sampled trial draws d elements."""
+    path.write_bytes(b"FAMILY 1000000000 1 1 1000000000 1000000000\n1\n")
+
+
+def wide_circuit(path):
+    path.write_bytes(b"MCIRC 1 1000000\nOUT 0\n")
+
+
+def huge_graph(path):
+    path.write_bytes(b"GRAPH 1000000000\n")
+
+
+# (name, input files to write, argv with {file} names for them, the refusal's words)
+CASES = [
+    (
+        "exact check of a deep family",
+        {"fam": deep_family},
+        ["family", "check", "--file", "{fam}", "--mode", "exact"],
+        "exact check with d=39999 and m=40000",
+    ),
+    (
+        "sampled check of a huge d",
+        {"fam": huge_d_family},
+        ["family", "check", "--file", "{fam}", "--mode", "sampled", "--trials", "1"],
+        "sampled check with d=1000000000 and m=1",
+    ),
+    ("stats of a wide header", {"mc": wide_circuit}, ["stats", "--circuit", "{mc}"], "1000000 vertices need more"),
+    (
+        "sample of a huge m",
+        {},
+        ["family", "sample", "--n", "3", "--m", "99999999999", "--s", "2", "--l", "2", "--d", "1", "--out", "{out}"],
+        "sampling m=99999999999 sets",
+    ),
+    (
+        "eval on a huge graph header",
+        {"mc": lambda path: write_circuit(build_reach_leq(3, 2), path), "graph": huge_graph},
+        ["eval", "--circuit", "{mc}", "--graph", "{graph}"],
+        "expected 1000000000 rows, got 0",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, files, argv, words", CASES, ids=[case[0] for case in CASES])
+def test_refused_in_one_line(tmp_path, name, files, argv, words):
+    paths = {key: tmp_path / key for key in (*files, "out")}
+    for key, write in files.items():
+        write(paths[key])
+    proc = run_capped(*(arg.format(**paths) for arg in argv))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert words in proc.stderr
+    assert not paths["out"].exists()
+
