@@ -170,9 +170,8 @@ def _pattern_mask(pattern: frozenset, n: int) -> np.ndarray:
 
 def _read_pattern(circuit: MonotoneCircuit) -> frozenset:
     """Role classes of the inputs some gate or output of `circuit` reads."""
-    wires = np.concatenate(
-        (np.frombuffer(circuit._lefts, dtype=np.intc), np.frombuffer(circuit._rights, dtype=np.intc), circuit.outputs)
-    )
+    _, lefts, rights = circuit.gates()
+    wires = np.concatenate((lefts, rights, circuit.outputs))
     read = np.unique(wires[wires < circuit.num_inputs])
     return frozenset(ROLE_CLASSES[c] for c in np.unique(_role_classes(circuit.num_vertices).ravel()[read]))
 
@@ -287,9 +286,8 @@ def _splice(circuit: MonotoneCircuit, inner: MonotoneCircuit, input_map: np.ndar
     (index: inner wire id over inputs+zero).  Returns the clone's output wire."""
     base = circuit.num_wires
     wire = np.concatenate((input_map, np.arange(base, base + inner.gate_count)))  # inner wire -> wire here
-    circuit._ops.extend(inner._ops)
-    circuit._lefts.frombytes(wire[np.frombuffer(inner._lefts, dtype=np.intc)].astype(np.intc).tobytes())
-    circuit._rights.frombytes(wire[np.frombuffer(inner._rights, dtype=np.intc)].astype(np.intc).tobytes())
+    ops, lefts, rights = inner.gates()
+    circuit.append_gates(ops, wire[lefts], wire[rights])
     return int(wire[inner.outputs[0]])
 
 
@@ -490,7 +488,7 @@ def _mode_l(mode: str, n: int, l: int | None) -> int | None:
     if mode == MODE_SQUARING and (n < 2 or l < 1):
         raise InvalidParameterError("squaring mode needs n >= 2 and l >= 1")
     if mode == MODE_EXACT and l is None:
-        raise InvalidParameterError("exact mode needs l")
+        raise InvalidParameterError("exact mode needs a length l (--l)")
     if mode == MODE_EXPLICIT and n < 2:
         raise InvalidParameterError("explicit mode needs n >= 2")
     return l

@@ -10,6 +10,8 @@ Wire numbering is fixed by the on-disk format and never changes:
 There is deliberately no constant-one wire, so every circuit built here maps
 the all-zero input to 0 by structure alone.  Gates are append-only and may
 only reference earlier wires, which makes the gate list a topological order.
+Every gate enters through ``MonotoneCircuit.append_gates``, which checks that
+rule and the op codes, so every circuit is valid by construction.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import gc
 import io
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import BinaryIO
 
 import numpy as np
@@ -47,12 +48,6 @@ def _gc_paused():
 
 
 _OP_CODES = {"AND": AND, "OR": OR}
-
-
-@dataclass
-class Violation:
-    gate_index: int | None
-    reason: str
 
 
 class MonotoneCircuit:
@@ -93,16 +88,47 @@ class MonotoneCircuit:
     def gate(self, index: int) -> tuple[int, int, int]:
         return (self._ops[index], self._lefts[index], self._rights[index])
 
+    def gates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (ops, lefts, rights) views of the gate table: gate g
+        applies ops[g] to wires lefts[g] and rights[g].  The circuit cannot
+        grow while a view of it is alive."""
+        views = (
+            np.frombuffer(self._ops, dtype=np.uint8),
+            np.frombuffer(self._lefts, dtype=np.intc),
+            np.frombuffer(self._rights, dtype=np.intc),
+        )
+        for view in views:
+            view.flags.writeable = False
+        return views
+
     def add_gate(self, op: int, a: int, b: int) -> int:
-        if op not in (AND, OR):
-            raise InvalidParameterError(f"unknown gate op {op!r}")
-        w = self.num_wires
-        if not (0 <= a < w and 0 <= b < w):
-            raise InvalidReferenceError(f"gate references missing wire ({a}, {b})")
-        self._ops.append(op)
-        self._lefts.append(a)
-        self._rights.append(b)
-        return w
+        return self.append_gates([op], [a], [b])
+
+    def append_gates(self, ops, lefts, rights) -> int:
+        """Append gates g = 0, 1, ..., each ops[g] of wires lefts[g] and
+        rights[g]; returns the wire id of the first.
+
+        The one way gates enter a circuit.  Each op must be AND or OR and
+        each operand an existing wire below the gate's own id, so the gate
+        list stays a topological order of monotone gates, and every wire id
+        fits int32.  A block with a fault appends nothing and names its
+        first faulty gate.
+        """
+        ops, lefts, rights = np.asarray(ops), np.asarray(lefts), np.asarray(rights)
+        base = self.num_wires
+        if base + ops.size > MAX_WIRES:
+            raise InvalidParameterError(f"a circuit has at most {MAX_WIRES} wires")
+        bad = (ops != AND) & (ops != OR)
+        if np.count_nonzero(bad):
+            raise InvalidParameterError(f"unknown gate op {ops[bad.argmax()]}")
+        bad = (np.minimum(lefts, rights) < 0) | (np.maximum(lefts, rights) >= np.arange(base, base + ops.size))
+        if np.count_nonzero(bad):
+            g = bad.argmax()
+            raise InvalidReferenceError(f"gate references missing wire ({lefts[g]}, {rights[g]})")
+        self._ops += ops.astype(np.uint8).tobytes()
+        for table, wires in ((self._lefts, lefts), (self._rights, rights)):
+            table.frombytes(memoryview(np.ascontiguousarray(wires, dtype=np.intc)).cast("B"))
+        return base
 
     def set_outputs(self, wires) -> None:
         wires = list(wires)
@@ -114,19 +140,9 @@ class MonotoneCircuit:
         self._plan_cache = None
 
     def _emit_bulk(self, op: int, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-        """Append many gates of one op; operands must all be existing wires."""
-        base = self.num_wires
-        count = lefts.size
-        if count == 0:
-            return np.empty(0, dtype=np.int64)
-        lo = int(min(lefts.min(), rights.min()))
-        hi = int(max(lefts.max(), rights.max()))
-        if lo < 0 or hi >= base:
-            raise InvalidReferenceError("bulk gate block references a missing wire")
-        self._ops.extend(bytes([op]) * count)
-        self._lefts.frombytes(np.ascontiguousarray(lefts, dtype=np.intc).tobytes())
-        self._rights.frombytes(np.ascontiguousarray(rights, dtype=np.intc).tobytes())
-        return np.arange(base, base + count, dtype=np.int64)
+        """Append many gates of one op; returns their wire ids."""
+        base = self.append_gates(np.full(lefts.size, op, dtype=np.uint8), lefts, rights)
+        return np.arange(base, base + lefts.size, dtype=np.int64)
 
     def or_reduce_columns(self, cols: np.ndarray) -> np.ndarray:
         """Balanced OR over each row of a (rows, k) wire-id array.
@@ -151,32 +167,6 @@ class MonotoneCircuit:
 
     # -- analysis -----------------------------------------------------------
 
-    def validate(self) -> Violation | None:
-        """First structural violation, or None for a well-formed circuit."""
-        n0 = self.num_inputs + 1
-        ng = len(self._ops)
-        if ng:
-            ops = np.frombuffer(self._ops, dtype=np.uint8)
-            bad = np.nonzero(ops > 1)[0]
-            if bad.size:
-                g = int(bad[0])
-                return Violation(g, f"gate {g} has non-monotone op code {self._ops[g]}")
-            lefts = np.frombuffer(self._lefts, dtype=np.intc)
-            rights = np.frombuffer(self._rights, dtype=np.intc)
-            for lo in range(0, ng, _IO_BAND):  # a band at a time: the wire ids are int64
-                a, b = lefts[lo : lo + _IO_BAND], rights[lo : lo + _IO_BAND]
-                limit = np.arange(n0 + lo, n0 + lo + a.size)
-                bad = np.flatnonzero((a < 0) | (a >= limit) | (b < 0) | (b >= limit))
-                if bad.size:
-                    g = lo + int(bad[0])
-                    return Violation(g, f"gate {g} references wire >= its own id (forward or dangling)")
-        if not self.outputs:
-            return Violation(None, "circuit has no outputs")
-        for o in self.outputs:
-            if not 0 <= o < self.num_wires:
-                return Violation(None, f"output references missing wire {o}")
-        return None
-
     def _gate_depths(self) -> np.ndarray:
         """Gate-count depth of every gate's wire, indexed by gate, as a
         read-only int32 array scanned once per gate count."""
@@ -196,8 +186,9 @@ class MonotoneCircuit:
         depth = np.zeros(ng + 1, dtype=np.int32)
         if ng == 0:
             return depth[1:]
-        lefts = np.maximum(np.frombuffer(self._lefts, dtype=np.intc).astype(np.int64) - (n0 - 1), 0)
-        rights = np.maximum(np.frombuffer(self._rights, dtype=np.intc).astype(np.int64) - (n0 - 1), 0)
+        _, lefts, rights = self.gates()
+        lefts = np.maximum(lefts.astype(np.int64) - (n0 - 1), 0)
+        rights = np.maximum(rights.astype(np.int64) - (n0 - 1), 0)
         # Chunked scan: a run of gates that only reads wires created before
         # the run relaxes in one vectorized step.  Run ends are found by a
         # galloping probe so total scan work stays linear in the gate count.
@@ -240,8 +231,7 @@ class MonotoneCircuit:
         n0 = self.num_inputs + 1
         ng = len(self._ops)
         live = np.zeros(ng, dtype=bool)
-        lefts = np.frombuffer(self._lefts, dtype=np.intc)
-        rights = np.frombuffer(self._rights, dtype=np.intc)
+        _, lefts, rights = self.gates()
         # Deduplicates a frontier without sorting: of equal gates only the
         # one whose position ends up in `stamp` survives.
         stamp = np.empty(ng, dtype=np.int64)
@@ -259,8 +249,7 @@ class MonotoneCircuit:
 
     def zero_wire_operands(self) -> int:
         """Number of gates with the zero wire as an operand."""
-        lefts = np.frombuffer(self._lefts, dtype=np.intc)
-        rights = np.frombuffer(self._rights, dtype=np.intc)
+        _, lefts, rights = self.gates()
         return int(np.count_nonzero((lefts == self.zero) | (rights == self.zero)))
 
     def prune(self) -> None:
@@ -277,11 +266,10 @@ class MonotoneCircuit:
         def wire(ids: np.ndarray) -> np.ndarray:
             return np.where(ids < n0, ids, renumber[np.maximum(ids - n0, 0)])
 
-        lefts = np.frombuffer(self._lefts, dtype=np.intc)[keep].astype(np.int64)
-        rights = np.frombuffer(self._rights, dtype=np.intc)[keep].astype(np.int64)
-        self._ops = bytearray(np.frombuffer(self._ops, dtype=np.uint8)[keep].tobytes())
-        self._lefts = array("i", wire(lefts).astype(np.intc).tobytes())
-        self._rights = array("i", wire(rights).astype(np.intc).tobytes())
+        ops, lefts, rights = self.gates()
+        self._ops = bytearray(ops[keep].tobytes())
+        self._lefts = array("i", wire(lefts[keep].astype(np.int64)).astype(np.intc).tobytes())
+        self._rights = array("i", wire(rights[keep].astype(np.int64)).astype(np.intc).tobytes())
         self.outputs = wire(np.asarray(self.outputs, dtype=np.int64)).tolist()
         self._depths_cache = None
         self._plan_cache = None
@@ -300,8 +288,7 @@ class MonotoneCircuit:
         """
         n0 = self.num_inputs + 1
         nw = self.num_wires
-        lefts = np.frombuffer(self._lefts, dtype=np.intc)
-        rights = np.frombuffer(self._rights, dtype=np.intc)
+        _, lefts, rights = self.gates()
         gates = np.arange(len(self._ops), dtype=np.intc)
         # A gate that reads one wire twice is one reader of it.
         readers = np.bincount(lefts, minlength=nw)
@@ -337,11 +324,12 @@ class MonotoneCircuit:
         n0 = self.num_inputs + 1
         nw = self.num_wires
         order = self._plan_order()
-        codes = (np.frombuffer(self._ops, dtype=np.uint8)[order] == OR) * np.uint8(4)
+        ops, lefts, rights = self.gates()
+        codes = (ops[order] == OR) * np.uint8(4)
         renumber = np.arange(nw, dtype=np.intc)
         renumber[n0 + order] = np.arange(n0, nw, dtype=np.intc)
-        lefts = renumber[np.frombuffer(self._lefts, dtype=np.intc)[order]]
-        rights = renumber[np.frombuffer(self._rights, dtype=np.intc)[order]]
+        lefts = renumber[lefts[order]]
+        rights = renumber[rights[order]]
         outputs = renumber[self.outputs]
         del renumber, order
         gates = np.arange(ng, dtype=np.intc)
@@ -583,9 +571,7 @@ def _gate_lines(ops: np.ndarray, lefts: np.ndarray, rights: np.ndarray) -> np.nd
 def _mcirc_chunks(circuit: MonotoneCircuit):
     """The bytes of a circuit's MCIRC file, in order."""
     yield f"MCIRC 1 {circuit.num_vertices}\n".encode()
-    ops = np.frombuffer(circuit._ops, dtype=np.uint8)
-    lefts = np.frombuffer(circuit._lefts, dtype=np.intc)
-    rights = np.frombuffer(circuit._rights, dtype=np.intc)
+    ops, lefts, rights = circuit.gates()
     for lo in range(0, ops.size, _IO_BAND):
         hi = lo + _IO_BAND
         yield _gate_lines(ops[lo:hi], lefts[lo:hi], rights[lo:hi])
@@ -632,20 +618,13 @@ def _block_lines(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, i
 def _token_ints(seg: np.ndarray, at: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(value, well-formed) of each token seg[at:at+length] read as [+-]?[0-9]+.
 
-    Values of tokens longer than 11 bytes are clamped to [-1, MAX_WIRES],
-    which keeps every comparison against a wire id exact.
+    A token longer than 11 bytes, which may not fit int64, is left not
+    well-formed, so its line takes the per-line path.
     """
     values = np.zeros(at.size, dtype=np.int64)
     ok = np.zeros(at.size, dtype=bool)
-    for k in np.flatnonzero(np.bincount(length)).tolist():
+    for k in np.flatnonzero(np.bincount(length)[:12]).tolist():
         sel = np.flatnonzero(length == k)
-        if k > 11:
-            for i in sel.tolist():
-                value = _decimal(seg[at[i] : at[i] + k].tobytes().decode("ascii"))
-                if value is not None:
-                    values[i] = max(-1, min(value, MAX_WIRES))
-                    ok[i] = True
-            continue
         pos = at[sel]
         lead = seg[pos]
         signed = (lead == ord("+")) | (lead == ord("-"))
@@ -666,9 +645,10 @@ def _token_ints(seg: np.ndarray, at: np.ndarray, length: np.ndarray) -> tuple[np
 def _read_gate_lines(
     circuit: MonotoneCircuit, raw: np.ndarray, starts: np.ndarray, stops: np.ndarray, glue: np.ndarray
 ) -> int:
-    """Append the gates of the leading lines that are well-formed gate lines
-    over existing wires; return how many lines that is.  `glue` holds the
-    offsets of the control bytes that str.split() keeps inside tokens."""
+    """Append the gates of the leading lines that are well-formed gate lines;
+    return how many lines that is.  A gate over a missing wire raises from
+    the append.  `glue` holds the offsets of the control bytes that
+    str.split() keeps inside tokens."""
     base, stop = int(starts[0]), int(stops[-1])
     seg = raw[base:stop]
     # in_token[1 + i] says whether seg[i] is part of a token; the ends are padding.
@@ -688,48 +668,36 @@ def _read_gate_lines(
     is_or = (op_len == 2) & (c0 == ord("O")) & (c1 == ord("R"))
     lefts, left_ok = _token_ints(seg, tok_at[t + 2], tok_len[t + 2])
     rights, right_ok = _token_ints(seg, tok_at[t + 3], tok_len[t + 3])
-    wire = circuit.num_wires + lines
     fine = (
         (tok_len[t] == 1) & (seg[tok_at[t]] == ord("G")) & (is_and | is_or)
-        & left_ok & right_ok & (wire < MAX_WIRES)
-        & (lefts >= 0) & (lefts < wire) & (rights >= 0) & (rights < wire)
+        & left_ok & right_ok & (circuit.num_wires + lines < MAX_WIRES)
     )
     clean = np.zeros(starts.size, dtype=bool)
     clean[lines] = fine
     run = starts.size if clean.all() else int(clean.argmin())
-    if run:
-        circuit._ops.extend(is_or[:run].astype(np.uint8).tobytes())
-        circuit._lefts.frombytes(lefts[:run].astype(np.intc).tobytes())
-        circuit._rights.frombytes(rights[:run].astype(np.intc).tobytes())
+    circuit.append_gates(is_or[:run], lefts[:run], rights[:run])
     return run
 
 
-def _decimal(token: str) -> int | None:
-    """The value of an optionally signed run of ASCII digits, else None."""
+def _parse_int(token: str, ln: int) -> int:
+    """The value of an optionally signed run of ASCII digits."""
     digits = token[1:] if token[0] in "+-" else token
     if digits.isascii() and digits.isdigit():
         try:
             return int(token)
         except ValueError:  # more digits than int() converts
             pass
-    return None
-
-
-def _parse_int(token: str, ln: int) -> int:
-    value = _decimal(token)
-    if value is None:
-        raise InvalidParameterError(f"line {ln}: bad integer {token!r}")
-    return value
+    raise InvalidParameterError(f"line {ln}: bad integer {token!r}")
 
 
 def _read_record(circuit: MonotoneCircuit, ln: int, line: str, outputs):
-    """Read one line that is not a clean gate line; return the outputs of a
-    first OUT line, or raise what is wrong with the line."""
+    """Read one line that _read_gate_lines did not take: append a gate
+    line's gate, return the outputs of a first OUT line, or raise what is
+    wrong with the line."""
     parts = line.split()
     if not parts:
         raise InvalidParameterError(f"line {ln}: blank line in circuit file")
     if parts[0] == "G":
-        # _read_gate_lines took every good gate line, so this one has a fault.
         if outputs is not None:
             raise InvalidParameterError(f"line {ln}: gate after OUT line")
         if len(parts) != 4 or parts[1] not in _OP_CODES:
@@ -737,7 +705,8 @@ def _read_record(circuit: MonotoneCircuit, ln: int, line: str, outputs):
         a, b = _parse_int(parts[2], ln), _parse_int(parts[3], ln)
         if circuit.num_wires >= MAX_WIRES:
             raise InvalidParameterError(f"line {ln}: a circuit has at most {MAX_WIRES} wires")
-        raise InvalidReferenceError(f"gate references missing wire ({a}, {b})")
+        circuit.add_gate(_OP_CODES[parts[1]], a, b)
+        return outputs
     if parts[0] == "OUT":
         if outputs is not None:
             raise InvalidParameterError(f"line {ln}: duplicate OUT line")
@@ -811,9 +780,8 @@ def circuit_from_text(text: str | bytes | BinaryIO) -> MonotoneCircuit:
     if outputs is None:
         raise InvalidParameterError("circuit file has no OUT line")
     circuit.set_outputs(outputs)
-    bad = circuit.validate()
-    if bad is not None:
-        raise InvalidParameterError(f"circuit file is not well-formed: {bad.reason}")
+    if not outputs:
+        raise InvalidParameterError("circuit file is not well-formed: circuit has no outputs")
     return circuit
 
 

@@ -30,10 +30,12 @@ PLANE_POINT_BUDGET = 1 << 15
 # Entries m*s that `family sample` may draw: about 0.6 s and a process peak
 # RSS of 80 MB.  Theorem builds are bounded by --max-gates instead.
 SAMPLE_ENTRY_BUDGET = 1 << 20
-# Bits d * (m + 576) that a family check may hold for its d levels: the
-# exact search keeps an m-bit mask and an element per level, at about 72
-# bytes of object headers and list slots each.  The largest shape in use,
-# plane_family(961) with m = 992 and d = 145, needs 227,360.
+# Bits that a family check may hold, at about 576 bits (72 bytes) of object
+# headers and slots per mask: d * (m + 576) for the exact search's d levels,
+# each an m-bit mask and an element, and e * (m + 576) for the m-bit set
+# mask of each of the e distinct elements.  The largest shape in use,
+# plane_family(961) with m = 992, d = 145 and e = 961, needs 227,360 and
+# 1,506,848.
 CHECK_BIT_BUDGET = 1 << 24
 
 
@@ -123,13 +125,22 @@ def _violation_at(family: CoveringFamily, d_subset, elem_masks, full_mask) -> Fa
     return None
 
 
-def _check_budget(p: FamilyParams, mode: str) -> None:
-    """Refuse a check whose d levels of m-bit masks exceed CHECK_BIT_BUDGET."""
+def _check_budget(family: CoveringFamily, mode: str) -> None:
+    """Refuse a check whose d levels of m-bit masks, or whose m-bit masks of
+    the elements, exceed CHECK_BIT_BUDGET."""
+    p = family.params
     bits = p.d * (p.m + 576)
     if bits > CHECK_BIT_BUDGET:
         raise BudgetExceededError(
             f"{mode} check with d={p.d} and m={p.m} needs d * (m + 576) = {bits} bits, "
             f"over the budget of {CHECK_BIT_BUDGET}"
+        )
+    elements = len({v for s in family.sets for v in s})
+    bits = elements * (p.m + 576)
+    if bits > CHECK_BIT_BUDGET:
+        raise BudgetExceededError(
+            f"{mode} check of m={p.m} sets over {elements} elements needs elements * (m + 576) = {bits} "
+            f"bits of element masks, over the budget of {CHECK_BIT_BUDGET}"
         )
 
 
@@ -149,7 +160,7 @@ def check_family_exact(family: CoveringFamily, max_subsets: int = 10_000_000) ->
     need = m * d  # a subset avoided by `count` sets violates once count * l >= need
     if l < d:  # then need > count * l for every count <= m: no subset violates
         return None
-    _check_budget(p, "exact")
+    _check_budget(family, "exact")
     elem_masks = family.element_set_masks()
     path: list[int] = []  # the elements chosen so far
     meets = [0]  # meets[k]: bitmask of the sets that meet path[:k]
@@ -188,7 +199,7 @@ def check_family_sampled(family: CoveringFamily, trials: int, seed: int) -> Fami
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
     p = family.params
-    _check_budget(p, "sampled")
+    _check_budget(family, "sampled")
     elem_masks = family.element_set_masks()
     full = (1 << p.m) - 1
     rng = Random(seed)

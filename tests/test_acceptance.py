@@ -5,6 +5,8 @@ to see them.  The heavy oracle comparisons use the bit-parallel batch
 evaluator, so the whole module finishes in a few minutes.
 """
 
+from test_circuit_core import well_formed
+
 import monoreach as mr
 from monoreach.exactmath import child_seed, comb
 from monoreach.families import FamilyParams
@@ -78,7 +80,7 @@ def test_c04_depth_bound_and_ledger_identity():
     circuit, ledger, _ = mr.build_recursive(16, 12, seed=child_seed(ACCEPT_SEED, "c4"))
     ledgers.append(("recursive 16/12", circuit, ledger))
     for label, circuit, ledger in ledgers:
-        assert circuit.validate() is None, label
+        assert well_formed(circuit) is None, label
         assert ledger.total_measured == circuit.depth() == ledger.total_predicted, label
     report("depth bound over n,l in 2..64 and exact ledger identities", True,
            f"{63 * 63} pairs, {len(ledgers)} composed ledgers")

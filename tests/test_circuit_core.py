@@ -1,7 +1,9 @@
-"""Circuit IR: construction, evaluation, depth, validation, serialization."""
+"""Circuit IR: construction, the checked append, evaluation, depth, serialization."""
 
+import re
 from array import array
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,28 +200,73 @@ class TestDepth:
         assert mr.build_reach_leq(4, 3).depth() == 6
 
 
-class TestValidate:
+def well_formed(c):
+    """What is wrong with a circuit, or None.  Reads gates() and checks the
+    rules here, apart from the append's own check: every op is AND or OR,
+    every operand is a wire below its gate's own id, and there are outputs,
+    each an existing wire."""
+    ops, lefts, rights = c.gates()
+    own = c.num_inputs + 1 + np.arange(c.gate_count)
+    bad_op = np.flatnonzero((ops != AND) & (ops != OR))
+    if bad_op.size:
+        return f"gate {bad_op[0]} has non-monotone op code {ops[bad_op[0]]}"
+    bad_read = np.flatnonzero((np.minimum(lefts, rights) < 0) | (np.maximum(lefts, rights) >= own))
+    if bad_read.size:
+        return f"gate {bad_read[0]} references wire >= its own id (forward or dangling)"
+    if not c.outputs:
+        return "circuit has no outputs"
+    for o in c.outputs:
+        if not 0 <= o < c.num_wires:
+            return f"output references missing wire {o}"
+    return None
+
+
+class TestWellFormed:
     def test_fresh_build_is_valid(self):
-        assert mr.build_reach_leq(5, 4).validate() is None
+        assert well_formed(mr.build_reach_leq(5, 4)) is None
 
     def test_forward_reference_caught(self):
         c = mr.build_reach_leq(4, 3)
-        c._lefts[5] = c.num_inputs + 1 + 10  # corrupt gate 5 to point forward
-        v = c.validate()
-        assert v is not None and v.gate_index == 5
+        text = mr.circuit_to_text(c)
+        w = c.num_wires
+        # (lefts, the operands of the first gate that reads a missing wire)
+        for lefts, fault in (([0, 1, w + 2], (w + 2, 0)), ([0, w + 1, 1], (w + 1, w)), ([w, 0, 1], (w, 1)),
+                             ([0, -1, 1], (-1, w))):
+            with pytest.raises(mr.InvalidReferenceError, match=f"^{re.escape(f'gate references missing wire {fault}')}$"):
+                c.append_gates([AND, OR, AND], lefts, [1, w, 0])
+            assert mr.circuit_to_text(c) == text  # the block appends nothing
+        with pytest.raises(mr.InvalidReferenceError, match=f"^gate references missing wire \\(0, {w}\\)$"):
+            c.add_gate(AND, 0, w)
+        assert mr.circuit_to_text(c) == text
 
     def test_no_outputs_caught(self):
         c = mr.new_circuit(2)
         c.add_gate(AND, 0, 1)
-        v = c.validate()
-        assert v is not None and "output" in v.reason
+        assert well_formed(c) == "circuit has no outputs"
 
     def test_bad_op_caught(self):
         c = mr.new_circuit(2)
-        c.set_outputs([c.add_gate(AND, 0, 1)])
-        c._ops[0] = 9
-        v = c.validate()
-        assert v is not None and v.gate_index == 0
+        for ops, op in (([AND, 9], 9), ([2, OR], 2), ([-1, AND], -1)):
+            with pytest.raises(mr.InvalidParameterError, match=f"^unknown gate op {op}$"):
+                c.append_gates(ops, [0, 1], [1, 2])
+        with pytest.raises(mr.InvalidParameterError, match="^unknown gate op 9$"):
+            c.add_gate(9, 0, 1)
+        assert c.gate_count == 0
+
+    def test_gate_views_are_read_only(self):
+        c = mr.build_reach_leq(4, 3)
+        for view in c.gates():
+            with pytest.raises(ValueError):
+                view[0] = 1
+        assert well_formed(c) is None
+
+
+def test_only_circuit_py_names_the_gate_table():
+    """Every other module reads gates() and appends through append_gates()."""
+    for path in sorted(Path(mr.__file__).parent.glob("*.py")):
+        if path.name != "circuit.py":
+            names = sorted(set(re.findall(r"\b_(?:ops|lefts|rights)\b", path.read_text())))
+            assert not names, (path.name, names)
 
 
 def random_circuit(data, max_gates=40):
@@ -492,7 +539,7 @@ class TestPrune:
         before = (c.evaluate_batch(masks), c.depth())
         c.prune()
         assert c.gate_count == sum(live)
-        assert c.validate() is None
+        assert well_formed(c) is None
         assert (c.evaluate_batch(masks), c.depth()) == before
         assert c.live_gates().all()
 

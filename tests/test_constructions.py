@@ -3,13 +3,14 @@
 import ast
 import hashlib
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 from random import Random
 
 import numpy as np
 import pytest
-from test_circuit_core import per_gate_live
+from test_circuit_core import per_gate_live, well_formed
 
 import monoreach as mr
 import monoreach.build
@@ -193,6 +194,18 @@ class TestComposeFamily:
         # f(n)-style slack stays logarithmic: ceil(log2 d) + ceil(log2 n) + 1
         assert ledger.overhead == mr.ceil_log2(p.d) + mr.ceil_log2(p.n) + 1
 
+    def test_splice_refuses_an_input_past_the_circuit(self):
+        circuit = mr.new_circuit(9)
+        inner = mr.build_reach_leq(4, 3)
+        input_map = np.arange(inner.num_inputs + 1, dtype=np.int64)
+        _, lefts, rights = inner.gates()
+        past = circuit.num_wires + inner.gate_count  # past every wire the clone makes
+        input_map[lefts[0]] = past  # gate 0 reads only inputs and the zero wire
+        fault = (past, int(input_map[rights[0]]))
+        with pytest.raises(mr.InvalidReferenceError, match=f"^{re.escape(f'gate references missing wire {fault}')}$"):
+            monoreach.build._splice(circuit, inner, input_map)
+        assert circuit.gate_count == 0
+
     def test_inner_size_mismatch_rejected(self):
         fam = mr.plane_family(9)
         with pytest.raises(mr.InvalidParameterError):
@@ -281,7 +294,7 @@ class TestBuildExplicit:
     def test_validates(self):
         for n in (2, 3, 7, 12):
             circuit, _ = mr.build_explicit(n)
-            assert circuit.validate() is None
+            assert well_formed(circuit) is None
 
     def test_deficiency_never_exceeds_n(self):
         # So the inner length budget n // d is at least 1 with no guard.

@@ -36,6 +36,11 @@ def deep_family(path):
     path.write_text("FAMILY 40000 40000 1 1000000000000 39999\n" + "".join(f"{v}\n" for v in range(1, 40001)))
 
 
+def wide_family(path):
+    """100,000 singleton sets and d = 1: one 100,000-bit mask per element."""
+    path.write_text("FAMILY 100000 100000 1 1000000000000 1\n" + "".join(f"{v}\n" for v in range(1, 100001)))
+
+
 def huge_d_family(path):
     """46 bytes declaring d = 10**9: one sampled trial draws d elements."""
     path.write_bytes(b"FAMILY 1000000000 1 1 1000000000 1000000000\n1\n")
@@ -56,6 +61,18 @@ CASES = [
         {"fam": deep_family},
         ["family", "check", "--file", "{fam}", "--mode", "exact"],
         "exact check with d=39999 and m=40000",
+    ),
+    (
+        "exact check of a wide family",
+        {"fam": wide_family},
+        ["family", "check", "--file", "{fam}", "--mode", "exact"],
+        "exact check of m=100000 sets over 100000 elements",
+    ),
+    (
+        "sampled check of a wide family",
+        {"fam": wide_family},
+        ["family", "check", "--file", "{fam}", "--mode", "sampled", "--trials", "1"],
+        "sampled check of m=100000 sets over 100000 elements",
     ),
     (
         "sampled check of a huge d",

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_circuit_core import well_formed
 
 import monoreach as mr
 import monoreach.circuit as circuit_module
@@ -61,9 +62,9 @@ def reference_circuit_from_text(text, where):
     if outputs is None:
         raise mr.InvalidParameterError("circuit file has no OUT line")
     circuit.set_outputs(outputs)
-    bad = circuit.validate()
+    bad = well_formed(circuit)
     if bad is not None:
-        raise mr.InvalidParameterError(f"circuit file is not well-formed: {bad.reason}")
+        raise mr.InvalidParameterError(f"circuit file is not well-formed: {bad}")
     return circuit
 
 
@@ -322,9 +323,7 @@ def big_circuit_file(tmp_path_factory):
     wires = c.num_wires + np.arange(MEMORY_GATES)
     lefts = rng.integers(10**9, wires).astype(np.intc)
     rights = (wires - 1 - rng.integers(0, 1000, MEMORY_GATES)).astype(np.intc)
-    c._ops = bytearray(rng.integers(0, 2, MEMORY_GATES, dtype=np.uint8).tobytes())
-    c._lefts.frombytes(lefts.tobytes())
-    c._rights.frombytes(rights.tobytes())
+    c.append_gates(rng.integers(0, 2, MEMORY_GATES, dtype=np.uint8), lefts, rights)
     c.set_outputs([c.num_wires - 1])
     path = tmp_path_factory.mktemp("memory") / "big.mc"
     mr.write_circuit(c, path)
@@ -398,6 +397,18 @@ class TestWireIdLimit:
         assert c.depth() == 1
         with pytest.raises(mr.InvalidParameterError, match=f"^line {room + 2}: a circuit has at most"):
             mr.circuit_from_text(text.replace("OUT", "G AND 0 1\nOUT"))
+
+
+    def test_append_stops_at_the_limit(self):
+        c = mr.new_circuit(46340)
+        room = MAX_WIRES - c.num_wires
+        c.append_gates(np.zeros(room, dtype=np.uint8), np.zeros(room, dtype=np.int64), np.ones(room, dtype=np.int64))
+        assert c.num_wires == MAX_WIRES
+        with pytest.raises(mr.InvalidParameterError, match=f"^a circuit has at most {MAX_WIRES} wires$"):
+            c.add_gate(AND, 0, MAX_WIRES - 1)
+        with pytest.raises(mr.InvalidParameterError, match=f"^a circuit has at most {MAX_WIRES} wires$"):
+            mr.new_circuit(46341).add_gate(AND, 0, 1)
+        assert c.num_wires == MAX_WIRES
 
 
 class TestWriter:
