@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import gc
 import io
+import sys
 from array import array
 from contextlib import contextmanager
 from typing import BinaryIO
@@ -615,30 +616,47 @@ def _block_lines(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, i
     return starts, stops, glue, ascii_lines
 
 
+# Digits int() reads in one string, 0 for no limit (Python 3.10.7 and later).
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 def _token_ints(seg: np.ndarray, at: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(value, well-formed) of each token seg[at:at+length] read as [+-]?[0-9]+.
 
-    A token longer than 11 bytes, which may not fit int64, is left not
-    well-formed, so its line takes the per-line path.
+    The value is read from the last 11 digits at most.  A token with more
+    digits is left not well-formed unless all the digits before those are
+    0, so every value fits int64 and a line with a larger one takes the
+    per-line path, which names it exactly; so is one that int() refuses
+    for its length.
     """
+    lead = seg[at]
+    body = at + ((lead == ord("+")) | (lead == ord("-")))
+    end = at + length
+    width = np.minimum(end - body, 11)  # 0 for a lone sign, which stays not well-formed
     values = np.zeros(at.size, dtype=np.int64)
     ok = np.zeros(at.size, dtype=bool)
-    for k in np.flatnonzero(np.bincount(length)[:12]).tolist():
-        sel = np.flatnonzero(length == k)
-        pos = at[sel]
-        lead = seg[pos]
-        signed = (lead == ord("+")) | (lead == ord("-"))
-        digit = np.subtract(lead, ord("0"), dtype=np.uint8)
-        good = (digit < 10) | (signed & (k > 1))
-        v = np.where(signed, 0, digit).astype(np.int64)
-        for c in range(1, k):
+    counts = np.bincount(width, minlength=12)
+    for k in range(1, 12):
+        if not counts[k]:
+            continue
+        sel = np.flatnonzero(width == k)
+        pos = end[sel] - k
+        good = np.ones(sel.size, dtype=bool)
+        v = np.zeros(sel.size, dtype=np.int64)
+        for c in range(k):
             digit = np.subtract(seg[pos + c], ord("0"), dtype=np.uint8)
             good &= digit < 10
             v *= 10
             v += digit
-        v[lead == ord("-")] *= -1
         values[sel] = v
         ok[sel] = good
+    values[lead == ord("-")] *= -1
+    long = np.flatnonzero(end - body > 11)
+    if long.size:  # each [body, end - 11) is non-empty, so reduceat reads exactly it
+        heads = np.stack((body[long], end[long] - 11), axis=1).ravel()
+        ok[long] &= ~np.logical_or.reduceat(seg != ord("0"), heads)[0::2]
+        if max_digits := _int_max_str_digits():  # int() refuses more, so _parse_int does
+            ok[long] &= end[long] - body[long] <= max_digits
     return values, ok
 
 

@@ -30,13 +30,17 @@ PLANE_POINT_BUDGET = 1 << 15
 # Entries m*s that `family sample` may draw: about 0.6 s and a process peak
 # RSS of 80 MB.  Theorem builds are bounded by --max-gates instead.
 SAMPLE_ENTRY_BUDGET = 1 << 20
-# Bits that a family check may hold, at about 576 bits (72 bytes) of object
-# headers and slots per mask: d * (m + 576) for the exact search's d levels,
-# each an m-bit mask and an element, and e * (m + 576) for the m-bit set
-# mask of each of the e distinct elements.  The largest shape in use,
-# plane_family(961) with m = 992, d = 145 and e = 961, needs 227,360 and
-# 1,506,848.
+# Bits d * (m + 576) that a family check may hold for its d levels: the
+# exact search keeps an m-bit mask and an element per level, at about 72
+# bytes of object headers and list slots each.  The largest shape in use,
+# plane_family(961) with m = 992 and d = 145, needs 227,360.
 CHECK_BIT_BUDGET = 1 << 24
+# Bits that a family check's element masks may hold: each element's mask
+# has one bit per set up to the last set holding it, plus the same 576.
+# 2**30 bits (128 MiB) of singleton masks built in 0.1 s and added 141 MB
+# to peak RSS.  The largest shape in use, plane_family(961), needs at most
+# 961 * (992 + 576) = 1,506,848.
+MASK_BIT_BUDGET = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -126,8 +130,8 @@ def _violation_at(family: CoveringFamily, d_subset, elem_masks, full_mask) -> Fa
 
 
 def _check_budget(family: CoveringFamily, mode: str) -> None:
-    """Refuse a check whose d levels of m-bit masks, or whose m-bit masks of
-    the elements, exceed CHECK_BIT_BUDGET."""
+    """Refuse a check whose d levels of m-bit masks exceed CHECK_BIT_BUDGET,
+    or whose element masks exceed MASK_BIT_BUDGET."""
     p = family.params
     bits = p.d * (p.m + 576)
     if bits > CHECK_BIT_BUDGET:
@@ -135,12 +139,14 @@ def _check_budget(family: CoveringFamily, mode: str) -> None:
             f"{mode} check with d={p.d} and m={p.m} needs d * (m + 576) = {bits} bits, "
             f"over the budget of {CHECK_BIT_BUDGET}"
         )
-    elements = len({v for s in family.sets for v in s})
-    bits = elements * (p.m + 576)
-    if bits > CHECK_BIT_BUDGET:
+    if sum(map(len, family.sets)) * (p.m + 576) <= MASK_BIT_BUDGET:  # one mask per entry at most
+        return
+    last = {v: idx for idx, s in enumerate(family.sets) for v in s}  # the last set holding v
+    bits = sum(last.values()) + len(last) * (1 + 576)
+    if bits > MASK_BIT_BUDGET:
         raise BudgetExceededError(
-            f"{mode} check of m={p.m} sets over {elements} elements needs elements * (m + 576) = {bits} "
-            f"bits of element masks, over the budget of {CHECK_BIT_BUDGET}"
+            f"{mode} check of m={p.m} sets over {len(last)} elements needs {bits} bits of element masks, "
+            f"over the budget of {MASK_BIT_BUDGET}"
         )
 
 
@@ -151,9 +157,9 @@ def check_family_exact(family: CoveringFamily, max_subsets: int = 10_000_000) ->
     goes deeper.  It prunes a branch once fewer than m*d/l sets avoid it,
     since adding elements can only lower that count; so the first leaf it
     reaches is the lexicographically first counterexample.  Returns that
-    counterexample, or None on pass.  Refuses (never samples) a search of
-    more than CHECK_BIT_BUDGET bits before it starts, and once it has
-    visited more than max_subsets subsets of size 1..d.
+    counterexample, or None on pass.  Refuses (never samples) a search over
+    the bit budgets before it starts, and once it has visited more than
+    max_subsets subsets of size 1..d.
     """
     p = family.params
     n, m, l, d = p.n, p.m, p.l, p.d
@@ -194,7 +200,7 @@ def check_family_sampled(family: CoveringFamily, trials: int, seed: int) -> Fami
     """Monte Carlo falsification over uniform d-subsets.
 
     Finding nothing is not a proof; any counterexample returned is real.
-    Refuses a family over CHECK_BIT_BUDGET before the first draw.
+    Refuses a family over the bit budgets before the first draw.
     """
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")

@@ -267,8 +267,8 @@ class TestSampleFamily:
 
 
 class TestCheckBudget:
-    """Both checkers refuse d * (m + 576) bits, or elements * (m + 576) bits
-    of element masks, over CHECK_BIT_BUDGET up front."""
+    """Both checkers refuse d * (m + 576) bits over CHECK_BIT_BUDGET, or
+    element masks over MASK_BIT_BUDGET, up front."""
 
     def test_shapes_in_use_fit_the_budget(self):
         shapes = [FamilyParams(*shape) for shape in TestSampleFamily.SAMPLED_SHAPES]
@@ -282,10 +282,10 @@ class TestCheckBudget:
         bits = [p.d * (p.m + 576) for p in shapes]
         assert max(bits) == bits[-1] == 145 * (992 + 576) == 227_360
         assert max(bits) <= monoreach.families.CHECK_BIT_BUDGET
-        # A family holds at most min(n, m * s) distinct elements.
+        # A family holds at most min(n, m * s) distinct elements, each mask at most m bits.
         mask_bits = [min(p.n, p.m * p.s) * (p.m + 576) for p in shapes]
         assert max(mask_bits) == mask_bits[-1] == 961 * (992 + 576) == 1_506_848
-        assert max(mask_bits) <= monoreach.families.CHECK_BIT_BUDGET
+        assert max(mask_bits) <= monoreach.families.MASK_BIT_BUDGET
 
     @pytest.mark.parametrize("check", ["exact", "sampled"])
     def test_refused_just_over_the_budget(self, check, monkeypatch):
@@ -305,22 +305,29 @@ class TestCheckBudget:
 
     @pytest.mark.parametrize("check", ["exact", "sampled"])
     def test_element_masks_refused_just_over_the_budget(self, check, monkeypatch):
-        def family(elements):  # singletons of the first `elements` vertices, the other sets empty
-            sets = [(v,) for v in range(1, elements + 1)] + [()] * (15808 - elements)
-            return CoveringFamily(FamilyParams(1025, 15808, 1, 10**12, 1), sets)
+        m = (1 << 16) - 576
 
-        def run(fam):
+        def run(elements):  # the first and last of m sets hold `elements` elements, each mask m bits
+            held = range(1, elements + 1)
+            fam = CoveringFamily(FamilyParams(16385, m, elements, 10**12, 1), [held] + [()] * (m - 2) + [held])
             return mr.check_family_exact(fam) if check == "exact" else mr.check_family_sampled(fam, 1, seed=0)
 
-        # 1024 * (15808 + 576) == 2**24: the masks of 1024 elements fit, of 1025 do not.
-        assert run(family(1024)) is not None  # almost every set avoids any one element
-        monkeypatch.setattr(CoveringFamily, "element_set_masks", None)
+        monkeypatch.setattr(CoveringFamily, "element_set_masks", None)  # building the masks raises TypeError
+        # 16384 * (m + 576) == 2**30: the masks of 16384 elements fit, of 16385 do not.
+        with pytest.raises(TypeError):
+            run(16384)
         message = (
-            f"{check} check of m=15808 sets over 1025 elements needs elements * (m + 576) = 16793600 "
-            "bits of element masks, over the budget of 16777216"
+            f"{check} check of m={m} sets over 16385 elements needs 1073807360 bits of element masks, "
+            "over the budget of 1073741824"
         )
         with pytest.raises(mr.BudgetExceededError, match=f"^{re.escape(message)}$"):
-            run(family(1025))
+            run(16385)
+
+    def test_a_sample_at_the_entry_budget_checks(self):
+        params = FamilyParams(4096, 4096, 256, 1, 1)  # masks of about 4096 * (4096 + 576) bits
+        assert params.m * params.s == monoreach.families.SAMPLE_ENTRY_BUDGET
+        family, attempts = mr.sample_verified_family(params, seed=0, attempts=1)
+        assert attempts == 1 and len(family.element_set_masks()) == 4096
 
     def test_at_the_budget_the_search_runs(self):
         fam = CoveringFamily(FamilyParams(1024, 15808, 1, 1024, 1024), [()] * 15808)

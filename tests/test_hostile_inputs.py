@@ -107,3 +107,13 @@ def test_refused_in_one_line(tmp_path, name, files, argv, words):
     assert words in proc.stderr
     assert not paths["out"].exists()
 
+
+
+def test_zero_padded_operands_read_in_bulk(tmp_path):
+    """10**6 gate lines (21 MB) whose operand is zero-padded to 12 digits
+    read on the bulk path, not one line at a time."""
+    path = tmp_path / "padded.mc"
+    path.write_bytes(b"MCIRC 1 2\n" + b"G AND 000000000003 0\n" * 10**6 + b"OUT 5\n")
+    proc = run_capped("stats", "--circuit", str(path))
+    assert proc.returncode == 0
+    assert "gates: 1000000\n" in proc.stdout

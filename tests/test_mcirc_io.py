@@ -430,8 +430,8 @@ class TestWriter:
     @pytest.mark.parametrize("gates", [0, 1, 5, (1 << 18) + 3])
     def test_file_bytes_equal_text(self, tmp_path, gates):
         c = mr.new_circuit(2)
-        for g in range(gates):
-            c.add_gate(g % 2, g % c.num_wires, c.num_wires - 1)
+        g = np.arange(gates)  # gate g is wire 5 + g, over wires g and 4 + g
+        c.append_gates(g % 2, g, g + 4)
         c.set_outputs([c.num_wires - 1])
         path = tmp_path / "c.mc"
         mr.write_circuit(c, path)
