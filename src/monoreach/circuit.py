@@ -26,6 +26,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidReferenceError
+from .exactmath import parse_int
 
 AND = 0
 OR = 1
@@ -655,7 +656,7 @@ def _token_ints(seg: np.ndarray, at: np.ndarray, length: np.ndarray) -> tuple[np
     if long.size:  # each [body, end - 11) is non-empty, so reduceat reads exactly it
         heads = np.stack((body[long], end[long] - 11), axis=1).ravel()
         ok[long] &= ~np.logical_or.reduceat(seg != ord("0"), heads)[0::2]
-        if max_digits := _int_max_str_digits():  # int() refuses more, so _parse_int does
+        if max_digits := _int_max_str_digits():  # int() refuses more, so parse_int does
             ok[long] &= end[long] - body[long] <= max_digits
     return values, ok
 
@@ -697,17 +698,6 @@ def _read_gate_lines(
     return run
 
 
-def _parse_int(token: str, ln: int) -> int:
-    """The value of an optionally signed run of ASCII digits."""
-    digits = token[1:] if token[0] in "+-" else token
-    if digits.isascii() and digits.isdigit():
-        try:
-            return int(token)
-        except ValueError:  # more digits than int() converts
-            pass
-    raise InvalidParameterError(f"line {ln}: bad integer {token!r}")
-
-
 def _read_record(circuit: MonotoneCircuit, ln: int, line: str, outputs):
     """Read one line that _read_gate_lines did not take: append a gate
     line's gate, return the outputs of a first OUT line, or raise what is
@@ -720,7 +710,7 @@ def _read_record(circuit: MonotoneCircuit, ln: int, line: str, outputs):
             raise InvalidParameterError(f"line {ln}: gate after OUT line")
         if len(parts) != 4 or parts[1] not in _OP_CODES:
             raise InvalidParameterError(f"line {ln}: bad gate line {line!r}")
-        a, b = _parse_int(parts[2], ln), _parse_int(parts[3], ln)
+        a, b = parse_int(parts[2], ln), parse_int(parts[3], ln)
         if circuit.num_wires >= MAX_WIRES:
             raise InvalidParameterError(f"line {ln}: a circuit has at most {MAX_WIRES} wires")
         circuit.add_gate(_OP_CODES[parts[1]], a, b)
@@ -728,7 +718,7 @@ def _read_record(circuit: MonotoneCircuit, ln: int, line: str, outputs):
     if parts[0] == "OUT":
         if outputs is not None:
             raise InvalidParameterError(f"line {ln}: duplicate OUT line")
-        return [_parse_int(t, ln) for t in parts[1:]]
+        return [parse_int(t, ln) for t in parts[1:]]
     raise InvalidParameterError(f"line {ln}: unknown record {parts[0]!r}")
 
 
@@ -736,7 +726,7 @@ def _read_header(line: str) -> MonotoneCircuit:
     head = line.split()
     if len(head) != 3 or head[0] != "MCIRC" or head[1] != "1":
         raise InvalidParameterError(f"bad circuit header: {line!r}")
-    circuit = MonotoneCircuit(_parse_int(head[2], 1))
+    circuit = MonotoneCircuit(parse_int(head[2], 1))
     if circuit.num_wires > MAX_WIRES:
         raise InvalidParameterError(
             f"line 1: {circuit.num_vertices} vertices need more than {MAX_WIRES} wires"

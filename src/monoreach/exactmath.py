@@ -1,4 +1,5 @@
-"""Deterministic number kit: primality, portable random draws, dyadic logs.
+"""Deterministic number kit: primality, portable random draws, dyadic logs,
+and the one rule for reading an integer from a text file.
 
 Everything here is exact integer / Fraction arithmetic or consumes only
 ``random.Random.getrandbits``, so results are identical across platforms
@@ -54,6 +55,30 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def parse_int(token: str, ln: int) -> int:
+    """The value of an optionally signed run of ASCII digits, the one number
+    rule of the MCIRC, FAMILY and GRAPH formats; any other token is refused
+    naming line `ln`."""
+    digits = token[1:] if token[0] in "+-" else token
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise InvalidParameterError(f"line {ln}: bad integer {token!r}")
+
+
+def parse_ints(line: str, ln: int) -> list[int]:
+    """The values of the whitespace-separated tokens of line `ln`, each read
+    by parse_int."""
+    if line.isascii() and "_" not in line:  # then int() takes exactly parse_int's tokens
+        try:
+            return list(map(int, line.split()))
+        except ValueError:
+            pass
+    return [parse_int(t, ln) for t in line.split()]
 
 
 def child_seed(master: int, label: str) -> int:
@@ -112,12 +137,14 @@ def bernoulli_digits(p: float) -> tuple[int, ...]:
     return tuple((q >> b) & 1 for b in range(trailing, _PROB_BITS))
 
 
-def bernoulli_mask(rng: Random, width: int, p: float) -> int:
+def bernoulli_mask(rng: Random, width: int, p: float, digits: tuple[int, ...] | None = None) -> int:
     """Integer with `width` independent bits, each 1 with probability ~p,
-    drawn by the schedule of bernoulli_digits(p)."""
+    drawn by the schedule of bernoulli_digits(p).  A caller drawing many
+    masks at one density passes that schedule in as `digits`."""
     if width <= 0:
         return 0
-    digits = bernoulli_digits(p)
+    if digits is None:
+        digits = bernoulli_digits(p)
     if not digits:
         return (1 << width) - 1 if p >= 1.0 else 0
     acc = rng.getrandbits(width)

@@ -22,13 +22,15 @@ from .errors import (
     FamilyViolationError,
     InvalidParameterError,
 )
-from .exactmath import child_seed, comb, is_prime, isqrt, randbelow, sample_distinct
+from .exactmath import child_seed, comb, is_prime, isqrt, parse_int, parse_ints, randbelow, sample_distinct
 
 # Points over all q(q+1) lines of q points each that affine_lines may build:
 # q <= 31, about 30 ms with the incidence check.
 PLANE_POINT_BUDGET = 1 << 15
-# Entries m*s that `family sample` may draw: about 0.6 s and a process peak
-# RSS of 80 MB.  Theorem builds are bounded by --max-gates instead.
+# Entries m*s that `family sample` may draw.  Drawing n = m = 4096, s = 256
+# takes about 0.35 s on a 2-vCPU host, and the process peaks at 86 MB of
+# RSS; 104 MB for n >= 2**64, where every entry is a Python int.  Theorem
+# builds are bounded by --max-gates instead.
 SAMPLE_ENTRY_BUDGET = 1 << 20
 # Bits d * (m + 576) that a family check may hold for its d levels: the
 # exact search keeps an m-bit mask and an element per level, at about 72
@@ -239,20 +241,48 @@ def sampling_guarantee_holds(n: int, m: int, s: int, l: int, d: int) -> bool:
     return m == n and l < n and d <= n and s > 2.0 * n * math.log(n) / d
 
 
+def _uniform_below(rng: Random, k: int, count: int) -> np.ndarray:
+    """The values of `count` successive randbelow(rng, k) calls, leaving rng
+    in the state those calls leave it: uint64 for k < 2**64, else Python
+    ints in an object array, drawn by those calls themselves.
+
+    Below 2**64 a round reads all its tries with one getrandbits.  A try is
+    w = ceil(bits / 32) words, least significant first, with the last word
+    shifted down by 32 * w - bits, as getrandbits(bits) reads it; it is
+    kept when below k.  Each round draws one try per value still needed,
+    so no word past the last kept try is drawn.
+    """
+    if k <= 0:
+        raise ValueError("k must be positive")
+    bits = k.bit_length()
+    w = (bits + 31) // 32
+    if w > 2:  # each value is a Python int anyway; one call per try measured faster
+        return np.array([randbelow(rng, k) for _ in range(count)], dtype=object)
+    out = np.empty(count, dtype=np.uint64)
+    have = 0
+    while have < count:
+        need = count - have
+        block = bytearray(rng.getrandbits(32 * w * need).to_bytes(4 * w * need, "little"))
+        words = np.frombuffer(block, dtype="<u4").reshape(need, w)
+        words[:, -1] >>= np.uint32(32 * w - bits)
+        tries = words.view("<u8")[:, 0] if w == 2 else words[:, 0]
+        kept = tries[tries < k]
+        out[have : have + kept.size] = kept
+        have += kept.size
+    return out
+
+
 def sample_family(params: FamilyParams, seed: int) -> CoveringFamily:
     """Draw an m x s matrix of uniform elements of {1..n}, one set per row.
 
     Duplicates within a row collapse, so sets may have fewer than s
-    elements.  Entries are drawn row-major from a fresh generator, so a
-    fixed seed reproduces the family exactly.
+    elements.  Entries are drawn row-major from a fresh generator, each as
+    randbelow(rng, n) + 1 would draw it, so a fixed seed reproduces the
+    family exactly.
     """
-    rng = Random(seed)
-    n = params.n
-    rows = []
-    for _ in range(params.m):
-        row = [randbelow(rng, n) + 1 for _ in range(params.s)]
-        rows.append(row)
-    return CoveringFamily(params, rows)
+    entries = _uniform_below(Random(seed), params.n, params.m * params.s)
+    entries += 1
+    return CoveringFamily(params, entries.reshape(params.m, params.s).tolist())
 
 
 def sample_verified_family(
@@ -506,11 +536,11 @@ def family_from_text(text: str) -> CoveringFamily:
     head = lines[0].split()
     if len(head) != 6 or head[0] != "FAMILY":
         raise InvalidParameterError(f"bad family header: {lines[0]!r}")
-    params = FamilyParams(*(int(t) for t in head[1:]))
+    params = FamilyParams(*(parse_int(t, 1) for t in head[1:]))
     body = lines[1:]
     if len(body) != params.m:
         raise InvalidParameterError(f"expected {params.m} set lines, got {len(body)}")
-    sets = [tuple(int(t) for t in line.split()) for line in body]
+    sets = [parse_ints(line, ln) for ln, line in enumerate(body, start=2)]
     return CoveringFamily(params, sets)
 
 

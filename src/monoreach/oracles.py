@@ -15,7 +15,7 @@ import numpy as np
 
 from .circuit import AdjacencyMatrix, MonotoneCircuit
 from .errors import BudgetExceededError, InvalidParameterError
-from .exactmath import bernoulli_digits, bernoulli_mask, child_seed, randbelow
+from .exactmath import bernoulli_digits, bernoulli_mask, child_seed, parse_int, randbelow
 
 CHUNK_BITS = 16384  # graphs per evaluation batch
 # Most vertices a comparison driver accepts: one chunk at 256 vertices
@@ -350,7 +350,7 @@ def graph_from_text(text: str) -> AdjacencyMatrix:
     head = lines[0].split()
     if len(head) != 2 or head[0] != "GRAPH":
         raise InvalidParameterError(f"bad graph header: {lines[0]!r}")
-    n = int(head[1])
+    n = parse_int(head[1], 1)
     for ln, row in enumerate(lines[1:], start=2):
         if not row.strip():
             raise InvalidParameterError(f"line {ln}: blank line in graph file")
@@ -425,7 +425,8 @@ def bernoulli_entry_masks(rng: Random, n: int, width: int, p: float) -> list[int
     Entry order is the input wire order; the draw schedule (entry-major) is
     part of the documented sampling scheme.
     """
-    return [bernoulli_mask(rng, width, p) for _ in range(n * n)]
+    digits = bernoulli_digits(p)
+    return [bernoulli_mask(rng, width, p, digits) for _ in range(n * n)]
 
 
 def _graph_int(matrix: AdjacencyMatrix) -> int:

@@ -259,7 +259,7 @@ class TestFamilyCommands:
 
     @pytest.mark.parametrize("m, s", [("99999999999", "2"), ("2", "99999999999"), ("1024", "1025")])
     def test_sample_over_budget_refused_before_any_draw(self, tmp_path, capsys, monkeypatch, m, s):
-        monkeypatch.setattr(monoreach.families, "randbelow", None)  # a draw would raise TypeError
+        monkeypatch.setattr(monoreach.families, "_uniform_below", None)  # a draw would raise TypeError
         fam = tmp_path / "f.fam"
         start = time.perf_counter()
         code, text, err = run(

@@ -1,9 +1,12 @@
 """Number kit: primality, portable draws, scaled-integer logs and powers."""
 
 import math
+import re
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from monoreach.errors import InvalidParameterError
 from monoreach.exactmath import (
@@ -16,6 +19,8 @@ from monoreach.exactmath import (
     ln2_scaled,
     ln_scaled,
     log2_scaled,
+    parse_int,
+    parse_ints,
     randbelow,
     sample_distinct,
 )
@@ -126,6 +131,35 @@ class TestPortableDraws:
         ours, theirs = Random(width), Random(width)
         assert [bernoulli_mask(ours, width, p) for _ in range(3)] == [inline(theirs) for _ in range(3)]
         assert ours.getstate() == theirs.getstate()
+        # The schedule passed in, as a caller drawing many masks does.
+        digits = bernoulli_digits(p)
+        assert [bernoulli_mask(ours, width, p, digits) for _ in range(3)] == [inline(theirs) for _ in range(3)]
+        assert ours.getstate() == theirs.getstate()
+
+
+class TestNumberRule:
+    @pytest.mark.parametrize("token", ["0", "-0", "+5", "007", "-12", "9" * 40])
+    def test_signed_ascii_digit_runs_are_read(self, token):
+        assert parse_int(token, 3) == int(token)
+
+    @pytest.mark.parametrize(
+        "token",
+        ["1_0", "\uff13", "\u0661", "abc", "+", "-", "--1", "1-", "0x1", "1e3", "9" * 5000],
+        ids=lambda t: t[:8],
+    )
+    def test_anything_else_is_refused_with_its_line(self, token):
+        with pytest.raises(InvalidParameterError, match=f"^line 3: bad integer {re.escape(repr(token))}$"):
+            parse_int(token, 3)
+
+    @given(st.text(alphabet=" \t\x1f+-_09ax\uff13\u0661", max_size=12))
+    def test_a_line_reads_as_its_tokens_do(self, line):
+        try:
+            want = [parse_int(t, 7) for t in line.split()]
+        except InvalidParameterError as exc:
+            with pytest.raises(InvalidParameterError, match=f"^{re.escape(str(exc))}$"):
+                parse_ints(line, 7)
+        else:
+            assert parse_ints(line, 7) == want
 
 
 class TestScaledArithmetic:

@@ -4,6 +4,7 @@ import math
 import re
 from fractions import Fraction
 from itertools import combinations
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 import monoreach as mr
 import monoreach.families
-from monoreach.exactmath import child_seed
-from monoreach.families import CoveringFamily, FamilyCounterexample, FamilyParams, _check_incidence
+from monoreach.exactmath import child_seed, randbelow
+from monoreach.families import CoveringFamily, FamilyCounterexample, FamilyParams, _check_incidence, _uniform_below
 
 
 def gf2_plane_sets():
@@ -255,6 +256,25 @@ class TestSampleFamily:
             shapes += [sched.family_params(i) for i in range(sched.k)]
         assert max(p.m * p.s for p in shapes) == 285_568  # (368, 7)
         assert all(p.m * p.s <= monoreach.families.SAMPLE_ENTRY_BUDGET for p in shapes)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**64 + 3])
+    @pytest.mark.parametrize("count", [0, 1, 5000])
+    def test_array_draw_matches_the_per_call_loop(self, k, count):
+        ours, theirs = Random(k ^ count), Random(k ^ count)
+        assert _uniform_below(ours, k, count).tolist() == [randbelow(theirs, k) for _ in range(count)]
+        assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize(
+        "params",
+        [FamilyParams(*shape) for shape in SAMPLED_SHAPES]
+        + [mr.recursion_schedule(16, 12).family_params(i) for i in range(mr.recursion_schedule(16, 12).k)],
+        ids=str,
+    )
+    def test_same_sets_as_one_draw_per_entry(self, params):
+        for seed in (0, child_seed(0, "level0:attempt0")):
+            rng = Random(seed)
+            rows = [[randbelow(rng, params.n) + 1 for _ in range(params.s)] for _ in range(params.m)]
+            assert mr.sample_family(params, seed) == CoveringFamily(params, rows)
 
     def test_existence_within_ten_seeds(self):
         params = FamilyParams(16, 16, 12, 8, 8)

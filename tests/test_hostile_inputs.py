@@ -50,9 +50,29 @@ def wide_circuit(path):
     path.write_bytes(b"MCIRC 1 1000000\nOUT 0\n")
 
 
+def small_circuit(path):
+    write_circuit(build_reach_leq(3, 2), path)
+
+
 def huge_graph(path):
     path.write_bytes(b"GRAPH 1000000000\n")
 
+
+def text_file(text):
+    return lambda path: path.write_text(text, encoding="utf-8")
+
+
+# Numbers in FAMILY and GRAPH files follow the MCIRC rule: an optionally
+# signed run of ASCII digits.  (name, file text, the line and token refused)
+BAD_FAMILY_NUMBERS = [
+    ("family header with an underscore", "FAMILY 3 2 2 2 1_0\n1 2\n3\n", "line 1: bad integer '1_0'"),
+    ("family set with a full-width digit", "FAMILY 3 2 2 2 1\n1 \uff13\n3\n", "line 2: bad integer '\uff13'"),
+    ("family set with a word", "FAMILY 3 2 2 2 1\n1 2\nabc\n", "line 3: bad integer 'abc'"),
+]
+BAD_GRAPH_NUMBERS = [
+    ("graph header with a word", "GRAPH abc\n", "line 1: bad integer 'abc'"),
+    ("graph header with a full-width digit", "GRAPH \uff13\n", "line 1: bad integer '\uff13'"),
+]
 
 # (name, input files to write, argv with {file} names for them, the refusal's words)
 CASES = [
@@ -89,10 +109,20 @@ CASES = [
     ),
     (
         "eval on a huge graph header",
-        {"mc": lambda path: write_circuit(build_reach_leq(3, 2), path), "graph": huge_graph},
+        {"mc": small_circuit, "graph": huge_graph},
         ["eval", "--circuit", "{mc}", "--graph", "{graph}"],
         "expected 1000000000 rows, got 0",
     ),
+]
+
+
+CASES += [
+    (name, {"fam": text_file(text)}, ["family", "check", "--file", "{fam}", "--mode", "exact"], words)
+    for name, text, words in BAD_FAMILY_NUMBERS
+]
+CASES += [
+    (name, {"mc": small_circuit, "graph": text_file(text)}, ["eval", "--circuit", "{mc}", "--graph", "{graph}"], words)
+    for name, text, words in BAD_GRAPH_NUMBERS
 ]
 
 
