@@ -70,7 +70,6 @@ from .families import (
     write_family,
 )
 from .oracles import (
-    GraphSample,
     bfs_reachable,
     enumerate_graphs,
     exact_length_walk_exists,

@@ -55,12 +55,16 @@ from .oracles import (
 def _parse_n(text: str) -> int:
     """Accept plain integers or power-of-two exponents written as 2^E,
     0 <= E <= 1024; E is checked before any shift."""
-    if text.startswith("2^"):
-        e = int(text[2:])
-        if not 0 <= e <= 1024:
-            raise InvalidParameterError(f"--n 2^E needs 0 <= E <= 1024, got E = {e}")
-        return 1 << e
-    return int(text)
+    power = text.startswith("2^")
+    try:
+        value = int(text[2:] if power else text)
+    except ValueError:
+        raise InvalidParameterError(f"--n takes an integer or 2^E, got {text!r}") from None
+    if not power:
+        return value
+    if not 0 <= value <= 1024:
+        raise InvalidParameterError(f"--n 2^E needs 0 <= E <= 1024, got E = {value}")
+    return 1 << value
 
 
 def _parse_densities(text: str) -> tuple[float, ...]:
@@ -225,8 +229,17 @@ def _cmd_stats(args, argv) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose flag errors are one `error:` line and exit 2,
+    like every other refusal; its subparsers are of this class too."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(2)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="monoreach", description=__doc__)
+    top = _Parser(prog="monoreach", description=__doc__)
     top.add_argument("--version", action="version", version=f"monoreach {__version__}")
     sub = top.add_subparsers(dest="cmd", required=True)
 

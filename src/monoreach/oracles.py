@@ -1,9 +1,10 @@
 """Ground-truth graph oracles, generators, and batch comparison drivers.
 
-Oracles are plain BFS / dynamic programming over adjacency bitmasks and are
-kept independent of the circuit constructions they check.  The batch
-helpers pack one bit per graph into Python integers so a circuit can be
-evaluated on tens of thousands of graphs in one pass.
+Oracles are one bit-sliced BFS and a walk DP over adjacency bitmasks, kept
+independent of the circuit constructions they check.  The batch helpers
+pack one bit per graph into Python integers, so a circuit and the BFS run
+on tens of thousands of graphs in one pass; every driver feeds its chunks
+of graphs to one comparison loop.
 """
 
 from __future__ import annotations
@@ -36,40 +37,52 @@ def _check_vertex(matrix: AdjacencyMatrix, v: int) -> None:
 def bfs_reachable(matrix: AdjacencyMatrix, src: int, dst: int) -> bool:
     _check_vertex(matrix, src)
     _check_vertex(matrix, dst)
-    return _rows_distance(matrix.rows, src, dst) is not None
+    return any(_bfs_rounds(matrix.input_bits(), 1, matrix.n, src, dst))
 
 
 def shortest_path_length(matrix: AdjacencyMatrix, src: int, dst: int) -> int | None:
     """BFS distance in edges, or None when dst is unreachable from src."""
     _check_vertex(matrix, src)
     _check_vertex(matrix, dst)
-    return _rows_distance(matrix.rows, src, dst)
-
-
-def _successors(rows, frontier: int) -> int:
-    """Vertex set one edge past `frontier`: the OR of its members' rows."""
-    nxt = 0
-    while frontier:
-        low = frontier & -frontier
-        nxt |= rows[low.bit_length() - 1]
-        frontier ^= low
-    return nxt
-
-
-def _rows_distance(rows, src: int, dst: int) -> int | None:
-    target = 1 << (dst - 1)
-    visited = 1 << (src - 1)
-    if visited & target:
-        return 0
-    frontier = visited
-    dist = 0
-    while frontier:
-        dist += 1
-        frontier = _successors(rows, frontier) & ~visited
-        if frontier & target:
+    for dist, hit in enumerate(_bfs_rounds(matrix.input_bits(), 1, matrix.n, src, dst)):
+        if hit:
             return dist
-        visited |= frontier
     return None
+
+
+def _bfs_rounds(masks, width: int, n: int, src: int, dst: int):
+    """A layered BFS from src on every graph of a chunk at once.
+
+    Reads the per-entry masks: bit t of masks[(u-1)*n + (v-1)] is edge
+    u -> v of graph t.  Yields, for rounds 0, 1, 2, ..., the graphs whose
+    dst is first reached in that round, so round r's graphs are those at
+    distance r.  frontier maps each vertex to the graphs whose BFS first
+    reached it in the last round; dst never enters it, and the graphs that
+    reached dst leave it.  Stops when no graph has a frontier left.
+    """
+    full = (1 << width) - 1
+    s, d = src - 1, dst - 1
+    if s == d:
+        yield full
+        return
+    yield 0
+    seen = [0] * n
+    seen[s] = seen[d] = full
+    frontier = {s: full}
+    reach = 0
+    while frontier:
+        new = [0] * n
+        for u, fu in frontier.items():
+            new = [acc | (e & fu) for acc, e in zip(new, masks[u * n : u * n + n])]
+        yield new[d]
+        reach |= new[d]
+        live = full & ~reach
+        frontier = {}
+        for v in range(n):
+            fv = new[v] & live & ~seen[v]
+            if fv:
+                seen[v] |= fv
+                frontier[v] = fv
 
 
 def exact_length_walk_exists(matrix: AdjacencyMatrix, src: int, dst: int, l: int) -> bool:
@@ -83,20 +96,18 @@ def exact_length_walk_exists(matrix: AdjacencyMatrix, src: int, dst: int, l: int
         raise InvalidParameterError("l must be >= 0")
     frontier = 1 << (src - 1)
     for _ in range(l):
-        frontier = _successors(matrix.rows, frontier)
-        if not frontier:
+        nxt = 0  # the OR of the frontier's rows: every vertex one edge on
+        while frontier:
+            low = frontier & -frontier
+            nxt |= matrix.rows[low.bit_length() - 1]
+            frontier ^= low
+        if not nxt:
             return False
+        frontier = nxt
     return bool(frontier & (1 << (dst - 1)))
 
 
 # -- generators ----------------------------------------------------------------
-
-
-@dataclass
-class GraphSample:
-    matrix: AdjacencyMatrix
-    seed: int
-    kind: str
 
 
 def enumerate_graphs(n: int):
@@ -112,16 +123,16 @@ def graph_from_index(n: int, t: int) -> AdjacencyMatrix:
     return AdjacencyMatrix(n, _graph_int_rows(t, n))
 
 
-def random_graph(n: int, edge_prob: float, seed: int) -> GraphSample:
+def random_graph(n: int, edge_prob: float, seed: int) -> AdjacencyMatrix:
     """Independent edges with probability edge_prob (quantized to 2**-24)."""
     if not 0.0 <= edge_prob <= 1.0:
         raise InvalidParameterError("edge_prob must be in [0, 1]")
     rng = Random(seed)
     bits = bernoulli_mask(rng, n * n, edge_prob)
-    return GraphSample(AdjacencyMatrix(n, _graph_int_rows(bits, n)), seed, f"uniform({edge_prob})")
+    return AdjacencyMatrix(n, _graph_int_rows(bits, n))
 
 
-def planted_path_graph(n: int, path_len: int, noise_prob: float, seed: int) -> GraphSample:
+def planted_path_graph(n: int, path_len: int, noise_prob: float, seed: int) -> AdjacencyMatrix:
     """A 1 -> n path of exactly path_len edges, then independent noise edges.
 
     Intermediate vertices are distinct and drawn from 2..n-1, so the planted
@@ -134,10 +145,10 @@ def planted_path_graph(n: int, path_len: int, noise_prob: float, seed: int) -> G
         raise InvalidParameterError(f"path_len {path_len} out of range 1..{n - 1}")
     if not 0.0 <= noise_prob <= 1.0:
         raise InvalidParameterError("noise_prob must be in [0, 1]")
-    return GraphSample(_one_lane(n, seed, path_len, noise_prob), seed, f"planted-path({path_len})")
+    return _one_lane(n, seed, path_len, noise_prob)
 
 
-def no_path_graph(n: int, edge_prob: float, seed: int) -> GraphSample:
+def no_path_graph(n: int, edge_prob: float, seed: int) -> AdjacencyMatrix:
     """Random graph with no 1 -> n path: vertices are split into a source
     side and a sink side and source->sink edges are withheld.  The graph is
     one lane of planted_entry_masks."""
@@ -145,7 +156,7 @@ def no_path_graph(n: int, edge_prob: float, seed: int) -> GraphSample:
         raise InvalidParameterError("n must be >= 2")
     if not 0.0 <= edge_prob <= 1.0:
         raise InvalidParameterError("edge_prob must be in [0, 1]")
-    return GraphSample(_one_lane(n, seed, 0, edge_prob), seed, "no-path")
+    return _one_lane(n, seed, 0, edge_prob)
 
 
 def _one_lane(n: int, seed: int, path_len: int, p: float) -> AdjacencyMatrix:
@@ -332,8 +343,9 @@ def planted_entry_masks(n: int, seeds, path_lens, noise_prob: float, edge_prob: 
 
 # -- graph text format ----------------------------------------------------------
 #
-# Line 1: "GRAPH <n>"; then n lines of n characters in {0,1}; row i lists the
-# out-edges of vertex i.  A blank line is an error, as in MCIRC files.
+# Line 1: "GRAPH <n>" with n >= 1; then n lines of n characters in {0,1};
+# row i lists the out-edges of vertex i.  A blank line is an error, as in
+# MCIRC files.
 
 
 def graph_to_text(matrix: AdjacencyMatrix) -> str:
@@ -351,6 +363,8 @@ def graph_from_text(text: str) -> AdjacencyMatrix:
     if len(head) != 2 or head[0] != "GRAPH":
         raise InvalidParameterError(f"bad graph header: {lines[0]!r}")
     n = parse_int(head[1], 1)
+    if n < 1:
+        raise InvalidParameterError(f"line 1: a graph needs n >= 1 vertices, got n = {n}")
     for ln, row in enumerate(lines[1:], start=2):
         if not row.strip():
             raise InvalidParameterError(f"line {ln}: blank line in graph file")
@@ -410,13 +424,9 @@ def graph_ints_to_masks(graph_ints, n: int) -> list[int]:
     return _transpose_bits(graph_ints, n * n)
 
 
-def masks_to_graph_ints(masks, width: int, n: int) -> list[int]:
+def masks_to_graph_ints(masks, width: int) -> list[int]:
     """Inverse of graph_ints_to_masks for a chunk of `width` graphs."""
     return _transpose_bits(masks, width)
-
-
-def matrices_to_masks(matrices) -> list[int]:
-    return graph_ints_to_masks([_graph_int(m) for m in matrices], matrices[0].n)
 
 
 def bernoulli_entry_masks(rng: Random, n: int, width: int, p: float) -> list[int]:
@@ -429,16 +439,9 @@ def bernoulli_entry_masks(rng: Random, n: int, width: int, p: float) -> list[int
     return [bernoulli_mask(rng, width, p, digits) for _ in range(n * n)]
 
 
-def _graph_int(matrix: AdjacencyMatrix) -> int:
-    """Pack a matrix into one int, bit (i-1)*n + (j-1) for edge i -> j."""
-    g = 0
-    for i, row in enumerate(matrix.rows):
-        g |= row << (i * matrix.n)
-    return g
-
-
 def _graph_int_rows(g: int, n: int) -> list[int]:
-    """Inverse of _graph_int: the n row masks of a packed graph."""
+    """The n row masks of a graph packed into one int, bit (i-1)*n + (j-1)
+    for edge i -> j."""
     full = (1 << n) - 1
     return [(g >> (i * n)) & full for i in range(n)]
 
@@ -458,41 +461,15 @@ class CheckReport:
 
 
 def _oracle_masks(masks, width: int, n: int, l: int | None):
-    """Packed reachability bits for 1 -> n, plus the promise mask for budget l.
-
-    A layered BFS from vertex 1 on every graph of a chunk at once, read from
-    the per-entry masks: bit t of masks[(u-1)*n + (v-1)] is edge u -> v of
-    graph t.  frontier maps each vertex to the graphs whose BFS first reached
-    it in the last round, so the round in which vertex n first gets a graph's
-    bit is that graph's distance.  Vertex n and the graphs that reached it
-    leave the frontier.
-    """
-    full = (1 << width) - 1
-    if n == 1:
-        return full, full  # src == dst: distance 0
-    last = n - 1
-    seen = [0] * n
-    frontier = {0: full}
+    """Packed reachability bits for 1 -> n, plus the promise mask for budget l:
+    the graphs whose 1 -> n distance is at most l, or that never reach n."""
     reach = 0
     outside = 0  # reachable, but only by paths longer than l
-    dist = 0
-    while frontier:
-        dist += 1
-        new = [0] * n
-        for u, fu in frontier.items():
-            new = [acc | (e & fu) for acc, e in zip(new, masks[u * n : u * n + n])]
-        hit = new[last]
+    for dist, hit in enumerate(_bfs_rounds(masks, width, n, 1, n)):
         reach |= hit
         if l is not None and dist > l:
             outside |= hit
-        live = full & ~reach
-        frontier = {}
-        for v in range(1, last):  # vertex 1 is seen in every graph from round 0
-            fv = new[v] & live & ~seen[v]
-            if fv:
-                seen[v] |= fv
-                frontier[v] = fv
-    return reach, full & ~outside
+    return reach, ((1 << width) - 1) & ~outside
 
 
 def _check_circuit(circuit: MonotoneCircuit, n: int) -> None:
@@ -510,31 +487,36 @@ def _check_circuit(circuit: MonotoneCircuit, n: int) -> None:
         )
 
 
-def _check_chunk(circuit, masks, width, expected, promise, max_report, mism) -> None:
-    """Evaluate one batch and append mismatches inside the promise, in graph
-    order, until mism holds max_report entries.  The batch is transposed into
-    per-graph ints only when it has a mismatch left to report."""
+def _compare(circuit: MonotoneCircuit, chunks, max_report: int) -> CheckReport:
+    """Evaluate each (masks, width, expected, promise) chunk and collect the
+    mismatches inside the promise, in graph order, up to max_report.  A
+    chunk is transposed into per-graph ints only when it has a mismatch
+    left to report."""
     n = circuit.num_vertices
-    out = circuit.evaluate_batch(masks)[0]
-    bad = (out ^ expected) & promise
-    if not bad or len(mism) >= max_report:
-        return
-    graph_ints = masks_to_graph_ints(masks, width, n)
-    while bad and len(mism) < max_report:
-        low = bad & -bad
-        t = low.bit_length() - 1
-        mism.append((AdjacencyMatrix(n, _graph_int_rows(graph_ints[t], n)), (expected >> t) & 1, (out >> t) & 1))
-        bad ^= low
+    checked = 0
+    skipped = 0
+    mism: list = []
+    for masks, width, expected, promise in chunks:
+        out = circuit.evaluate_batch(masks)[0]
+        bad = (out ^ expected) & promise
+        checked += width
+        skipped += width - promise.bit_count()
+        if not bad or len(mism) >= max_report:
+            continue
+        graph_ints = masks_to_graph_ints(masks, width)
+        while bad and len(mism) < max_report:
+            low = bad & -bad
+            t = low.bit_length() - 1
+            mism.append((AdjacencyMatrix(n, _graph_int_rows(graph_ints[t], n)), (expected >> t) & 1, (out >> t) & 1))
+            bad ^= low
+    return CheckReport(checked, skipped, mism)
 
 
 def run_exhaustive_check(circuit: MonotoneCircuit, n: int, max_report: int = 4) -> CheckReport:
     """Compare the circuit against BFS on every graph over n vertices."""
     _check_circuit(circuit, n)
     masks, width = exhaustive_input_masks(n)
-    reach, promise = _oracle_masks(masks, width, n, None)
-    mism: list = []
-    _check_chunk(circuit, masks, width, reach, promise, max_report, mism)
-    return CheckReport(width, 0, mism)
+    return _compare(circuit, [(masks, width, *_oracle_masks(masks, width, n, None))], max_report)
 
 
 def _check_draws(samples: int, l: int | None) -> None:
@@ -600,15 +582,8 @@ def run_random_check(
     for p in densities:
         if not 0.0 <= p <= 1.0:  # also refuses NaN
             raise InvalidParameterError(f"edge density p must be in [0, 1], got {p}")
-    mism: list = []
-    checked = 0
-    skipped = 0
-    for masks, width in _batches(_random_chunks(n, samples, seed, densities)):
-        reach, promise = _oracle_masks(masks, width, n, l)
-        _check_chunk(circuit, masks, width, reach, promise, max_report, mism)
-        skipped += width - promise.bit_count()
-        checked += width
-    return CheckReport(checked, skipped, mism)
+    batches = _batches(_random_chunks(n, samples, seed, densities))
+    return _compare(circuit, ((m, w, *_oracle_masks(m, w, n, l)) for m, w in batches), max_report)
 
 
 def run_planted_check(
@@ -626,15 +601,19 @@ def run_planted_check(
     _check_draws(samples, l)
     if n < 2:
         raise InvalidParameterError(f"planted graphs need at least 2 vertices, got n = {n}")
+    return _compare(circuit, _planted_chunks(n, samples, seed, l), max_report)
+
+
+def _planted_chunks(n: int, samples: int, seed: int, l: int | None):
+    """(masks, width, expected, promise) of each chunk of the planted check:
+    even graphs plant a path of 1..min(l, n - 1) edges, odd graphs have none,
+    and every graph is inside the promise."""
     limit = min(l, n - 1) if l is not None else n - 1
-    mism: list = []
     rng = Random(child_seed(seed, f"planted:n={n}:l={limit}"))
     for done in range(0, samples, CHUNK_BITS):
         chunk = range(done, min(samples, done + CHUNK_BITS))
-        # even graphs plant a path of 1..limit edges, odd graphs have none
         path_lens = [1 + randbelow(rng, limit) if idx % 2 == 0 else 0 for idx in chunk]
         seeds = [child_seed(seed, f"planted:{idx}") for idx in chunk]
         masks = planted_entry_masks(n, seeds, path_lens, PLANTED_NOISE_PROB, NO_PATH_EDGE_PROB)
         expected = int.from_bytes(np.packbits(np.array(path_lens) > 0, bitorder="little").tobytes(), "little")
-        _check_chunk(circuit, masks, len(chunk), expected, (1 << len(chunk)) - 1, max_report, mism)
-    return CheckReport(samples, 0, mism)
+        yield masks, len(chunk), expected, (1 << len(chunk)) - 1

@@ -61,7 +61,7 @@ class TestWalkPower:
     def test_matches_walk_oracle(self):
         c = mr.build_walk_power(4, 2)
         for seed in range(40):
-            g = random_graph(4, 0.3, seed).matrix
+            g = random_graph(4, 0.3, seed)
             got = c.evaluate_all(g)
             for i in range(1, 5):
                 for j in range(1, 5):
@@ -126,7 +126,7 @@ class TestReachExact:
         for l in (3, 5, 6, 7):
             c = mr.build_reach_exact(4, l)
             for seed in range(25):
-                g = random_graph(4, 0.35, child_seed(l, str(seed))).matrix
+                g = random_graph(4, 0.35, child_seed(l, str(seed)))
                 assert c.evaluate(g) == int(exact_length_walk_exists(g, 1, 4, l))
 
 
@@ -149,7 +149,7 @@ class TestComposeFamily:
         assert mr.check_family_exact(fam) is None
         circuit, ledger = mr.compose_family(fam, mr.build_reach_leq(8, 7))
         for seed in range(1000):
-            g = random_graph(8, (seed % 5) * 0.1 + 0.05, seed).matrix
+            g = random_graph(8, (seed % 5) * 0.1 + 0.05, seed)
             assert circuit.evaluate(g) == int(bfs_reachable(g, 1, 8))
         assert ledger.total_measured == ledger.total_predicted
 
@@ -232,7 +232,7 @@ class TestComposeFamily:
         from monoreach.oracles import no_path_graph
 
         for seed in range(300):
-            g = no_path_graph(9, 0.4, seed).matrix
+            g = no_path_graph(9, 0.4, seed)
             assert not bfs_reachable(g, 1, 9)
             assert circuit.evaluate(g) == 0
 
@@ -250,7 +250,7 @@ class TestHittingIntegration:
         closure = mr.build_walk_power(p.n, t_c)
         for seed in range(40):
             length = 2 + seed % 20
-            g = planted_path_graph(25, length, 0.0, seed).matrix
+            g = planted_path_graph(25, length, 0.0, seed)
             lp = shortest_path_length(g, 1, 25)
             assert lp == length
             # recover the unique planted path by following edges

@@ -124,6 +124,49 @@ CASES += [
     (name, {"mc": small_circuit, "graph": text_file(text)}, ["eval", "--circuit", "{mc}", "--graph", "{graph}"], words)
     for name, text, words in BAD_GRAPH_NUMBERS
 ]
+CASES += [
+    (
+        f"eval on a graph header of {n} vertices",
+        {"mc": small_circuit, "graph": text_file(f"GRAPH {n}\n")},
+        ["eval", "--circuit", "{mc}", "--graph", "{graph}"],
+        f"line 1: a graph needs n >= 1 vertices, got n = {n}",
+    )
+    for n in (-1, -2, 0)
+]
+
+# A flag argparse or --n refuses is one `error:` line too, naming the flag.
+CASES += [
+    (
+        "build with a word for --l",
+        {},
+        ["build", "--mode", "squaring", "--n", "4", "--l", "abc", "--out", "{out}"],
+        "error: argument --l: invalid int value: 'abc'",
+    ),
+    (
+        "build with a word for --n",
+        {},
+        ["build", "--mode", "squaring", "--n", "abc", "--out", "{out}"],
+        "error: --n takes an integer or 2^E, got 'abc'",
+    ),
+    (
+        "build with a word for the exponent of --n",
+        {},
+        ["build", "--mode", "squaring", "--n", "2^x", "--out", "{out}"],
+        "error: --n takes an integer or 2^E, got '2^x'",
+    ),
+    (
+        "verify with a float for --samples",
+        {"mc": small_circuit},
+        ["verify", "--circuit", "{mc}", "--n", "3", "--mode", "random", "--samples", "1e3"],
+        "error: argument --samples: invalid int value: '1e3'",
+    ),
+    (
+        "sample with a word for --m",
+        {},
+        ["family", "sample", "--n", "3", "--m", "x", "--s", "2", "--l", "2", "--d", "1", "--out", "{out}"],
+        "error: argument --m: invalid int value: 'x'",
+    ),
+]
 
 
 @pytest.mark.parametrize("name, files, argv, words", CASES, ids=[case[0] for case in CASES])

@@ -21,7 +21,6 @@ from monoreach.oracles import (
     PLANTED_NOISE_PROB,
     _graph_int_rows,
     _oracle_masks,
-    _rows_distance,
     bernoulli_entry_masks,
     bfs_reachable,
     exhaustive_input_masks,
@@ -41,13 +40,31 @@ def matrix_of(n, *edges):
     return AdjacencyMatrix.from_edges(n, edges)
 
 
+def reference_distance(rows, src, dst):
+    """BFS distance src -> dst over one graph's row masks, or None: the
+    per-graph reference for the bit-sliced BFS."""
+    visited = frontier = 1 << (src - 1)
+    dist = 0
+    while not frontier & (1 << (dst - 1)):
+        nxt = 0
+        for v in range(len(rows)):
+            if (frontier >> v) & 1:
+                nxt |= rows[v]
+        frontier = nxt & ~visited
+        if not frontier:
+            return None
+        visited |= frontier
+        dist += 1
+    return dist
+
+
 def per_graph_oracle(masks, width, n, l):
     """Reference for _oracle_masks: transpose the chunk into per-graph ints
-    and run one _rows_distance BFS per graph."""
+    and run one reference_distance BFS per graph."""
     reach = 0
     outside = 0
-    for t, g in enumerate(masks_to_graph_ints(masks, width, n)):
-        dist = _rows_distance(_graph_int_rows(g, n), 1, n)
+    for t, g in enumerate(masks_to_graph_ints(masks, width)):
+        dist = reference_distance(_graph_int_rows(g, n), 1, n)
         if dist is not None:
             reach |= 1 << t
             if l is not None and dist > l:
@@ -116,14 +133,16 @@ def planted_chunks(n, samples, seed, l):
     on a circuit that is never evaluated."""
     chunks = []
 
-    def capture(circuit, masks, width, expected, promise, max_report, mism):
-        assert promise == (1 << width) - 1
-        chunks.append((list(masks), width, expected))
+    def capture(circuit, chunk_iter, max_report):
+        for masks, width, expected, promise in chunk_iter:
+            assert promise == (1 << width) - 1
+            chunks.append((list(masks), width, expected))
+        return monoreach.oracles.CheckReport(sum(width for _, width, _ in chunks), 0, [])
 
     circuit = mr.new_circuit(n)
     circuit.set_outputs([circuit.zero])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(monoreach.oracles, "_check_chunk", capture)
+        mp.setattr(monoreach.oracles, "_compare", capture)
         assert run_planted_check(circuit, n, samples, seed, l=l).checked == samples
     return chunks
 
@@ -171,6 +190,15 @@ class TestShortestPath:
     def test_unreachable_is_none(self):
         assert mr.shortest_path_length(matrix_of(3, (2, 1)), 1, 3) is None
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_per_graph_bfs_on_every_graph_and_pair(self, n):
+        for g in mr.enumerate_graphs(n):
+            for src in range(1, n + 1):
+                for dst in range(1, n + 1):
+                    dist = reference_distance(g.rows, src, dst)
+                    assert shortest_path_length(g, src, dst) == dist, (g, src, dst)
+                    assert bfs_reachable(g, src, dst) == (dist is not None)
+
 
 class TestExactWalk:
     def test_length_zero(self):
@@ -190,7 +218,7 @@ class TestExactWalk:
 
     def test_consistency_with_bfs(self):
         for seed in range(1000):
-            g = mr.random_graph(6, 0.25, seed).matrix
+            g = mr.random_graph(6, 0.25, seed)
             dist = mr.shortest_path_length(g, 1, 6)
             hits = [l for l in range(6) if mr.exact_length_walk_exists(g, 1, 6, l)]
             if dist is None:
@@ -244,28 +272,28 @@ class TestEnumerate:
 
 class TestGenerators:
     def test_edge_prob_extremes(self):
-        assert mr.random_graph(4, 0.0, 3).matrix.rows == [0] * 4
-        assert mr.random_graph(4, 1.0, 3).matrix.rows == [15] * 4
+        assert mr.random_graph(4, 0.0, 3).rows == [0] * 4
+        assert mr.random_graph(4, 1.0, 3).rows == [15] * 4
 
     def test_planted_path_exact_length(self):
         for seed in range(50):
-            s = mr.planted_path_graph(8, 3, 0.0, seed)
-            assert mr.shortest_path_length(s.matrix, 1, 8) == 3
+            g = mr.planted_path_graph(8, 3, 0.0, seed)
+            assert mr.shortest_path_length(g, 1, 8) == 3
 
     def test_planted_path_with_noise_keeps_promise(self):
         for seed in range(50):
-            s = mr.planted_path_graph(8, 5, 0.2, seed)
-            d = mr.shortest_path_length(s.matrix, 1, 8)
+            g = mr.planted_path_graph(8, 5, 0.2, seed)
+            d = mr.shortest_path_length(g, 1, 8)
             assert d is not None and d <= 5
 
     def test_no_path_graphs_never_reach(self):
         for seed in range(200):
-            s = mr.no_path_graph(7, 0.45, seed)
-            assert not mr.bfs_reachable(s.matrix, 1, 7)
+            g = mr.no_path_graph(7, 0.45, seed)
+            assert not mr.bfs_reachable(g, 1, 7)
 
     def test_seed_determinism(self):
-        a = mr.random_graph(6, 0.3, 12).matrix
-        b = mr.random_graph(6, 0.3, 12).matrix
+        a = mr.random_graph(6, 0.3, 12)
+        b = mr.random_graph(6, 0.3, 12)
         assert a == b
 
     def test_parameter_checks(self):
@@ -295,16 +323,14 @@ class TestBitPacking:
 
         rng = Random(5)
         masks = bernoulli_entry_masks(rng, 5, 1000, 0.37)
-        graph_ints = masks_to_graph_ints(masks, 1000, 5)
+        graph_ints = masks_to_graph_ints(masks, 1000)
         back = graph_ints_to_masks(graph_ints, 5)
         assert back == masks
 
     def test_batch_matches_single_evaluation(self):
         c = mr.build_reach(4)
-        mats = [mr.random_graph(4, 0.4, seed).matrix for seed in range(64)]
-        from monoreach.oracles import matrices_to_masks
-
-        out = c.evaluate_batch(matrices_to_masks(mats))[0]
+        mats = [mr.random_graph(4, 0.4, seed) for seed in range(64)]
+        out = c.evaluate_batch(graph_ints_to_masks([reference_graph_int(g) for g in mats], 4))[0]
         for t, g in enumerate(mats):
             assert (out >> t) & 1 == c.evaluate(g)
 
@@ -317,7 +343,7 @@ class TestGraphText:
         assert mr.graph_from_text(text) == g
 
     def test_file_round_trip(self, tmp_path):
-        g = mr.random_graph(6, 0.5, 9).matrix
+        g = mr.random_graph(6, 0.5, 9)
         path = tmp_path / "g.gr"
         mr.write_graph(g, path)
         assert mr.read_graph(path) == g
@@ -650,9 +676,9 @@ class TestPlantedChunks:
         monkeypatch.setattr(monoreach.oracles, "_DRAW_WORDS", draw_words)
         for seed in range(6):
             for path_len in sorted({1, max(1, n // 2), n - 1}):
-                got = mr.planted_path_graph(n, path_len, p, seed).matrix
+                got = mr.planted_path_graph(n, path_len, p, seed)
                 assert got == reference_planted_path_graph(n, path_len, p, seed), (path_len, seed)
-            assert mr.no_path_graph(n, p, seed).matrix == reference_no_path_graph(n, p, seed), seed
+            assert mr.no_path_graph(n, p, seed) == reference_no_path_graph(n, p, seed), seed
 
     @pytest.mark.parametrize("noise_prob", [0.0, 1.0, 0.2])
     @pytest.mark.parametrize("edge_prob", [0.0, 1.0, 0.2])
@@ -719,3 +745,64 @@ class TestOracleIndependence:
                 assert not (isinstance(node.value, ast.Name) and node.value.id in numpy_names), (
                     f"line {node.lineno} uses {node.value.id}.random"
                 )
+
+
+SRC = Path(monoreach.__file__).parent
+
+
+def name_uses(tree):
+    """(name, enclosing function nodes) of every Name and Attribute in tree."""
+    uses = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.Name):
+            uses.append((node.id, scope))
+        elif isinstance(node, ast.Attribute):
+            uses.append((node.attr, scope))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return uses
+
+
+class TestOneBfsOneLoop:
+    def test_one_function_evaluates_circuits(self):
+        # Every driver hands its chunks to _compare; none evaluates on its own.
+        tree = ast.parse(Path(monoreach.oracles.__file__).read_text())
+        callers = {
+            func.name
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Attribute) and node.attr == "evaluate_batch"
+        }
+        assert callers == {"_compare"}
+
+    def test_no_per_graph_bfs_in_the_library(self):
+        for path in SRC.glob("*.py"):
+            names = {getattr(node, "name", None) for node in ast.walk(ast.parse(path.read_text()))}
+            assert "_rows_distance" not in names, path.name
+
+    def test_every_private_function_has_a_caller(self):
+        # A private function or method nothing else in the package names is an
+        # unused helper.  A recursive call from its own body does not count.
+        trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+        uses = [use for tree in trees.values() for use in name_uses(tree)]
+        defined = [
+            (name, node)
+            for name, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_")
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+        ]
+        assert len(defined) > 20, "found few private functions: the scan is broken"
+        unused = [
+            f"{module}:{node.name}"
+            for module, node in defined
+            if not any(used == node.name and node not in scope for used, scope in uses)
+        ]
+        assert unused == []
