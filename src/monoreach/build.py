@@ -74,7 +74,6 @@ class DepthLedger:
     measured column is the stage's contribution to the longest path."""
 
     stages: list[Stage] = field(default_factory=list)
-    overhead: int | None = None
 
     @property
     def total_predicted(self):
@@ -335,32 +334,30 @@ def compose_family(family: CoveringFamily, inner: MonotoneCircuit):
     out = or_tree(circuit, clone_outs)
     circuit.set_outputs([out])
 
-    depths = circuit.wire_depths()
-    closure_meas = int(depths[closure[closure >= 0]].max())
-    blocks_meas = int(depths[clone_outs].max()) - closure_meas
-    or_meas = int(depths[out]) - closure_meas - blocks_meas
-    inner_depth = inner.depth()
-    ledger = DepthLedger(
-        stages=[
-            Stage("closure", _squaring_depth(n, 2 * p.d), closure_meas),
-            Stage("blocks", inner_depth, blocks_meas),
-            Stage("or", ceil_log2(p.m), or_meas),
-        ],
-        overhead=int(depths[out]) - ceil_log2(p.m) - ceil_log2(p.d) * ceil_log2(n) - inner_depth,
-    )
+    depths = circuit.wire_depths()  # where the closure, the clones and the OR end
+    ends = [int(depths[closure[closure >= 0]].max()), int(depths[clone_outs].max()), int(depths[out])]
+    ledger = DepthLedger(_composition_stages(p, inner.depth()))
+    for stage, start, end in zip(ledger.stages, [0] + ends, ends):
+        stage.measured = end - start
     return circuit, ledger
+
+
+def _composition_stages(p: FamilyParams, inner_depth: int | None, label: str = "") -> list[Stage]:
+    """Predicted stages of compose_family over a family of shape p and an
+    inner circuit of depth inner_depth: the closure up to 2d edges, the
+    clones, and an OR over the m clone outputs."""
+    return [
+        Stage(label + "closure", _squaring_depth(p.n, 2 * p.d)),
+        Stage(label + "blocks", inner_depth),
+        Stage(label + "or", ceil_log2(p.m)),
+    ]
 
 
 def build_explicit(n: int):
     """Reachability circuit from the affine-plane family over the smallest
     fitting prime; returns (circuit, ledger)."""
-    if n < 2:
-        raise InvalidParameterError("n must be >= 2")
-    family = plane_family(n)
-    q = family.params.s
-    d = family.params.d
-    inner = build_reach_leq(q + 2, n // d)
-    return compose_family(family, inner)
+    shape = _build_shape(MODE_EXPLICIT, n, None)
+    return compose_family(plane_family(n), build_reach_leq(shape.vertices, shape.length))
 
 
 # -- recursive schedule ------------------------------------------------------------
@@ -396,9 +393,8 @@ class RecursionSchedule:
         outside in, then the base squaring."""
         stages = []
         for i in range(self.k):
-            n_i = self.levels[i][0]
-            stages.append(Stage(f"level{i}.closure", _squaring_depth(n_i, 2 * self.d)))
-            stages.append(Stage(f"level{i}.or", ceil_log2(n_i)))
+            closure, _, orstage = _composition_stages(self.family_params(i), None, f"level{i}.")
+            stages += [closure, orstage]
         n_k, l_k = self.levels[self.k]
         stages.append(Stage(f"level{self.k}.squaring", _squaring_depth(n_k, l_k)))
         return DepthLedger(stages=stages)
@@ -472,26 +468,48 @@ def _plan_gates(plan: list[tuple[int, int]], last: frozenset, n: int, absorb: bo
     return entries * (2 * n - 1 - absorb), needs[0]
 
 
-def _composed_gates(n: int, sets: int, steps: int, inner: tuple[int, frozenset]) -> tuple[int, frozenset]:
-    """(gates, input classes read) of compose_family over `sets` sets of an
-    n-vertex universe, a closure of `steps` squarings and an inner circuit
-    of (gates, input classes read)."""
-    closure, reads = _plan_gates(_squaring_plan(steps), inner[1], n, absorb=True)
-    return closure + sets * inner[0] + (sets - 1), reads
+@dataclass(frozen=True)
+class _BuildShape:
+    """What a build of one mode is made of, all of it fixed before any gate:
+    the length budget l it uses, the FamilyParams of its composition levels,
+    outermost first, and its base circuit on `vertices` vertices, for walks
+    of at most `length` edges (by squaring, with `absorb`) or of exactly
+    `length` edges, emitted by the product plan `plan`."""
+
+    l: int | None
+    levels: tuple[FamilyParams, ...]
+    vertices: int
+    length: int
+    plan: list[tuple[int, int]]
+    absorb: bool
 
 
-def _mode_l(mode: str, n: int, l: int | None) -> int | None:
-    """The l a build of `mode` uses, l = n - 1 by default for squaring and
+def _build_shape(mode: str, n: int, l: int | None) -> _BuildShape:
+    """The shape of a build of `mode`, l = n - 1 by default for squaring and
     theorem; refuses what the mode cannot build."""
     if l is None and mode in (MODE_SQUARING, MODE_THEOREM):
         l = n - 1
-    if mode == MODE_SQUARING and (n < 2 or l < 1):
-        raise InvalidParameterError("squaring mode needs n >= 2 and l >= 1")
-    if mode == MODE_EXACT and l is None:
-        raise InvalidParameterError("exact mode needs a length l (--l)")
-    if mode == MODE_EXPLICIT and n < 2:
-        raise InvalidParameterError("explicit mode needs n >= 2")
-    return l
+    if mode == MODE_EXACT:
+        if l is None:
+            raise InvalidParameterError("exact mode needs a length l (--l)")
+        return _BuildShape(l, (), n, l, _exact_plan(n, l), absorb=False)
+    if mode == MODE_SQUARING:
+        if n < 2 or l < 1:
+            raise InvalidParameterError("squaring mode needs n >= 2 and l >= 1")
+        levels, base = (), (n, l)
+    elif mode == MODE_EXPLICIT:
+        if n < 2:
+            raise InvalidParameterError("explicit mode needs n >= 2")
+        q = minimal_prime_q(n)
+        d = minimal_deficiency(q)
+        levels, base = (FamilyParams(n, q * (q + 1), q, n, d),), (q + 2, n // d)
+    elif mode == MODE_THEOREM:
+        sched = recursion_schedule(n, l)
+        levels, base = tuple(sched.family_params(i) for i in range(sched.k)), sched.levels[sched.k]
+    else:
+        raise InvalidParameterError(f"unknown mode {mode!r}")
+    vertices, length = base
+    return _BuildShape(l, levels, vertices, length, _squaring_plan(ceil_log2(length)), absorb=True)
 
 
 def predict_gate_count(mode: str, n: int, l: int | None = None) -> int:
@@ -501,27 +519,16 @@ def predict_gate_count(mode: str, n: int, l: int | None = None) -> int:
     output cone.  A composed build's closure holds the cone of the role
     classes its inner circuit reads (`_needs`), so clone and closure sizes
     are fixed by the declared family shape, not by which sets get sampled.
-    Each count is a closed form over role classes, cheap at any n.
+    Each count is a closed form over role classes, cheap at any n: the base
+    plan's, then per level, inside out, the closure, m inner clones and an
+    OR of m - 1 gates.
     """
-    l = _mode_l(mode, n, l)
-    if mode == MODE_SQUARING:
-        return _plan_gates(_squaring_plan(ceil_log2(l)), TERMINAL_ENTRY, n, absorb=True)[0]
-    if mode == MODE_EXACT:
-        return _plan_gates(_exact_plan(n, l), TERMINAL_ENTRY, n, absorb=False)[0]
-    if mode == MODE_EXPLICIT:
-        q = minimal_prime_q(n)
-        d = minimal_deficiency(q)
-        inner = _plan_gates(_squaring_plan(ceil_log2(n // d)), TERMINAL_ENTRY, q + 2, absorb=True)
-        return _composed_gates(n, q * (q + 1), ceil_log2(2 * d), inner)[0]
-    if mode == MODE_THEOREM:
-        sched = recursion_schedule(n, l)
-        n_k, l_k = sched.levels[sched.k]
-        built = _plan_gates(_squaring_plan(ceil_log2(l_k)), TERMINAL_ENTRY, n_k, absorb=True)
-        for i in range(sched.k - 1, -1, -1):
-            n_i = sched.levels[i][0]
-            built = _composed_gates(n_i, n_i, ceil_log2(2 * sched.d), built)
-        return built[0]
-    raise InvalidParameterError(f"unknown mode {mode!r}")
+    shape = _build_shape(mode, n, l)
+    gates, reads = _plan_gates(shape.plan, TERMINAL_ENTRY, shape.vertices, shape.absorb)
+    for p in reversed(shape.levels):
+        closure, reads = _plan_gates(_squaring_plan(ceil_log2(2 * p.d)), reads, p.n, absorb=True)
+        gates = closure + p.m * gates + (p.m - 1)
+    return gates
 
 
 def predict_depth(mode: str, n: int, l: int | None = None) -> DepthLedger:
@@ -534,37 +541,17 @@ def predict_depth(mode: str, n: int, l: int | None = None) -> DepthLedger:
     overheads vanish against (log2 n)**2 and are excluded, so the numbers
     trace the construction's limiting trajectory.
     """
-    l = _mode_l(mode, n, l)
-    if mode == MODE_SQUARING:
-        return DepthLedger(stages=[Stage("squaring", _squaring_depth(n, l))])
-    if mode == MODE_EXACT:
-        depth = [0]  # of matrix k; every product adds 1 + ceil(log2 n)
-        for a, b in _exact_plan(n, l):
-            depth.append(max(depth[a], depth[b]) + 1 + ceil_log2(n))
-        return DepthLedger(stages=[Stage("exact-power", depth[-1])])
-    if mode == MODE_EXPLICIT:
-        q = minimal_prime_q(n)
-        d = minimal_deficiency(q)
-        m = q * (q + 1)
-        return DepthLedger(
-            stages=[
-                Stage("closure", _squaring_depth(n, 2 * d)),
-                Stage("blocks", _squaring_depth(q + 2, n // d)),
-                Stage("or", ceil_log2(m)),
-            ]
-        )
+    shape = _build_shape(mode, n, l)
     if mode == MODE_THEOREM:
-        sched = recursion_schedule(n, l)
-        log_d = log2_fraction(sched.d)
-        stages = []
-        for i in range(sched.k):
-            n_i = sched.levels[i][0]
-            stages.append(Stage(f"level{i}", log_d * log2_fraction(n_i)))
-        n_k, l_k = sched.levels[sched.k]
-        base = log2_fraction(l_k) * log2_fraction(n_k)
-        stages.append(Stage(f"level{sched.k}.squaring", base))
-        return DepthLedger(stages=stages)
-    raise InvalidParameterError(f"unknown prediction mode {mode!r}")
+        stages = [Stage(f"level{i}", log2_fraction(p.d) * log2_fraction(p.n)) for i, p in enumerate(shape.levels)]
+        base = log2_fraction(shape.length) * log2_fraction(shape.vertices)
+        return DepthLedger(stages + [Stage(f"level{len(shape.levels)}.squaring", base)])
+    depth = [0]  # of matrix k; every product adds 1 + ceil(log2 n)
+    for a, b in shape.plan:
+        depth.append(max(depth[a], depth[b]) + 1 + ceil_log2(shape.vertices))
+    if shape.levels:
+        return DepthLedger(_composition_stages(shape.levels[0], depth[-1]))
+    return DepthLedger([Stage("exact-power" if mode == MODE_EXACT else "squaring", depth[-1])])
 
 
 def depth_ratio(total, n: int) -> Fraction:

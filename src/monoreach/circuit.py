@@ -31,8 +31,10 @@ from .exactmath import parse_int
 AND = 0
 OR = 1
 
-# Gate blocks are emitted in bands of this many matrix entries so that
-# bit-parallel evaluation only ever holds a band of transient values live.
+# Gate blocks are emitted in bands of this many matrix entries: a band's AND
+# leaves, then its OR trees.  Evaluation runs gates in its own plan order
+# (`_plan_order`), so the band size does not bound how many values are live;
+# it only fixes the gate order, and so the MCIRC bytes the golden digests pin.
 EMIT_BAND = 256
 
 

@@ -19,7 +19,7 @@ from .build import (
     MODE_SQUARING,
     MODE_THEOREM,
     DepthLedger,
-    _mode_l,
+    _build_shape,
     build_explicit,
     build_reach_exact,
     build_reach_leq,
@@ -33,6 +33,7 @@ from .build import (
 )
 from .circuit import read_circuit, write_circuit
 from .errors import BudgetExceededError, ConstructionFailedError, InvalidParameterError, MonoreachError
+from .exactmath import parse_int
 from .families import (
     SAMPLE_ENTRY_BUDGET,
     FamilyParams,
@@ -54,11 +55,12 @@ from .oracles import (
 
 def _parse_n(text: str) -> int:
     """Accept plain integers or power-of-two exponents written as 2^E,
-    0 <= E <= 1024; E is checked before any shift."""
+    0 <= E <= 1024; E is checked before any shift.  Both read by the files'
+    one number rule, exactmath.parse_int."""
     power = text.startswith("2^")
     try:
-        value = int(text[2:] if power else text)
-    except ValueError:
+        value = parse_int(text[2:] if power else text, 0)
+    except InvalidParameterError:
         raise InvalidParameterError(f"--n takes an integer or 2^E, got {text!r}") from None
     if not power:
         return value
@@ -98,15 +100,12 @@ def _write_ledger(path, ledger: DepthLedger, argv, seed=None):
 
 def _cmd_build(args, argv) -> int:
     n = _parse_n(args.n)
-    l = _mode_l(args.mode, n, args.l)
+    l = _build_shape(args.mode, n, args.l).l
     expected_gates = predict_gate_count(args.mode, n, l)
     if expected_gates > args.max_gates:
-        print(
-            f"error: build would emit {_count_text(expected_gates)} gates, over the "
-            f"--max-gates budget of {args.max_gates}",
-            file=sys.stderr,
+        raise BudgetExceededError(
+            f"build would emit {_count_text(expected_gates)} gates, over the --max-gates budget of {args.max_gates}"
         )
-        return 2
     if args.mode == "squaring":
         circuit = build_reach_leq(n, l)
     elif args.mode == "exact":
@@ -198,8 +197,7 @@ def _cmd_predict(args, argv) -> int:
             print(f"{e},{float(sq):.6f},{float(ex):.6f},{float(th):.6f}")
         return 0
     if args.n is None:
-        print("error: predict requires --n (or --table)", file=sys.stderr)
-        return 2
+        raise InvalidParameterError("predict requires --n (or --table)")
     n = _parse_n(args.n)
     ledger = predict_depth(args.mode, n, args.l)
     for line in ledger_csv_lines(ledger, [f"monoreach {__version__}", "command: " + " ".join(argv)]):
@@ -209,7 +207,7 @@ def _cmd_predict(args, argv) -> int:
     if n.bit_length() <= 28:  # gate counts only meaningful at buildable sizes
         print(f"# gate count if built: {predict_gate_count(args.mode, n, args.l)}")
     if args.mode == MODE_THEOREM:
-        built = recursion_schedule(n, _mode_l(MODE_THEOREM, n, args.l)).ledger()
+        built = recursion_schedule(n, _build_shape(MODE_THEOREM, n, args.l).l).ledger()
         print(f"# integer depth if built: {built.total_predicted}")
         for line in ledger_csv_lines(built):
             print(f"# {line}")
@@ -231,7 +229,14 @@ def _cmd_stats(args, argv) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose flag errors are one `error:` line and exit 2,
-    like every other refusal; its subparsers are of this class too."""
+    like every other refusal, and whose `type=int` flags are read by the
+    files' one number rule, exactmath.parse_int (its refusal is a
+    ValueError, which argparse words as an invalid int value); its
+    subparsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("type", int, lambda text: parse_int(text, 0))
 
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)

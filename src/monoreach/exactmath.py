@@ -15,9 +15,10 @@ from random import Random
 
 from .errors import InvalidParameterError
 
-# Fixed witness set: deterministic for n < 3.3e24, and a fixed-base
-# pseudoprimality test beyond that (still deterministic output).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witnesses: the first 13 primes, so the test is exact for
+# n < 3,317,044,064,679,887,385,961,981 and a fixed-base probable-prime
+# test (still deterministic output) at and above it.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -30,15 +31,6 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    if n < 1_000_000:
-        f = 49
-        r = isqrt(n)
-        while f <= r:
-            if n % f == 0:
-                return False
-            f += 2
-        return True
-    # Miller-Rabin with fixed bases.
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -61,7 +53,7 @@ def parse_int(token: str, ln: int) -> int:
     """The value of an optionally signed run of ASCII digits, the one number
     rule of the MCIRC, FAMILY and GRAPH formats; any other token is refused
     naming line `ln`."""
-    digits = token[1:] if token[0] in "+-" else token
+    digits = token[1:] if token.startswith(("+", "-")) else token
     if digits.isascii() and digits.isdigit():
         try:
             return int(token)

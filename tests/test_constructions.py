@@ -191,8 +191,6 @@ class TestComposeFamily:
         assert circuit.depth() == want
         assert ledger.total_measured == want
         assert ledger.total_predicted == want
-        # f(n)-style slack stays logarithmic: ceil(log2 d) + ceil(log2 n) + 1
-        assert ledger.overhead == mr.ceil_log2(p.d) + mr.ceil_log2(p.n) + 1
 
     def test_splice_refuses_an_input_past_the_circuit(self):
         circuit = mr.new_circuit(9)
@@ -750,6 +748,19 @@ class TestExactPlan:
         }
         assert "set_outputs" in methods, "found no method calls: the scan is broken"
         assert "prune" not in methods
+
+    def test_one_build_shape(self):
+        # Each mode's plane shape and base plan are fixed in one function,
+        # and gate counts are folded over that shape in one other.
+        tree = ast.parse(Path(monoreach.build.__file__).read_text())
+        funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        callers = {"minimal_prime_q": set(), "minimal_deficiency": set(), "_plan_gates": set()}
+        for func in funcs:
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
+                    callers[node.func.id].add(func.name)
+        assert {name: len(funcs) for name, funcs in callers.items()} == dict.fromkeys(callers, 1), callers
+        assert not {"_mode_l", "_composed_gates"} & {func.name for func in funcs}
 
 
 class TestPredictDepth:

@@ -29,7 +29,7 @@ from monoreach.families import minimal_prime_q
 
 class TestPrimality:
     def test_against_sieve(self):
-        limit = 2000
+        limit = 50_000
         sieve = [True] * limit
         sieve[0] = sieve[1] = False
         for i in range(2, limit):
@@ -44,6 +44,20 @@ class TestPrimality:
         assert not is_prime(2**61 + 1)
         assert is_prime(1_000_003)
         assert not is_prime(1_000_001)  # 101 * 9901
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            # the least strong pseudoprimes to the first 1, 2, 3, 4 and 12 prime bases
+            2047,  # 23 * 89
+            1373653,
+            25326001,
+            3215031751,
+            318665857834031151167461,  # 399165290221 * 798330580441, below 3.3e24
+        ],
+    )
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
 
     def test_next_prime(self):
         # minimal_prime_q(x*x) is the smallest prime >= x.

@@ -168,6 +168,40 @@ CASES += [
     ),
 ]
 
+# Flags read numbers by the files' rule too: no full-width digits, no underscores.
+CASES += [
+    (
+        "predict with full-width digits for --n",
+        {},
+        ["predict", "--n", "\uff11\uff16"],
+        "error: --n takes an integer or 2^E, got '\uff11\uff16'",
+    ),
+    (
+        "predict with an underscore in --n",
+        {},
+        ["predict", "--n", "1_6"],
+        "error: --n takes an integer or 2^E, got '1_6'",
+    ),
+    (
+        "predict with a full-width exponent of --n",
+        {},
+        ["predict", "--n", "2^\uff11\uff10"],
+        "error: --n takes an integer or 2^E, got '2^\uff11\uff10'",
+    ),
+    (
+        "build with a full-width digit for --l",
+        {},
+        ["build", "--mode", "squaring", "--n", "5", "--l", "\uff13", "--out", "{out}"],
+        "error: argument --l: invalid int value: '\uff13'",
+    ),
+    (
+        "build with an underscore in --max-gates",
+        {},
+        ["build", "--mode", "squaring", "--n", "5", "--max-gates", "1_000", "--out", "{out}"],
+        "error: argument --max-gates: invalid int value: '1_000'",
+    ),
+]
+
 
 @pytest.mark.parametrize("name, files, argv, words", CASES, ids=[case[0] for case in CASES])
 def test_refused_in_one_line(tmp_path, name, files, argv, words):
