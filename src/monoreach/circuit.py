@@ -70,7 +70,7 @@ class MonotoneCircuit:
         # Both caches are keyed by the gate count they were made at, since
         # gates are only appended; prune() resets both, set_outputs() the plan.
         self._depths_cache: tuple[int, np.ndarray] | None = None
-        self._plan_cache: tuple[int, tuple[bytes, array, array, list[int]]] | None = None
+        self._plan_cache: tuple[int, tuple[bytes, array, array, list[int]], int] | None = None
 
     # -- structure ----------------------------------------------------------
 
@@ -319,7 +319,8 @@ class MonotoneCircuit:
 
         Each code has bit 0 set when the gate is the last reader of its left
         operand in this order, bit 1 the same for its right operand, and
-        bit 2 the op (set for OR).  Outputs are never released.
+        bit 2 the op (set for OR).  Outputs are never released.  The cache
+        also keeps the plan's ``live_peak``.
         """
         ng = len(self._ops)
         cached = self._plan_cache
@@ -345,8 +346,28 @@ class MonotoneCircuit:
         codes += (last_use[rights] == gates) * np.uint8(2)
         # Iterating bytes yields cached small ints, one byte per gate.
         plan = (codes.tobytes(), _int_array(lefts), _int_array(rights), outputs.tolist())
-        self._plan_cache = (ng, plan)
+        del codes, lefts, rights, gates
+        # evaluate_batch starts out holding the n0 inputs and zero wire.  Step
+        # t stores one value, then frees each wire it reads for the last
+        # time, so after step t it holds n0 - lag[t] values, where lag[t] is
+        # the wires freed at steps <= t less t + 1.  A wire that nothing
+        # reads, or that is an output, is never freed.
+        last_use[last_use < 0] = ng
+        lag = np.bincount(last_use, minlength=ng + 1)[:ng]
+        del last_use
+        lag -= 1
+        np.cumsum(lag, out=lag)
+        peak = n0 - int(lag.min(initial=0))
+        self._plan_cache = (ng, plan, peak)
         return plan
+
+    def live_peak(self) -> int:
+        """Most values one evaluate_batch call holds at once: the inputs and
+        the zero wire before the first gate, or after any gate the values
+        not yet freed, inputs included.  Kept with the cached plan, so
+        evaluate_batch reuses the plan this builds."""
+        self._plan()
+        return self._plan_cache[2]
 
     def evaluate_batch(self, input_masks) -> list[int]:
         """Evaluate on many assignments at once, bit-parallel over Python ints.

@@ -45,7 +45,9 @@ from .families import (
     write_family,
 )
 from .oracles import (
+    MAX_CHECK_VERTICES,
     graph_to_text,
+    random_batch_width,
     read_graph,
     run_exhaustive_check,
     run_planted_check,
@@ -135,13 +137,17 @@ def _cmd_eval(args, argv) -> int:
 
 
 def _cmd_verify(args, argv) -> int:
+    if args.walks is not None and (args.mode == "planted" or args.l is not None):
+        raise InvalidParameterError("--walks takes --mode random or exhaustive, and no --l")
     circuit = read_circuit(args.circuit)
     n = _parse_n(args.n)
     if args.mode == "exhaustive":
-        report = run_exhaustive_check(circuit, n)
+        report = run_exhaustive_check(circuit, n, walks=args.walks)
     elif args.mode == "random":
         densities = _parse_densities(args.p)
-        report = run_random_check(circuit, n, args.samples, args.seed, densities=densities, l=args.l)
+        report = run_random_check(
+            circuit, n, args.samples, args.seed, densities=densities, l=args.l, walks=args.walks
+        )
     else:
         report = run_planted_check(circuit, n, args.samples, args.seed, l=args.l)
     print(f"checked {report.checked} graphs, skipped {report.skipped} outside the promise")
@@ -223,6 +229,13 @@ def _cmd_stats(args, argv) -> int:
     print(f"zero-wire operands: {circuit.zero_wire_operands()}")
     print(f"outputs: {len(circuit.outputs)}")
     print(f"depth: {circuit.depth()}")
+    # The plan behind both is sized by the inputs, and no check takes more
+    # than MAX_CHECK_VERTICES vertices.
+    if circuit.num_vertices <= MAX_CHECK_VERTICES:
+        print(f"eval peak values: {circuit.live_peak()}")
+        print(f"random-check batch: {random_batch_width(circuit)} graphs")
+    else:
+        print(f"random-check batch: none, over {MAX_CHECK_VERTICES} vertices")
     print("valid: yes")
     return 0
 
@@ -268,6 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--samples", type=int, default=10000)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--l", type=int, help="length budget; restricts checks to promise instances")
+    v.add_argument("--walks", type=int, help="expect walks of exactly this many edges from 1 to n (exact builds)")
     v.add_argument("--p", default="0.02,0.1,0.5", help="comma-separated edge densities for random mode")
 
     f = sub.add_parser("family", help="generate or check covering families")

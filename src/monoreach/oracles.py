@@ -9,6 +9,7 @@ of graphs to one comparison loop.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from random import Random
 
@@ -18,7 +19,14 @@ from .circuit import AdjacencyMatrix, MonotoneCircuit
 from .errors import BudgetExceededError, InvalidParameterError
 from .exactmath import bernoulli_digits, bernoulli_mask, child_seed, parse_int, randbelow
 
-CHUNK_BITS = 16384  # graphs per evaluation batch
+CHUNK_BITS = 16384  # graphs per draw chunk
+# Bits of values one evaluate_batch call of the random check may hold: a
+# batch packs as many whole draw chunks as keep circuit.live_peak() masks of
+# its width within this, and at least one chunk.
+EVAL_VALUE_BITS = 5 * 2**23
+# Most walk-oracle steps a check may take: walks * n * n, each one AND and
+# one OR over a batch's masks.
+WALK_STEP_BUDGET = 1 << 22
 # Most vertices a comparison driver accepts: one chunk at 256 vertices
 # already holds 65,536 input masks of CHUNK_BITS bits.
 MAX_CHECK_VERTICES = 256
@@ -71,9 +79,7 @@ def _bfs_rounds(masks, width: int, n: int, src: int, dst: int):
     frontier = {s: full}
     reach = 0
     while frontier:
-        new = [0] * n
-        for u, fu in frontier.items():
-            new = [acc | (e & fu) for acc, e in zip(new, masks[u * n : u * n + n])]
+        new = _step(masks, n, frontier)
         yield new[d]
         reach |= new[d]
         live = full & ~reach
@@ -83,6 +89,28 @@ def _bfs_rounds(masks, width: int, n: int, src: int, dst: int):
             if fv:
                 seen[v] |= fv
                 frontier[v] = fv
+
+
+def _step(masks, n: int, frontier: dict) -> list[int]:
+    """One edge on from a frontier, on every graph of a chunk at once:
+    frontier maps vertex u (0-based) to a mask of graphs, and entry v of the
+    result holds the graphs in which some frontier u has the edge u -> v."""
+    new = [0] * n
+    for u, fu in frontier.items():
+        new = [acc | (e & fu) for acc, e in zip(new, masks[u * n : u * n + n])]
+    return new
+
+
+def _walk_masks(masks, width: int, n: int, walks: int) -> int:
+    """Packed bits of the graphs of a chunk with a walk of exactly `walks`
+    edges from 1 to n, by `walks` steps of the walk DP bit-sliced: the
+    graphs whose walks so far can end at v, for every v at once."""
+    ends = {0: (1 << width) - 1}
+    for _ in range(walks):
+        ends = {v: graphs for v, graphs in enumerate(_step(masks, n, ends)) if graphs}
+        if not ends:
+            return 0
+    return ends.get(n - 1, 0)
 
 
 def exact_length_walk_exists(matrix: AdjacencyMatrix, src: int, dst: int, l: int) -> bool:
@@ -487,11 +515,23 @@ def _check_circuit(circuit: MonotoneCircuit, n: int) -> None:
         )
 
 
+def _graphs_at(masks, width: int, n: int, picks: list[int]) -> list[AdjacencyMatrix]:
+    """The graphs at positions `picks` of a chunk of `width` graphs, read
+    from its per-entry masks: the chunk is laid out as bytes once, and only
+    the picked graphs' bits are read from it, so nothing is transposed."""
+    nbytes = (width + 7) // 8
+    grid = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks), dtype=np.uint8)
+    grid = grid.reshape(len(masks), nbytes)
+    at = np.array(picks)
+    bits = (grid[:, at >> 3] >> (at & 7).astype(np.uint8)) & 1  # [entry, pick]
+    packed = np.packbits(bits, axis=0, bitorder="little")
+    return [AdjacencyMatrix(n, _graph_int_rows(int.from_bytes(col.tobytes(), "little"), n)) for col in packed.T]
+
+
 def _compare(circuit: MonotoneCircuit, chunks, max_report: int) -> CheckReport:
     """Evaluate each (masks, width, expected, promise) chunk and collect the
-    mismatches inside the promise, in graph order, up to max_report.  A
-    chunk is transposed into per-graph ints only when it has a mismatch
-    left to report."""
+    mismatches inside the promise, in graph order, up to max_report.  Only
+    the graphs reported are read out of a chunk's masks."""
     n = circuit.num_vertices
     checked = 0
     skipped = 0
@@ -501,22 +541,35 @@ def _compare(circuit: MonotoneCircuit, chunks, max_report: int) -> CheckReport:
         bad = (out ^ expected) & promise
         checked += width
         skipped += width - promise.bit_count()
-        if not bad or len(mism) >= max_report:
-            continue
-        graph_ints = masks_to_graph_ints(masks, width)
-        while bad and len(mism) < max_report:
+        picks = []
+        while bad and len(mism) + len(picks) < max_report:
             low = bad & -bad
-            t = low.bit_length() - 1
-            mism.append((AdjacencyMatrix(n, _graph_int_rows(graph_ints[t], n)), (expected >> t) & 1, (out >> t) & 1))
+            picks.append(low.bit_length() - 1)
             bad ^= low
+        if picks:
+            graphs = _graphs_at(masks, width, n, picks)
+            mism += [(g, (expected >> t) & 1, (out >> t) & 1) for g, t in zip(graphs, picks)]
     return CheckReport(checked, skipped, mism)
 
 
-def run_exhaustive_check(circuit: MonotoneCircuit, n: int, max_report: int = 4) -> CheckReport:
-    """Compare the circuit against BFS on every graph over n vertices."""
+def _expected(masks, width: int, n: int, l: int | None, walks: int | None) -> tuple[int, int]:
+    """(expected, promise) of a chunk: 1 -> n reachability under the
+    promise of budget l, or, with `walks`, whether a walk of exactly that
+    many edges runs 1 -> n, on every graph."""
+    if walks is None:
+        return _oracle_masks(masks, width, n, l)
+    return _walk_masks(masks, width, n, walks), (1 << width) - 1
+
+
+def run_exhaustive_check(
+    circuit: MonotoneCircuit, n: int, max_report: int = 4, walks: int | None = None
+) -> CheckReport:
+    """Compare the circuit against BFS on every graph over n vertices, or,
+    with `walks`, against the walks of exactly that many edges."""
     _check_circuit(circuit, n)
+    _check_walks(n, walks, None)
     masks, width = exhaustive_input_masks(n)
-    return _compare(circuit, [(masks, width, *_oracle_masks(masks, width, n, None))], max_report)
+    return _compare(circuit, [(masks, width, *_expected(masks, width, n, None, walks))], max_report)
 
 
 def _check_draws(samples: int, l: int | None) -> None:
@@ -526,6 +579,23 @@ def _check_draws(samples: int, l: int | None) -> None:
         raise InvalidParameterError(f"samples must be at least 1, got {samples}")
     if l is not None and l < 1:
         raise InvalidParameterError(f"length budget l must be at least 1, got {l}")
+
+
+def _check_walks(n: int, walks: int | None, l: int | None) -> None:
+    """Precondition on the walk length of the exhaustive and random drivers:
+    at least one edge, no length budget beside it, and within
+    WALK_STEP_BUDGET steps."""
+    if walks is None:
+        return
+    if walks < 1:
+        raise InvalidParameterError(f"walk length must be at least 1, got {walks}")
+    if l is not None:
+        raise InvalidParameterError("a walk length and a length budget l do not combine")
+    if walks * n * n > WALK_STEP_BUDGET:
+        raise BudgetExceededError(
+            f"walks of {walks} edges over {n} vertices take {walks * n * n} steps, "
+            f"over the budget of {WALK_STEP_BUDGET}"
+        )
 
 
 def _random_chunks(n: int, samples: int, seed: int, densities):
@@ -544,19 +614,46 @@ def _random_chunks(n: int, samples: int, seed: int, densities):
             todo -= width
 
 
-def _batches(chunks):
-    """Pack consecutive (masks, width) chunks into batches of at most
-    CHUNK_BITS graphs: a chunk's graphs follow the batch's earlier graphs,
-    and a chunk that would overflow the batch flushes it first."""
-    batch, width = None, 0
+def random_batch_width(circuit: MonotoneCircuit) -> int:
+    """Most graphs the random check evaluates in one evaluate_batch call:
+    the whole draw chunks whose circuit.live_peak() masks fit in
+    EVAL_VALUE_BITS, and at least one chunk."""
+    return CHUNK_BITS * max(1, EVAL_VALUE_BITS // (circuit.live_peak() * CHUNK_BITS))
+
+
+def _joined(held: list) -> list[int]:
+    """Per entry, the masks of the consecutive (masks, width) chunks in held
+    joined into one int, each chunk's graphs after those of the chunks
+    before it.  Neighbours join pairwise, so k chunks take ceil(log2 k)
+    rounds, each copying every bit once.  Empties held as it goes, so the
+    chunks are freed once joined."""
+    while len(held) > 1:
+        pairs = [
+            ([a | (b << wa) for a, b in zip(ma, mb)], wa + wb)
+            for (ma, wa), (mb, wb) in zip(held[0::2], held[1::2])
+        ]
+        held[:] = pairs + held[len(pairs) * 2 :]
+    return held.pop()[0]
+
+
+def _batches(chunks, limit: int):
+    """Pack consecutive (masks, width) chunks into batches of at most limit
+    graphs: a chunk's graphs follow the batch's earlier graphs, and a chunk
+    that would overflow the batch flushes it first.  A batch of limit
+    graphs is yielded as soon as it fills, before the next chunk is drawn."""
+    held, width = [], 0
     for masks, w in chunks:
-        if width + w > CHUNK_BITS:
-            yield batch, width
-            batch, width = None, 0
-        batch = masks if batch is None else [m | (c << width) for m, c in zip(batch, masks)]
+        if width + w > limit:
+            yield _joined(held), width
+            width = 0
+        held.append((masks, w))
+        del masks  # only held keeps the chunk, so joining it frees it
         width += w
-    if width:
-        yield batch, width
+        if width == limit:
+            yield _joined(held), width
+            width = 0
+    if held:
+        yield _joined(held), width
 
 
 def run_random_check(
@@ -567,23 +664,33 @@ def run_random_check(
     densities=(0.02, 0.1, 0.5),
     l: int | None = None,
     max_report: int = 4,
+    walks: int | None = None,
 ) -> CheckReport:
     """Compare against BFS on seeded random graphs at the given densities.
 
     With a length budget l, graphs whose shortest 1 -> n path exceeds l are
-    outside the promise and are skipped, not counted as mismatches.  The
-    draws of consecutive densities share evaluation batches, so the graphs
-    and the report do not depend on how they are batched.
+    outside the promise and are skipped, not counted as mismatches.  With
+    `walks`, the expected bit is whether a walk of exactly that many edges
+    runs 1 -> n instead.  The draws of consecutive densities share
+    evaluation batches of up to random_batch_width(circuit) graphs, so the
+    graphs and the report do not depend on how they are batched.
     """
     _check_circuit(circuit, n)
     _check_draws(samples, l)
+    _check_walks(n, walks, l)
     if not densities:
         raise InvalidParameterError("densities must not be empty")
     for p in densities:
         if not 0.0 <= p <= 1.0:  # also refuses NaN
             raise InvalidParameterError(f"edge density p must be in [0, 1], got {p}")
-    batches = _batches(_random_chunks(n, samples, seed, densities))
-    return _compare(circuit, ((m, w, *_oracle_masks(m, w, n, l)) for m, w in batches), max_report)
+    chunks = _random_chunks(n, samples, seed, densities)
+    # The first chunk is drawn before the plan that sizes the batches is
+    # built: planned first, checking explicit n=64 peaked at 174 MB RSS
+    # instead of 156 MB (CPython 3.11, glibc malloc).  Only _batches keeps
+    # the chunk once it is passed on.
+    chunks = itertools.chain(iter([next(chunks)]), chunks)
+    batches = _batches(chunks, random_batch_width(circuit))
+    return _compare(circuit, ((m, w, *_expected(m, w, n, l, walks)) for m, w in batches), max_report)
 
 
 def run_planted_check(

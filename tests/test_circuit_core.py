@@ -350,7 +350,31 @@ def peak_live(num_inputs, codes, lefts, rights):
     return peak
 
 
+def replayed_peak(c):
+    """Most non-None values of evaluate_batch's value list, before the first
+    gate or after any gate's releases, by replaying the plan's codes gate by
+    gate with placeholder values."""
+    codes, lefts, rights, _ = c._plan()
+    vals = [object() for _ in range(c.num_inputs + 1)]
+    peak = len(vals)
+    for code, a, b in zip(codes, lefts, rights):
+        vals.append(object())
+        if code & 1:
+            vals[a] = None
+        if code & 2:
+            vals[b] = None
+        peak = max(peak, sum(v is not None for v in vals))
+    return peak
+
+
 class TestPlan:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_live_peak_matches_a_replay(self, data):
+        # random_circuit draws gates with a == b and outputs that later gates read.
+        c = random_circuit(data, max_gates=60)
+        assert c.live_peak() == replayed_peak(c)
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_file_order_evaluation(self, data):
@@ -412,6 +436,7 @@ class TestPlan:
             assert peak_live(circuit.num_inputs, file_codes, circuit._lefts, circuit._rights) == in_file_order
             codes, lefts, rights, _ = circuit._plan()
             assert peak_live(circuit.num_inputs, codes, lefts, rights) == in_plan_order
+            assert circuit.live_peak() == in_plan_order
 
 
 class TestGateCodes:

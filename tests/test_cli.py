@@ -40,8 +40,7 @@ class TestBuildEvalStats:
         assert "depth 29" in text
         code, text, _ = run(capsys, "stats", "--circuit", out)
         assert code == 0
-        assert "depth: 29" in text
-        assert "valid: yes" in text
+        assert "depth: 29\neval peak values: 509\nrandom-check batch: 81920 graphs\nvalid: yes\n" in text
         assert (tmp_path / "c.mc.ledger.csv").exists()
         ledger = (tmp_path / "c.mc.ledger.csv").read_text()
         assert ledger.splitlines()[-1].startswith("2,or,5,5")
@@ -213,6 +212,9 @@ class TestVerify:
             ("random", ["--p", "0.1,inf"], "edge density p must be in [0, 1], got inf"),
             ("planted", ["--l", "0"], "length budget l must be at least 1, got 0"),
             ("random", ["--l", "-1"], "length budget l must be at least 1, got -1"),
+            ("planted", ["--walks", "3"], "--walks takes --mode random or exhaustive, and no --l"),
+            ("exhaustive", ["--walks", "3", "--l", "3"], "--walks takes --mode random or exhaustive, and no --l"),
+            ("exhaustive", ["--walks", "0"], "walk length must be at least 1, got 0"),
         ],
     )
     def test_a_check_that_runs_no_graph_is_refused(self, tmp_path, capsys, mode, flags, message):
@@ -228,6 +230,17 @@ class TestVerify:
         run(capsys, "build", "--mode", "squaring", "--n", "4", "--out", out)
         code, text, err = run(capsys, "verify", "--circuit", out, "--n", "4", "--mode", "random", "--p", p)
         assert (code, text, err) == (2, "", f"error: --p takes comma-separated numbers, got {token}\n")
+
+    def test_exact_circuit_passes_with_walks(self, tmp_path, capsys):
+        # An exact circuit decides walks of exactly l edges, not reachability.
+        out = str(tmp_path / "e.mc")
+        run(capsys, "build", "--mode", "exact", "--n", "6", "--l", "3", "--out", out)
+        verify = ["verify", "--circuit", out, "--mode", "random", "--n", "6", "--samples", "2000", "--seed", "1"]
+        code, text, _ = run(capsys, *verify)
+        assert code == 1
+        assert "MISMATCH" in text
+        code, text, _ = run(capsys, *verify, "--walks", "3")
+        assert (code, text) == (0, "checked 2000 graphs, skipped 0 outside the promise\nno mismatches\n")
 
     def test_planted_check_refuses_one_vertex(self, tmp_path, capsys):
         path = tmp_path / "one.mc"
@@ -492,5 +505,5 @@ class TestErrors:
         code, out, _ = run(capsys, "stats", "--circuit", str(path))
         assert code == 0
         assert "inputs: 2147395600" in out
-        assert "depth: 0" in out
+        assert "depth: 0\nrandom-check batch: none, over 256 vertices\n" in out
         assert "valid: yes" in out

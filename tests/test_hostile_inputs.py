@@ -54,6 +54,11 @@ def small_circuit(path):
     write_circuit(build_reach_leq(3, 2), path)
 
 
+def header_only_circuit(path):
+    """64 vertices and no gates: the output is input wire 0."""
+    path.write_bytes(b"MCIRC 1 64\nOUT 0\n")
+
+
 def huge_graph(path):
     path.write_bytes(b"GRAPH 1000000000\n")
 
@@ -199,6 +204,45 @@ CASES += [
         {},
         ["build", "--mode", "squaring", "--n", "5", "--max-gates", "1_000", "--out", "{out}"],
         "error: argument --max-gates: invalid int value: '1_000'",
+    ),
+]
+
+# --walks reads by the same rule, and a walk oracle over the step budget is
+# refused before any graph is drawn.
+VERIFY_WALKS = ["verify", "--circuit", "{mc}", "--n", "3", "--mode", "random", "--walks"]
+CASES += [
+    *(
+        (
+            f"verify with --walks {walks}",
+            {"mc": small_circuit},
+            [*VERIFY_WALKS, walks],
+            f"error: walk length must be at least 1, got {walks}",
+        )
+        for walks in ("0", "-1")
+    ),
+    (
+        "verify with an underscore in --walks",
+        {"mc": small_circuit},
+        [*VERIFY_WALKS, "1_0"],
+        "error: argument --walks: invalid int value: '1_0'",
+    ),
+    (
+        "verify with full-width digits for --walks",
+        {"mc": small_circuit},
+        [*VERIFY_WALKS, "\uff11\uff10"],
+        "error: argument --walks: invalid int value: '\uff11\uff10'",
+    ),
+    (
+        "verify with --walks over the step budget",
+        {"mc": header_only_circuit},
+        ["verify", "--circuit", "{mc}", "--n", "64", "--mode", "random", "--walks", str(10**12)],
+        f"walks of {10**12} edges over 64 vertices take {10**12 * 64 * 64} steps, over the budget of",
+    ),
+    (
+        "verify with --walks and --l",
+        {"mc": small_circuit},
+        [*VERIFY_WALKS, "3", "--l", "3"],
+        "error: --walks takes --mode random or exhaustive, and no --l",
     ),
 ]
 

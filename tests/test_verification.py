@@ -19,8 +19,11 @@ from monoreach.oracles import (
     MAX_CHECK_VERTICES,
     NO_PATH_EDGE_PROB,
     PLANTED_NOISE_PROB,
+    WALK_STEP_BUDGET,
+    _batches,
     _graph_int_rows,
     _oracle_masks,
+    _walk_masks,
     bernoulli_entry_masks,
     bfs_reachable,
     exhaustive_input_masks,
@@ -29,6 +32,7 @@ from monoreach.oracles import (
     graph_to_text,
     masks_to_graph_ints,
     planted_entry_masks,
+    random_batch_width,
     run_exhaustive_check,
     run_planted_check,
     run_random_check,
@@ -70,6 +74,15 @@ def per_graph_oracle(masks, width, n, l):
             if l is not None and dist > l:
                 outside |= 1 << t
     return reach, ((1 << width) - 1) & ~outside
+
+
+def per_graph_walks(masks, width, n, walks):
+    """Reference for _walk_masks: one exact_length_walk_exists per graph."""
+    hits = 0
+    for t, g in enumerate(masks_to_graph_ints(masks, width)):
+        if mr.exact_length_walk_exists(AdjacencyMatrix(n, _graph_int_rows(g, n)), 1, n, walks):
+            hits |= 1 << t
+    return hits
 
 
 def reference_planted_path_graph(n, path_len, noise_prob, seed):
@@ -545,16 +558,24 @@ class TestPackedBatches:
         assert report_digest(report) == digest
 
     @pytest.mark.parametrize(
-        "samples, widths",
+        "value_bits, samples, widths",
         [
-            (1, [1]),
-            (16384, [16384]),
-            (20000, [13334, 6666]),
-            (50000, [16384, 284, 16384, 282, 16384, 282]),
-            (393216, [16384] * 24),
+            # A budget of one chunk packs draws as before the value budget.
+            (1, 1, [1]),
+            (1, 16384, [16384]),
+            (1, 20000, [13334, 6666]),
+            (1, 50000, [16384, 284, 16384, 282, 16384, 282]),
+            (1, 393216, [16384] * 24),
+            # By default this 5-value circuit takes 512 chunks a batch.
+            (None, 1, [1]),
+            (None, 20000, [20000]),
+            (None, 50000, [50000]),
+            (None, 393216, [393216]),
         ],
     )
-    def test_one_evaluation_per_batch(self, monkeypatch, samples, widths):
+    def test_one_evaluation_per_batch(self, monkeypatch, value_bits, samples, widths):
+        if value_bits is not None:
+            monkeypatch.setattr(monoreach.oracles, "EVAL_VALUE_BITS", value_bits)
         calls = []
         seen = []
         evaluate = mr.MonotoneCircuit.evaluate_batch
@@ -572,6 +593,117 @@ class TestPackedBatches:
         monkeypatch.setattr(monoreach.oracles, "_oracle_masks", sized)
         assert run_random_check(mr.build_reach_leq(2, 1), 2, samples, seed=1).checked == samples
         assert (len(calls), seen) == (len(widths), widths)
+
+
+class TestValueBudget:
+    def test_batch_widths(self):
+        # 692 values at peak fit three chunks in EVAL_VALUE_BITS; 5 fit 512.
+        squaring = mr.build_reach_leq(16, 15)
+        assert (squaring.live_peak(), random_batch_width(squaring)) == (692, 3 * CHUNK_BITS)
+        tiny = mr.build_reach_leq(2, 1)
+        assert (tiny.live_peak(), random_batch_width(tiny)) == (5, 512 * CHUNK_BITS)
+
+    @pytest.mark.parametrize("circuit_l", [15, 3])
+    @pytest.mark.parametrize("samples", [1, 20000, 50000])
+    @pytest.mark.parametrize("max_report", [3, 10**6])
+    @pytest.mark.parametrize("l", [None, 5])
+    def test_report_does_not_depend_on_the_budget(self, monkeypatch, circuit_l, samples, max_report, l):
+        circuit = mr.build_reach_leq(16, circuit_l)
+        chunk_bits = circuit.live_peak() * CHUNK_BITS
+        reports = []
+        for value_bits, chunks in ((1, 1), (3 * chunk_bits, 3), (10**30, 10**30 // chunk_bits)):
+            monkeypatch.setattr(monoreach.oracles, "EVAL_VALUE_BITS", value_bits)
+            assert random_batch_width(circuit) == chunks * CHUNK_BITS
+            reports.append(run_random_check(circuit, 16, samples, seed=11, l=l, max_report=max_report))
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0].checked == samples
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        widths=st.lists(st.integers(1, 40), min_size=1, max_size=30),
+        limit=st.integers(40, 130),
+        entries=st.integers(1, 4),
+        seed=st.integers(0, 2**32),
+    )
+    def test_batches_match_shift_or_packing(self, widths, limit, entries, seed):
+        rng = Random(seed)
+        chunks = [([rng.getrandbits(w) for _ in range(entries)], w) for w in widths]
+        expected = []  # the shift-OR packing: each chunk after the batch's graphs so far
+        for masks, w in chunks:
+            if expected and expected[-1][1] + w <= limit:
+                batch, width = expected[-1]
+                expected[-1] = ([m | (c << width) for m, c in zip(batch, masks)], width + w)
+            else:
+                expected.append((masks, w))
+        drawn = []
+
+        def draw():
+            for chunk in chunks:
+                drawn.append(chunk)
+                yield list(chunk[0]), chunk[1]
+
+        got = []
+        for batch, width in _batches(draw(), limit):
+            got.append((batch, width))
+            if width == limit:  # a full batch is yielded before the next chunk is drawn
+                assert sum(w for _, w in drawn) == sum(w for _, w in got)
+        assert got == expected
+
+
+class TestWalkOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        p=st.sampled_from([0, 0.1, 0.3, 0.5, 1]),
+        width=st.integers(1, 300),
+        walks=st.integers(1, 12),
+        seed=st.integers(0, 2**32),
+    )
+    def test_matches_per_graph_walks(self, n, p, width, walks, seed):
+        masks = bernoulli_entry_masks(Random(seed), n, width, p)
+        assert _walk_masks(masks, width, n, walks) == per_graph_walks(masks, width, n, walks)
+
+    @pytest.mark.parametrize("l", range(1, 7))
+    def test_exact_circuits_pass_exhaustively(self, l):
+        report = run_exhaustive_check(mr.build_reach_exact(4, l), 4, walks=l)
+        assert (report.checked, report.skipped, report.ok) == (65536, 0, True)
+
+    def test_exact_circuit_passes_random_graphs(self):
+        report = run_random_check(mr.build_reach_exact(6, 3), 6, 2000, seed=1, walks=3)
+        assert (report.checked, report.skipped, report.ok) == (2000, 0, True)
+        # Against reachability, the same circuit fails.
+        assert not run_random_check(mr.build_reach_exact(6, 3), 6, 2000, seed=1).ok
+
+    def test_reachability_circuit_fails_exact_walks(self):
+        c = mr.build_reach_leq(4, 3)
+        report = run_exhaustive_check(c, 4, max_report=10**6, walks=3)
+        assert report.mismatches
+        for g, expected, got in report.mismatches:
+            assert expected == int(mr.exact_length_walk_exists(g, 1, 4, 3)) != got == c.evaluate(g)
+
+    @pytest.mark.parametrize("walks", [0, -1])
+    def test_walks_below_one_refused(self, walks):
+        for check in (
+            lambda: run_random_check(mr.build_reach(4), 4, 100, 0, walks=walks),
+            lambda: run_exhaustive_check(mr.build_reach(4), 4, walks=walks),
+        ):
+            with pytest.raises(mr.InvalidParameterError, match=f"^walk length must be at least 1, got {walks}$"):
+                check()
+
+    def test_walks_with_a_length_budget_refused(self):
+        with pytest.raises(mr.InvalidParameterError, match="^a walk length and a length budget l do not combine$"):
+            run_random_check(mr.build_reach(4), 4, 100, 0, l=3, walks=3)
+
+    def test_walk_steps_over_the_budget_refused_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(monoreach.oracles, "child_seed", None)
+        monkeypatch.setattr(monoreach.oracles, "exhaustive_input_masks", None)
+        over = WALK_STEP_BUDGET // 16 + 1
+        for check in (
+            lambda: run_random_check(mr.build_reach(4), 4, 100, 0, walks=over),
+            lambda: run_exhaustive_check(mr.build_reach(4), 4, walks=over),
+        ):
+            with pytest.raises(mr.BudgetExceededError, match=f"over the budget of {WALK_STEP_BUDGET}$"):
+                check()
 
 
 class TestPlantedGoldens:
