@@ -21,6 +21,10 @@ import io
 import sys
 from array import array
 from contextlib import contextmanager
+from dataclasses import dataclass
+from functools import reduce
+from itertools import chain, islice
+from operator import and_, or_
 from typing import BinaryIO
 
 import numpy as np
@@ -33,7 +37,7 @@ OR = 1
 
 # Gate blocks are emitted in bands of this many matrix entries: a band's AND
 # leaves, then its OR trees.  Evaluation runs gates in its own plan order
-# (`_plan_order`), so the band size does not bound how many values are live;
+# (`_plan`), so the band size does not bound how many values are live;
 # it only fixes the gate order, and so the MCIRC bytes the golden digests pin.
 EMIT_BAND = 256
 
@@ -70,7 +74,7 @@ class MonotoneCircuit:
         # Both caches are keyed by the gate count they were made at, since
         # gates are only appended; prune() resets both, set_outputs() the plan.
         self._depths_cache: tuple[int, np.ndarray] | None = None
-        self._plan_cache: tuple[int, tuple[bytes, array, array, list[int]], int] | None = None
+        self._plan_cache: tuple[int, _Plan] | None = None
 
     # -- structure ----------------------------------------------------------
 
@@ -106,7 +110,19 @@ class MonotoneCircuit:
         return views
 
     def add_gate(self, op: int, a: int, b: int) -> int:
-        return self.append_gates([op], [a], [b])
+        """Append one gate op of wires a and b; returns its wire id.  The
+        checks and refusals of append_gates, on plain ints."""
+        base = self.num_wires
+        if base + 1 > MAX_WIRES:
+            raise InvalidParameterError(f"a circuit has at most {MAX_WIRES} wires")
+        if op != AND and op != OR:
+            raise InvalidParameterError(f"unknown gate op {op}")
+        if min(a, b) < 0 or max(a, b) >= base:
+            raise InvalidReferenceError(f"gate references missing wire ({a}, {b})")
+        self._ops.append(op)
+        self._lefts.append(a)
+        self._rights.append(b)
+        return base
 
     def append_gates(self, ops, lefts, rights) -> int:
         """Append gates g = 0, 1, ..., each ops[g] of wires lefts[g] and
@@ -280,115 +296,208 @@ class MonotoneCircuit:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _plan_order(self) -> np.ndarray:
-        """The gates in the order evaluate_batch runs them.
+    def _trees(self) -> tuple[np.ndarray, np.ndarray]:
+        """(parent, root) of every gate, as int32 and intp arrays.
 
         A gate that exactly one gate reads, and that is not an output,
-        belongs to its reader's tree; every other gate roots a tree of its
-        own.  Trees run in the file order of their roots, and the gates of
-        a tree in file order, so each tree runs just before its root.  An
-        operand outside a gate's tree is some tree's root, which comes
-        earlier in the file, so the order is topological.
+        belongs to its reader's tree: its parent is that reader.  Every
+        other gate has parent -1 and roots a tree of its own.  root is the
+        root of each gate's tree.
         """
         n0 = self.num_inputs + 1
-        nw = self.num_wires
         _, lefts, rights = self.gates()
-        gates = np.arange(len(self._ops), dtype=np.intc)
-        # A gate that reads one wire twice is one reader of it.
-        readers = np.bincount(lefts, minlength=nw)
-        readers += np.bincount(rights[rights != lefts], minlength=nw)
-        in_tree = readers[n0:] == 1
+        ng = len(self._ops)
+        # parent[w] is some gate that reads wire w, the only one when one
+        # gate reads it; a gate that reads w twice counts once.
+        readers = np.bincount(lefts, minlength=self.num_wires)[n0:]
+        readers += np.bincount(rights[rights != lefts], minlength=self.num_wires)[n0:]
+        gates = np.arange(ng, dtype=np.intc)
+        parent = np.empty(self.num_wires, dtype=np.intc)
+        parent[lefts] = gates
+        parent[rights] = gates
+        parent = parent[n0:]
+        parent[readers != 1] = -1
         del readers
-        in_tree[[o - n0 for o in self.outputs if o >= n0]] = False
-        # reader[w] is some gate that reads w, the only one where in_tree holds.
-        reader = np.empty(nw, dtype=np.intc)
-        reader[lefts] = gates
-        reader[rights] = gates
-        root = np.where(in_tree, reader[n0:], gates)
-        del reader, in_tree
-        while True:  # pointer jumping: each pass doubles how far a gate looks up its tree
+        parent[[o - n0 for o in self.outputs if o >= n0]] = -1
+        # Pointer jumping, on intp ids, which index without a cast: each pass
+        # doubles how far a gate looks up its tree.
+        root = np.where(parent >= 0, parent, np.arange(ng))
+        while True:
             up = root[root]
             if np.array_equal(up, root):
-                break
+                return parent, root
             root = up
-        return np.argsort(root, kind="stable")
 
-    def _plan(self) -> tuple[bytes, array, array, list[int]]:
-        """(codes, lefts, rights, outputs) of the gates in ``_plan_order``,
-        with every gate wire renumbered in that order.
+    def _plan(self) -> _Plan:
+        """The steps evaluate_batch runs, cached per gate count.
 
-        Each code has bit 0 set when the gate is the last reader of its left
-        operand in this order, bit 1 the same for its right operand, and
-        bit 2 the op (set for OR).  Outputs are never released.  The cache
-        also keeps the plan's ``live_peak``.
+        Trees (see ``_trees``) run in the file order of their roots.  A
+        sum-of-products tree, one of more than one gate whose root is OR and
+        whose AND gates each read two wires outside the tree, is one step
+        that stores only its root's value: the OR of its leaves, which are
+        its AND gates and the outside operands of its OR gates.  The gates
+        of any other tree are one step each, in file order.  So each tree
+        runs just before its root, and an operand outside a gate's tree is
+        some earlier tree's root: the order is topological.  Values are
+        numbered by step: the inputs and the zero wire keep their ids, and
+        step t stores value n0 + t.
         """
         ng = len(self._ops)
         cached = self._plan_cache
         if cached is not None and cached[0] == ng:
             return cached[1]
         n0 = self.num_inputs + 1
-        nw = self.num_wires
-        order = self._plan_order()
         ops, lefts, rights = self.gates()
-        codes = (ops[order] == OR) * np.uint8(4)
-        renumber = np.arange(nw, dtype=np.intc)
-        renumber[n0 + order] = np.arange(n0, nw, dtype=np.intc)
-        lefts = renumber[lefts[order]]
-        rights = renumber[rights[order]]
-        outputs = renumber[self.outputs]
-        del renumber, order
-        gates = np.arange(ng, dtype=np.intc)
-        last_use = np.full(nw, -1, dtype=np.intc)
-        np.maximum.at(last_use, lefts, gates)
-        np.maximum.at(last_use, rights, gates)
-        last_use[outputs] = ng
-        codes += last_use[lefts] == gates
-        codes += (last_use[rights] == gates) * np.uint8(2)
-        # Iterating bytes yields cached small ints, one byte per gate.
-        plan = (codes.tobytes(), _int_array(lefts), _int_array(rights), outputs.tolist())
-        del codes, lefts, rights, gates
+        parent, root = self._trees()
+        is_or = ops == OR
+        # A tree folds when its root is a parent and no AND gate of it, the
+        # root included, is a parent.  inside[w] says whether wire w has a
+        # parent.
+        has_child = np.zeros(ng + 1, dtype=bool)
+        has_child[parent] = True  # parent -1 marks the spare last entry
+        has_child = has_child[:ng]
+        inside = np.zeros(self.num_wires, dtype=bool)
+        inside[n0:] = parent >= 0
+        del parent
+        fold = has_child & ~inside[n0:]
+        fold[root[np.flatnonzero(has_child & ~is_or)]] = False
+        del has_child
+        folded = fold[root]
+        steps = np.flatnonzero(~folded | fold)
+        steps = steps[np.argsort(root[steps], kind="stable")]
+        fold_at = np.flatnonzero(fold[steps])
+        folds = steps[fold_at]
+        del fold
+
+        # A folded tree's AND leaves, and the outside operands of its OR
+        # gates (left before right), each grouped by tree in step order.
+        leaves = np.flatnonzero(folded & ~is_or)
+        leaves = leaves[np.argsort(root[leaves], kind="stable")]
+        and_counts = _group_sizes(root[leaves], folds)
+        inner = np.flatnonzero(folded & is_or)
+        del folded
+        operands = np.stack((lefts[inner], rights[inner]), axis=1)
+        member, side = np.nonzero(~inside[operands])
+        del inside
+        plain_roots = root[inner[member]]
+        del inner, root
+        order = np.argsort(plain_roots, kind="stable")
+        plains = operands[member[order], side[order]]
+        plain_counts = _group_sizes(plain_roots[order], folds)
+        del operands, member, side, plain_roots, order, folds
+
+        # Value ids, as intp, which index without a cast: slot[w] is the
+        # value of wire w.  A gate inside a folded tree has none, and gets
+        # the spare id n0 + num_steps, which a folded root may read.
+        num_steps = steps.size
+        slot = np.full(self.num_wires, n0 + num_steps, dtype=np.intp)
+        slot[:n0] = np.arange(n0)
+        slot[n0:][steps] = np.arange(n0, n0 + num_steps)
+        step_lefts = slot[lefts[steps]]
+        step_rights = slot[rights[steps]]
+        and_lefts = slot[lefts[leaves]]
+        and_rights = slot[rights[leaves]]
+        del leaves
+        plains = slot[plains]
+        outputs = slot[self.outputs]
+        del slot
+        # last_use[v] is the last step that reads value v, or one past the
+        # last step for an output or a value nothing reads: never freed.  A
+        # folded root's own operands count as its reads: they are its plain
+        # leaves or the spare id.
+        at = np.arange(num_steps)
+        and_at = np.repeat(fold_at, and_counts)
+        last_use = np.full(n0 + num_steps + 1, -1, dtype=np.intp)
+        for reads, by in (
+            (step_lefts, at),
+            (step_rights, at),
+            (and_lefts, and_at),
+            (and_rights, and_at),
+            (plains, np.repeat(fold_at, plain_counts)),
+        ):
+            np.maximum.at(last_use, reads, by)
+        del and_at
+        last_use[outputs] = num_steps
+        last_use[last_use < 0] = num_steps
+        codes = is_or[steps] * np.uint8(4)
+        codes += last_use[step_lefts] == at
+        codes += (last_use[step_rights] == at) * np.uint8(2)
+        codes[fold_at] = 8
+        step_lefts[fold_at] = and_counts
+        step_rights[fold_at] = plain_counts
+        last_use = last_use[:-1]
+        del steps, at, and_counts, plain_counts
+        # The values a folded tree reads for the last time, freed after it.
+        freed_at = np.zeros(num_steps + 1, dtype=bool)
+        freed_at[fold_at] = True
+        frees = np.flatnonzero(freed_at[last_use])
+        frees = frees[np.argsort(last_use[frees], kind="stable")]
         # evaluate_batch starts out holding the n0 inputs and zero wire.  Step
-        # t stores one value, then frees each wire it reads for the last
+        # t stores one value, then frees each value it reads for the last
         # time, so after step t it holds n0 - lag[t] values, where lag[t] is
-        # the wires freed at steps <= t less t + 1.  A wire that nothing
-        # reads, or that is an output, is never freed.
-        last_use[last_use < 0] = ng
-        lag = np.bincount(last_use, minlength=ng + 1)[:ng]
-        del last_use
-        lag -= 1
+        # the values freed at steps <= t less t + 1.
+        lag = np.bincount(last_use, minlength=num_steps + 1)
+        free_counts = lag[fold_at]
+        lag = lag[:num_steps] - 1
         np.cumsum(lag, out=lag)
-        peak = n0 - int(lag.min(initial=0))
-        self._plan_cache = (ng, plan, peak)
+        plan = _Plan(
+            codes.tobytes(),
+            _int_array(step_lefts.astype(np.intc)),
+            _int_array(step_rights.astype(np.intc)),
+            outputs.tolist(),
+            _int_array(and_lefts.astype(np.intc)),
+            _int_array(and_rights.astype(np.intc)),
+            _int_array(plains.astype(np.intc)),
+            _int_array(frees.astype(np.intc)),
+            _int_array(free_counts.astype(np.intc)),
+            n0 - int(lag.min(initial=0)),
+        )
+        self._plan_cache = (ng, plan)
         return plan
 
     def live_peak(self) -> int:
         """Most values one evaluate_batch call holds at once: the inputs and
-        the zero wire before the first gate, or after any gate the values
+        the zero wire before the first step, or after any step the values
         not yet freed, inputs included.  Kept with the cached plan, so
         evaluate_batch reuses the plan this builds."""
-        self._plan()
-        return self._plan_cache[2]
+        return self._plan().peak
+
+    def eval_steps(self) -> tuple[int, int]:
+        """(steps, folded trees) of the plan evaluate_batch runs: each folded
+        sum-of-products tree is one of the steps."""
+        codes = self._plan().codes
+        return len(codes), codes.count(8)
 
     def evaluate_batch(self, input_masks) -> list[int]:
         """Evaluate on many assignments at once, bit-parallel over Python ints.
 
         ``input_masks[e]`` packs one bit per assignment for input wire e, so
         one call walks the gates once for every assignment its masks hold.
-        Returns one packed mask per output.  The gates run in the order of
-        ``_plan_order``, each single-reader tree just before its root, and each
-        value is freed at its last read in that order, so few values are
-        live at once.
+        Returns one packed mask per output.  The steps run in the order of
+        ``_plan``: a sum-of-products tree is one OR over its leaves, any
+        other gate one AND or OR, and each value is freed after the last
+        step that reads it, so few values are live at once.
         """
         if len(input_masks) != self.num_inputs:
             raise InvalidParameterError(f"expected {self.num_inputs} input masks, got {len(input_masks)}")
         if not self.outputs:
             raise InvalidParameterError("circuit has no outputs")
-        codes, lefts, rights, outputs = self._plan()
+        plan = self._plan()
+        and_lefts, and_rights, plains, frees, free_counts = map(
+            iter, (plan.and_lefts, plan.and_rights, plan.plains, plan.frees, plan.free_counts)
+        )
         vals = [int(m) for m in input_masks]
         vals.append(0)  # the zero wire
         put = vals.append
+        get = vals.__getitem__
         with _gc_paused():
-            for code, a, b in zip(codes, lefts, rights):
+            for code, a, b in zip(plan.codes, plan.lefts, plan.rights):
+                if code & 8:  # a folded tree of a AND leaves and b plain leaves
+                    ands = map(and_, map(get, islice(and_lefts, a)), map(get, islice(and_rights, a)))
+                    put(reduce(or_, chain(ands, map(get, islice(plains, b)))))
+                    for w in islice(frees, next(free_counts)):
+                        vals[w] = None
+                    continue
                 x = vals[a]
                 y = vals[b]
                 put((x | y) if code & 4 else (x & y))
@@ -397,7 +506,7 @@ class MonotoneCircuit:
                         vals[a] = None
                     if code & 2:
                         vals[b] = None
-        return [vals[o] for o in outputs]
+        return [vals[o] for o in plan.outputs]
 
     def evaluate_all(self, matrix: "AdjacencyMatrix") -> tuple[int, ...]:
         """Output bit vector under the assignment g[i][j] := matrix(i, j)."""
@@ -412,6 +521,37 @@ class MonotoneCircuit:
         if len(self.outputs) != 1:
             raise InvalidParameterError("evaluate requires exactly one output")
         return self.evaluate_all(matrix)[0]
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The steps of evaluate_batch, in order, and their live-value peak.
+
+    Step t has codes[t], lefts[t] and rights[t].  Code 8 is a folded tree:
+    its value is the OR of its lefts[t] AND leaves, the pairs read in turn
+    from and_lefts and and_rights, and its rights[t] plain leaves, read in
+    turn from plains; after it, the next free_counts entry says how many
+    values to free, read in turn from frees.  Any other code is one gate of
+    values lefts[t] and rights[t]: bit 2 is set for OR, and bit 0 (bit 1)
+    when the step is the last reader of its left (right) value, which it
+    then frees.  Outputs are never freed.
+    """
+
+    codes: bytes
+    lefts: array
+    rights: array
+    outputs: list[int]
+    and_lefts: array
+    and_rights: array
+    plains: array
+    frees: array
+    free_counts: array
+    peak: int
+
+
+def _group_sizes(keys: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """How many of the sorted keys equal each of the sorted groups."""
+    return np.searchsorted(keys, groups, side="right") - np.searchsorted(keys, groups)
 
 
 def _int_array(values: np.ndarray) -> array:

@@ -142,7 +142,7 @@ def _cmd_verify(args, argv) -> int:
     circuit = read_circuit(args.circuit)
     n = _parse_n(args.n)
     if args.mode == "exhaustive":
-        report = run_exhaustive_check(circuit, n, walks=args.walks)
+        report = run_exhaustive_check(circuit, n, walks=args.walks, l=args.l)
     elif args.mode == "random":
         densities = _parse_densities(args.p)
         report = run_random_check(
@@ -229,11 +229,13 @@ def _cmd_stats(args, argv) -> int:
     print(f"zero-wire operands: {circuit.zero_wire_operands()}")
     print(f"outputs: {len(circuit.outputs)}")
     print(f"depth: {circuit.depth()}")
-    # The plan behind both is sized by the inputs, and no check takes more
+    # The plan behind these is sized by the inputs, and no check takes more
     # than MAX_CHECK_VERTICES vertices.
     if circuit.num_vertices <= MAX_CHECK_VERTICES:
         print(f"eval peak values: {circuit.live_peak()}")
         print(f"random-check batch: {random_batch_width(circuit)} graphs")
+        steps, folds = circuit.eval_steps()
+        print(f"eval steps: {steps}, {folds} folded trees")
     else:
         print(f"random-check batch: none, over {MAX_CHECK_VERTICES} vertices")
     print("valid: yes")

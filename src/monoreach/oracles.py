@@ -562,14 +562,24 @@ def _expected(masks, width: int, n: int, l: int | None, walks: int | None) -> tu
 
 
 def run_exhaustive_check(
-    circuit: MonotoneCircuit, n: int, max_report: int = 4, walks: int | None = None
+    circuit: MonotoneCircuit, n: int, max_report: int = 4, walks: int | None = None, l: int | None = None
 ) -> CheckReport:
     """Compare the circuit against BFS on every graph over n vertices, or,
-    with `walks`, against the walks of exactly that many edges."""
+    with `walks`, against the walks of exactly that many edges.  With a
+    length budget l, graphs whose shortest 1 -> n path exceeds l are
+    outside the promise and are skipped."""
     _check_circuit(circuit, n)
-    _check_walks(n, walks, None)
+    _check_budget(l)
+    _check_walks(n, walks, l)
     masks, width = exhaustive_input_masks(n)
-    return _compare(circuit, [(masks, width, *_expected(masks, width, n, None, walks))], max_report)
+    return _compare(circuit, [(masks, width, *_expected(masks, width, n, l, walks))], max_report)
+
+
+def _check_budget(l: int | None) -> None:
+    """Precondition on the length budget of every driver: a promise that
+    no graph could meet must not pass."""
+    if l is not None and l < 1:
+        raise InvalidParameterError(f"length budget l must be at least 1, got {l}")
 
 
 def _check_draws(samples: int, l: int | None) -> None:
@@ -577,8 +587,7 @@ def _check_draws(samples: int, l: int | None) -> None:
     planted drivers: a check that would run no graph must not pass."""
     if samples < 1:
         raise InvalidParameterError(f"samples must be at least 1, got {samples}")
-    if l is not None and l < 1:
-        raise InvalidParameterError(f"length budget l must be at least 1, got {l}")
+    _check_budget(l)
 
 
 def _check_walks(n: int, walks: int | None, l: int | None) -> None:

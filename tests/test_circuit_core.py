@@ -1,9 +1,9 @@
 """Circuit IR: construction, the checked append, evaluation, depth, serialization."""
 
 import re
-from array import array
 from functools import reduce
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import monoreach as mr
 from monoreach import AND, OR, cli
 from monoreach.build import predict_gate_count
-from monoreach.circuit import AdjacencyMatrix, _banded_product
+from monoreach.circuit import MAX_WIRES, AdjacencyMatrix, _banded_product
 
 
 def inputs(c):
@@ -78,6 +78,34 @@ class TestAddGate:
         c = mr.new_circuit(2)
         with pytest.raises(mr.InvalidParameterError):
             c.add_gate(7, 0, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_agrees_with_append_gates(self, data):
+        # The same result, or the same refusal with the same message, and
+        # the same gate table after.
+        n = data.draw(st.integers(1, 3))
+        prior = data.draw(st.integers(0, 3))
+        circuits = [mr.new_circuit(n) for _ in range(2)]
+        for c in circuits:
+            for g in range(prior):
+                c.append_gates([OR], [g], [c.zero])
+        w = circuits[0].num_wires
+        op = data.draw(st.integers(-2, 3))
+        a, b = (data.draw(st.integers(-3, w + 2) | st.integers(-(2**40), 2**40)) for _ in range(2))
+        limit = data.draw(st.sampled_from([MAX_WIRES, w, w + 1]))
+
+        def outcome(append):
+            try:
+                return append()
+            except (mr.InvalidParameterError, mr.InvalidReferenceError) as e:
+                return type(e), str(e)
+
+        with patch("monoreach.circuit.MAX_WIRES", limit):
+            one = outcome(lambda: circuits[0].add_gate(op, a, b))
+            block = outcome(lambda: circuits[1].append_gates([op], [a], [b]))
+        assert one == block
+        assert [list(t) for t in circuits[0].gates()] == [list(t) for t in circuits[1].gates()]
 
 
 class TestOrTree:
@@ -293,10 +321,10 @@ def file_order_eval(c, masks):
     return [vals[o] for o in c.outputs]
 
 
-def per_gate_order(c):
-    """The plan order by a per-gate loop: a gate with exactly one reader
-    gate that is not an output joins its reader's tree; trees run in their
-    roots' file order, each tree's gates in file order."""
+def per_gate_trees(c):
+    """(parent, root) of every gate by per-gate loops: a gate with exactly
+    one reader gate that is not an output has that reader as parent (-1
+    otherwise), and root follows parents to the top."""
     n0 = c.num_inputs + 1
     readers = [set() for _ in range(c.gate_count)]
     for g, (a, b) in enumerate(zip(c._lefts, c._rights)):
@@ -304,16 +332,92 @@ def per_gate_order(c):
             if w >= n0:
                 readers[w - n0].add(g)
     outs = set(c.outputs)
+    parent = [next(iter(r)) if len(r) == 1 and g + n0 not in outs else -1 for g, r in enumerate(readers)]
     root = list(range(c.gate_count))
     for g in range(c.gate_count - 1, -1, -1):
-        if len(readers[g]) == 1 and g + n0 not in outs:
-            root[g] = root[next(iter(readers[g]))]
-    return sorted(range(c.gate_count), key=lambda g: (root[g], g))
+        if parent[g] >= 0:
+            root[g] = root[parent[g]]
+    return parent, root
+
+
+def per_gate_plan(c):
+    """The fields of c._plan() by per-gate loops.  Trees run in their roots'
+    file order.  A tree of more than one gate whose root is OR, and whose
+    AND gates read only wires outside it, is one folded step over its AND
+    gates (in file order) and its OR gates' outside operands (in file
+    order, left before right); any other tree is one step per gate, in file
+    order.  Each value is freed after the last step that reads it, unless
+    it is an output."""
+    n0 = c.num_inputs + 1
+    _, root = per_gate_trees(c)
+    trees = {}
+    for g in range(c.gate_count):
+        trees.setdefault(root[g], []).append(g)
+
+    def outside(w, r):
+        return w < n0 or root[w - n0] != r
+
+    def folds(r):
+        return len(trees[r]) > 1 and c._ops[r] == OR and all(
+            c._ops[g] == OR or (outside(c._lefts[g], r) and outside(c._rights[g], r)) for g in trees[r]
+        )
+
+    steps = []  # ("gate", g) or ("fold", root)
+    for r in sorted(trees):
+        steps += [("fold", r)] if folds(r) else [("gate", g) for g in trees[r]]
+    slot = list(range(n0)) + [None] * c.gate_count
+    for t, (_, g) in enumerate(steps):
+        slot[n0 + g] = n0 + t
+    reads, leaves = [], []
+    for kind, g in steps:
+        if kind == "gate":
+            reads.append([slot[c._lefts[g]], slot[c._rights[g]]])
+            continue
+        ands = [(slot[c._lefts[m]], slot[c._rights[m]]) for m in trees[g] if c._ops[m] == AND]
+        plains = [slot[w] for m in trees[g] if c._ops[m] == OR for w in (c._lefts[m], c._rights[m]) if outside(w, g)]
+        leaves.append((ands, plains))
+        reads.append([v for pair in ands for v in pair] + plains)
+    last_use = {}
+    for t, vs in enumerate(reads):
+        for v in vs:
+            last_use[v] = t
+    outputs = [slot[o] for o in c.outputs]
+    for o in outputs:
+        last_use.pop(o, None)
+    plan = dict(codes=[], lefts=[], rights=[], outputs=outputs, and_lefts=[], and_rights=[], plains=[], frees=[],
+                free_counts=[])
+    fold_leaves = iter(leaves)
+    for t, ((kind, g), vs) in enumerate(zip(steps, reads)):
+        if kind == "gate":
+            a, b = vs
+            plan["codes"].append(4 * (c._ops[g] == OR) + (last_use.get(a) == t) + 2 * (last_use.get(b) == t))
+            plan["lefts"].append(a)
+            plan["rights"].append(b)
+            continue
+        ands, plains = next(fold_leaves)
+        freed = sorted({v for v in vs if last_use.get(v) == t})
+        plan["codes"].append(8)
+        plan["lefts"].append(len(ands))
+        plan["rights"].append(len(plains))
+        plan["and_lefts"] += [a for a, _ in ands]
+        plan["and_rights"] += [b for _, b in ands]
+        plan["plains"] += plains
+        plan["frees"] += freed
+        plan["free_counts"].append(len(freed))
+    return plan
+
+
+def plan_fields(c):
+    """c._plan() without its peak, as lists."""
+    p = c._plan()
+    return {k: list(getattr(p, k)) for k in ("codes", "lefts", "rights", "outputs", "and_lefts", "and_rights", "plains",
+                                             "frees", "free_counts")}
 
 
 def per_gate_codes(lefts, rights, ops, outputs, num_wires):
-    """Each gate's evaluation code by a per-gate last-use loop: bit 0 and
-    bit 1 mark the last read of the left and right operand, bit 2 an OR."""
+    """Each gate's evaluation code in file order by a per-gate last-use
+    loop: bit 0 and bit 1 mark the last read of the left and right
+    operand, bit 2 an OR."""
     last_use = [-1] * num_wires
     for i, (a, b) in enumerate(zip(lefts, rights)):
         last_use[a] = i
@@ -326,22 +430,10 @@ def per_gate_codes(lefts, rights, ops, outputs, num_wires):
     ]
 
 
-def plan_codes(c):
-    return list(c._plan()[0])
-
-
-def expected_plan_codes(c):
-    """Per-gate codes of the plan, from the plan's own operands and the
-    ops of the gates in per_gate_order."""
-    _, lefts, rights, outputs = c._plan()
-    ops = [c._ops[g] for g in per_gate_order(c)]
-    return per_gate_codes(lefts, rights, ops, outputs, c.num_wires)
-
-
 def peak_live(num_inputs, codes, lefts, rights):
-    """Most values held at once by an evaluation that frees each value at
-    the read its code marks, counted after each gate's releases; the
-    inputs and the zero wire start live."""
+    """Most values held at once by an evaluation of one gate a step that
+    frees each value at the read its code marks, counted after each gate's
+    releases; the inputs and the zero wire start live."""
     live = peak = num_inputs + 1
     for code, a, b in zip(codes, lefts, rights):
         released = {w for w, bit in ((a, 1), (b, 2)) if code & bit}
@@ -352,33 +444,90 @@ def peak_live(num_inputs, codes, lefts, rights):
 
 def replayed_peak(c):
     """Most non-None values of evaluate_batch's value list, before the first
-    gate or after any gate's releases, by replaying the plan's codes gate by
-    gate with placeholder values."""
-    codes, lefts, rights, _ = c._plan()
+    step or after any step's releases, by replaying the plan step by step
+    with placeholder values.  Every value a step reads, and every output,
+    must not have been freed."""
+    p = c._plan()
+    and_lefts, and_rights, plains, frees, free_counts = map(iter, (p.and_lefts, p.and_rights, p.plains, p.frees,
+                                                                   p.free_counts))
     vals = [object() for _ in range(c.num_inputs + 1)]
     peak = len(vals)
-    for code, a, b in zip(codes, lefts, rights):
+    for code, a, b in zip(p.codes, p.lefts, p.rights):
+        if code & 8:
+            reads = [next(it) for it, k in ((and_lefts, a), (and_rights, a), (plains, b)) for _ in range(k)]
+            released = [next(frees) for _ in range(next(free_counts))]
+        else:
+            reads = [a, b]
+            released = [w for w, bit in ((a, 1), (b, 2)) if code & bit]
+        assert all(vals[v] is not None for v in reads)
         vals.append(object())
-        if code & 1:
-            vals[a] = None
-        if code & 2:
-            vals[b] = None
+        for v in released:
+            vals[v] = None
         peak = max(peak, sum(v is not None for v in vals))
+    assert all(vals[o] is not None for o in p.outputs)
     return peak
+
+
+def sop_circuit(data, max_trees=6):
+    """A random circuit built from OR trees over leaves that are new AND
+    gates or earlier wires, so most of its trees are sum-of-products
+    trees.  The draws give leaves shared between trees, AND gates with
+    a == b or the zero wire, pure OR trees, a balanced or_tree or a random
+    OR shape, an AND gate over an OR gate of its own tree, AND roots, and
+    outputs on any wire, a tree's leaves included; zero trees and so zero
+    gates too."""
+    c = mr.new_circuit(data.draw(st.integers(1, 3)))
+    wires = list(range(c.num_wires))
+    for _ in range(data.draw(st.integers(0, max_trees))):
+        def wire():
+            return data.draw(st.sampled_from(wires) | st.just(c.zero))
+
+        leaves = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            kind = data.draw(st.sampled_from(["and", "and", "plain", "and over or"]))
+            a = wire()
+            b = data.draw(st.just(a) | st.sampled_from(wires))
+            if kind == "and":
+                leaves.append(c.add_gate(AND, a, b))
+            elif kind == "plain":
+                leaves.append(a)
+            else:
+                leaves.append(c.add_gate(AND, c.add_gate(OR, a, b), wire()))
+        wires += [w for w in leaves if w > c.zero]
+        if data.draw(st.booleans()):
+            top = mr.or_tree(c, leaves)
+        else:
+            while len(leaves) > 1:
+                i = data.draw(st.integers(0, len(leaves) - 1))
+                x = leaves.pop(i)
+                y = leaves.pop(data.draw(st.integers(0, len(leaves) - 1)))
+                leaves.append(c.add_gate(data.draw(st.sampled_from([OR, OR, OR, AND])), x, y))
+            top = c.add_gate(OR, leaves[0], leaves[0]) if data.draw(st.booleans()) else leaves[0]
+        wires.append(top)
+    outs = data.draw(st.lists(st.sampled_from(wires), min_size=1, max_size=4))
+    c.set_outputs(outs + [w for w in wires[c.zero + 1 :] if data.draw(st.booleans())][-2:])
+    return c
 
 
 class TestPlan:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_live_peak_matches_a_replay(self, data):
-        # random_circuit draws gates with a == b and outputs that later gates read.
-        c = random_circuit(data, max_gates=60)
+        # Both draws give gates with a == b and outputs that later gates read.
+        c = data.draw(st.sampled_from([random_circuit, sop_circuit]))(data)
         assert c.live_peak() == replayed_peak(c)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_file_order_evaluation(self, data):
         c = random_circuit(data, max_gates=60)
+        masks = [data.draw(st.integers(0, 2**70 - 1)) for _ in range(c.num_inputs)]
+        assert c.evaluate_batch(masks) == file_order_eval(c, masks)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_folded_trees_match_file_order_evaluation(self, data):
+        c = sop_circuit(data)
         masks = [data.draw(st.integers(0, 2**70 - 1)) for _ in range(c.num_inputs)]
         assert c.evaluate_batch(masks) == file_order_eval(c, masks)
 
@@ -398,45 +547,73 @@ class TestPlan:
         masks = [0b1100, 0b1010, 0b0110, 0b1111]
         assert c.evaluate_batch(masks) == file_order_eval(c, masks)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_order_is_a_topological_permutation(self, data):
-        c = random_circuit(data)
-        n0 = c.num_inputs + 1
-        order = c._plan_order().tolist()
-        assert sorted(order) == list(range(c.gate_count))
-        assert order == per_gate_order(c)
-        position = {g: p for p, g in enumerate(order)}
-        for g in order:
-            for w in c.gate(g)[1:]:
-                assert w < n0 or position[w - n0] < position[g]
-        # The plan's operands and outputs are the gates' own, renumbered.
-        wire = list(range(n0)) + [n0 + position[g] for g in range(c.gate_count)]
-        _, lefts, rights, outputs = c._plan()
-        assert list(lefts) == [wire[c.gate(g)[1]] for g in order]
-        assert list(rights) == [wire[c.gate(g)[2]] for g in order]
-        assert outputs == [wire[o] for o in c.outputs]
+        # Every gate runs once, as a step or inside one folded step, and
+        # every value a step reads is stored by an earlier step, not freed.
+        c = data.draw(st.sampled_from([random_circuit, sop_circuit]))(data)
+        parent, root = c._trees()
+        assert (parent.tolist(), root.tolist()) == per_gate_trees(c)
+        assert plan_fields(c) == per_gate_plan(c)
+        replayed_peak(c)
 
     def test_runs_each_tree_before_its_root(self):
         c = mr.new_circuit(2)
         leaf = c.add_gate(AND, 0, 1)  # read only by the last gate
         first = c.add_gate(AND, 2, 3)
         c.set_outputs([first, c.add_gate(OR, leaf, 2)])
-        assert c._plan_order().tolist() == [1, 0, 2]
-        assert c._plan() == (bytes([2, 3, 7]), array("i", [2, 0, 6]), array("i", [3, 1, 2]), [5, 7])
+        # The tree of the last gate folds into one step after the other.
+        assert plan_fields(c) == dict(codes=[2, 8], lefts=[2, 1], rights=[3, 1], outputs=[5, 6], and_lefts=[0],
+                                      and_rights=[1], plains=[2], frees=[0, 1, 2], free_counts=[3])
+        assert c.eval_steps() == (2, 1)
+
+    def test_shapes_that_fold(self):
+        # Inputs 0..8, zero wire 9.
+        cases = {  # name: (gates, folded trees)
+            "or_tree over inputs": (lambda c: mr.or_tree(c, range(7)), 1),
+            "sum of products": (lambda c: mr.or_tree(c, [c.add_gate(AND, a, a + 1) for a in range(5)]), 1),
+            "AND root": (lambda c: c.add_gate(AND, c.add_gate(OR, 0, 1), 2), 0),
+            "AND over its own tree": (lambda c: c.add_gate(OR, c.add_gate(AND, c.add_gate(OR, 0, 1), 2), 3), 0),
+            "one OR gate": (lambda c: c.add_gate(OR, 0, c.zero), 0),
+        }
+        for name, (build, folded) in cases.items():
+            c = mr.new_circuit(3)
+            c.set_outputs([build(c)])
+            assert c.eval_steps()[1] == folded, name
+            for t in range(2**9):
+                masks = [t >> e & 1 for e in range(9)]
+                assert c.evaluate_batch(masks) == file_order_eval(c, masks), name
+
+    def test_an_output_inside_a_tree_is_its_own_step(self):
+        c = mr.new_circuit(2)
+        inner = c.add_gate(AND, 0, 1)
+        top = c.add_gate(OR, c.add_gate(OR, inner, 2), 3)
+        c.set_outputs([top, inner])
+        # inner is a step of its own, and the fold that reads it keeps it.
+        assert plan_fields(c)["codes"] == [3, 8]
+        assert plan_fields(c)["plains"] == [5, 2, 3]
+        assert plan_fields(c)["frees"] == [2, 3]
+        assert c.evaluate_batch([1, 1, 0, 0]) == [1, 1]
+
+    def test_a_circuit_without_gates(self):
+        c = mr.new_circuit(2)
+        c.set_outputs([3, c.zero, 0])
+        assert c.eval_steps() == (0, 0)
+        assert c.live_peak() == replayed_peak(c) == 5
+        assert c.evaluate_batch([1, 2, 4, 8]) == [8, 0, 1]
 
     def test_peak_live_values(self):
         # File order keeps a whole band's AND leaves live before its OR
-        # trees; the plan runs each entry's tree before its root.
-        for circuit, in_file_order, in_plan_order in (
-            (mr.build_explicit(16)[0], 4097, 509),
-            (mr.build_reach_leq(16, 15), 4097, 692),
+        # trees; the plan runs each entry's tree as one step.
+        for circuit, in_file_order, in_plan_order, steps in (
+            (mr.build_explicit(16)[0], 4097, 509, (2480, 740)),
+            (mr.build_reach_leq(16, 15), 4097, 692, (2253, 483)),
         ):
             file_codes = per_gate_codes(circuit._lefts, circuit._rights, circuit._ops, circuit.outputs, circuit.num_wires)
             assert peak_live(circuit.num_inputs, file_codes, circuit._lefts, circuit._rights) == in_file_order
-            codes, lefts, rights, _ = circuit._plan()
-            assert peak_live(circuit.num_inputs, codes, lefts, rights) == in_plan_order
-            assert circuit.live_peak() == in_plan_order
+            assert replayed_peak(circuit) == circuit.live_peak() == in_plan_order
+            assert circuit.eval_steps() == steps
 
 
 class TestGateCodes:
@@ -448,15 +625,16 @@ class TestGateCodes:
             op = data.draw(st.sampled_from([AND, OR]))
             c.add_gate(op, data.draw(st.integers(0, c.num_wires - 1)), data.draw(st.integers(0, c.num_wires - 1)))
         c.set_outputs(data.draw(st.lists(st.integers(0, c.num_wires - 1), min_size=1, max_size=3)))
-        assert plan_codes(c) == expected_plan_codes(c)
+        assert plan_fields(c) == per_gate_plan(c)
 
     def test_add_gate_invalidates(self):
         c = mr.new_circuit(2)
         g = c.add_gate(AND, 0, 1)
         c.set_outputs([g])
-        assert plan_codes(c) == [3]
+        assert plan_fields(c)["codes"] == [3]
         c.add_gate(OR, 0, 2)  # now the last reader of wire 0
-        assert plan_codes(c) == expected_plan_codes(c) == [2, 7]
+        assert plan_fields(c) == per_gate_plan(c)
+        assert plan_fields(c)["codes"] == [2, 7]
         assert c.evaluate(matrix_of(2, (1, 1), (1, 2))) == 1
 
     def test_set_outputs_invalidates(self):
@@ -468,7 +646,8 @@ class TestGateCodes:
         c.set_outputs([h])
         assert c.evaluate(matrix_of(2, (1, 1))) == 0
         c.set_outputs([g])
-        assert plan_codes(c) == expected_plan_codes(c) == [7, 2]
+        assert plan_fields(c) == per_gate_plan(c)
+        assert plan_fields(c)["codes"] == [7, 2]
         assert c.evaluate(matrix_of(2, (1, 1))) == 1
 
     def test_prune_invalidates(self):
@@ -476,11 +655,12 @@ class TestGateCodes:
         dead = c.add_gate(AND, 0, 1)
         g = c.add_gate(OR, 0, 1)
         c.set_outputs([c.add_gate(AND, g, 3)])
-        assert plan_codes(c) == expected_plan_codes(c)
+        assert plan_fields(c) == per_gate_plan(c)
         c.add_gate(OR, dead, 2)  # a second dead gate keeps the count at 4 after pruning two
         c.prune()
         assert c.gate_count == 2
-        assert plan_codes(c) == expected_plan_codes(c) == [7, 3]
+        assert plan_fields(c) == per_gate_plan(c)
+        assert plan_fields(c)["codes"] == [7, 3]
 
 
 class TestDepthCache:

@@ -40,7 +40,10 @@ class TestBuildEvalStats:
         assert "depth 29" in text
         code, text, _ = run(capsys, "stats", "--circuit", out)
         assert code == 0
-        assert "depth: 29\neval peak values: 509\nrandom-check batch: 81920 graphs\nvalid: yes\n" in text
+        assert (
+            "depth: 29\neval peak values: 509\nrandom-check batch: 81920 graphs\n"
+            "eval steps: 2480, 740 folded trees\nvalid: yes\n"
+        ) in text
         assert (tmp_path / "c.mc.ledger.csv").exists()
         ledger = (tmp_path / "c.mc.ledger.csv").read_text()
         assert ledger.splitlines()[-1].startswith("2,or,5,5")
@@ -152,6 +155,13 @@ class TestVerify:
         assert code == 0
         assert "no mismatches" in text
 
+    def test_exhaustive_keeps_the_length_budget(self, tmp_path, capsys):
+        # Graphs whose 1 -> 4 paths are all longer than l are outside the promise.
+        out = str(tmp_path / "c.mc")
+        run(capsys, "build", "--mode", "squaring", "--n", "4", "--l", "2", "--out", out)
+        code, text, _ = run(capsys, "verify", "--circuit", out, "--n", "4", "--mode", "exhaustive", "--l", "2")
+        assert (code, text) == (0, "checked 65536 graphs, skipped 2048 outside the promise\nno mismatches\n")
+
     def test_random_pass(self, tmp_path, capsys):
         out = str(tmp_path / "c.mc")
         run(capsys, "build", "--mode", "explicit", "--n", "16", "--out", out)
@@ -215,6 +225,7 @@ class TestVerify:
             ("planted", ["--walks", "3"], "--walks takes --mode random or exhaustive, and no --l"),
             ("exhaustive", ["--walks", "3", "--l", "3"], "--walks takes --mode random or exhaustive, and no --l"),
             ("exhaustive", ["--walks", "0"], "walk length must be at least 1, got 0"),
+            ("exhaustive", ["--l", "0"], "length budget l must be at least 1, got 0"),
         ],
     )
     def test_a_check_that_runs_no_graph_is_refused(self, tmp_path, capsys, mode, flags, message):
@@ -505,5 +516,5 @@ class TestErrors:
         code, out, _ = run(capsys, "stats", "--circuit", str(path))
         assert code == 0
         assert "inputs: 2147395600" in out
-        assert "depth: 0\nrandom-check batch: none, over 256 vertices\n" in out
+        assert "depth: 0\nrandom-check batch: none, over 256 vertices\nvalid: yes\n" in out
         assert "valid: yes" in out

@@ -239,6 +239,12 @@ CASES += [
         f"walks of {10**12} edges over 64 vertices take {10**12 * 64 * 64} steps, over the budget of",
     ),
     (
+        "verify exhaustively with --l 0",
+        {"mc": small_circuit},
+        ["verify", "--circuit", "{mc}", "--n", "3", "--mode", "exhaustive", "--l", "0"],
+        "error: length budget l must be at least 1, got 0",
+    ),
+    (
         "verify with --walks and --l",
         {"mc": small_circuit},
         [*VERIFY_WALKS, "3", "--l", "3"],

@@ -422,6 +422,22 @@ class TestComparisonDrivers:
         with pytest.raises(mr.InvalidParameterError, match=f"^length budget l must be at least 1, got {l}$"):
             driver(mr.build_reach(4), 4, 100, 0, l=l)
 
+    @pytest.mark.parametrize("l", [0, -1])
+    def test_empty_length_budget_refused_exhaustively(self, monkeypatch, l):
+        # Refused before the masks of every graph are built.
+        monkeypatch.setattr(monoreach.oracles, "exhaustive_input_masks", None)
+        with pytest.raises(mr.InvalidParameterError, match=f"^length budget l must be at least 1, got {l}$"):
+            run_exhaustive_check(mr.build_reach(4), 4, l=l)
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_exhaustive_check_keeps_the_length_budget(self, l):
+        report = run_exhaustive_check(mr.build_reach_leq(4, l), 4, l=l)
+        beyond = sum(
+            (shortest_path_length(graph_from_index(4, t), 1, 4) or 0) > l for t in range(2**16)
+        )
+        assert (report.ok, report.checked, report.skipped) == (True, 2**16, beyond)
+        assert run_exhaustive_check(mr.build_reach_leq(4, l), 4).ok == (l == 3)
+
     def test_planted_check_refuses_one_vertex(self, monkeypatch):
         # Refused before any draw, naming the vertex count.
         monkeypatch.setattr(monoreach.oracles, "child_seed", None)
