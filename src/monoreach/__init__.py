@@ -1,8 +1,9 @@
 """Monotone fan-in-2 circuits for directed reachability.
 
 Builders for squaring, explicit affine-plane, and recursive composed
-circuits; covering-family generation and checking; brute-force oracles;
-and exact depth accounting.
+circuits; covering-family generation and checking; bit-sliced graph
+oracles that check a circuit on chunks of graphs; and exact depth
+accounting.
 """
 
 __version__ = "0.1.0"
@@ -16,7 +17,6 @@ from .build import (
     build_reach_exact,
     build_reach_leq,
     build_recursive,
-    build_walk_power,
     ceil_log2,
     compose_family,
     depth_ratio,
@@ -30,7 +30,6 @@ from .circuit import (
     AdjacencyMatrix,
     MonotoneCircuit,
     circuit_from_text,
-    circuit_to_text,
     new_circuit,
     or_tree,
     read_circuit,
@@ -70,18 +69,12 @@ from .families import (
     write_family,
 )
 from .oracles import (
-    bfs_reachable,
-    enumerate_graphs,
-    exact_length_walk_exists,
     graph_from_text,
     graph_to_text,
     no_path_graph,
     planted_path_graph,
-    random_graph,
     read_graph,
     run_exhaustive_check,
     run_planted_check,
     run_random_check,
-    shortest_path_length,
-    write_graph,
 )

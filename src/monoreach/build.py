@@ -114,7 +114,6 @@ ROLE_CLASSES = (
     ("n", "1"), ("n", "m"), ("n", "n"),
     ("m", "m'"),
 )
-ALL_ENTRIES = frozenset(ROLE_CLASSES)
 TERMINAL_ENTRY = frozenset({("1", "n")})
 
 
@@ -188,24 +187,9 @@ def _emit_plan(circuit: MonotoneCircuit, plan: list[tuple[int, int]], last: froz
     return mats[-1]
 
 
-def _walk_power_entries(circuit: MonotoneCircuit, steps: int, last: frozenset = ALL_ENTRIES) -> np.ndarray:
+def _walk_power_entries(circuit: MonotoneCircuit, steps: int, last: frozenset) -> np.ndarray:
     """The walk matrix squared `steps` times, emitted at the classes `last`."""
     return _emit_plan(circuit, _squaring_plan(steps), last, absorb=True)
-
-
-def build_walk_power(n: int, t: int) -> MonotoneCircuit:
-    """Multi-output circuit: entry (i, j) is 1 iff a walk i -> j with between
-    1 and 2**t edges exists.  Depth is exactly t * (1 + ceil(log2 n)) for
-    n >= 2 (and 0 otherwise); diagonal entries report cycles, not the empty
-    walk, so the all-zero input stays zero."""
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
-    if t < 0:
-        raise InvalidParameterError("t must be >= 0")
-    circuit = new_circuit(n)
-    cur = _walk_power_entries(circuit, t)
-    circuit.set_outputs(int(w) for w in cur.ravel())
-    return circuit
 
 
 def build_reach_leq(n: int, l: int) -> MonotoneCircuit:

@@ -743,10 +743,6 @@ def _mcirc_chunks(circuit: MonotoneCircuit):
     yield ("OUT " + " ".join(str(o) for o in circuit.outputs) + "\n").encode()
 
 
-def circuit_to_text(circuit: MonotoneCircuit) -> str:
-    return b"".join(_mcirc_chunks(circuit)).decode("ascii")
-
-
 def write_circuit(circuit: MonotoneCircuit, path) -> None:
     with open(path, "wb") as fh:
         for chunk in _mcirc_chunks(circuit):

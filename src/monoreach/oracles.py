@@ -1,10 +1,10 @@
-"""Ground-truth graph oracles, generators, and batch comparison drivers.
+"""Ground-truth graph oracles, graph generators, and batch comparison drivers.
 
-Oracles are one bit-sliced BFS and a walk DP over adjacency bitmasks, kept
-independent of the circuit constructions they check.  The batch helpers
-pack one bit per graph into Python integers, so a circuit and the BFS run
-on tens of thousands of graphs in one pass; every driver feeds its chunks
-of graphs to one comparison loop.
+The oracles are one BFS and one walk DP, both bit-sliced over a chunk of
+graphs and kept independent of the circuit constructions they check.  The
+batch helpers pack one bit per graph into Python integers, so a circuit and
+an oracle run on tens of thousands of graphs in one pass; every driver
+feeds its chunks of graphs to one comparison loop.
 """
 
 from __future__ import annotations
@@ -37,46 +37,26 @@ NO_PATH_EDGE_PROB = 0.3  # edge density of run_planted_check's no-path graphs
 # -- oracles -------------------------------------------------------------------
 
 
-def _check_vertex(matrix: AdjacencyMatrix, v: int) -> None:
-    if not 1 <= v <= matrix.n:
-        raise InvalidParameterError(f"vertex {v} out of range 1..{matrix.n}")
-
-
-def bfs_reachable(matrix: AdjacencyMatrix, src: int, dst: int) -> bool:
-    _check_vertex(matrix, src)
-    _check_vertex(matrix, dst)
-    return any(_bfs_rounds(matrix.input_bits(), 1, matrix.n, src, dst))
-
-
-def shortest_path_length(matrix: AdjacencyMatrix, src: int, dst: int) -> int | None:
-    """BFS distance in edges, or None when dst is unreachable from src."""
-    _check_vertex(matrix, src)
-    _check_vertex(matrix, dst)
-    for dist, hit in enumerate(_bfs_rounds(matrix.input_bits(), 1, matrix.n, src, dst)):
-        if hit:
-            return dist
-    return None
-
-
-def _bfs_rounds(masks, width: int, n: int, src: int, dst: int):
-    """A layered BFS from src on every graph of a chunk at once.
+def _bfs_rounds(masks, width: int, n: int):
+    """A layered BFS from vertex 1 on every graph of a chunk at once.
 
     Reads the per-entry masks: bit t of masks[(u-1)*n + (v-1)] is edge
     u -> v of graph t.  Yields, for rounds 0, 1, 2, ..., the graphs whose
-    dst is first reached in that round, so round r's graphs are those at
-    distance r.  frontier maps each vertex to the graphs whose BFS first
-    reached it in the last round; dst never enters it, and the graphs that
-    reached dst leave it.  Stops when no graph has a frontier left.
+    vertex n is first reached in that round, so round r's graphs are those
+    at distance r; with n = 1 the source is the target, reached in round 0.
+    frontier maps each vertex to the graphs whose BFS first reached it in
+    the last round; n never enters it, and the graphs that reached n leave
+    it.  Stops when no graph has a frontier left.
     """
     full = (1 << width) - 1
-    s, d = src - 1, dst - 1
-    if s == d:
+    d = n - 1
+    if n == 1:
         yield full
         return
     yield 0
     seen = [0] * n
-    seen[s] = seen[d] = full
-    frontier = {s: full}
+    seen[0] = seen[d] = full
+    frontier = {0: full}
     reach = 0
     while frontier:
         new = _step(masks, n, frontier)
@@ -113,51 +93,7 @@ def _walk_masks(masks, width: int, n: int, walks: int) -> int:
     return ends.get(n - 1, 0)
 
 
-def exact_length_walk_exists(matrix: AdjacencyMatrix, src: int, dst: int, l: int) -> bool:
-    """Whether some walk of exactly l edges runs src -> dst (vertices may repeat).
-
-    A walk DP, not a BFS: vertices may be revisited, so there is no visited set.
-    """
-    _check_vertex(matrix, src)
-    _check_vertex(matrix, dst)
-    if l < 0:
-        raise InvalidParameterError("l must be >= 0")
-    frontier = 1 << (src - 1)
-    for _ in range(l):
-        nxt = 0  # the OR of the frontier's rows: every vertex one edge on
-        while frontier:
-            low = frontier & -frontier
-            nxt |= matrix.rows[low.bit_length() - 1]
-            frontier ^= low
-        if not nxt:
-            return False
-        frontier = nxt
-    return bool(frontier & (1 << (dst - 1)))
-
-
 # -- generators ----------------------------------------------------------------
-
-
-def enumerate_graphs(n: int):
-    """All 2**(n*n) adjacency matrices in index order (bit e of the index is
-    input entry e).  Guarded to n <= 4."""
-    if n > 4:
-        raise BudgetExceededError(f"2**{n * n} graphs is over the exhaustive budget (n <= 4)")
-    for t in range(1 << (n * n)):
-        yield graph_from_index(n, t)
-
-
-def graph_from_index(n: int, t: int) -> AdjacencyMatrix:
-    return AdjacencyMatrix(n, _graph_int_rows(t, n))
-
-
-def random_graph(n: int, edge_prob: float, seed: int) -> AdjacencyMatrix:
-    """Independent edges with probability edge_prob (quantized to 2**-24)."""
-    if not 0.0 <= edge_prob <= 1.0:
-        raise InvalidParameterError("edge_prob must be in [0, 1]")
-    rng = Random(seed)
-    bits = bernoulli_mask(rng, n * n, edge_prob)
-    return AdjacencyMatrix(n, _graph_int_rows(bits, n))
 
 
 def planted_path_graph(n: int, path_len: int, noise_prob: float, seed: int) -> AdjacencyMatrix:
@@ -406,11 +342,6 @@ def graph_from_text(text: str) -> AdjacencyMatrix:
     return m
 
 
-def write_graph(matrix: AdjacencyMatrix, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(graph_to_text(matrix))
-
-
 def read_graph(path) -> AdjacencyMatrix:
     with open(path, "r") as fh:
         return graph_from_text(fh.read())
@@ -493,7 +424,7 @@ def _oracle_masks(masks, width: int, n: int, l: int | None):
     the graphs whose 1 -> n distance is at most l, or that never reach n."""
     reach = 0
     outside = 0  # reachable, but only by paths longer than l
-    for dist, hit in enumerate(_bfs_rounds(masks, width, n, 1, n)):
+    for dist, hit in enumerate(_bfs_rounds(masks, width, n)):
         reach |= hit
         if l is not None and dist > l:
             outside |= hit
@@ -501,14 +432,15 @@ def _oracle_masks(masks, width: int, n: int, l: int | None):
 
 
 def _check_circuit(circuit: MonotoneCircuit, n: int) -> None:
-    """Precondition of every comparison driver: n vertices, within the
-    vertex budget, and one output."""
+    """Precondition of every comparison driver: n is the circuit's size
+    (checked first, so a refusal never prints a huge n), within the vertex
+    budget, and one output."""
+    if circuit.num_vertices != n:
+        raise InvalidParameterError("circuit size does not match n")
     if n > MAX_CHECK_VERTICES:
         raise BudgetExceededError(
             f"checking circuits over {n} vertices is over the budget of {MAX_CHECK_VERTICES} vertices"
         )
-    if circuit.num_vertices != n:
-        raise InvalidParameterError("circuit size does not match n")
     if len(circuit.outputs) != 1:
         raise InvalidParameterError(
             f"comparison needs a circuit with exactly one output, got {len(circuit.outputs)}"

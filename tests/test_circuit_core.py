@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 import monoreach as mr
 from monoreach import AND, OR, cli
-from monoreach.build import predict_gate_count
-from monoreach.circuit import MAX_WIRES, AdjacencyMatrix, _banded_product
+from monoreach.build import ROLE_CLASSES, _walk_power_entries, predict_gate_count
+from monoreach.circuit import MAX_WIRES, AdjacencyMatrix, _banded_product, _mcirc_chunks
+
+ALL_ENTRIES = frozenset(ROLE_CLASSES)
 
 
 def inputs(c):
@@ -29,6 +31,21 @@ def product(c, a, b):
 
 def matrix_of(n, *edges):
     return AdjacencyMatrix.from_edges(n, edges)
+
+
+def circuit_to_text(circuit):
+    """A circuit's MCIRC file as text: the bytes write_circuit writes."""
+    return b"".join(_mcirc_chunks(circuit)).decode("ascii")
+
+
+def build_walk_power(n, t):
+    """Multi-output circuit: entry (i, j) is 1 iff a walk i -> j with between
+    1 and 2**t edges exists.  Depth is exactly t * (1 + ceil(log2 n)) for
+    n >= 2 (and 0 otherwise); diagonal entries report cycles, not the empty
+    walk, so the all-zero input stays zero."""
+    circuit = mr.new_circuit(n)
+    circuit.set_outputs(int(w) for w in _walk_power_entries(circuit, t, ALL_ENTRIES).ravel())
+    return circuit
 
 
 class TestNewCircuit:
@@ -192,7 +209,7 @@ class TestEvaluate:
         assert c.evaluate(matrix_of(2, (2, 1))) == 0
 
     def test_all_zero_matrix_gives_zero(self):
-        for circuit in (mr.build_reach(3), mr.build_walk_power(3, 2), mr.build_reach_exact(3, 3)):
+        for circuit in (mr.build_reach(3), build_walk_power(3, 2), mr.build_reach_exact(3, 3)):
             got = circuit.evaluate_all(AdjacencyMatrix(3))
             assert set(got) == {0}
 
@@ -206,7 +223,7 @@ class TestEvaluate:
             c.evaluate(AdjacencyMatrix(4))
 
     def test_single_output_required(self):
-        c = mr.build_walk_power(2, 1)
+        c = build_walk_power(2, 1)
         with pytest.raises(mr.InvalidParameterError):
             c.evaluate(AdjacencyMatrix(2))
         assert len(c.evaluate_all(AdjacencyMatrix(2))) == 4
@@ -255,17 +272,17 @@ class TestWellFormed:
 
     def test_forward_reference_caught(self):
         c = mr.build_reach_leq(4, 3)
-        text = mr.circuit_to_text(c)
+        text = circuit_to_text(c)
         w = c.num_wires
         # (lefts, the operands of the first gate that reads a missing wire)
         for lefts, fault in (([0, 1, w + 2], (w + 2, 0)), ([0, w + 1, 1], (w + 1, w)), ([w, 0, 1], (w, 1)),
                              ([0, -1, 1], (-1, w))):
             with pytest.raises(mr.InvalidReferenceError, match=f"^{re.escape(f'gate references missing wire {fault}')}$"):
                 c.append_gates([AND, OR, AND], lefts, [1, w, 0])
-            assert mr.circuit_to_text(c) == text  # the block appends nothing
+            assert circuit_to_text(c) == text  # the block appends nothing
         with pytest.raises(mr.InvalidReferenceError, match=f"^gate references missing wire \\(0, {w}\\)$"):
             c.add_gate(AND, 0, w)
-        assert mr.circuit_to_text(c) == text
+        assert circuit_to_text(c) == text
 
     def test_no_outputs_caught(self):
         c = mr.new_circuit(2)
@@ -783,16 +800,16 @@ class TestInvariants:
 class TestTextFormat:
     def test_round_trip(self):
         c = mr.build_reach_leq(3, 2)
-        text = mr.circuit_to_text(c)
+        text = circuit_to_text(c)
         back = mr.circuit_from_text(text)
-        assert mr.circuit_to_text(back) == text
+        assert circuit_to_text(back) == text
         assert back.depth() == c.depth()
         assert back.gate_count == c.gate_count
 
     def test_header_and_layout(self):
         c = mr.new_circuit(2)
         c.set_outputs([c.add_gate(OR, 0, 3)])
-        text = mr.circuit_to_text(c)
+        text = circuit_to_text(c)
         assert text == "MCIRC 1 2\nG OR 0 3\nOUT 5\n"
 
     def test_bad_inputs_rejected(self):
@@ -826,9 +843,9 @@ class TestTextFormat:
         out_count = data.draw(st.integers(1, 3))
         c.set_outputs(data.draw(st.lists(
             st.integers(0, c.num_wires - 1), min_size=out_count, max_size=out_count)))
-        text = mr.circuit_to_text(c)
+        text = circuit_to_text(c)
         back = mr.circuit_from_text(text)
-        assert mr.circuit_to_text(back) == text
+        assert circuit_to_text(back) == text
         assert back.depth() == c.depth()
         g = AdjacencyMatrix(n, [data.draw(st.integers(0, (1 << n) - 1)) for _ in range(n)])
         assert back.evaluate_all(g) == c.evaluate_all(g)

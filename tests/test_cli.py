@@ -7,11 +7,11 @@ import sys
 import time
 
 import pytest
-from test_circuit_core import per_gate_live
+from test_circuit_core import build_walk_power, per_gate_live
 from test_constructions import uncovered_vertex_build
 
 import monoreach
-from monoreach.build import build_reach_exact, build_recursive, build_walk_power, predict_depth, predict_gate_count
+from monoreach.build import build_reach_exact, build_recursive, predict_depth, predict_gate_count
 from monoreach.circuit import read_circuit, write_circuit
 from monoreach.cli import main
 from monoreach.exactmath import child_seed

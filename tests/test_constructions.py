@@ -10,13 +10,13 @@ from random import Random
 
 import numpy as np
 import pytest
-from test_circuit_core import per_gate_live, well_formed
+from test_circuit_core import ALL_ENTRIES, build_walk_power, circuit_to_text, per_gate_live, well_formed
+from test_verification import bernoulli_graph, exact_length_walk_exists, reference_distance
 
 import monoreach as mr
 import monoreach.build
 import monoreach.families
 from monoreach.build import (
-    ALL_ENTRIES,
     ROLE_CLASSES,
     _exact_plan,
     _needs,
@@ -28,14 +28,7 @@ from monoreach.build import (
 from monoreach.circuit import AdjacencyMatrix, _banded_product
 from monoreach.exactmath import child_seed
 from monoreach.families import CoveringFamily, FamilyParams
-from monoreach.oracles import (
-    bfs_reachable,
-    exact_length_walk_exists,
-    random_graph,
-    run_exhaustive_check,
-    run_planted_check,
-    run_random_check,
-)
+from monoreach.oracles import run_exhaustive_check, run_planted_check, run_random_check
 
 
 def matrix_of(n, *edges):
@@ -44,32 +37,32 @@ def matrix_of(n, *edges):
 
 class TestWalkPower:
     def test_t0_is_the_input_matrix(self):
-        c = mr.build_walk_power(3, 0)
+        c = build_walk_power(3, 0)
         assert c.gate_count == 0
         assert c.depth() == 0
         assert list(c.outputs) == list(range(9))
 
     def test_depth_n4_t2(self):
-        c = mr.build_walk_power(4, 2)
+        c = build_walk_power(4, 2)
         assert c.depth() == 6  # 2 * (1 + ceil(log2 4))
 
     def test_three_cycle_closure(self):
-        c = mr.build_walk_power(3, 2)
+        c = build_walk_power(3, 2)
         got = c.evaluate_all(matrix_of(3, (1, 2), (2, 3), (3, 1)))
         assert got == (1,) * 9  # every pair joined by a walk of length <= 4
 
     def test_matches_walk_oracle(self):
-        c = mr.build_walk_power(4, 2)
+        c = build_walk_power(4, 2)
         for seed in range(40):
-            g = random_graph(4, 0.3, seed)
+            g = bernoulli_graph(4, 0.3, seed)
             got = c.evaluate_all(g)
             for i in range(1, 5):
                 for j in range(1, 5):
-                    want = any(exact_length_walk_exists(g, i, j, l) for l in range(1, 5))
+                    want = any(exact_length_walk_exists(g.rows, i, j, l) for l in range(1, 5))
                     assert got[(i - 1) * 4 + (j - 1)] == int(want)
 
     def test_single_vertex(self):
-        c = mr.build_walk_power(1, 3)
+        c = build_walk_power(1, 3)
         assert c.gate_count == 0
         assert c.evaluate(AdjacencyMatrix(1, [1])) == 1
         assert c.evaluate(AdjacencyMatrix(1, [0])) == 0
@@ -119,15 +112,15 @@ class TestReachExact:
     def test_walk_with_revisits(self):
         c = mr.build_reach_exact(3, 4)
         g = matrix_of(3, (1, 2), (2, 1), (2, 3))
-        assert exact_length_walk_exists(g, 1, 3, 4)  # 1-2-1-2-3
+        assert exact_length_walk_exists(g.rows, 1, 3, 4)  # 1-2-1-2-3
         assert c.evaluate(g) == 1
 
     def test_matches_walk_oracle(self):
         for l in (3, 5, 6, 7):
             c = mr.build_reach_exact(4, l)
             for seed in range(25):
-                g = random_graph(4, 0.35, child_seed(l, str(seed)))
-                assert c.evaluate(g) == int(exact_length_walk_exists(g, 1, 4, l))
+                g = bernoulli_graph(4, 0.35, child_seed(l, str(seed)))
+                assert c.evaluate(g) == int(exact_length_walk_exists(g.rows, 1, 4, l))
 
 
 class TestReach:
@@ -149,8 +142,8 @@ class TestComposeFamily:
         assert mr.check_family_exact(fam) is None
         circuit, ledger = mr.compose_family(fam, mr.build_reach_leq(8, 7))
         for seed in range(1000):
-            g = random_graph(8, (seed % 5) * 0.1 + 0.05, seed)
-            assert circuit.evaluate(g) == int(bfs_reachable(g, 1, 8))
+            g = bernoulli_graph(8, (seed % 5) * 0.1 + 0.05, seed)
+            assert circuit.evaluate(g) == int(reference_distance(g.rows, 1, 8) is not None)
         assert ledger.total_measured == ledger.total_predicted
 
     def test_plane9_composition(self):
@@ -231,7 +224,7 @@ class TestComposeFamily:
 
         for seed in range(300):
             g = no_path_graph(9, 0.4, seed)
-            assert not bfs_reachable(g, 1, 9)
+            assert reference_distance(g.rows, 1, 9) is None
             assert circuit.evaluate(g) == 0
 
 
@@ -240,16 +233,16 @@ class TestHittingIntegration:
         # The executable core of the composition argument: for a planted
         # shortest path, some family set gives indices whose consecutive
         # pairs are closure edges and whose interior points lie in the set.
-        from monoreach.oracles import planted_path_graph, shortest_path_length
+        from monoreach.oracles import planted_path_graph
 
         fam = mr.plane_family(25)
         p = fam.params
         t_c = mr.ceil_log2(2 * p.d)
-        closure = mr.build_walk_power(p.n, t_c)
+        closure = build_walk_power(p.n, t_c)
         for seed in range(40):
             length = 2 + seed % 20
             g = planted_path_graph(25, length, 0.0, seed)
-            lp = shortest_path_length(g, 1, 25)
+            lp = reference_distance(g.rows, 1, 25)
             assert lp == length
             # recover the unique planted path by following edges
             path = [1]
@@ -503,7 +496,7 @@ class TestPredictGateCount:
 
 def unpruned_reach_leq(n, l):
     c = mr.new_circuit(n)
-    cur = _walk_power_entries(c, mr.ceil_log2(l))
+    cur = _walk_power_entries(c, mr.ceil_log2(l), ALL_ENTRIES)
     c.set_outputs([int(cur[0, n - 1])])
     return c
 
@@ -548,10 +541,10 @@ class TestPrunedBuilds:
     def test_pruning_twice_is_pruning_once(self, mode, n, l, build, unpruned):
         once = unpruned(n, l)
         once.prune()
-        text = mr.circuit_to_text(once)
-        assert text == mr.circuit_to_text(build(n, l))
+        text = circuit_to_text(once)
+        assert text == circuit_to_text(build(n, l))
         once.prune()
-        assert mr.circuit_to_text(once) == text
+        assert circuit_to_text(once) == text
 
     @pytest.mark.parametrize("mode, n, l, build, unpruned", PRUNED_BUILDS)
     def test_no_dead_gates(self, mode, n, l, build, unpruned):
@@ -567,10 +560,10 @@ class TestPrunedBuilds:
             assert pruned[0].depth() == whole[0].depth() == pruned[1].total_measured
 
     def test_walk_power_keeps_every_gate(self):
-        c = mr.build_walk_power(5, 3)
-        text = mr.circuit_to_text(c)
+        c = build_walk_power(5, 3)
+        text = circuit_to_text(c)
         c.prune()
-        assert mr.circuit_to_text(c) == text
+        assert circuit_to_text(c) == text
 
 
 def entry_cone(last, steps):
@@ -652,7 +645,7 @@ class TestClosureCone:
         whole.prune()
         if name == "uncovered vertex":  # its entries are emitted, and dead
             cone.prune()
-        assert mr.circuit_to_text(whole) == mr.circuit_to_text(cone)
+        assert circuit_to_text(whole) == circuit_to_text(cone)
 
     def test_uncovered_vertex_leaves_exactly_its_entries_dead(self):
         n, v = 16, 7
@@ -680,7 +673,7 @@ class TestClosureCone:
         assert circuit.live_gates().all()
         whole = unpruned_reach_leq(n, l)
         whole.prune()
-        assert mr.circuit_to_text(whole) == mr.circuit_to_text(circuit)
+        assert circuit_to_text(whole) == circuit_to_text(circuit)
 
     def test_counts_come_from_the_closed_form(self, monkeypatch):
         monkeypatch.setattr(mr.MonotoneCircuit, "_emit_bulk", fail)
@@ -700,7 +693,7 @@ class TestExactPlan:
         assert circuit.live_gates().all()
         whole = unpruned_reach_exact(n, l)
         whole.prune()
-        assert mr.circuit_to_text(whole) == mr.circuit_to_text(circuit)
+        assert circuit_to_text(whole) == circuit_to_text(circuit)
 
     def test_counts_come_from_the_plan(self, monkeypatch):
         monkeypatch.setattr(mr.MonotoneCircuit, "_emit_bulk", fail)
@@ -842,7 +835,7 @@ class TestGoldenBytes:
             "f91e8f664539b460aa26847f4bda3aaa3d0c43848a857e04509aa005ccf436a5",
         ),
         "walk_power(5, 3)": (
-            lambda: mr.build_walk_power(5, 3),
+            lambda: build_walk_power(5, 3),
             "264fe84e85722cf372de4163c423c31f0ebc887359aec3a1b2901e2ebc4fd5d5",
         ),
         "explicit(16)": (
@@ -870,7 +863,7 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_sha256(self, name):
         build, digest = self.GOLDEN[name]
-        text = mr.circuit_to_text(build())
+        text = circuit_to_text(build())
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

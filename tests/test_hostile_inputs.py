@@ -252,6 +252,18 @@ CASES += [
     ),
 ]
 
+# A --n over the vertex budget that is not the circuit's size is refused
+# for the mismatch, so the error line does not print a 302-digit number.
+CASES += [
+    (
+        f"verify {mode} with --n 2^1000",
+        {"mc": small_circuit},
+        ["verify", "--circuit", "{mc}", "--n", "2^1000", "--mode", mode],
+        "error: circuit size does not match n",
+    )
+    for mode in ("random", "planted", "exhaustive")
+]
+
 
 @pytest.mark.parametrize("name, files, argv, words", CASES, ids=[case[0] for case in CASES])
 def test_refused_in_one_line(tmp_path, name, files, argv, words):
@@ -262,6 +274,7 @@ def test_refused_in_one_line(tmp_path, name, files, argv, words):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert words in proc.stderr
+    assert len(proc.stderr) < 200, proc.stderr[:300]
     assert not paths["out"].exists()
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_circuit_core import well_formed
+from test_circuit_core import circuit_to_text, well_formed
 
 import monoreach as mr
 import monoreach.circuit as circuit_module
@@ -118,7 +118,7 @@ def random_circuit(draw, max_gates=12):
 def mutated_text(draw):
     """The text of a small random circuit with up to four bytes inserted,
     deleted or replaced."""
-    text = mr.circuit_to_text(random_circuit(draw))
+    text = circuit_to_text(random_circuit(draw))
     for _ in range(draw(st.integers(0, 4))):
         kind = draw(st.sampled_from(["insert", "delete", "replace"]))
         at = draw(st.integers(0, len(text)))
@@ -420,12 +420,12 @@ class TestWriter:
             c.add_gate(OR if i % 2 else AND, a, ids[-1 - i])
         c.add_gate(AND, c.num_wires - 1, c.num_wires - 2)
         c.set_outputs([c.num_wires - 1, 9, 10])
-        text = mr.circuit_to_text(c)
+        text = circuit_to_text(c)
         for a in ids:
             assert f" {a} " in text or f" {a}\n" in text
         back = mr.circuit_from_text(text)
         assert arrays(back) == arrays(c)
-        assert mr.circuit_to_text(back) == text
+        assert circuit_to_text(back) == text
 
     @pytest.mark.parametrize("gates", [0, 1, 5, (1 << 18) + 3])
     def test_file_bytes_equal_text(self, tmp_path, gates):
@@ -435,7 +435,7 @@ class TestWriter:
         c.set_outputs([c.num_wires - 1])
         path = tmp_path / "c.mc"
         mr.write_circuit(c, path)
-        text = mr.circuit_to_text(c)
+        text = circuit_to_text(c)
         assert path.read_bytes() == text.encode()
         assert text == "MCIRC 1 2\n" + "".join(
             f"G {'OR' if op else 'AND'} {a} {b}\n" for op, a, b in zip(c._ops, c._lefts, c._rights)
