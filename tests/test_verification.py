@@ -22,6 +22,7 @@ from monoreach.oracles import (
     PLANTED_NOISE_PROB,
     WALK_STEP_BUDGET,
     _batches,
+    _bfs_rounds,
     _graph_int_rows,
     _oracle_masks,
     _walk_masks,
@@ -202,7 +203,78 @@ def one_graph_masks(matrix):
     return matrix.input_bits(), 1
 
 
+def sliced_distance(matrix):
+    """The 1 -> n distance of one graph by the rounds of _bfs_rounds, or None."""
+    for dist, hit in enumerate(_bfs_rounds(*one_graph_masks(matrix), matrix.n)):
+        if hit:
+            return dist
+    return None
+
+
+class TestBfs:
+    def test_two_hop(self):
+        g = matrix_of(3, (1, 2), (2, 3))
+        assert _oracle_masks(*one_graph_masks(g), 3, None) == (1, 1)
+        assert list(_bfs_rounds(*one_graph_masks(g), 3)) == [0, 0, 1]
+
+    def test_edgeless(self):
+        assert _oracle_masks(*one_graph_masks(AdjacencyMatrix(2)), 2, None) == (0, 1)
+
+    def test_self_reachable(self):
+        # With one vertex the source is the target: both graphs, with and
+        # without the loop, are reached in round 0, and no round follows.
+        masks, width = exhaustive_input_masks(1)
+        assert list(_bfs_rounds(masks, width, 1)) == [0b11]
+
+    def test_range_check(self):
+        for edge in ((0, 2), (1, 4), (4, 1)):
+            with pytest.raises(mr.InvalidParameterError):
+                matrix_of(3, edge)
+
+
+class TestShortestPath:
+    def test_direct_edge_wins(self):
+        assert sliced_distance(matrix_of(3, (1, 2), (2, 3), (1, 3))) == 1
+
+    def test_self_distance_zero(self):
+        assert sliced_distance(AdjacencyMatrix(1)) == 0
+        assert sliced_distance(matrix_of(1, (1, 1))) == 0
+
+    def test_five_cycle(self):
+        g = matrix_of(5, (1, 2), (2, 3), (3, 4), (4, 5), (5, 1))
+        assert sliced_distance(g) == 4
+
+    def test_unreachable_is_none(self):
+        g = matrix_of(3, (2, 1), (1, 1), (3, 2))
+        assert sliced_distance(g) is None
+        assert _oracle_masks(*one_graph_masks(g), 3, 1) == (0, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_per_graph_bfs_on_every_graph_and_pair(self, n):
+        # Relabel every graph so that src is vertex 1 and dst is vertex n:
+        # round r of _bfs_rounds then holds the graphs at src -> dst distance
+        # r, and no graph is in two rounds.
+        masks, width = exhaustive_input_masks(n)
+        pairs = [(1, 1)] if n == 1 else [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+        for src, dst in pairs:
+            order = [src, *(v for v in range(1, n + 1) if v not in (src, dst)), dst][:n]
+            relabelled = [masks[(order[a] - 1) * n + order[b] - 1] for a in range(n) for b in range(n)]
+            rounds = list(_bfs_rounds(relabelled, width, n))
+            union = 0
+            for hit in rounds:
+                assert not hit & union, (src, dst)
+                union |= hit
+            for t in range(width):
+                dist = reference_distance(_graph_int_rows(t, n), src, dst)
+                assert next((r for r, hit in enumerate(rounds) if hit >> t & 1), None) == dist, (t, src, dst)
+
+
 class TestExactWalk:
+    def test_length_zero(self):
+        # A walk of no edges ends where it starts: from 1 to n only if n = 1.
+        assert _walk_masks(*one_graph_masks(matrix_of(3, (1, 3))), 3, 0) == 0
+        assert _walk_masks(*one_graph_masks(AdjacencyMatrix(1)), 1, 0) == 1
+
     def test_revisit_walk(self):
         g = matrix_of(3, (1, 2), (2, 1), (2, 3))
         assert _walk_masks(*one_graph_masks(g), 3, 4) == 1  # 1-2-1-2-3
@@ -213,7 +285,7 @@ class TestExactWalk:
         for l in (1, 2, 5):
             assert _walk_masks(*one_graph_masks(g), 3, l) == 0
 
-    def test_first_walk_is_the_bfs_distance(self):
+    def test_consistency_with_bfs(self):
         # On every graph, the shortest walk 1 -> 6 is as long as the BFS
         # distance: some walk of 1..l edges exists iff the distance is <= l.
         masks = bernoulli_entry_masks(Random(6), 6, 1000, 0.25)
@@ -250,7 +322,35 @@ class TestExactWalk:
                         assert bool((seen >> (dst - 1)) & 1) == (reference_distance(rows, src, dst) is not None)
 
 
+class TestEnumerate:
+    def test_counts(self):
+        assert [exhaustive_input_masks(n)[1] for n in (1, 2, 3, 4)] == [2, 16, 512, 65536]
+
+    def test_deterministic_order(self):
+        # Graph t holds edge i -> j when bit (i-1)*n + (j-1) of t is set.
+        masks, _ = exhaustive_input_masks(2)
+        assert [m & 1 for m in masks] == [0, 0, 0, 0]
+        assert [(m >> 2) & 1 for m in masks] == [0, 1, 0, 0]
+        assert exhaustive_input_masks(2) == (masks, 16)
+
+    def test_budget_guard(self):
+        with pytest.raises(mr.BudgetExceededError):
+            exhaustive_input_masks(5)
+
+
 class TestGenerators:
+    def test_edge_prob_extremes(self):
+        assert bernoulli_entry_masks(Random(3), 4, 64, 0.0) == [0] * 16
+        assert bernoulli_entry_masks(Random(3), 4, 64, 1.0) == [(1 << 64) - 1] * 16
+        assert mr.no_path_graph(4, 0.0, 3).rows == [0] * 4
+        assert sum(row.bit_count() for row in mr.planted_path_graph(8, 3, 0.0, 3).rows) == 3
+
+    def test_seed_determinism(self):
+        assert bernoulli_entry_masks(Random(12), 6, 100, 0.3) == bernoulli_entry_masks(Random(12), 6, 100, 0.3)
+        assert mr.planted_path_graph(8, 4, 0.3, 12) == mr.planted_path_graph(8, 4, 0.3, 12)
+        assert mr.no_path_graph(8, 0.3, 12) == mr.no_path_graph(8, 0.3, 12)
+        assert mr.no_path_graph(8, 0.3, 12) != mr.no_path_graph(8, 0.3, 13)
+
     def test_planted_path_exact_length(self):
         for seed in range(50):
             g = mr.planted_path_graph(8, 3, 0.0, seed)
@@ -285,11 +385,6 @@ class TestBitPacking:
             bits = graph_of(2, t).input_bits()
             for e in range(4):
                 assert (masks[e] >> t) & 1 == bits[e]
-
-    def test_exhaustive_budget_guard(self):
-        assert [exhaustive_input_masks(n)[1] for n in (2, 3, 4)] == [16, 512, 65536]
-        with pytest.raises(mr.BudgetExceededError):
-            exhaustive_input_masks(5)
 
     def test_transpose_round_trip(self):
         from random import Random
@@ -900,36 +995,50 @@ class TestOneBfsOneLoop:
             names = {getattr(node, "name", None) for node in ast.walk(ast.parse(path.read_text()))}
             assert "_rows_distance" not in names, path.name
 
-    def test_every_function_has_a_caller(self):
-        # A private function or method, or a module-level public function,
-        # that nothing else in the package names is an unused helper.  A
-        # recursive call from its own body and an export from __init__.py do
-        # not count; the public functions on PUBLIC_WITHOUT_CALLER are kept
-        # for the reason given there.
-        trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-        uses = [use for module, tree in trees.items() if module != "__init__.py" for use in name_uses(tree)]
-        private = [
-            (module, node)
-            for module, tree in trees.items()
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and node.name.startswith("_")
-            and not (node.name.startswith("__") and node.name.endswith("__"))
-        ]
-        public = [
-            (module, node)
-            for module, tree in trees.items()
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
-        ]
-        assert len(private) > 20 and len(public) > 40, "found few functions: the scan is broken"
-        unused = [
-            f"{module}:{node.name}"
-            for module, node in private + public
-            if not any(used == node.name and node not in scope for used, scope in uses)
-        ]
+    def test_every_private_function_has_a_caller(self):
+        # A private function or method nothing else in the package names is an
+        # unused helper.
+        count, unused = functions_without_caller(
+            lambda tree: (
+                node
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_")
+                and not (node.name.startswith("__") and node.name.endswith("__"))
+            )
+        )
+        assert count > 20, "found few private functions: the scan is broken"
+        assert unused == []
+
+    def test_every_public_function_has_a_caller(self):
+        # So is a module-level public function, but for those on
+        # PUBLIC_WITHOUT_CALLER, kept for the reason given there.
+        count, unused = functions_without_caller(
+            lambda tree: (
+                node
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+            )
+        )
+        assert count > 40, "found few public functions: the scan is broken"
         assert sorted(set(unused) - set(PUBLIC_WITHOUT_CALLER)) == []
         assert sorted(set(PUBLIC_WITHOUT_CALLER) - set(unused)) == [], "has a caller now: take it off the list"
+
+
+def functions_without_caller(select):
+    """How many functions select(tree) finds in the package's modules, and
+    module:name of those that nothing else in the package names.  A
+    recursive call from a function's own body and an export from
+    __init__.py do not count as callers."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    uses = [use for module, tree in trees.items() if module != "__init__.py" for use in name_uses(tree)]
+    defined = [(module, node) for module, tree in trees.items() for node in select(tree)]
+    unused = [
+        f"{module}:{node.name}"
+        for module, node in defined
+        if not any(used == node.name and node not in scope for used, scope in uses)
+    ]
+    return len(defined), sorted(unused)
 
 
 # Module-level public functions that no other part of the package calls,
