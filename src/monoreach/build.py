@@ -318,8 +318,8 @@ def compose_family(family: CoveringFamily, inner: MonotoneCircuit):
     out = or_tree(circuit, clone_outs)
     circuit.set_outputs([out])
 
-    depths = circuit.wire_depths()  # where the closure, the clones and the OR end
-    ends = [int(depths[closure[closure >= 0]].max()), int(depths[clone_outs].max()), int(depths[out])]
+    # Where the closure, the clones and the OR end.
+    ends = [circuit.depth(closure[closure >= 0]), circuit.depth(clone_outs), circuit.depth([out])]
     ledger = DepthLedger(_composition_stages(p, inner.depth()))
     for stage, start, end in zip(ledger.stages, [0] + ends, ends):
         stage.measured = end - start

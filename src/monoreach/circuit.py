@@ -204,46 +204,47 @@ class MonotoneCircuit:
         # Slot 0 holds depth 0 for every input and the zero wire, and slot
         # g + 1 holds gate g, so nothing is allocated per input wire.
         depth = np.zeros(ng + 1, dtype=np.int32)
-        if ng == 0:
-            return depth[1:]
         _, lefts, rights = self.gates()
-        lefts = np.maximum(lefts.astype(np.int64) - (n0 - 1), 0)
-        rights = np.maximum(rights.astype(np.int64) - (n0 - 1), 0)
         # Chunked scan: a run of gates that only reads wires created before
         # the run relaxes in one vectorized step.  Run ends are found by a
         # galloping probe so total scan work stays linear in the gate count.
-        mo = np.maximum(lefts, rights)
-        start = 0
-        while start < ng:
-            bound = start + 1
-            span = 512
-            while True:
-                limit = min(ng, start + span)
-                conflict = mo[start:limit] >= bound
-                if conflict.any():
-                    end = start + int(conflict.argmax())
-                    break
-                if limit == ng:
-                    end = ng
-                    break
-                span *= 2
-            if end == start:
-                raise InvalidReferenceError(f"gate {start} references a later wire")
-            seg = slice(start, end)
-            depth[start + 1 : end + 1] = np.maximum(depth[lefts[seg]], depth[rights[seg]]) + 1
-            start = end
+        # Slot ids are made once per band, as intp, which indexes without a
+        # cast; a run ends with its band.
+        for lo, hi in _bands(ng):
+            left = np.maximum(lefts[lo:hi] - (n0 - 1), 0).astype(np.intp)
+            right = np.maximum(rights[lo:hi] - (n0 - 1), 0).astype(np.intp)
+            mo = np.maximum(left, right)
+            size = hi - lo
+            start = 0
+            while start < size:
+                bound = lo + start + 1
+                span = 512
+                while True:
+                    limit = min(size, start + span)
+                    conflict = mo[start:limit] >= bound
+                    if conflict.any():
+                        end = start + int(conflict.argmax())
+                        break
+                    if limit == size:
+                        end = size
+                        break
+                    span *= 2
+                if end == start:
+                    raise InvalidReferenceError(f"gate {lo + start} references a later wire")
+                seg = slice(start, end)
+                depth[lo + start + 1 : lo + end + 1] = np.maximum(depth[left[seg]], depth[right[seg]]) + 1
+                start = end
         return depth[1:]
 
     def wire_depths(self) -> np.ndarray:
         """Gate-count depth of every wire (inputs and the zero wire are 0)."""
         return np.concatenate((np.zeros(self.num_inputs + 1, dtype=np.int32), self._gate_depths()))
 
-    def depth(self) -> int:
-        """Length in gates of the longest path from any input to any output."""
-        gates = [o - self.num_inputs - 1 for o in self.outputs if o > self.num_inputs]
-        if not gates:
-            return 0
-        return int(self._gate_depths()[gates].max())
+    def depth(self, wires=None) -> int:
+        """Length in gates of the longest path from any input to any of the
+        wires, the outputs by default."""
+        gates = np.asarray(self.outputs if wires is None else wires, dtype=np.int64) - (self.num_inputs + 1)
+        return int(self._gate_depths()[gates[gates >= 0]].max(initial=0))
 
     def live_gates(self) -> np.ndarray:
         """Per gate, whether some output reads it, directly or through
@@ -254,7 +255,7 @@ class MonotoneCircuit:
         _, lefts, rights = self.gates()
         # Deduplicates a frontier without sorting: of equal gates only the
         # one whose position ends up in `stamp` survives.
-        stamp = np.empty(ng, dtype=np.int64)
+        stamp = np.empty(ng, dtype=np.int32)
         frontier = np.asarray(self.outputs, dtype=np.int64) - n0
         frontier = frontier[frontier >= 0]
         while frontier.size:
@@ -262,7 +263,7 @@ class MonotoneCircuit:
             reads = np.concatenate((lefts[frontier], rights[frontier])) - n0
             reads = reads[reads >= 0]
             reads = reads[~live[reads]]
-            at = np.arange(reads.size)
+            at = np.arange(reads.size, dtype=np.int32)
             stamp[reads] = at
             frontier = reads[stamp[reads] == at]
         return live
@@ -297,7 +298,7 @@ class MonotoneCircuit:
     # -- evaluation ---------------------------------------------------------
 
     def _trees(self) -> tuple[np.ndarray, np.ndarray]:
-        """(parent, root) of every gate, as int32 and intp arrays.
+        """(parent, root) of every gate, as int32 arrays.
 
         A gate that exactly one gate reads, and that is not an output,
         belongs to its reader's tree: its parent is that reader.  Every
@@ -307,26 +308,33 @@ class MonotoneCircuit:
         n0 = self.num_inputs + 1
         _, lefts, rights = self.gates()
         ng = len(self._ops)
-        # parent[w] is some gate that reads wire w, the only one when one
-        # gate reads it; a gate that reads w twice counts once.
-        readers = np.bincount(lefts, minlength=self.num_wires)[n0:]
-        readers += np.bincount(rights[rights != lefts], minlength=self.num_wires)[n0:]
-        gates = np.arange(ng, dtype=np.intc)
-        parent = np.empty(self.num_wires, dtype=np.intc)
-        parent[lefts] = gates
-        parent[rights] = gates
-        parent = parent[n0:]
-        parent[readers != 1] = -1
-        del readers
-        parent[[o - n0 for o in self.outputs if o >= n0]] = -1
-        # Pointer jumping, on intp ids, which index without a cast: each pass
-        # doubles how far a gate looks up its tree.
-        root = np.where(parent >= 0, parent, np.arange(ng))
-        while True:
-            up = root[root]
-            if np.array_equal(up, root):
-                return parent, root
-            root = up
+        # root first holds the last gate that reads each gate, or -1, and
+        # -2 for an output.  parent then gets the first, from the top down:
+        # every reader of a gate comes after it, so once a band's reads are
+        # seen, its own gates are complete.  A gate whose first and last
+        # readers are one gate has it as parent.
+        root = np.full(ng, -1, dtype=np.int32)
+        for lo, hi in _bands(ng):
+            for read, by in _gate_reads(lefts, rights, n0, lo, hi):
+                np.maximum.at(root, read, by)
+        root[[o - n0 for o in self.outputs if o >= n0]] = -2
+        parent = np.full(ng, ng, dtype=np.int32)
+        for lo, hi in reversed(_bands(ng)):
+            for read, by in _gate_reads(lefts, rights, n0, lo, hi):
+                np.minimum.at(parent, read, by)
+            up = parent[lo:hi]
+            up[up != root[lo:hi]] = -1
+            # Pointer jumping: a gate points at a root of a later band or at
+            # a gate of its own, and each pass doubles how far it looks up
+            # its tree.
+            up = np.where(up >= 0, up, np.arange(lo, hi, dtype=np.int32))
+            while True:
+                root[lo:hi] = up
+                jumped = root[up]
+                if np.array_equal(jumped, up):
+                    break
+                up = jumped
+        return parent, root
 
     def _plan(self) -> _Plan:
         """The steps evaluate_batch runs, cached per gate count.
@@ -341,6 +349,9 @@ class MonotoneCircuit:
         some earlier tree's root: the order is topological.  Values are
         numbered by step: the inputs and the zero wire keep their ids, and
         step t stores value n0 + t.
+
+        Arrays with one entry per gate are int32 or smaller, and every
+        temporary holds one band of gates (``SCAN_BAND``).
         """
         ng = len(self._ops)
         cached = self._plan_cache
@@ -349,107 +360,135 @@ class MonotoneCircuit:
         n0 = self.num_inputs + 1
         ops, lefts, rights = self.gates()
         parent, root = self._trees()
-        is_or = ops == OR
-        # A tree folds when its root is a parent and no AND gate of it, the
-        # root included, is a parent.  inside[w] says whether wire w has a
-        # parent.
-        has_child = np.zeros(ng + 1, dtype=bool)
-        has_child[parent] = True  # parent -1 marks the spare last entry
-        has_child = has_child[:ng]
-        inside = np.zeros(self.num_wires, dtype=bool)
-        inside[n0:] = parent >= 0
+        flags, num_steps, fold_roots, fold_at, and_counts = _number_trees(ops, lefts, rights, n0, parent, root)
         del parent
-        fold = has_child & ~inside[n0:]
-        fold[root[np.flatnonzero(has_child & ~is_or)]] = False
-        del has_child
-        folded = fold[root]
-        steps = np.flatnonzero(~folded | fold)
-        steps = steps[np.argsort(root[steps], kind="stable")]
-        fold_at = np.flatnonzero(fold[steps])
-        folds = steps[fold_at]
-        del fold
+        num_leaves = int(and_counts.sum())
+        spare = n0 + num_steps
 
-        # A folded tree's AND leaves, and the outside operands of its OR
-        # gates (left before right), each grouped by tree in step order.
-        leaves = np.flatnonzero(folded & ~is_or)
-        leaves = leaves[np.argsort(root[leaves], kind="stable")]
-        and_counts = _group_sizes(root[leaves], folds)
-        inner = np.flatnonzero(folded & is_or)
-        del folded
-        operands = np.stack((lefts[inner], rights[inner]), axis=1)
-        member, side = np.nonzero(~inside[operands])
-        del inside
-        plain_roots = root[inner[member]]
-        del inner, root
-        order = np.argsort(plain_roots, kind="stable")
-        plains = operands[member[order], side[order]]
-        plain_counts = _group_sizes(plain_roots[order], folds)
-        del operands, member, side, plain_roots, order, folds
+        codes = np.zeros(num_steps, dtype=np.uint8)
+        plan_lefts, step_lefts = _int_buffer(num_steps)
+        plan_rights, step_rights = _int_buffer(num_steps)
+        plan_and_lefts, and_lefts = _int_buffer(num_leaves)
+        plan_and_rights, and_rights = _int_buffer(num_leaves)
+        plains = [(np.zeros(0, dtype=np.int32),) * 2]
 
-        # Value ids, as intp, which index without a cast: slot[w] is the
-        # value of wire w.  A gate inside a folded tree has none, and gets
-        # the spare id n0 + num_steps, which a folded root may read.
-        num_steps = steps.size
-        slot = np.full(self.num_wires, n0 + num_steps, dtype=np.intp)
-        slot[:n0] = np.arange(n0)
-        slot[n0:][steps] = np.arange(n0, n0 + num_steps)
-        step_lefts = slot[lefts[steps]]
-        step_rights = slot[rights[steps]]
-        and_lefts = slot[lefts[leaves]]
-        and_rights = slot[rights[leaves]]
-        del leaves
-        plains = slot[plains]
-        outputs = slot[self.outputs]
-        del slot
+        def values(wires):
+            return np.where(wires < n0, wires, root[np.maximum(wires - n0, 0)])
+
+        # The gates of a tree that does not fold claim their step indices
+        # from its root's entry of root, and the AND leaves of a folded tree
+        # claim their indices in and_lefts the same way.  Then root[g]
+        # becomes the value id of gate g: n0 plus its step's index, or, for
+        # a gate inside a folded tree, the spare id, which a folded root may
+        # read.  Operands come before their readers, so they are value ids
+        # by then.
+        for lo, hi in _bands(ng):
+            gates = np.arange(lo, hi, dtype=np.int32)
+            band = flags[lo:hi]
+            inside = band & _INSIDE != 0
+            tree = np.where(inside, root[lo:hi], gates)
+            band |= flags[tree] & _FOLDED
+            folded = band & _FOLDED != 0
+            is_or = ops[lo:hi] == OR
+            step = ~folded | ~inside
+            leaf = folded & ~is_or
+            index = np.empty(hi - lo, dtype=np.int32)
+            claims = inside & (step | leaf)
+            index[claims] = _claim(tree[claims], root)
+            # A root is the last gate of its tree: its entry is its own
+            # index, unless its tree folds.
+            index[~inside] = root[lo:hi][~inside]
+            fold = ~inside & folded
+            index[fold] = fold_at[np.searchsorted(fold_roots, gates[fold])]
+            t = index[step]
+            root[lo:hi] = spare
+            root[lo:hi][step] = n0 + t
+            left, right = lefts[lo:hi], rights[lo:hi]
+            step_lefts[t] = values(left[step])
+            step_rights[t] = values(right[step])
+            codes[t] = is_or[step] * np.uint8(4)
+            t = index[leaf]
+            and_lefts[t] = values(left[leaf])
+            and_rights[t] = values(right[leaf])
+            # A folded tree's plain leaves: the operands of its OR gates that
+            # are not gates of the tree, left before right, with the index of
+            # their fold.
+            ors = folded & is_or & (band & _CHILDREN != _CHILDREN)
+            slots = np.stack((band[ors] & _LEFT_CHILD == 0, band[ors] & _RIGHT_CHILD == 0), axis=1).ravel()
+            operands = np.stack((values(left[ors]), values(right[ors])), axis=1).ravel()
+            fold_of = np.repeat(np.searchsorted(fold_roots, tree[ors]).astype(np.int32), 2)
+            plains.append((fold_of[slots], operands[slots]))
+        outputs = [o if o < n0 else int(root[o - n0]) for o in self.outputs]
+        del root, flags, fold_roots
+        # The plain leaves, grouped by fold in step order.
+        fold_of, operands = map(np.concatenate, zip(*plains))
+        del plains
+        plain_counts = np.zeros(fold_at.size, dtype=np.int32)
+        _count(plain_counts, fold_of)
+        claims = np.cumsum(plain_counts, dtype=np.int32) - plain_counts
+        plan_plains, plain_values = _int_buffer(fold_of.size)
+        for lo, hi in _bands(fold_of.size):
+            plain_values[_claim(fold_of[lo:hi], claims)] = operands[lo:hi]
+        del fold_of, operands, claims
+
         # last_use[v] is the last step that reads value v, or one past the
         # last step for an output or a value nothing reads: never freed.  A
         # folded root's own operands count as its reads: they are its plain
         # leaves or the spare id.
-        at = np.arange(num_steps)
+        at = np.arange(num_steps, dtype=np.int32)
+        last_use = np.full(spare + 1, -1, dtype=np.int32)
         and_at = np.repeat(fold_at, and_counts)
-        last_use = np.full(n0 + num_steps + 1, -1, dtype=np.intp)
         for reads, by in (
             (step_lefts, at),
             (step_rights, at),
             (and_lefts, and_at),
             (and_rights, and_at),
-            (plains, np.repeat(fold_at, plain_counts)),
+            (plain_values, np.repeat(fold_at, plain_counts)),
         ):
-            np.maximum.at(last_use, reads, by)
-        del and_at
+            for lo, hi in _bands(reads.size):
+                np.maximum.at(last_use, reads[lo:hi], by[lo:hi])
+        del and_at, and_lefts, and_rights, plain_values
         last_use[outputs] = num_steps
         last_use[last_use < 0] = num_steps
-        codes = is_or[steps] * np.uint8(4)
-        codes += last_use[step_lefts] == at
-        codes += (last_use[step_rights] == at) * np.uint8(2)
+        codes += _take(last_use, step_lefts) == at
+        codes += (_take(last_use, step_rights) == at) * np.uint8(2)
         codes[fold_at] = 8
         step_lefts[fold_at] = and_counts
         step_rights[fold_at] = plain_counts
         last_use = last_use[:-1]
-        del steps, at, and_counts, plain_counts
-        # The values a folded tree reads for the last time, freed after it.
+        del at, step_lefts, step_rights, and_counts, plain_counts
+        # The values a folded tree reads for the last time, freed after it,
+        # grouped by tree in step order.  evaluate_batch starts out holding
+        # the n0 inputs and zero wire.  Step t stores one value, then frees
+        # each value it reads for the last time, so after step t it holds
+        # n0 - lag[t] values, where lag[t] is the values freed at steps <= t
+        # less t + 1.
         freed_at = np.zeros(num_steps + 1, dtype=bool)
         freed_at[fold_at] = True
-        frees = np.flatnonzero(freed_at[last_use])
-        frees = frees[np.argsort(last_use[frees], kind="stable")]
-        # evaluate_batch starts out holding the n0 inputs and zero wire.  Step
-        # t stores one value, then frees each value it reads for the last
-        # time, so after step t it holds n0 - lag[t] values, where lag[t] is
-        # the values freed at steps <= t less t + 1.
-        lag = np.bincount(last_use, minlength=num_steps + 1)
-        free_counts = lag[fold_at]
+        lag = np.zeros(num_steps + 1, dtype=np.int32)
+        _count(lag, last_use)
+        plan_free_counts, free_counts = _int_buffer(fold_at.size)
+        free_counts[:] = lag[fold_at]
+        frees = _nonzero(_take(freed_at, last_use))
+        del freed_at
+        plan_frees, freed = _int_buffer(frees.size)
+        claims = np.zeros(num_steps + 1, dtype=np.int32)
+        claims[fold_at] = np.cumsum(free_counts, dtype=np.int32) - free_counts
+        for lo, hi in _bands(frees.size):
+            freed[_claim(last_use[frees[lo:hi]], claims)] = frees[lo:hi]
+        del freed, frees, claims, last_use
         lag = lag[:num_steps] - 1
         np.cumsum(lag, out=lag)
         plan = _Plan(
             codes.tobytes(),
-            _int_array(step_lefts.astype(np.intc)),
-            _int_array(step_rights.astype(np.intc)),
-            outputs.tolist(),
-            _int_array(and_lefts.astype(np.intc)),
-            _int_array(and_rights.astype(np.intc)),
-            _int_array(plains.astype(np.intc)),
-            _int_array(frees.astype(np.intc)),
-            _int_array(free_counts.astype(np.intc)),
+            plan_lefts,
+            plan_rights,
+            outputs,
+            plan_and_lefts,
+            plan_and_rights,
+            plan_plains,
+            plan_frees,
+            plan_free_counts,
             n0 - int(lag.min(initial=0)),
         )
         self._plan_cache = (ng, plan)
@@ -549,16 +588,128 @@ class _Plan:
     peak: int
 
 
-def _group_sizes(keys: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """How many of the sorted keys equal each of the sorted groups."""
-    return np.searchsorted(keys, groups, side="right") - np.searchsorted(keys, groups)
+# Depth scans and evaluation plans hold int32 arrays with one entry per
+# gate, and temporaries of at most one band of this many entries.
+SCAN_BAND = 1 << 16
+
+# Flags of a gate while _plan runs.
+_INSIDE = 1  # it has a parent
+_LEFT_CHILD = 2  # its left operand is a gate it is the parent of
+_RIGHT_CHILD = 4  # its right operand is a gate it is the parent of
+_CHILDREN = _LEFT_CHILD | _RIGHT_CHILD
+_NO_FOLD = 8  # it roots a tree with an AND gate that is a parent
+_FOLDED = 16  # its tree folds
 
 
-def _int_array(values: np.ndarray) -> array:
-    """An array('i') copy of a C-contiguous int32 array, made in one copy."""
-    out = array("i")
-    out.frombytes(memoryview(values).cast("B"))
+def _bands(size: int) -> list[tuple[int, int]]:
+    """(lo, hi) of each band of SCAN_BAND entries of range(size)."""
+    return [(lo, min(lo + SCAN_BAND, size)) for lo in range(0, size, SCAN_BAND)]
+
+
+def _gate_reads(lefts, rights, n0: int, lo: int, hi: int):
+    """(gate read, reading gate) of the band's left reads of gates, then
+    of its right reads, as int32 pairs of arrays."""
+    gates = np.arange(lo, hi, dtype=np.int32)
+    for wires in (lefts, rights):
+        read = wires[lo:hi] - n0
+        by = read >= 0
+        yield read[by], gates[by]
+
+
+def _number_trees(ops, lefts, rights, n0: int, parent: np.ndarray, root: np.ndarray):
+    """Flag every gate and number the trees, in one sweep up the gates.
+
+    Trees run in the file order of their roots.  A tree that folds is one
+    step, and its AND gates are its leaves; any other tree is one step per
+    gate.  Each root's entry of root counts its tree's gates down from the
+    root's own id, and its entry of parent counts the tree's AND gates down
+    from -1, so that it still names no reader.  A gate's children are its
+    operands, and a root is the last gate of its tree, so once a band is
+    swept, its flags and its roots' counts are complete.  Each root's entry
+    of root then says where its tree's numbers start: its first step index
+    or, for a tree that folds, its first leaf index.  A tree folds when its
+    root is a parent and no AND gate of it, the root included, is a parent.
+
+    Returns the flags, the number of steps, and the root, step index and
+    AND gate count of each folded tree, in order.
+    """
+    flags = np.zeros(ops.size, dtype=np.uint8)
+    steps = leaves = 0
+    folds = [(np.zeros(0, dtype=np.int32),) * 3]
+    for lo, hi in _bands(ops.size):
+        gates = np.arange(lo, hi, dtype=np.int32)
+        band = flags[lo:hi]
+        # An input reads as the last gate, which no gate reads.
+        for wires, bit in ((lefts, _LEFT_CHILD), (rights, _RIGHT_CHILD)):
+            band |= (parent[np.maximum(wires[lo:hi] - n0, -1)] == gates) * np.uint8(bit)
+        inside = parent[lo:hi] >= 0
+        band |= inside  # _INSIDE
+        tree = np.where(inside, root[lo:hi], gates)
+        is_and = ops[lo:hi] == AND
+        flags[tree[(band & _CHILDREN != 0) & is_and]] |= _NO_FOLD
+        for counts, members in ((root, tree[inside]), (parent, tree[inside & is_and])):
+            np.subtract.at(counts, members, np.ones(members.size, dtype=np.int32))
+        own = gates[~inside]
+        roots = band[own - lo]
+        fold = (roots & _CHILDREN != 0) & (roots & _NO_FOLD == 0)
+        band[own - lo] = roots | fold * np.uint8(_FOLDED)
+        sizes = np.where(fold, 1, own - root[own] + 1)
+        ands = np.where(fold, -1 - parent[own], 0)
+        step_starts = steps + np.cumsum(sizes) - sizes
+        leaf_starts = leaves + np.cumsum(ands) - ands
+        root[own] = np.where(fold, leaf_starts, step_starts)
+        folds.append((own[fold], step_starts[fold], ands[fold]))
+        steps += int(sizes.sum())
+        leaves += int(ands.sum())
+    return (flags, steps, *(np.concatenate(f).astype(np.int32) for f in zip(*folds)))
+
+
+def _claim(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """For each key in turn, counters[key], which the claim then advances by
+    one: the places of a stable counting sort, for one band of keys."""
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    groups = sorted_keys[starts]
+    sizes = np.diff(starts, append=keys.size)
+    claimed = counters[groups]
+    counters[groups] = claimed + sizes
+    out = np.empty(keys.size, dtype=np.int32)
+    out[order] = np.repeat(claimed - starts, sizes) + np.arange(keys.size)
     return out
+
+
+def _count(counts: np.ndarray, keys: np.ndarray) -> None:
+    """Add one to counts[k] for each key k, a band at a time."""
+    for lo, hi in _bands(keys.size):
+        np.add.at(counts, keys[lo:hi], np.ones(hi - lo, dtype=counts.dtype))
+
+
+def _take(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """values[index], a band at a time."""
+    out = np.empty(index.size, dtype=values.dtype)
+    for lo, hi in _bands(index.size):
+        out[lo:hi] = values[index[lo:hi]]
+    return out
+
+
+def _nonzero(mask: np.ndarray) -> np.ndarray:
+    """The int32 indices where mask holds, a band at a time."""
+    out = np.empty(np.count_nonzero(mask), dtype=np.int32)
+    k = 0
+    for lo, hi in _bands(mask.size):
+        at = np.flatnonzero(mask[lo:hi])
+        out[k : k + at.size] = at + lo
+        k += at.size
+    return out
+
+
+def _int_buffer(size: int) -> tuple[array, np.ndarray]:
+    """A zeroed array('i') of size entries, and an int32 view that writes it."""
+    out = array("i", [0]) * size
+    return out, np.frombuffer(out, dtype=np.intc)
 
 
 def new_circuit(num_vertices: int) -> MonotoneCircuit:

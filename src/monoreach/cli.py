@@ -228,16 +228,20 @@ def _cmd_stats(args, argv) -> int:
     print(f"dead gates: {circuit.gate_count - int(circuit.live_gates().sum())}")
     print(f"zero-wire operands: {circuit.zero_wire_operands()}")
     print(f"outputs: {len(circuit.outputs)}")
-    print(f"depth: {circuit.depth()}")
     # The plan behind these is sized by the inputs, and no check takes more
-    # than MAX_CHECK_VERTICES vertices.
+    # than MAX_CHECK_VERTICES vertices.  It is made before the depth scan,
+    # so that the cached depths do not add to its peak memory.
     if circuit.num_vertices <= MAX_CHECK_VERTICES:
-        print(f"eval peak values: {circuit.live_peak()}")
-        print(f"random-check batch: {random_batch_width(circuit)} graphs")
         steps, folds = circuit.eval_steps()
-        print(f"eval steps: {steps}, {folds} folded trees")
+        plan = [
+            f"eval peak values: {circuit.live_peak()}",
+            f"random-check batch: {random_batch_width(circuit)} graphs",
+            f"eval steps: {steps}, {folds} folded trees",
+        ]
     else:
-        print(f"random-check batch: none, over {MAX_CHECK_VERTICES} vertices")
+        plan = [f"random-check batch: none, over {MAX_CHECK_VERTICES} vertices"]
+    print(f"depth: {circuit.depth()}")
+    print(*plan, sep="\n")
     print("valid: yes")
     return 0
 

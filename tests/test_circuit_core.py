@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import monoreach as mr
+import monoreach.circuit as circuit_module
 from monoreach import AND, OR, cli
-from monoreach.build import ROLE_CLASSES, _walk_power_entries, predict_gate_count
+from monoreach.build import ROLE_CLASSES, _walk_power_entries, build_recursive, predict_gate_count
 from monoreach.circuit import MAX_WIRES, AdjacencyMatrix, _banded_product, _mcirc_chunks
 
 ALL_ENTRIES = frozenset(ROLE_CLASSES)
@@ -709,6 +710,48 @@ class TestDepthCache:
         c.prune()
         c.add_gate(AND, 0, 0)  # four gates again, so only prune's reset shows this one
         assert c.wire_depths().tolist() == [0] * 5 + [1, 2, 3, 1]
+
+
+def per_gate_depths(c):
+    """Every wire's depth by one pass over the gates."""
+    depth = [0] * (c.num_inputs + 1)
+    for a, b in zip(c._lefts, c._rights):
+        depth.append(max(depth[a], depth[b]) + 1)
+    return depth
+
+
+class TestBands:
+    """Depth scans and plans run a band of SCAN_BAND gates at a time.  Bands
+    of a few gates put band edges everywhere in small circuits."""
+
+    @pytest.mark.parametrize("band", [1, 2, 3, 7])
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_match_per_gate_loops(self, band, data):
+        c = data.draw(st.sampled_from([random_circuit, sop_circuit]))(data)
+        with patch.object(circuit_module, "SCAN_BAND", band):
+            assert c.wire_depths().tolist() == per_gate_depths(c)
+            parent, root = c._trees()
+            assert (parent.tolist(), root.tolist()) == per_gate_trees(c)
+            assert plan_fields(c) == per_gate_plan(c)
+            assert c.live_peak() == replayed_peak(c)
+
+    def test_builds_match_per_gate_loops(self):
+        # At the default band size: explicit n=16 in one band, theorem 16/12 in two.
+        for c in (mr.build_explicit(16)[0], build_recursive(16, 12, 0)[0]):
+            parent, root = c._trees()
+            assert (parent.tolist(), root.tolist()) == per_gate_trees(c)
+            assert plan_fields(c) == per_gate_plan(c)
+
+    def test_a_build_in_many_bands(self):
+        def facts(c, ledger):
+            parent, root = c._trees()
+            return (c.wire_depths().tolist(), parent.tolist(), root.tolist(), plan_fields(c), c.live_peak(),
+                    [(s.label, s.measured) for s in ledger.stages])
+
+        whole = facts(*mr.build_explicit(16))
+        with patch.object(circuit_module, "SCAN_BAND", 1000):
+            assert facts(*mr.build_explicit(16)) == whole
 
 
 def per_gate_live(c):

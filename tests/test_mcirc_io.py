@@ -351,6 +351,56 @@ class TestReadMemory:
         assert peak < bound, (peak, held)
 
 
+@pytest.fixture(scope="module")
+def sum_of_products():
+    """About MEMORY_GATES gates on 8 vertices, shaped like a walk product:
+    OR trees of 32 leaves each, three in four of them new AND gates over
+    two earlier roots or inputs, the rest such wires read as they are."""
+    c = mr.new_circuit(8)
+    rng = np.random.default_rng(11)
+    wires = np.arange(c.num_inputs)
+    while c.gate_count < MEMORY_GATES:
+        leaves = rng.choice(wires, (256, 32))
+        ands = rng.random((256, 32)) < 0.75
+        leaves[ands] = c._emit_bulk(AND, leaves[ands], rng.choice(wires, np.count_nonzero(ands)))
+        wires = np.concatenate((wires, c.or_reduce_columns(leaves)))
+    c.set_outputs([c.num_wires - 1])
+    return c
+
+
+def traced_peak(call):
+    """The peak of memory traced while call() ran."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestScanMemory:
+    """Depth scans and evaluation plans hold int32 arrays with one entry per
+    gate, and temporaries of one band of SCAN_BAND gates."""
+
+    def test_depths_hold_their_int32_depths_and_a_few_bands(self, sum_of_products):
+        c = sum_of_products
+        band = 64 * circuit_module.SCAN_BAND
+        c._depths_cache = None
+        assert traced_peak(c.depth) < 4 * c.gate_count + band
+        # wire_depths copies the gate depths after the inputs' zeros.
+        c._depths_cache = None
+        assert traced_peak(c.wire_depths) < 4 * c.gate_count + 4 * c.num_wires + band
+
+    def test_plan_holds_a_few_bytes_per_gate(self, sum_of_products):
+        c = sum_of_products
+        c._plan_cache = None
+        # parent and root of _trees take 8 bytes per gate; the plan's AND
+        # leaf pairs alone take 8 bytes per AND gate.
+        peak = traced_peak(c._plan)
+        assert c.eval_steps()[1] > 0.9 * c.gate_count / 64
+        assert peak < 12 * c.gate_count + 64 * circuit_module.SCAN_BAND, peak / c.gate_count
+
+
 class TestBlankLines:
     def test_blank_line_rejected(self):
         for text, line in (("MCIRC 1 2\n\nOUT 0\n", 2), ("MCIRC 1 2\nOUT 0\n \t\n", 3)):
