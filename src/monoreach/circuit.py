@@ -312,29 +312,32 @@ class MonotoneCircuit:
         # -2 for an output.  parent then gets the first, from the top down:
         # every reader of a gate comes after it, so once a band's reads are
         # seen, its own gates are complete.  A gate whose first and last
-        # readers are one gate has it as parent.
-        root = np.full(ng, -1, dtype=np.int32)
+        # readers are one gate has it as parent.  A read of an input or the
+        # zero wire goes to a spare last entry.
+        root = np.full(ng + 1, -1, dtype=np.int32)
         for lo, hi in _bands(ng):
-            for read, by in _gate_reads(lefts, rights, n0, lo, hi):
-                np.maximum.at(root, read, by)
+            gates = np.arange(lo, hi, dtype=np.int32)
+            for wires in (lefts, rights):
+                np.maximum.at(root, np.maximum(wires[lo:hi] - n0, -1), gates)
         root[[o - n0 for o in self.outputs if o >= n0]] = -2
-        parent = np.full(ng, ng, dtype=np.int32)
+        parent = np.full(ng + 1, ng, dtype=np.int32)
         for lo, hi in reversed(_bands(ng)):
-            for read, by in _gate_reads(lefts, rights, n0, lo, hi):
-                np.minimum.at(parent, read, by)
+            gates = np.arange(lo, hi, dtype=np.int32)
+            for wires in (lefts, rights):
+                np.minimum.at(parent, np.maximum(wires[lo:hi] - n0, -1), gates)
             up = parent[lo:hi]
             up[up != root[lo:hi]] = -1
             # Pointer jumping: a gate points at a root of a later band or at
             # a gate of its own, and each pass doubles how far it looks up
             # its tree.
-            up = np.where(up >= 0, up, np.arange(lo, hi, dtype=np.int32))
+            up = np.where(up >= 0, up, gates)
             while True:
                 root[lo:hi] = up
                 jumped = root[up]
                 if np.array_equal(jumped, up):
                     break
                 up = jumped
-        return parent, root
+        return parent[:ng], root[:ng]
 
     def _plan(self) -> _Plan:
         """The steps evaluate_batch runs, cached per gate count.
@@ -604,16 +607,6 @@ _FOLDED = 16  # its tree folds
 def _bands(size: int) -> list[tuple[int, int]]:
     """(lo, hi) of each band of SCAN_BAND entries of range(size)."""
     return [(lo, min(lo + SCAN_BAND, size)) for lo in range(0, size, SCAN_BAND)]
-
-
-def _gate_reads(lefts, rights, n0: int, lo: int, hi: int):
-    """(gate read, reading gate) of the band's left reads of gates, then
-    of its right reads, as int32 pairs of arrays."""
-    gates = np.arange(lo, hi, dtype=np.int32)
-    for wires in (lefts, rights):
-        read = wires[lo:hi] - n0
-        by = read >= 0
-        yield read[by], gates[by]
 
 
 def _number_trees(ops, lefts, rights, n0: int, parent: np.ndarray, root: np.ndarray):
