@@ -308,8 +308,9 @@ class TestBlocks:
         assert len(sources) == 1 and sources[0].name == str(path)
 
 
-# Gates of the file the memory test reads, and its vertex count: every wire
-# id of a circuit on 40,000 vertices has ten digits.
+# Gates of the circuits the memory tests build, and the vertex count of the
+# file the read test parses: every wire id of a circuit on 40,000 vertices
+# has ten digits.
 MEMORY_GATES = 2_000_000
 MEMORY_VERTICES = 40_000
 
@@ -397,7 +398,7 @@ class TestScanMemory:
         # parent and root of _trees take 8 bytes per gate; the plan's AND
         # leaf pairs alone take 8 bytes per AND gate.
         peak = traced_peak(c._plan)
-        assert c.eval_steps()[1] > 0.9 * c.gate_count / 64
+        assert c.eval_steps()[1] > 0.9 * c.gate_count / 64  # nearly every tree folds
         assert peak < 12 * c.gate_count + 64 * circuit_module.SCAN_BAND, peak / c.gate_count
 
 
