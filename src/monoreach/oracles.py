@@ -101,7 +101,7 @@ def planted_path_graph(n: int, path_len: int, noise_prob: float, seed: int) -> A
 
     Intermediate vertices are distinct and drawn from 2..n-1, so the planted
     path is simple; noise can only shorten the 1 -> n distance.  The graph
-    is one lane of planted_entry_masks.
+    is _planted_masks of one graph over Random(seed).
     """
     if n < 2:
         raise InvalidParameterError("n must be >= 2")
@@ -109,200 +109,63 @@ def planted_path_graph(n: int, path_len: int, noise_prob: float, seed: int) -> A
         raise InvalidParameterError(f"path_len {path_len} out of range 1..{n - 1}")
     if not 0.0 <= noise_prob <= 1.0:
         raise InvalidParameterError("noise_prob must be in [0, 1]")
-    return _one_lane(n, seed, path_len, noise_prob)
+    return _graphs_at(_planted_masks(Random(seed), n, [path_len], noise_prob), 1, n, [0])[0]
 
 
 def no_path_graph(n: int, edge_prob: float, seed: int) -> AdjacencyMatrix:
     """Random graph with no 1 -> n path: vertices are split into a source
     side and a sink side and source->sink edges are withheld.  The graph is
-    one lane of planted_entry_masks."""
+    _no_path_masks of one graph over Random(seed)."""
     if n < 2:
         raise InvalidParameterError("n must be >= 2")
     if not 0.0 <= edge_prob <= 1.0:
         raise InvalidParameterError("edge_prob must be in [0, 1]")
-    return _one_lane(n, seed, 0, edge_prob)
+    return _graphs_at(_no_path_masks(Random(seed), n, 1, edge_prob), 1, n, [0])[0]
 
 
-def _one_lane(n: int, seed: int, path_len: int, p: float) -> AdjacencyMatrix:
-    masks = planted_entry_masks(n, [seed], [path_len], p, p)
-    return AdjacencyMatrix(n, [sum(masks[i * n + j] << j for j in range(n)) for i in range(n)])
+def _planted_masks(rng: Random, n: int, path_lens, noise_prob: float) -> list[int]:
+    """Per-entry masks of len(path_lens) planted graphs: graph t holds a
+    1 -> n path of path_lens[t] edges, ORed into noise edges of density
+    noise_prob.
 
-
-# -- planted graphs, a chunk at a time ---------------------------------------------
-#
-# Graph t of a chunk seeds its own Random with seeds[t] and draws, in order:
-#   planted (path_lens[t] >= 1): sample_distinct(rng, path_len - 1, n - 2),
-#     then the Fisher-Yates swaps of the sorted picks (randbelow(rng, i + 1)
-#     for i from path_len - 2 down to 1), then bernoulli_mask(rng, n*n, noise);
-#   no-path (path_lens[t] == 0): bernoulli_mask(rng, n, 0.5) for its sink
-#     side, then bernoulli_mask(rng, n*n, edge_prob).
-# CPython's getrandbits(k) takes ceil(k / 32) Mersenne Twister (MT19937)
-# words, least significant first, and shifts the top one down to the bits
-# it keeps, so one getrandbits(32 * W) per graph yields every word the
-# graph reads.  The draws then run lane-parallel over those words, one
-# cursor per lane.
-
-_DRAW_WORDS = 2  # MT words budgeted per randbelow draw of a planted path
-_MAX_LANES = 2048  # graphs per generation sub-batch
-_LANE_WORDS = 1 << 20  # MT words held per sub-batch, so large n takes fewer lanes
-
-
-def _word_budget(n: int, path_lens: np.ndarray, noise_prob: float, edge_prob: float) -> int:
-    """MT words drawn per graph: every word a no-path graph reads, and a
-    planted graph's noise words plus _DRAW_WORDS per randbelow draw."""
-    entry_words = (n * n + 31) // 32
-    need = 1
-    top = int(path_lens.max(initial=0))
-    if top:
-        draws = max(2 * top - 3, 0)  # sample_distinct, then the Fisher-Yates swaps
-        need = max(need, _DRAW_WORDS * draws + len(bernoulli_digits(noise_prob)) * entry_words)
-    if not path_lens.all():
-        need = max(need, (n + 31) // 32 + len(bernoulli_digits(edge_prob)) * entry_words)
-    return need
-
-
-def _lane_randbelow(words, cursor, k, active, over) -> np.ndarray:
-    """randbelow(rng, k) of every active lane, k one bound or one per lane.
-
-    Each try reads the word at the lane's cursor and advances it.  A lane
-    whose cursor runs past its words is marked in `over` and stops drawing.
+    Draws one 64-bit key per (graph, middle vertex) from a single
+    getrandbits, then the noise by bernoulli_entry_masks.  A stable sort of
+    a graph's keys orders its middle vertices uniformly; the path runs
+    from 1 through the first path_lens[t] - 1 of them to n.
     """
-    k = np.broadcast_to(k, cursor.shape)
-    shift = (32 - np.frexp(k)[1]).astype(np.uint32)  # 32 - k.bit_length()
-    got = np.zeros(cursor.shape, dtype=np.int64)
-    todo = np.flatnonzero(active & ~over)
-    while todo.size:
-        c = cursor[todo]
-        fits = c < words.shape[1]
-        over[todo[~fits]] = True
-        todo, c = todo[fits], c[fits]
-        r = words[todo, c] >> shift[todo]
-        cursor[todo] += 1
-        ok = r < k[todo]
-        got[todo[ok]] = r[ok]
-        todo = todo[~ok]
-    return got
-
-
-def _lane_bernoulli(words, cursor, k: int, p: float, over) -> np.ndarray:
-    """bernoulli_mask(rng, k, p) of every lane, as bools (lanes, k), read from
-    each lane's cursor on.  Advances the cursors past the words it reads and
-    marks in `over` the lanes that run past their words."""
-    digits = bernoulli_digits(p)
-    if not digits:
-        return np.full((len(cursor), k), p >= 1.0)
-    m = (k + 31) // 32
-    idx = cursor[:, None] + np.arange(len(digits) * m)
-    cursor += len(digits) * m
-    over |= cursor > words.shape[1]
-    draws = np.take_along_axis(words, np.minimum(idx, words.shape[1] - 1), axis=1).reshape(-1, len(digits), m)
-    draws[:, :, -1] >>= np.uint32(32 * m - k)
-    acc = draws[:, 0]
-    for d, digit in enumerate(digits[1:], 1):
-        acc = (acc | draws[:, d]) if digit else (acc & draws[:, d])
-    acc = np.ascontiguousarray(acc, dtype="<u4").view(np.uint8)
-    return np.unpackbits(acc, axis=1, count=k, bitorder="little").view(bool)
-
-
-def _planted_lanes(words, n: int, path_lens: np.ndarray, noise_prob: float):
-    """Planted graphs as bools (lanes, n*n), and the lanes that ran out of words."""
-    lanes = len(path_lens)
-    rows = np.arange(lanes)
-    cursor = np.zeros(lanes, dtype=np.int64)
-    over = np.zeros(lanes, dtype=bool)
-    counts = path_lens - 1  # intermediate vertices
-    top = int(counts.max())
-    # sample_distinct: a partial Fisher-Yates over labels 0..n-3, dense
-    perm = np.tile(np.arange(n - 2), (lanes, 1))
-    picked = np.full((lanes, top), n - 2)  # past a lane's count: sorts last
-    for i in range(top):
-        act = counts > i
-        j = i + _lane_randbelow(words, cursor, n - 2 - i, act, over)
-        a, ja = rows[act], j[act]
-        picked[a, i] = perm[a, ja]
-        perm[a, ja] = perm[a, i]
-    picked.sort(axis=1)
-    # Fisher-Yates over each lane's sorted picks, from its last one down
-    for t in range(top - 1):
-        i = counts - 1 - t
-        act = i >= 1
-        j = _lane_randbelow(words, cursor, i + 1, act, over)
-        a, ia, ja = rows[act], i[act], j[act]
-        picked[a, ia], picked[a, ja] = picked[a, ja], picked[a, ia]
-    # path 1 -> picks -> n, as 0-based vertices: label x is vertex x + 2
-    verts = np.empty((lanes, top + 2), dtype=np.int64)
+    k, m = len(path_lens), n - 2
+    keys = np.frombuffer(rng.getrandbits(64 * k * m).to_bytes(8 * k * m, "little"), dtype="<u8")
+    verts = np.full((k, n), n - 1)  # 0-based: 1, the middle vertices in key order, n
     verts[:, 0] = 0
-    verts[:, 1:-1] = picked + 1
-    verts[rows, counts + 1] = n - 1
-    on_path = np.arange(top + 1) <= counts[:, None]
-    graphs = _lane_bernoulli(words, cursor, n * n, noise_prob, over)
-    entries = verts[:, :-1] * n + verts[:, 1:]
-    graphs[np.broadcast_to(rows[:, None], on_path.shape)[on_path], entries[on_path]] = True
-    return graphs, over
+    verts[:, 1 : n - 1] = np.argsort(keys.reshape(k, m), axis=1, kind="stable") + 1
+    graphs, lens = np.arange(k), np.asarray(path_lens)
+    verts[graphs, lens] = n - 1  # the path ends at n after its lens[t] edges
+    on_path = np.arange(n - 1) < lens[:, None]
+    entries = (verts[:, :-1] * n + verts[:, 1:])[on_path]
+    at = np.broadcast_to(graphs[:, None], on_path.shape)[on_path]
+    path = np.zeros((n * n, (k + 7) // 8), dtype=np.uint8)
+    np.bitwise_or.at(path, (entries, at >> 3), (1 << (at & 7)).astype(np.uint8))
+    del keys, verts, on_path, entries, at  # freed before the noise is drawn
+    masks = bernoulli_entry_masks(rng, n, k, noise_prob)
+    for e, bits in enumerate(path):  # in place, so each noise mask is freed as it is replaced
+        masks[e] |= int.from_bytes(bits.tobytes(), "little")
+    return masks
 
 
-def _no_path_lanes(words, n: int, edge_prob: float):
-    """No-path graphs as bools (lanes, n*n), and the lanes that ran out of words."""
-    lanes = len(words)
-    cursor = np.zeros(lanes, dtype=np.int64)
-    over = np.zeros(lanes, dtype=bool)
-    sink = _lane_bernoulli(words, cursor, n, 0.5, over)
-    sink[:, n - 1] = True  # vertex n is on the sink side, vertex 1 is not
-    sink[:, 0] = False
-    graphs = _lane_bernoulli(words, cursor, n * n, edge_prob, over)
-    cut = ~sink[:, :, None] & sink[:, None, :]  # source side -> sink side
-    graphs &= ~cut.reshape(lanes, n * n)
-    return graphs, over
+def _no_path_masks(rng: Random, n: int, width: int, edge_prob: float) -> list[int]:
+    """Per-entry masks of `width` graphs with no 1 -> n path.
 
-
-def _lane_graphs(n: int, seeds, path_lens: np.ndarray, noise_prob: float, edge_prob: float, words: int):
-    """Graphs of one lane per seed as bools (lanes, n*n), entry (i-1)*n + (j-1)
-    for edge i -> j; path_lens[t] is lane t's planted path, 0 for no-path.
-
-    Each lane reads the first `words` MT words of Random(seeds[t]).  A lane
-    that needs more is drawn again with twice the words, never cut short.
+    Draws a sink-side mask for each vertex by bernoulli_mask(rng, width,
+    0.5), then the edges by bernoulli_entry_masks.  Vertex 1 is on the
+    source side and n on the sink side, whatever their draws; an edge from
+    the source side to the sink side is withheld.
     """
-    rng = Random()
-
-    def draw(s: int) -> bytes:
-        rng.seed(s)
-        return rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-
-    mt = np.frombuffer(b"".join(map(draw, seeds)), dtype="<u4").reshape(len(seeds), words)
-    graphs = np.empty((len(seeds), n * n), dtype=bool)
-    over = np.zeros(len(seeds), dtype=bool)
-    planted = np.flatnonzero(path_lens)
-    no_path = np.flatnonzero(path_lens == 0)
-    if planted.size:
-        graphs[planted], over[planted] = _planted_lanes(mt[planted], n, path_lens[planted], noise_prob)
-    if no_path.size:
-        graphs[no_path], over[no_path] = _no_path_lanes(mt[no_path], n, edge_prob)
-    if over.any():
-        redo = np.flatnonzero(over)
-        graphs[redo] = _lane_graphs(n, [seeds[t] for t in redo], path_lens[redo], noise_prob, edge_prob, 2 * words)
-    return graphs
-
-
-def planted_entry_masks(n: int, seeds, path_lens, noise_prob: float, edge_prob: float) -> list[int]:
-    """Per-entry masks of a chunk of planted and no-path graphs: bit t of
-    masks[(i-1)*n + (j-1)] is edge i -> j of the graph seeded by seeds[t],
-    which plants a path of path_lens[t] edges, or none when it is 0.
-
-    Lane t holds the graph planted_path_graph(n, path_lens[t], noise_prob,
-    seeds[t]) or no_path_graph(n, edge_prob, seeds[t]) returns, bit for bit.
-    """
-    path_lens = np.asarray(path_lens, dtype=np.int64)
-    if n < 2:
-        raise InvalidParameterError("n must be >= 2")
-    if not 0 <= path_lens.min(initial=0) <= path_lens.max(initial=0) <= n - 1:
-        raise InvalidParameterError(f"path lengths must be in 0..{n - 1}")
-    words = _word_budget(n, path_lens, noise_prob, edge_prob)
-    step = max(8, min(_MAX_LANES, _LANE_WORDS // words) // 8 * 8)
-    packed = np.empty((n * n, (len(seeds) + 7) // 8), dtype=np.uint8)
-    for s in range(0, len(seeds), step):
-        graphs = _lane_graphs(n, seeds[s : s + step], path_lens[s : s + step], noise_prob, edge_prob, words)
-        packed[:, s // 8 : (s + len(graphs) + 7) // 8] = np.packbits(graphs, axis=0, bitorder="little").T
-    return [int.from_bytes(entry.tobytes(), "little") for entry in packed]
+    sink = [bernoulli_mask(rng, width, 0.5) for _ in range(n)]
+    sink[0], sink[n - 1] = 0, (1 << width) - 1
+    edges = bernoulli_entry_masks(rng, n, width, edge_prob)
+    for e in range(n * n):
+        edges[e] &= ~(~sink[e // n] & sink[e % n])
+    return edges
 
 
 # -- graph text format ----------------------------------------------------------
@@ -642,9 +505,10 @@ def run_planted_check(
     l: int | None = None,
     max_report: int = 4,
 ) -> CheckReport:
-    """Planted-path graphs (expected 1) alternating with no-path graphs
-    (expected 0); path lengths stay within the budget l, and each planted
-    graph adds noise edges with probability PLANTED_NOISE_PROB."""
+    """Planted-path graphs (expected 1) in the first half of each chunk and
+    no-path graphs (expected 0) in the second; path lengths stay within the
+    budget l, and each planted graph adds noise edges with probability
+    PLANTED_NOISE_PROB."""
     _check_circuit(circuit, n)
     _check_draws(samples, l)
     if n < 2:
@@ -653,15 +517,21 @@ def run_planted_check(
 
 
 def _planted_chunks(n: int, samples: int, seed: int, l: int | None):
-    """(masks, width, expected, promise) of each chunk of the planted check:
-    even graphs plant a path of 1..min(l, n - 1) edges, odd graphs have none,
-    and every graph is inside the promise."""
+    """(masks, width, expected, promise) of each chunk of the planted check.
+
+    One Random draws every chunk in turn.  In a chunk of w graphs, the
+    first ceil(w / 2) plant a path of 1..min(l, n - 1) edges and the rest
+    have none; every graph is inside the promise.
+    """
     limit = min(l, n - 1) if l is not None else n - 1
     rng = Random(child_seed(seed, f"planted:n={n}:l={limit}"))
     for done in range(0, samples, CHUNK_BITS):
-        chunk = range(done, min(samples, done + CHUNK_BITS))
-        path_lens = [1 + randbelow(rng, limit) if idx % 2 == 0 else 0 for idx in chunk]
-        seeds = [child_seed(seed, f"planted:{idx}") for idx in chunk]
-        masks = planted_entry_masks(n, seeds, path_lens, PLANTED_NOISE_PROB, NO_PATH_EDGE_PROB)
-        expected = int.from_bytes(np.packbits(np.array(path_lens) > 0, bitorder="little").tobytes(), "little")
-        yield masks, len(chunk), expected, (1 << len(chunk)) - 1
+        width = min(samples - done, CHUNK_BITS)
+        k = (width + 1) // 2
+        path_lens = [1 + randbelow(rng, limit) for _ in range(k)]
+        planted = _planted_masks(rng, n, path_lens, PLANTED_NOISE_PROB)
+        no_path = _no_path_masks(rng, n, width - k, NO_PATH_EDGE_PROB)
+        for e, mask in enumerate(no_path):
+            planted[e] |= mask << k
+        del no_path  # not held while the chunk is evaluated
+        yield planted, width, (1 << k) - 1, (1 << width) - 1

@@ -2,6 +2,8 @@
 
 import ast
 import hashlib
+import itertools
+from collections import Counter
 from pathlib import Path
 from random import Random
 
@@ -14,7 +16,7 @@ import monoreach as mr
 import monoreach.exactmath
 import monoreach.oracles
 from monoreach.circuit import AdjacencyMatrix
-from monoreach.exactmath import bernoulli_mask, child_seed, randbelow, sample_distinct
+from monoreach.exactmath import bernoulli_mask, child_seed, randbelow
 from monoreach.oracles import (
     CHUNK_BITS,
     MAX_CHECK_VERTICES,
@@ -24,14 +26,15 @@ from monoreach.oracles import (
     _batches,
     _bfs_rounds,
     _graph_int_rows,
+    _no_path_masks,
     _oracle_masks,
+    _planted_masks,
     _walk_masks,
     bernoulli_entry_masks,
     exhaustive_input_masks,
     graph_ints_to_masks,
     graph_to_text,
     masks_to_graph_ints,
-    planted_entry_masks,
     random_batch_width,
     run_exhaustive_check,
     run_planted_check,
@@ -112,35 +115,52 @@ def per_graph_walks(masks, width, n, walks):
     return hits
 
 
+def reference_planted_graphs(rng, n, path_lens, noise_prob):
+    """Plain-Python reader of the planted stream: one 64-bit key per (graph,
+    middle vertex) from a single getrandbits, a path from 1 through the
+    middle vertices of least key to n, then one noise mask per entry."""
+    m = n - 2
+    keys = rng.getrandbits(64 * len(path_lens) * m)
+    graphs = []
+    for t, path_len in enumerate(path_lens):
+        row = [(keys >> (64 * (t * m + j))) & (2**64 - 1) for j in range(m)]
+        order = [v for _, v in sorted((row[j], j + 2) for j in range(m))]
+        path = [1] + order[: path_len - 1] + [n]
+        g = AdjacencyMatrix(n)
+        for a, b in zip(path, path[1:]):
+            g.set_edge(a, b)
+        graphs.append(g)
+    for e in range(n * n):
+        noise = bernoulli_mask(rng, len(path_lens), noise_prob)
+        for t, g in enumerate(graphs):
+            if (noise >> t) & 1:
+                g.set_edge(e // n + 1, e % n + 1)
+    return graphs
+
+
+def reference_no_path_graphs(rng, n, width, edge_prob):
+    """Plain-Python reader of the no-path stream: one sink-side mask per
+    vertex, then one edge mask per entry; 1 is on the source side and n on
+    the sink side, and no edge runs from the source side to the sink side."""
+    sides = [bernoulli_mask(rng, width, 0.5) for _ in range(n)]
+    graphs = [AdjacencyMatrix(n) for _ in range(width)]
+    for e in range(n * n):
+        edges = bernoulli_mask(rng, width, edge_prob)
+        u, v = e // n + 1, e % n + 1
+        for t, g in enumerate(graphs):
+            sink_u = u == n or (u != 1 and (sides[u - 1] >> t) & 1)
+            sink_v = v == n or (v != 1 and (sides[v - 1] >> t) & 1)
+            if (edges >> t) & 1 and not (sink_v and not sink_u):
+                g.set_edge(u, v)
+    return graphs
+
+
 def reference_planted_path_graph(n, path_len, noise_prob, seed):
-    """The per-graph planted sampler that planted_entry_masks runs
-    lane-parallel: distinct intermediates, a Fisher-Yates interleaving of
-    them, then noise edges, all from one Random(seed)."""
-    rng = Random(seed)
-    order = list(sample_distinct(rng, path_len - 1, n - 2))  # sorted labels in 1..n-2
-    for i in range(len(order) - 1, 0, -1):
-        j = randbelow(rng, i + 1)
-        order[i], order[j] = order[j], order[i]
-    path = [1] + [v + 1 for v in order] + [n]
-    m = AdjacencyMatrix(n)
-    for a, b in zip(path, path[1:]):
-        m.set_edge(a, b)
-    for i, row in enumerate(_graph_int_rows(bernoulli_mask(rng, n * n, noise_prob), n)):
-        m.rows[i] |= row
-    return m
+    return reference_planted_graphs(Random(seed), n, [path_len], noise_prob)[0]
 
 
 def reference_no_path_graph(n, edge_prob, seed):
-    """The per-graph no-path sampler: a sink side holding n but not 1, then
-    random edges with every source-side -> sink-side edge withheld."""
-    rng = Random(seed)
-    side = bernoulli_mask(rng, n, 0.5) | (1 << (n - 1))  # bit v-1 set: sink side
-    side &= ~1
-    rows = _graph_int_rows(bernoulli_mask(rng, n * n, edge_prob), n)
-    for i in range(n):
-        if not (side >> i) & 1:
-            rows[i] &= ~side
-    return AdjacencyMatrix(n, rows)
+    return reference_no_path_graphs(Random(seed), n, 1, edge_prob)[0]
 
 
 def reference_graph_int(matrix):
@@ -148,23 +168,18 @@ def reference_graph_int(matrix):
 
 
 def reference_planted_chunks(n, samples, seed, l):
-    """The per-graph planted driver: (masks, width, expected) of each chunk."""
+    """The planted driver from the plain-Python readers: (masks, width,
+    expected) of each chunk, its first half planted, the rest no-path."""
     limit = min(l, n - 1) if l is not None else n - 1
     rng = Random(child_seed(seed, f"planted:n={n}:l={limit}"))
     chunks = []
     for done in range(0, samples, CHUNK_BITS):
         width = min(samples - done, CHUNK_BITS)
-        graph_ints, expected = [], 0
-        for t in range(width):
-            idx = done + t
-            sample_seed = child_seed(seed, f"planted:{idx}")
-            if idx % 2 == 0:
-                g = reference_planted_path_graph(n, 1 + randbelow(rng, limit), PLANTED_NOISE_PROB, sample_seed)
-                expected |= 1 << t
-            else:
-                g = reference_no_path_graph(n, NO_PATH_EDGE_PROB, sample_seed)
-            graph_ints.append(reference_graph_int(g))
-        chunks.append((graph_ints_to_masks(graph_ints, n), width, expected))
+        k = (width + 1) // 2
+        path_lens = [1 + randbelow(rng, limit) for _ in range(k)]
+        graphs = reference_planted_graphs(rng, n, path_lens, PLANTED_NOISE_PROB)
+        graphs += reference_no_path_graphs(rng, n, width - k, NO_PATH_EDGE_PROB)
+        chunks.append((graph_ints_to_masks([reference_graph_int(g) for g in graphs], n), width, (1 << k) - 1))
     return chunks
 
 
@@ -775,39 +790,40 @@ class TestWalkOracle:
 
 
 class TestPlantedGoldens:
-    # Pinned from the per-graph planted driver that chunk generation
-    # replaced: n**2 = 25 and 1089 are not multiples of 32, n = 2 and 3 leave
-    # no intermediate to shuffle, 203 graphs are not a multiple of 8, 16,393
-    # and 16,390 take two chunks, and l = None or 100 clamp to n - 1.
+    # Pinned from the plain-Python readers of the planted stream: n**2 = 25
+    # and 1089 are not multiples of 32, n = 2 leaves no middle vertex and
+    # n = 3 one, 203 graphs are not a multiple of 8 and have one more planted
+    # graph than no-path ones, 16,393 and 16,390 take two chunks, and
+    # l = None or 100 clamp to n - 1.
     @pytest.mark.parametrize(
         "n, samples, seed, l, widths, digest",
         [
-        (2, 203, 3, 1, [203], "4d8503036494251942ac00b77942bf1119d6146e06498154a418cec074db0cb5"),
-        (5, 203, 3, 1, [203], "5113d459d2f9986e6e7b3676c5a51040a24ace3c91ce29ff4363639c835e1c9d"),
-        (5, 203, 3, 2, [203], "1ac9d17354ed2531f284b25508cdfe007fb010d93696b860e9c65f8bd93c81d4"),
-        (5, 203, 3, 4, [203], "9b228a1d66660b28a6b8e88f81abb4d93ff7bf9d281b1901f482d09fb7b3867b"),
-        (16, 203, 3, 1, [203], "a156774ef3c7e29b36a2e6f70a3c8ae55fb5cc84599655949f87a0896cace65c"),
-        (16, 203, 3, 8, [203], "7d13dbd6053772afd2b96f08f423e0e490c52ecf60968d99e359267f7b7bbf83"),
-        (16, 203, 3, 15, [203], "e6e8ab1ff366b863bbeaef67c1de30207d6d82135ae032744f623e0fc8c95e65"),
-        (25, 203, 3, 1, [203], "f64ac9feab225253b913643fe8b1ff6fbc34c0787d97b322623deed5fd51e1b7"),
-        (25, 203, 3, 12, [203], "4eaea3335df23399b4ba301985c9b9be091e80e7c05be2913a18ee6d2a012b6a"),
-        (25, 203, 3, 24, [203], "e94c0a4db8c8fb2dfafec381063371cf4d2ae44201d2ea85b8588b622e3081a8"),
-        (33, 203, 3, 1, [203], "86a372b8dac2bfd22d9d88e8513d2a5d06c79911d923a0d5d23a7c1c8c8fdb1f"),
-        (33, 203, 3, 16, [203], "24996b790d95c6776fddc629303fd48436f197c65c44ce8a684725578a9a3bfe"),
-        (33, 203, 3, 32, [203], "a1b4afcae0618cc18518eb0f925b8375edad6e9157f6932070fda0f35c0d1ecd"),
-        (64, 203, 3, 1, [203], "659b69c923f75deab64f738c5c6c499d8cc70a2cbaf3019723e1b5d579e6eefd"),
-        (64, 203, 3, 32, [203], "1ffb5d8567d11c727eb6d09cf0609835a109b24df5e3e4391587a940eda63683"),
-        (64, 203, 3, 63, [203], "cd14acf530a9a0cbf3d2071b3a5e7e598cfb1ed0364ac73bd51ebc7fdf074fa7"),
-        (16, 1, 0, 12, [1], "ca6bd690bda8a2a13600f24ce543d5e582f321fba2bb2468f7a1371a28f132b5"),
+        (2, 203, 3, 1, [203], "92edc97de5b4e72f467d5adce0da91aff1f5ea952c915a55bfc07ed824b3d396"),
+        (5, 203, 3, 1, [203], "b4b0117c2b759403c5dd17cea745233ce68bef3b04a56852cfcd0475d437c6b7"),
+        (5, 203, 3, 2, [203], "bef74e6a52cfc3184151eaac1117f057a78f61772e5012f19f29adb11791fe75"),
+        (5, 203, 3, 4, [203], "36036895e764d4445df383e633d25e0ec370d300e3d526fc043271973d9e8f25"),
+        (16, 203, 3, 1, [203], "7c08663944b529a447089f3973f1ed268b6ed67f09c1f9b850fd762402867952"),
+        (16, 203, 3, 8, [203], "03bd06420443be18b08ef50323b85d1fe2716b2371981b43fbc3fa5d517a3175"),
+        (16, 203, 3, 15, [203], "456cff73cd4f3eb26ba45a204b874f5f23d84653095c6d10f37e6484f3f44088"),
+        (25, 203, 3, 1, [203], "7aa46a67599258ff36f591de084a9f55e15394b902b27d4fc8f8829c72b2ab15"),
+        (25, 203, 3, 12, [203], "36f07d33ac6db1083a919f97ea484945c0df6603d183330c9dc39f27128ca7b6"),
+        (25, 203, 3, 24, [203], "7cb74053b74337ac49ee910a83ef28c5ae9080639f6fa6662770eb3feaf8a9b6"),
+        (33, 203, 3, 1, [203], "7398324c915a40856517b37d112c7d7d61978b26c385efb944655cc6b09fcb20"),
+        (33, 203, 3, 16, [203], "9e54501152b13ec5a8ede552128e89e1cd4b2571dce8f8cec0cab0ae067aba87"),
+        (33, 203, 3, 32, [203], "d86bb083878331f74e4aaa2a1886ad19ece2bdb94c8869850b08facb2a9de771"),
+        (64, 203, 3, 1, [203], "9bfddc3ee7ac336150a3796723a91b2663d7086d1cc42ba7fc0cf5c5ae444611"),
+        (64, 203, 3, 32, [203], "c56ec14bf4c4cb3b9127285fb92b8f8f912019f249c8b9bec57e18dc8af1f45c"),
+        (64, 203, 3, 63, [203], "a53a589285fc5b87650701f9ddef740ffedc15ea2d3c504a1e461a15c89a6fee"),
+        (16, 1, 0, 12, [1], "ecef147db1ebf63192db4a8d97fd6104682f0b57f4db9bfc43e419acf65daa2c"),
         (2, 1, 0, 1, [1], "33af51d8ee87208bc0e96280793ce57a8ba70cd2567dcc9e0745bcd8886c7ae1"),
-        (16, 16393, 5, 12, [16384, 9], "8657770df4b5b49f04921901336d83dc87cc7bad8389955843ef2903e06ea3ee"),
-        (5, 16390, 0, 4, [16384, 6], "7418a025e099cc2c379e0f149896c4ba2ac3b50f25c997aadd571f4e0db2c1a1"),
-        (16, 203, 3, None, [203], "e6e8ab1ff366b863bbeaef67c1de30207d6d82135ae032744f623e0fc8c95e65"),
-        (16, 203, 3, 100, [203], "e6e8ab1ff366b863bbeaef67c1de30207d6d82135ae032744f623e0fc8c95e65"),
-        (9, 1000, 0, 3, [1000], "28153055c03f979f503b116037d282b03273c0f036be8d89135ad1e8a1ddf4e4"),
-        (3, 203, 3, 1, [203], "7855a526c87912f6a11a4d9ff50b20b41f60317abceb07385a60bf28d7507275"),
-        (3, 203, 3, 2, [203], "0c4f6b4ffee636b7304af117f034b6e204c5e88b63e6d798233983ee465bb4c1"),
-        (3, 77, 0, 2, [77], "7dd25c9d52e42976c69efce4b004215d13cd6adfa3527d47e515dfd7243371b4"),
+        (16, 16393, 5, 12, [16384, 9], "5cf2f6f1a4a7c63266c2af123c6223aeb7e5d2637f6ad369fb1631caf8189ff6"),
+        (5, 16390, 0, 4, [16384, 6], "b68708f6529e44b2ba9d700c1a594844ebefc153d0ba907d54a98c88c91936b7"),
+        (16, 203, 3, None, [203], "456cff73cd4f3eb26ba45a204b874f5f23d84653095c6d10f37e6484f3f44088"),
+        (16, 203, 3, 100, [203], "456cff73cd4f3eb26ba45a204b874f5f23d84653095c6d10f37e6484f3f44088"),
+        (9, 1000, 0, 3, [1000], "7936752d4aeb7b7287fdb1ddaa0344bc4526ddeeb7b7b62c028f26f00eb08838"),
+        (3, 203, 3, 1, [203], "6614c47fb02239c0e904105ed10de2a064e07661dafc7ba6f17c6aa0c091f468"),
+        (3, 203, 3, 2, [203], "83d665fc30b060c6b939cd7339a52c3351470bba3a4032359432d3e8301a81fa"),
+        (3, 77, 0, 2, [77], "b074b0c65ff709b98e4ee6bd99349ccdb8a372b63aca4ceb115d2a61e514fd79"),
         ],
     )
     def test_chunk_digest(self, n, samples, seed, l, widths, digest):
@@ -816,16 +832,16 @@ class TestPlantedGoldens:
         assert chunks_digest(chunks) == digest
 
     # The reports of a correct circuit and of one that misses every distance
-    # above 3, over two chunks: the 1,031 mismatches at l = 5 span both.
+    # above 3, over two chunks: the 996 mismatches at l = 5 span both.
     @pytest.mark.parametrize(
         "circuit_l, l, max_report, found, digest",
         [
         (15, None, 6, 0, "ed80930cbac300bdb3300c87fcab8073239cd953efac375ff3ba3ad74debdff3"),
-        (3, None, 1, 1, "bb3e56b49e21a6d69f68d962a1b50bf3139bb2c5cba6fcf63dbfffe1b69fa906"),
-        (3, None, 6, 6, "e6e26cb2364c7fc15b0de0b63dac4420e2e506ae4a47548e291eddbbb99c1435"),
-        (3, 12, 1, 1, "dbb374c584ab1037d496555fac485ac015a158e20583cee6152381262bfc67e8"),
-        (3, 12, 6, 6, "63dfb69c175e1a323e59fd1efe34543beeb59f206da7a03e53788901d51f41f1"),
-        (3, 5, 1000000, 1031, "9206d1c26ba5fa75f6c673021f9f4053b01c73fe78f0046310a2efd5171ff995"),
+        (3, None, 1, 1, "d284334adff993a634dffc904db9269f27a59b42f349d0e7cc2fb8fad58fa790"),
+        (3, None, 6, 6, "f48758658b66829af4b3489b499791aa5d00bb9854dd41a1c8f3f44e459ac87b"),
+        (3, 12, 1, 1, "dba365349f0efede2aa629658cbfaa432e1305ec0c9a815c10c49a808039a2d7"),
+        (3, 12, 6, 6, "95a327992190a73c9485691d94fab03bba9b3e4d8e5b5074547b7cb6cac4728f"),
+        (3, 5, 1000000, 996, "c2cc44479571704507283e50afef6e06ff6f939dd6fcad06af53ad7f8934d65e"),
         ],
     )
     def test_report_digest(self, circuit_l, l, max_report, found, digest):
@@ -841,39 +857,14 @@ class TestPlantedChunks:
         l_kind=st.sampled_from(["none", "one", "half", "n-1", "big"]),
         samples=st.one_of(st.sampled_from([1, 2, 7, 8, 9]), st.integers(1, 200)),
         seed=st.integers(0, 2**64),
-        lanes=st.sampled_from([8, 16, 2048]),
     )
-    def test_matches_per_graph_driver(self, n, l_kind, samples, seed, lanes):
+    def test_matches_per_graph_driver(self, n, l_kind, samples, seed):
         l = {"none": None, "one": 1, "half": max(1, n // 2), "n-1": n - 1, "big": 10 * n}[l_kind]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(monoreach.oracles, "_MAX_LANES", lanes)  # several sub-batches per chunk
-            assert planted_chunks(n, samples, seed, l) == reference_planted_chunks(n, samples, seed, l)
+        assert planted_chunks(n, samples, seed, l) == reference_planted_chunks(n, samples, seed, l)
 
-    def test_partial_last_sub_batch(self):
-        # 2,053 graphs: one full sub-batch of 2,048, then 5 lanes.
-        assert planted_chunks(7, 2053, 4, 6) == reference_planted_chunks(7, 2053, 4, 6)
-
-    @pytest.mark.parametrize("n, l", [(64, 63), (16, 12), (3, 2)])
-    def test_word_budget_overflow_is_drawn_again(self, monkeypatch, n, l):
-        # With no words budgeted for randbelow, most planted lanes run out and
-        # are drawn again with more words; the graphs must not change.
-        budgets = []
-        lane_graphs = monoreach.oracles._lane_graphs
-
-        def recorded(n, seeds, path_lens, noise_prob, edge_prob, words):
-            budgets.append(words)
-            return lane_graphs(n, seeds, path_lens, noise_prob, edge_prob, words)
-
-        monkeypatch.setattr(monoreach.oracles, "_DRAW_WORDS", 0)
-        monkeypatch.setattr(monoreach.oracles, "_lane_graphs", recorded)
-        assert planted_chunks(n, 300, 8, l) == reference_planted_chunks(n, 300, 8, l)
-        assert max(budgets) > min(budgets)
-
-    @pytest.mark.parametrize("draw_words", [0, 2])
     @pytest.mark.parametrize("p", [0.0, 1.0, 0.2])
     @pytest.mark.parametrize("n", [2, 3, 5, 16, 25, 33])
-    def test_one_lane_generators_match_per_graph(self, monkeypatch, draw_words, p, n):
-        monkeypatch.setattr(monoreach.oracles, "_DRAW_WORDS", draw_words)
+    def test_one_lane_generators_match_per_graph(self, p, n):
         for seed in range(6):
             for path_len in sorted({1, max(1, n // 2), n - 1}):
                 got = mr.planted_path_graph(n, path_len, p, seed)
@@ -885,20 +876,89 @@ class TestPlantedChunks:
     def test_lanes_match_per_graph_at_every_density(self, noise_prob, edge_prob):
         n = 9
         rng = Random(noise_prob + 2 * edge_prob)
-        path_lens = [rng.choice([0, randbelow(rng, n - 1) + 1]) for _ in range(61)]
-        seeds = [rng.getrandbits(64) for _ in path_lens]
-        graphs = [
-            reference_planted_path_graph(n, k, noise_prob, s) if k else reference_no_path_graph(n, edge_prob, s)
-            for k, s in zip(path_lens, seeds)
-        ]
-        masks = planted_entry_masks(n, seeds, path_lens, noise_prob, edge_prob)
-        assert masks == graph_ints_to_masks([reference_graph_int(g) for g in graphs], n)
+        path_lens = [randbelow(rng, n - 1) + 1 for _ in range(61)]
+        seed = rng.getrandbits(64)
+        ours, ref = Random(seed), Random(seed)
+        graphs = reference_planted_graphs(ref, n, path_lens, noise_prob)
+        assert _planted_masks(ours, n, path_lens, noise_prob) == graph_ints_to_masks(
+            [reference_graph_int(g) for g in graphs], n
+        )
+        graphs = reference_no_path_graphs(ref, n, 37, edge_prob)
+        assert _no_path_masks(ours, n, 37, edge_prob) == graph_ints_to_masks(
+            [reference_graph_int(g) for g in graphs], n
+        )
+        assert ours.getstate() == ref.getstate()  # both read the same words
 
     @pytest.mark.parametrize("path_lens", [[0, 9], [-1], [1, 2, 10]])
     def test_path_lengths_outside_the_graph_refused(self, path_lens):
-        # A path of n or more edges cannot be simple: its draws would never end.
-        with pytest.raises(mr.InvalidParameterError, match=r"^path lengths must be in 0\.\.8$"):
-            planted_entry_masks(9, list(range(len(path_lens))), path_lens, 0.1, 0.1)
+        # A path of n or more edges cannot be simple, and a planted path has an edge.
+        for path_len in path_lens:
+            if not 1 <= path_len <= 8:
+                with pytest.raises(mr.InvalidParameterError, match=rf"^path_len {path_len} out of range 1\.\.8$"):
+                    mr.planted_path_graph(9, path_len, 0.1, 0)
+
+    @pytest.mark.parametrize("path_len", [2, 3, 4])
+    def test_middle_vertex_orders_are_uniform(self, path_len):
+        # With n = 5 and no noise, graph t is the path 1 -> a -> ... -> 5
+        # through one of the ordered tuples of path_len - 1 distinct
+        # vertices of 2..4, each with the same chance.
+        count = 6000
+        masks = _planted_masks(Random(5), 5, [path_len] * count, 0.0)
+        seen = {}
+        for middle in itertools.permutations(range(2, 5), path_len - 1):
+            path = (1, *middle, 5)
+            hits = (1 << count) - 1
+            for a, b in zip(path, path[1:]):
+                hits &= masks[(a - 1) * 5 + (b - 1)]
+            seen[middle] = hits.bit_count()
+        assert sum(seen.values()) == count
+        assert sum(m.bit_count() for m in masks) == path_len * count
+        share = 1 / len(seen)
+        sigma = (count * share * (1 - share)) ** 0.5
+        for middle, hits in seen.items():
+            assert abs(hits - count * share) < 5 * sigma, (middle, hits)
+
+    @pytest.mark.parametrize("n", [3, 5, 6])
+    def test_sink_sides_read_back_and_are_uniform(self, n):
+        # At edge density 1 only the source -> sink edges are missing, so the
+        # sink side of graph t is the set of vertices 1 has no edge to.
+        sides_count = 2 ** (n - 2)
+        width = 1000 * sides_count
+        full = (1 << width) - 1
+        masks = _no_path_masks(Random(n), n, width, 1.0)
+        sink = [full & ~masks[v] for v in range(n)]  # vertex 1 lacks the edge 1 -> v + 1
+        assert (sink[0], sink[n - 1]) == (0, full)
+        for u in range(n):
+            for v in range(n):
+                assert masks[u * n + v] == full & ~(~sink[u] & sink[v]), (u, v)
+        sides = Counter(tuple((sink[v] >> t) & 1 for v in range(1, n - 1)) for t in range(width))
+        assert len(sides) == sides_count
+        sigma = (width / sides_count * (1 - 1 / sides_count)) ** 0.5
+        for side, seen in sides.items():
+            assert abs(seen - width / sides_count) < 5 * sigma, (side, seen)
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    @pytest.mark.parametrize("samples", [1, 2, 3])
+    def test_first_half_planted(self, n, samples):
+        # n = 2 has no middle vertex, so its keys are getrandbits(0); n = 3
+        # has one.
+        [(masks, width, expected)] = planted_chunks(n, samples, 0, None)
+        assert (width, expected) == (samples, (1 << (samples + 1) // 2) - 1)
+        assert _oracle_masks(masks, width, n, None) == (expected, (1 << width) - 1)
+
+    @pytest.mark.parametrize("n, l", [(2, 1), (3, 2), (5, 1), (9, 3), (16, 12), (33, 32), (64, 63)])
+    def test_planted_graphs_keep_the_promise(self, n, l):
+        # Every planted graph reaches n within its budget, and no other does;
+        # without noise, graph t is its path alone: L edges, at distance L.
+        for masks, width, expected in planted_chunks(n, 501, 12, l):
+            assert _oracle_masks(masks, width, n, l) == (expected, (1 << width) - 1)
+        rng = Random(n)
+        path_lens = [1 + randbelow(rng, n - 1) for _ in range(200)]
+        masks = _planted_masks(Random(l), n, path_lens, 0.0)
+        graphs = masks_to_graph_ints(masks, len(path_lens))
+        for path_len, g in zip(path_lens, graphs):
+            assert g.bit_count() == path_len
+            assert reference_distance(_graph_int_rows(g, n), 1, n) == path_len
 
 
 class TestOracleIndependence:
@@ -991,7 +1051,7 @@ class TestOneBfsOneLoop:
         # unused helper.
         count, unused = functions_without_caller(
             lambda tree: (
-                node
+                (node.name, node)
                 for node in ast.walk(tree)
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and node.name.startswith("_")
@@ -1006,7 +1066,7 @@ class TestOneBfsOneLoop:
         # PUBLIC_WITHOUT_CALLER, kept for the reason given there.
         count, unused = functions_without_caller(
             lambda tree: (
-                node
+                (node.name, node)
                 for node in tree.body
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
             )
@@ -1015,18 +1075,34 @@ class TestOneBfsOneLoop:
         assert sorted(set(unused) - set(PUBLIC_WITHOUT_CALLER)) == []
         assert sorted(set(PUBLIC_WITHOUT_CALLER) - set(unused)) == [], "has a caller now: take it off the list"
 
+    def test_every_public_method_has_a_caller(self):
+        # So is a public method in a class body, but for those on
+        # METHODS_WITHOUT_CALLER; dunder methods are called by Python itself.
+        count, unused = functions_without_caller(
+            lambda tree: (
+                (f"{cls.name}.{node.name}", node)
+                for cls in ast.walk(tree)
+                if isinstance(cls, ast.ClassDef)
+                for node in cls.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+            )
+        )
+        assert count > 20, "found few public methods: the scan is broken"
+        assert sorted(set(unused) - set(METHODS_WITHOUT_CALLER)) == []
+        assert sorted(set(METHODS_WITHOUT_CALLER) - set(unused)) == [], "has a caller now: take it off the list"
+
 
 def functions_without_caller(select):
-    """How many functions select(tree) finds in the package's modules, and
-    module:name of those that nothing else in the package names.  A
-    recursive call from a function's own body and an export from
-    __init__.py do not count as callers."""
+    """How many functions select(tree) finds in the package's modules, as
+    (label, node) pairs, and module:label of those that nothing else in
+    the package names.  A recursive call from a function's own body and an
+    export from __init__.py do not count as callers."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     uses = [use for module, tree in trees.items() if module != "__init__.py" for use in name_uses(tree)]
-    defined = [(module, node) for module, tree in trees.items() for node in select(tree)]
+    defined = [(module, label, node) for module, tree in trees.items() for label, node in select(tree)]
     unused = [
-        f"{module}:{node.name}"
-        for module, node in defined
+        f"{module}:{label}"
+        for module, label, node in defined
         if not any(used == node.name and node not in scope for used, scope in uses)
     ]
     return len(defined), sorted(unused)
@@ -1044,4 +1120,18 @@ PUBLIC_WITHOUT_CALLER = {
     "oracles.py:no_path_graph": "perfbench/layers.py PROBES wraps it; waits for the probe refresh",
     "oracles.py:masks_to_graph_ints": "perfbench/layers.py PROBES wraps it; waits for the probe refresh",
     "oracles.py:graph_ints_to_masks": "perfbench/layers.py PROBES wraps it; waits for the probe refresh",
+}
+
+
+# Public methods that no other part of the package calls, each with the
+# reason it stays.
+METHODS_WITHOUT_CALLER = {
+    "circuit.py:MonotoneCircuit.prune": "test API: tests call it on hand-built circuits",
+    "circuit.py:MonotoneCircuit.evaluate": "test API: the one-graph reference for evaluate_batch",
+    "circuit.py:MonotoneCircuit.input_wire": "test API: tests wire hand-built circuits by entry",
+    "circuit.py:MonotoneCircuit.gate": "test API: tests read single gates back",
+    "circuit.py:AdjacencyMatrix.from_edges": "test reference: tests build graphs from edge lists",
+    "circuit.py:MonotoneCircuit.wire_depths": "perfbench/layers.py PROBES wraps it",
+    "build.py:DepthLedger.total_measured": "the acceptance invariant reads it",
+    "cli.py:_Parser.error": "argparse calls it: the override of ArgumentParser.error",
 }
