@@ -30,7 +30,6 @@ from .circuit import (
     AdjacencyMatrix,
     MonotoneCircuit,
     circuit_from_text,
-    new_circuit,
     or_tree,
     read_circuit,
     write_circuit,

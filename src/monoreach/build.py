@@ -25,7 +25,6 @@ import numpy as np
 from .circuit import (
     MonotoneCircuit,
     _banded_product,
-    new_circuit,
     or_tree,
 )
 from .errors import InvalidParameterError
@@ -201,7 +200,7 @@ def build_reach_leq(n: int, l: int) -> MonotoneCircuit:
         raise InvalidParameterError("n must be >= 2")
     if l < 1:
         raise InvalidParameterError("l must be >= 1")
-    circuit = new_circuit(n)
+    circuit = MonotoneCircuit(n)
     cur = _walk_power_entries(circuit, ceil_log2(l), TERMINAL_ENTRY)
     circuit.set_outputs([int(cur[0, n - 1])])
     return circuit
@@ -213,7 +212,7 @@ def build_reach_exact(n: int, l: int) -> MonotoneCircuit:
     Emits the products of `_exact_plan`, each only at the entries a later
     product or the output reads."""
     plan = _exact_plan(n, l)
-    circuit = new_circuit(n)
+    circuit = MonotoneCircuit(n)
     out = _emit_plan(circuit, plan, TERMINAL_ENTRY, absorb=False)
     circuit.set_outputs([int(out[0, n - 1])])
     return circuit
@@ -303,7 +302,7 @@ def compose_family(family: CoveringFamily, inner: MonotoneCircuit):
     if n < 2:
         raise InvalidParameterError("family universe must have n >= 2")
     slots = inner.num_vertices
-    circuit = new_circuit(n)
+    circuit = MonotoneCircuit(n)
     closure = _walk_power_entries(circuit, ceil_log2(2 * p.d), _read_pattern(inner))
 
     clone_outs = []

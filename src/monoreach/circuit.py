@@ -297,23 +297,24 @@ class MonotoneCircuit:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _trees(self) -> tuple[np.ndarray, np.ndarray]:
-        """(parent, root) of every gate, as int32 arrays.
+    def _folds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(root, joins) of every gate: an int32 and a bool array.
 
-        A gate that exactly one gate reads, and that is not an output,
-        belongs to its reader's tree: its parent is that reader.  Every
-        other gate has parent -1 and roots a tree of its own.  root is the
-        root of each gate's tree.
+        A gate joins its reader's fold when exactly one gate reads it, that
+        reader is an OR gate, and the gate is not an output.  root is the
+        gate whose fold each gate is in, itself for a gate that joins no
+        fold.  joins has a spare last entry, False, for reads of an input or
+        the zero wire.
         """
         n0 = self.num_inputs + 1
-        _, lefts, rights = self.gates()
+        ops, lefts, rights = self.gates()
         ng = len(self._ops)
         # root first holds the last gate that reads each gate, or -1, and
         # -2 for an output.  parent then gets the first, from the top down:
         # every reader of a gate comes after it, so once a band's reads are
         # seen, its own gates are complete.  A gate whose first and last
-        # readers are one gate has it as parent.  A read of an input or the
-        # zero wire goes to a spare last entry.
+        # readers are one OR gate has it as parent.  A read of an input or
+        # the zero wire goes to a spare last entry.
         root = np.full(ng + 1, -1, dtype=np.int32)
         for lo, hi in _bands(ng):
             gates = np.arange(lo, hi, dtype=np.int32)
@@ -326,10 +327,10 @@ class MonotoneCircuit:
             for wires in (lefts, rights):
                 np.minimum.at(parent, np.maximum(wires[lo:hi] - n0, -1), gates)
             up = parent[lo:hi]
-            up[up != root[lo:hi]] = -1
+            up[(up != root[lo:hi]) | (ops.take(up, mode="clip") != OR)] = -1
             # Pointer jumping: a gate points at a root of a later band or at
             # a gate of its own, and each pass doubles how far it looks up
-            # its tree.
+            # its fold.
             up = np.where(up >= 0, up, gates)
             while True:
                 root[lo:hi] = up
@@ -337,21 +338,20 @@ class MonotoneCircuit:
                 if np.array_equal(jumped, up):
                     break
                 up = jumped
-        return parent[:ng], root[:ng]
+        joins = parent >= 0
+        joins[ng] = False
+        return root[:ng], joins
 
     def _plan(self) -> _Plan:
         """The steps evaluate_batch runs, cached per gate count.
 
-        Trees (see ``_trees``) run in the file order of their roots.  A
-        sum-of-products tree, one of more than one gate whose root is OR and
-        whose AND gates each read two wires outside the tree, is one step
-        that stores only its root's value: the OR of its leaves, which are
-        its AND gates and the outside operands of its OR gates.  The gates
-        of any other tree are one step each, in file order.  So each tree
-        runs just before its root, and an operand outside a gate's tree is
-        some earlier tree's root: the order is topological.  Values are
-        numbered by step: the inputs and the zero wire keep their ids, and
-        step t stores value n0 + t.
+        Each gate that joins no fold (see ``_folds``) is one step, in file
+        order.  The step stores the OR of its fold's leaves: its AND gates,
+        each the AND of two values, and the operands of its OR gates that
+        join no fold.  An operand joins a fold only through the OR gate that
+        reads it, so every value a step reads was stored by an earlier step:
+        the order is topological.  Values are numbered by step: the inputs
+        and the zero wire keep their ids, and step t stores value n0 + t.
 
         Arrays with one entry per gate are int32 or smaller, and every
         temporary holds one band of gates (``SCAN_BAND``).
@@ -362,136 +362,91 @@ class MonotoneCircuit:
             return cached[1]
         n0 = self.num_inputs + 1
         ops, lefts, rights = self.gates()
-        parent, root = self._trees()
-        flags, num_steps, fold_roots, fold_at, and_counts = _number_trees(ops, lefts, rights, n0, parent, root)
-        del parent
-        num_leaves = int(and_counts.sum())
-        spare = n0 + num_steps
+        root, joins = self._folds()
+        num_steps = ng - int(np.count_nonzero(joins))
 
-        codes = np.zeros(num_steps, dtype=np.uint8)
-        plan_lefts, step_lefts = _int_buffer(num_steps)
-        plan_rights, step_rights = _int_buffer(num_steps)
-        plan_and_lefts, and_lefts = _int_buffer(num_leaves)
-        plan_and_rights, and_rights = _int_buffer(num_leaves)
-        plains = [(np.zeros(0, dtype=np.int32),) * 2]
+        def leaves(lo, hi):
+            """Which gates of a band are AND, the step of each AND gate, and
+            the step and wire of each operand of its OR gates that joins no
+            fold, in file order, left before right."""
+            step = root[lo:hi]
+            is_and = ops[lo:hi] == AND
+            ors = ~is_and
+            operands = np.stack((lefts[lo:hi][ors], rights[lo:hi][ors]), axis=1).ravel()
+            plain = ~joins[np.maximum(operands - n0, -1)]
+            return is_and, step[is_and], np.repeat(step[ors], 2)[plain], operands[plain]
 
         def values(wires):
-            return np.where(wires < n0, wires, root[np.maximum(wires - n0, 0)])
+            return np.where(wires < n0, wires, n0 + root[np.maximum(wires - n0, 0)])
 
-        # The gates of a tree that does not fold claim their step indices
-        # from its root's entry of root, and the AND leaves of a folded tree
-        # claim their indices in and_lefts the same way.  Then root[g]
-        # becomes the value id of gate g: n0 plus its step's index, or, for
-        # a gate inside a folded tree, the spare id, which a folded root may
-        # read.  Operands come before their readers, so they are value ids
-        # by then.
+        # The steps are numbered down the bands, from the last: each band's
+        # own steps first, then its joined gates take their root's step,
+        # which is in this band or a later one.  root[g] becomes the step of
+        # gate g, and each step's leaves are counted.
+        plan_and_counts, and_counts = _int_buffer(num_steps)
+        plan_plain_counts, plain_counts = _int_buffer(num_steps)
+        first = num_steps
+        for lo, hi in reversed(_bands(ng)):
+            step, inside = root[lo:hi], joins[lo:hi]
+            own = np.flatnonzero(~inside)
+            first -= own.size
+            step[own] = np.arange(first, first + own.size, dtype=np.int32)
+            step[inside] = root[step[inside]]
+            _, ands, plains, _ = leaves(lo, hi)
+            _count(and_counts, ands)
+            _count(plain_counts, plains)
+        outputs = [o if o < n0 else n0 + int(root[o - n0]) for o in self.outputs]
+
+        # Each step's leaves, in file order, claimed by a stable counting
+        # sort a band at a time.  last_use[v] is the last step that reads
+        # value v, or num_steps for an output or a value nothing reads:
+        # never freed.
+        plan_and_lefts, and_lefts = _int_buffer(int(and_counts.sum()))
+        plan_and_rights, and_rights = _int_buffer(and_lefts.size)
+        plan_plains, plain_values = _int_buffer(int(plain_counts.sum()))
+        and_claims = np.cumsum(and_counts, dtype=np.int32) - and_counts
+        plain_claims = np.cumsum(plain_counts, dtype=np.int32) - plain_counts
+        last_use = np.full(n0 + num_steps, -1, dtype=np.int32)
         for lo, hi in _bands(ng):
-            gates = np.arange(lo, hi, dtype=np.int32)
-            band = flags[lo:hi]
-            inside = band & _INSIDE != 0
-            tree = np.where(inside, root[lo:hi], gates)
-            band |= flags[tree] & _FOLDED
-            folded = band & _FOLDED != 0
-            is_or = ops[lo:hi] == OR
-            step = ~folded | ~inside
-            leaf = folded & ~is_or
-            index = np.empty(hi - lo, dtype=np.int32)
-            claims = inside & (step | leaf)
-            index[claims] = _claim(tree[claims], root)
-            # A root is the last gate of its tree: its entry is its own
-            # index, unless its tree folds.
-            index[~inside] = root[lo:hi][~inside]
-            fold = ~inside & folded
-            index[fold] = fold_at[np.searchsorted(fold_roots, gates[fold])]
-            t = index[step]
-            root[lo:hi] = spare
-            root[lo:hi][step] = n0 + t
-            left, right = lefts[lo:hi], rights[lo:hi]
-            step_lefts[t] = values(left[step])
-            step_rights[t] = values(right[step])
-            codes[t] = is_or[step] * np.uint8(4)
-            t = index[leaf]
-            and_lefts[t] = values(left[leaf])
-            and_rights[t] = values(right[leaf])
-            # A folded tree's plain leaves: the operands of its OR gates that
-            # are not gates of the tree, left before right, with the index of
-            # their fold.
-            ors = folded & is_or & (band & _CHILDREN != _CHILDREN)
-            slots = np.stack((band[ors] & _LEFT_CHILD == 0, band[ors] & _RIGHT_CHILD == 0), axis=1).ravel()
-            operands = np.stack((values(left[ors]), values(right[ors])), axis=1).ravel()
-            fold_of = np.repeat(np.searchsorted(fold_roots, tree[ors]).astype(np.int32), 2)
-            plains.append((fold_of[slots], operands[slots]))
-        outputs = [o if o < n0 else int(root[o - n0]) for o in self.outputs]
-        del root, flags, fold_roots
-        # The plain leaves, grouped by fold in step order.
-        fold_of, operands = map(np.concatenate, zip(*plains))
-        del plains
-        plain_counts = np.zeros(fold_at.size, dtype=np.int32)
-        _count(plain_counts, fold_of)
-        claims = np.cumsum(plain_counts, dtype=np.int32) - plain_counts
-        plan_plains, plain_values = _int_buffer(fold_of.size)
-        for lo, hi in _bands(fold_of.size):
-            plain_values[_claim(fold_of[lo:hi], claims)] = operands[lo:hi]
-        del fold_of, operands, claims
-
-        # last_use[v] is the last step that reads value v, or one past the
-        # last step for an output or a value nothing reads: never freed.  A
-        # folded root's own operands count as its reads: they are its plain
-        # leaves or the spare id.
-        at = np.arange(num_steps, dtype=np.int32)
-        last_use = np.full(spare + 1, -1, dtype=np.int32)
-        and_at = np.repeat(fold_at, and_counts)
-        for reads, by in (
-            (step_lefts, at),
-            (step_rights, at),
-            (and_lefts, and_at),
-            (and_rights, and_at),
-            (plain_values, np.repeat(fold_at, plain_counts)),
-        ):
-            for lo, hi in _bands(reads.size):
-                np.maximum.at(last_use, reads[lo:hi], by[lo:hi])
-        del and_at, and_lefts, and_rights, plain_values
+            is_and, ands, plains, operands = leaves(lo, hi)
+            at = _claim(ands, and_claims)
+            for placed, wires in ((and_lefts, lefts), (and_rights, rights)):
+                reads = values(wires[lo:hi][is_and])
+                placed[at] = reads
+                np.maximum.at(last_use, reads, ands)
+            reads = values(operands)
+            plain_values[_claim(plains, plain_claims)] = reads
+            np.maximum.at(last_use, reads, plains)
+        del root, joins, and_claims, plain_claims
         last_use[outputs] = num_steps
         last_use[last_use < 0] = num_steps
-        codes += _take(last_use, step_lefts) == at
-        codes += (_take(last_use, step_rights) == at) * np.uint8(2)
-        codes[fold_at] = 8
-        step_lefts[fold_at] = and_counts
-        step_rights[fold_at] = plain_counts
-        last_use = last_use[:-1]
-        del at, step_lefts, step_rights, and_counts, plain_counts
-        # The values a folded tree reads for the last time, freed after it,
-        # grouped by tree in step order.  evaluate_batch starts out holding
-        # the n0 inputs and zero wire.  Step t stores one value, then frees
-        # each value it reads for the last time, so after step t it holds
-        # n0 - lag[t] values, where lag[t] is the values freed at steps <= t
-        # less t + 1.
-        freed_at = np.zeros(num_steps + 1, dtype=bool)
-        freed_at[fold_at] = True
+
+        # The values each step reads for the last time, freed after it, in
+        # step order.  evaluate_batch starts out holding the n0 inputs and
+        # zero wire.  Step t stores one value, then frees the values it reads
+        # for the last time, so after step t it holds n0 - lag[t] values,
+        # where lag[t] is the values freed at steps <= t less t + 1.
         lag = np.zeros(num_steps + 1, dtype=np.int32)
         _count(lag, last_use)
-        plan_free_counts, free_counts = _int_buffer(fold_at.size)
-        free_counts[:] = lag[fold_at]
-        frees = _nonzero(_take(freed_at, last_use))
-        del freed_at
+        plan_free_counts, free_counts = _int_buffer(num_steps)
+        free_counts[:] = lag[:num_steps]
+        frees = _nonzero(last_use < num_steps)
         plan_frees, freed = _int_buffer(frees.size)
-        claims = np.zeros(num_steps + 1, dtype=np.int32)
-        claims[fold_at] = np.cumsum(free_counts, dtype=np.int32) - free_counts
+        claims = np.cumsum(free_counts, dtype=np.int32) - free_counts
         for lo, hi in _bands(frees.size):
             freed[_claim(last_use[frees[lo:hi]], claims)] = frees[lo:hi]
         del freed, frees, claims, last_use
         lag = lag[:num_steps] - 1
         np.cumsum(lag, out=lag)
         plan = _Plan(
-            codes.tobytes(),
-            plan_lefts,
-            plan_rights,
-            outputs,
+            plan_and_counts,
+            plan_plain_counts,
+            plan_free_counts,
             plan_and_lefts,
             plan_and_rights,
             plan_plains,
             plan_frees,
-            plan_free_counts,
+            outputs,
             n0 - int(lag.min(initial=0)),
         )
         self._plan_cache = (ng, plan)
@@ -504,11 +459,10 @@ class MonotoneCircuit:
         evaluate_batch reuses the plan this builds."""
         return self._plan().peak
 
-    def eval_steps(self) -> tuple[int, int]:
-        """(steps, folded trees) of the plan evaluate_batch runs: each folded
-        sum-of-products tree is one of the steps."""
-        codes = self._plan().codes
-        return len(codes), codes.count(8)
+    def eval_steps(self) -> int:
+        """Steps of the plan evaluate_batch runs: one per gate that joins no
+        fold."""
+        return len(self._plan().and_counts)
 
     def evaluate_batch(self, input_masks) -> list[int]:
         """Evaluate on many assignments at once, bit-parallel over Python ints.
@@ -516,38 +470,26 @@ class MonotoneCircuit:
         ``input_masks[e]`` packs one bit per assignment for input wire e, so
         one call walks the gates once for every assignment its masks hold.
         Returns one packed mask per output.  The steps run in the order of
-        ``_plan``: a sum-of-products tree is one OR over its leaves, any
-        other gate one AND or OR, and each value is freed after the last
-        step that reads it, so few values are live at once.
+        ``_plan``: each is one OR over its fold's leaves, and each value is
+        freed after the last step that reads it, so few values are live at
+        once.
         """
         if len(input_masks) != self.num_inputs:
             raise InvalidParameterError(f"expected {self.num_inputs} input masks, got {len(input_masks)}")
         if not self.outputs:
             raise InvalidParameterError("circuit has no outputs")
         plan = self._plan()
-        and_lefts, and_rights, plains, frees, free_counts = map(
-            iter, (plan.and_lefts, plan.and_rights, plan.plains, plan.frees, plan.free_counts)
-        )
+        and_lefts, and_rights, plains, frees = map(iter, (plan.and_lefts, plan.and_rights, plan.plains, plan.frees))
         vals = [int(m) for m in input_masks]
         vals.append(0)  # the zero wire
         put = vals.append
         get = vals.__getitem__
         with _gc_paused():
-            for code, a, b in zip(plan.codes, plan.lefts, plan.rights):
-                if code & 8:  # a folded tree of a AND leaves and b plain leaves
-                    ands = map(and_, map(get, islice(and_lefts, a)), map(get, islice(and_rights, a)))
-                    put(reduce(or_, chain(ands, map(get, islice(plains, b)))))
-                    for w in islice(frees, next(free_counts)):
-                        vals[w] = None
-                    continue
-                x = vals[a]
-                y = vals[b]
-                put((x | y) if code & 4 else (x & y))
-                if code & 3:
-                    if code & 1:
-                        vals[a] = None
-                    if code & 2:
-                        vals[b] = None
+            for a, b, f in zip(plan.and_counts, plan.plain_counts, plan.free_counts):
+                ands = map(and_, map(get, islice(and_lefts, a)), map(get, islice(and_rights, a)))
+                put(reduce(or_, chain(ands, map(get, islice(plains, b)))))
+                for w in islice(frees, f):
+                    vals[w] = None
         return [vals[o] for o in plan.outputs]
 
     def evaluate_all(self, matrix: "AdjacencyMatrix") -> tuple[int, ...]:
@@ -569,25 +511,20 @@ class MonotoneCircuit:
 class _Plan:
     """The steps of evaluate_batch, in order, and their live-value peak.
 
-    Step t has codes[t], lefts[t] and rights[t].  Code 8 is a folded tree:
-    its value is the OR of its lefts[t] AND leaves, the pairs read in turn
-    from and_lefts and and_rights, and its rights[t] plain leaves, read in
-    turn from plains; after it, the next free_counts entry says how many
-    values to free, read in turn from frees.  Any other code is one gate of
-    values lefts[t] and rights[t]: bit 2 is set for OR, and bit 0 (bit 1)
-    when the step is the last reader of its left (right) value, which it
-    then frees.  Outputs are never freed.
+    Step t stores the OR of its and_counts[t] AND leaves, the pairs read in
+    turn from and_lefts and and_rights, and of its plain_counts[t] plain
+    leaves, read in turn from plains.  Then it frees free_counts[t] values,
+    read in turn from frees.  Outputs are never freed.
     """
 
-    codes: bytes
-    lefts: array
-    rights: array
-    outputs: list[int]
+    and_counts: array
+    plain_counts: array
+    free_counts: array
     and_lefts: array
     and_rights: array
     plains: array
     frees: array
-    free_counts: array
+    outputs: list[int]
     peak: int
 
 
@@ -595,66 +532,9 @@ class _Plan:
 # gate, and temporaries of at most one band of this many entries.
 SCAN_BAND = 1 << 16
 
-# Flags of a gate while _plan runs.
-_INSIDE = 1  # it has a parent
-_LEFT_CHILD = 2  # its left operand is a gate it is the parent of
-_RIGHT_CHILD = 4  # its right operand is a gate it is the parent of
-_CHILDREN = _LEFT_CHILD | _RIGHT_CHILD
-_NO_FOLD = 8  # it roots a tree with an AND gate that is a parent
-_FOLDED = 16  # its tree folds
-
-
 def _bands(size: int) -> list[tuple[int, int]]:
     """(lo, hi) of each band of SCAN_BAND entries of range(size)."""
     return [(lo, min(lo + SCAN_BAND, size)) for lo in range(0, size, SCAN_BAND)]
-
-
-def _number_trees(ops, lefts, rights, n0: int, parent: np.ndarray, root: np.ndarray):
-    """Flag every gate and number the trees, in one sweep up the gates.
-
-    Trees run in the file order of their roots.  A tree that folds is one
-    step, and its AND gates are its leaves; any other tree is one step per
-    gate.  Each root's entry of root counts its tree's gates down from the
-    root's own id, and its entry of parent counts the tree's AND gates down
-    from -1, so that it still names no reader.  A gate's children are its
-    operands, and a root is the last gate of its tree, so once a band is
-    swept, its flags and its roots' counts are complete.  Each root's entry
-    of root then says where its tree's numbers start: its first step index
-    or, for a tree that folds, its first leaf index.  A tree folds when its
-    root is a parent and no AND gate of it, the root included, is a parent.
-
-    Returns the flags, the number of steps, and the root, step index and
-    AND gate count of each folded tree, in order.
-    """
-    flags = np.zeros(ops.size, dtype=np.uint8)
-    steps = leaves = 0
-    folds = [(np.zeros(0, dtype=np.int32),) * 3]
-    for lo, hi in _bands(ops.size):
-        gates = np.arange(lo, hi, dtype=np.int32)
-        band = flags[lo:hi]
-        # An input reads as the last gate, which no gate reads.
-        for wires, bit in ((lefts, _LEFT_CHILD), (rights, _RIGHT_CHILD)):
-            band |= (parent[np.maximum(wires[lo:hi] - n0, -1)] == gates) * np.uint8(bit)
-        inside = parent[lo:hi] >= 0
-        band |= inside  # _INSIDE
-        tree = np.where(inside, root[lo:hi], gates)
-        is_and = ops[lo:hi] == AND
-        flags[tree[(band & _CHILDREN != 0) & is_and]] |= _NO_FOLD
-        for counts, members in ((root, tree[inside]), (parent, tree[inside & is_and])):
-            np.subtract.at(counts, members, np.ones(members.size, dtype=np.int32))
-        own = gates[~inside]
-        roots = band[own - lo]
-        fold = (roots & _CHILDREN != 0) & (roots & _NO_FOLD == 0)
-        band[own - lo] = roots | fold * np.uint8(_FOLDED)
-        sizes = np.where(fold, 1, own - root[own] + 1)
-        ands = np.where(fold, -1 - parent[own], 0)
-        step_starts = steps + np.cumsum(sizes) - sizes
-        leaf_starts = leaves + np.cumsum(ands) - ands
-        root[own] = np.where(fold, leaf_starts, step_starts)
-        folds.append((own[fold], step_starts[fold], ands[fold]))
-        steps += int(sizes.sum())
-        leaves += int(ands.sum())
-    return (flags, steps, *(np.concatenate(f).astype(np.int32) for f in zip(*folds)))
 
 
 def _claim(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
@@ -680,14 +560,6 @@ def _count(counts: np.ndarray, keys: np.ndarray) -> None:
         np.add.at(counts, keys[lo:hi], np.ones(hi - lo, dtype=counts.dtype))
 
 
-def _take(values: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """values[index], a band at a time."""
-    out = np.empty(index.size, dtype=values.dtype)
-    for lo, hi in _bands(index.size):
-        out[lo:hi] = values[index[lo:hi]]
-    return out
-
-
 def _nonzero(mask: np.ndarray) -> np.ndarray:
     """The int32 indices where mask holds, a band at a time."""
     out = np.empty(np.count_nonzero(mask), dtype=np.int32)
@@ -703,10 +575,6 @@ def _int_buffer(size: int) -> tuple[array, np.ndarray]:
     """A zeroed array('i') of size entries, and an int32 view that writes it."""
     out = array("i", [0]) * size
     return out, np.frombuffer(out, dtype=np.intc)
-
-
-def new_circuit(num_vertices: int) -> MonotoneCircuit:
-    return MonotoneCircuit(num_vertices)
 
 
 def or_tree(circuit: MonotoneCircuit, wires) -> int:

@@ -232,11 +232,10 @@ def _cmd_stats(args, argv) -> int:
     # than MAX_CHECK_VERTICES vertices.  It is made before the depth scan,
     # so that the cached depths do not add to its peak memory.
     if circuit.num_vertices <= MAX_CHECK_VERTICES:
-        steps, folds = circuit.eval_steps()
         plan = [
             f"eval peak values: {circuit.live_peak()}",
             f"random-check batch: {random_batch_width(circuit)} graphs",
-            f"eval steps: {steps}, {folds} folded trees",
+            f"eval steps: {circuit.eval_steps()}",
         ]
     else:
         plan = [f"random-check batch: none, over {MAX_CHECK_VERTICES} vertices"]

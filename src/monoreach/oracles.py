@@ -344,6 +344,7 @@ def _compare(circuit: MonotoneCircuit, chunks, max_report: int) -> CheckReport:
         if picks:
             graphs = _graphs_at(masks, width, n, picks)
             mism += [(g, (expected >> t) & 1, (out >> t) & 1) for g, t in zip(graphs, picks)]
+        del masks  # not held while the next chunk is drawn
     return CheckReport(checked, skipped, mism)
 
 
@@ -535,3 +536,4 @@ def _planted_chunks(n: int, samples: int, seed: int, l: int | None):
             planted[e] |= mask << k
         del no_path  # not held while the chunk is evaluated
         yield planted, width, (1 << k) - 1, (1 << width) - 1
+        del planted  # nor the chunk while the next one is drawn

@@ -44,36 +44,36 @@ def build_walk_power(n, t):
     1 and 2**t edges exists.  Depth is exactly t * (1 + ceil(log2 n)) for
     n >= 2 (and 0 otherwise); diagonal entries report cycles, not the empty
     walk, so the all-zero input stays zero."""
-    circuit = mr.new_circuit(n)
+    circuit = mr.MonotoneCircuit(n)
     circuit.set_outputs(int(w) for w in _walk_power_entries(circuit, t, ALL_ENTRIES).ravel())
     return circuit
 
 
 class TestNewCircuit:
     def test_input_counts(self):
-        assert mr.new_circuit(2).num_inputs == 4
-        assert mr.new_circuit(1).num_inputs == 1
-        assert mr.new_circuit(5).num_inputs == 25
+        assert mr.MonotoneCircuit(2).num_inputs == 4
+        assert mr.MonotoneCircuit(1).num_inputs == 1
+        assert mr.MonotoneCircuit(5).num_inputs == 25
 
     def test_fresh_circuit_shape(self):
-        c = mr.new_circuit(3)
+        c = mr.MonotoneCircuit(3)
         assert c.gate_count == 0
         assert c.outputs == []
         assert c.zero == 9
 
     def test_zero_vertices_rejected(self):
         with pytest.raises(mr.InvalidParameterError):
-            mr.new_circuit(0)
+            mr.MonotoneCircuit(0)
 
 
 class TestAddGate:
     def test_returns_fresh_wire(self):
-        c = mr.new_circuit(2)
+        c = mr.MonotoneCircuit(2)
         w = c.add_gate(AND, c.input_wire(1, 1), c.input_wire(1, 2))
         assert w == c.num_inputs + 1  # first wire after inputs and zero
 
     def test_or_with_zero_is_identity(self):
-        c = mr.new_circuit(2)
+        c = mr.MonotoneCircuit(2)
         g12 = c.input_wire(1, 2)
         c.set_outputs([c.add_gate(OR, c.zero, g12)])
         for t in range(16):
@@ -81,19 +81,19 @@ class TestAddGate:
             assert c.evaluate(m) == m.entry(1, 2)
 
     def test_and_with_zero_annihilates(self):
-        c = mr.new_circuit(2)
+        c = mr.MonotoneCircuit(2)
         c.set_outputs([c.add_gate(AND, c.zero, c.input_wire(1, 2))])
         for t in range(16):
             m = AdjacencyMatrix(2, [t & 3, (t >> 2) & 3])
             assert c.evaluate(m) == 0
 
     def test_dangling_reference(self):
-        c = mr.new_circuit(2)
+        c = mr.MonotoneCircuit(2)
         with pytest.raises(mr.InvalidReferenceError):
             c.add_gate(AND, 0, 99)
 
     def test_bad_op(self):
-        c = mr.new_circuit(2)
+        c = mr.MonotoneCircuit(2)
         with pytest.raises(mr.InvalidParameterError):
             c.add_gate(7, 0, 1)
 
@@ -104,7 +104,7 @@ class TestAddGate:
         # the same gate table after.
         n = data.draw(st.integers(1, 3))
         prior = data.draw(st.integers(0, 3))
-        circuits = [mr.new_circuit(n) for _ in range(2)]
+        circuits = [mr.MonotoneCircuit(n) for _ in range(2)]
         for c in circuits:
             for g in range(prior):
                 c.append_gates([OR], [g], [c.zero])
@@ -128,27 +128,27 @@ class TestAddGate:
 
 class TestOrTree:
     def test_singleton_is_identity(self):
-        c = mr.new_circuit(2)
+        c = mr.MonotoneCircuit(2)
         w = c.input_wire(1, 1)
         assert mr.or_tree(c, [w]) == w
         assert c.gate_count == 0
 
     def test_six_wires_depth_three(self):
-        c = mr.new_circuit(3)
+        c = mr.MonotoneCircuit(3)
         out = mr.or_tree(c, list(range(6)))
         c.set_outputs([out])
         assert c.depth() == 3  # ceil(log2 6)
 
     def test_empty_rejected(self):
-        c = mr.new_circuit(2)
+        c = mr.MonotoneCircuit(2)
         with pytest.raises(mr.InvalidParameterError):
             mr.or_tree(c, [])
 
     def test_eight_wires_matches_fold(self):
         # Oracle: a left fold of OR gates over the same wires.
-        tree = mr.new_circuit(3)
+        tree = mr.MonotoneCircuit(3)
         tree.set_outputs([mr.or_tree(tree, list(range(8)))])
-        fold = mr.new_circuit(3)
+        fold = mr.MonotoneCircuit(3)
         fold.set_outputs([reduce(lambda a, b: fold.add_gate(OR, a, b), range(8))])
         for one_hot in range(9):
             bits = [0] * 9
@@ -164,7 +164,7 @@ class TestOrTree:
 
 class TestBandedProduct:
     def test_single_vertex(self):
-        c = mr.new_circuit(1)
+        c = mr.MonotoneCircuit(1)
         a = inputs(c)
         prod = product(c, a, a)
         c.set_outputs([int(prod[0, 0])])
@@ -172,7 +172,7 @@ class TestBandedProduct:
         assert c.depth() == 1
 
     def test_added_depth_n4(self):
-        c = mr.new_circuit(4)
+        c = mr.MonotoneCircuit(4)
         a = inputs(c)
         prod = product(c, a, a)
         c.set_outputs(int(w) for w in prod.ravel())
@@ -185,7 +185,7 @@ class TestBandedProduct:
                 for i in range(n)
             ]
 
-        c = mr.new_circuit(3)
+        c = mr.MonotoneCircuit(3)
         a = inputs(c)
         sq = product(c, a, a)
         cube = product(c, sq, a)
@@ -204,7 +204,7 @@ class TestBandedProduct:
 
 class TestEvaluate:
     def test_projection(self):
-        c = mr.new_circuit(2)
+        c = mr.MonotoneCircuit(2)
         c.set_outputs([c.input_wire(1, 2)])
         assert c.evaluate(matrix_of(2, (1, 2))) == 1
         assert c.evaluate(matrix_of(2, (2, 1))) == 0
@@ -232,12 +232,12 @@ class TestEvaluate:
 
 class TestDepth:
     def test_no_gates(self):
-        c = mr.new_circuit(2)
+        c = mr.MonotoneCircuit(2)
         c.set_outputs([c.input_wire(1, 2)])
         assert c.depth() == 0
 
     def test_single_gate(self):
-        c = mr.new_circuit(2)
+        c = mr.MonotoneCircuit(2)
         c.set_outputs([c.add_gate(AND, 0, 1)])
         assert c.depth() == 1
 
@@ -286,12 +286,12 @@ class TestWellFormed:
         assert circuit_to_text(c) == text
 
     def test_no_outputs_caught(self):
-        c = mr.new_circuit(2)
+        c = mr.MonotoneCircuit(2)
         c.add_gate(AND, 0, 1)
         assert well_formed(c) == "circuit has no outputs"
 
     def test_bad_op_caught(self):
-        c = mr.new_circuit(2)
+        c = mr.MonotoneCircuit(2)
         for ops, op in (([AND, 9], 9), ([2, OR], 2), ([-1, AND], -1)):
             with pytest.raises(mr.InvalidParameterError, match=f"^unknown gate op {op}$"):
                 c.append_gates(ops, [0, 1], [1, 2])
@@ -319,7 +319,7 @@ def random_circuit(data, max_gates=40):
     """A random circuit whose operands lean on recent wires, so it has
     single-reader trees; outputs may be inputs, the zero wire, repeats, or
     gates that later gates read."""
-    c = mr.new_circuit(data.draw(st.integers(1, 3)))
+    c = mr.MonotoneCircuit(data.draw(st.integers(1, 3)))
     for _ in range(data.draw(st.integers(0, max_gates))):
         op = data.draw(st.sampled_from([AND, OR]))
         w = c.num_wires
@@ -339,10 +339,11 @@ def file_order_eval(c, masks):
     return [vals[o] for o in c.outputs]
 
 
-def per_gate_trees(c):
-    """(parent, root) of every gate by per-gate loops: a gate with exactly
-    one reader gate that is not an output has that reader as parent (-1
-    otherwise), and root follows parents to the top."""
+def per_gate_folds(c):
+    """(root, joins) of every gate by per-gate loops: a gate whose only
+    reader gate is an OR gate, and that is not an output, joins that
+    reader's fold; root follows the joins to the top.  joins ends with a
+    spare False."""
     n0 = c.num_inputs + 1
     readers = [set() for _ in range(c.gate_count)]
     for g, (a, b) in enumerate(zip(c._lefts, c._rights)):
@@ -350,76 +351,53 @@ def per_gate_trees(c):
             if w >= n0:
                 readers[w - n0].add(g)
     outs = set(c.outputs)
-    parent = [next(iter(r)) if len(r) == 1 and g + n0 not in outs else -1 for g, r in enumerate(readers)]
+    parent = [-1] * c.gate_count
+    for g, r in enumerate(readers):
+        if len(r) == 1 and c._ops[min(r)] == OR and g + n0 not in outs:
+            parent[g] = min(r)
     root = list(range(c.gate_count))
     for g in range(c.gate_count - 1, -1, -1):
         if parent[g] >= 0:
             root[g] = root[parent[g]]
-    return parent, root
+    return root, [p >= 0 for p in parent] + [False]
 
 
 def per_gate_plan(c):
-    """The fields of c._plan() by per-gate loops.  Trees run in their roots'
-    file order.  A tree of more than one gate whose root is OR, and whose
-    AND gates read only wires outside it, is one folded step over its AND
-    gates (in file order) and its OR gates' outside operands (in file
-    order, left before right); any other tree is one step per gate, in file
-    order.  Each value is freed after the last step that reads it, unless
-    it is an output."""
+    """The fields of c._plan() by per-gate loops.  Each gate that joins no
+    fold is one step, in file order, over its fold's AND gates (in file
+    order) and the operands of its OR gates that join no fold (in file
+    order, left before right).  Each value is freed after the last step
+    that reads it, unless it is an output."""
     n0 = c.num_inputs + 1
-    _, root = per_gate_trees(c)
-    trees = {}
-    for g in range(c.gate_count):
-        trees.setdefault(root[g], []).append(g)
-
-    def outside(w, r):
-        return w < n0 or root[w - n0] != r
-
-    def folds(r):
-        return len(trees[r]) > 1 and c._ops[r] == OR and all(
-            c._ops[g] == OR or (outside(c._lefts[g], r) and outside(c._rights[g], r)) for g in trees[r]
-        )
-
-    steps = []  # ("gate", g) or ("fold", root)
-    for r in sorted(trees):
-        steps += [("fold", r)] if folds(r) else [("gate", g) for g in trees[r]]
+    root, joins = per_gate_folds(c)
+    steps = [g for g in range(c.gate_count) if not joins[g]]
     slot = list(range(n0)) + [None] * c.gate_count
-    for t, (_, g) in enumerate(steps):
+    for t, g in enumerate(steps):
         slot[n0 + g] = n0 + t
-    reads, leaves = [], []
-    for kind, g in steps:
-        if kind == "gate":
-            reads.append([slot[c._lefts[g]], slot[c._rights[g]]])
-            continue
-        ands = [(slot[c._lefts[m]], slot[c._rights[m]]) for m in trees[g] if c._ops[m] == AND]
-        plains = [slot[w] for m in trees[g] if c._ops[m] == OR for w in (c._lefts[m], c._rights[m]) if outside(w, g)]
-        leaves.append((ands, plains))
-        reads.append([v for pair in ands for v in pair] + plains)
+    folds = {g: [] for g in steps}
+    for g in range(c.gate_count):
+        folds[root[g]].append(g)
+    plan = dict(and_counts=[], plain_counts=[], free_counts=[], and_lefts=[], and_rights=[], plains=[], frees=[],
+                outputs=[slot[o] for o in c.outputs])
+    reads = []
+    for g in steps:
+        pairs = [(slot[c._lefts[m]], slot[c._rights[m]]) for m in folds[g] if c._ops[m] == AND]
+        plains = [slot[w] for m in folds[g] if c._ops[m] == OR for w in (c._lefts[m], c._rights[m])
+                  if w < n0 or not joins[w - n0]]
+        plan["and_counts"].append(len(pairs))
+        plan["plain_counts"].append(len(plains))
+        plan["and_lefts"] += [a for a, _ in pairs]
+        plan["and_rights"] += [b for _, b in pairs]
+        plan["plains"] += plains
+        reads.append([v for pair in pairs for v in pair] + plains)
     last_use = {}
     for t, vs in enumerate(reads):
         for v in vs:
             last_use[v] = t
-    outputs = [slot[o] for o in c.outputs]
-    for o in outputs:
+    for o in plan["outputs"]:
         last_use.pop(o, None)
-    plan = dict(codes=[], lefts=[], rights=[], outputs=outputs, and_lefts=[], and_rights=[], plains=[], frees=[],
-                free_counts=[])
-    fold_leaves = iter(leaves)
-    for t, ((kind, g), vs) in enumerate(zip(steps, reads)):
-        if kind == "gate":
-            a, b = vs
-            plan["codes"].append(4 * (c._ops[g] == OR) + (last_use.get(a) == t) + 2 * (last_use.get(b) == t))
-            plan["lefts"].append(a)
-            plan["rights"].append(b)
-            continue
-        ands, plains = next(fold_leaves)
+    for t, vs in enumerate(reads):
         freed = sorted({v for v in vs if last_use.get(v) == t})
-        plan["codes"].append(8)
-        plan["lefts"].append(len(ands))
-        plan["rights"].append(len(plains))
-        plan["and_lefts"] += [a for a, _ in ands]
-        plan["and_rights"] += [b for _, b in ands]
-        plan["plains"] += plains
         plan["frees"] += freed
         plan["free_counts"].append(len(freed))
     return plan
@@ -428,8 +406,8 @@ def per_gate_plan(c):
 def plan_fields(c):
     """c._plan() without its peak, as lists."""
     p = c._plan()
-    return {k: list(getattr(p, k)) for k in ("codes", "lefts", "rights", "outputs", "and_lefts", "and_rights", "plains",
-                                             "frees", "free_counts")}
+    return {k: list(getattr(p, k)) for k in ("and_counts", "plain_counts", "free_counts", "and_lefts", "and_rights",
+                                             "plains", "frees", "outputs")}
 
 
 def per_gate_codes(lefts, rights, ops, outputs, num_wires):
@@ -463,24 +441,18 @@ def peak_live(num_inputs, codes, lefts, rights):
 def replayed_peak(c):
     """Most non-None values of evaluate_batch's value list, before the first
     step or after any step's releases, by replaying the plan step by step
-    with placeholder values.  Every value a step reads, and every output,
-    must not have been freed."""
+    with placeholder values.  Every step reads at least one value, every
+    value a step reads, and every output, must not have been freed."""
     p = c._plan()
-    and_lefts, and_rights, plains, frees, free_counts = map(iter, (p.and_lefts, p.and_rights, p.plains, p.frees,
-                                                                   p.free_counts))
+    and_lefts, and_rights, plains, frees = map(iter, (p.and_lefts, p.and_rights, p.plains, p.frees))
     vals = [object() for _ in range(c.num_inputs + 1)]
     peak = len(vals)
-    for code, a, b in zip(p.codes, p.lefts, p.rights):
-        if code & 8:
-            reads = [next(it) for it, k in ((and_lefts, a), (and_rights, a), (plains, b)) for _ in range(k)]
-            released = [next(frees) for _ in range(next(free_counts))]
-        else:
-            reads = [a, b]
-            released = [w for w, bit in ((a, 1), (b, 2)) if code & bit]
-        assert all(vals[v] is not None for v in reads)
+    for a, b, f in zip(p.and_counts, p.plain_counts, p.free_counts):
+        reads = [next(it) for it, k in ((and_lefts, a), (and_rights, a), (plains, b)) for _ in range(k)]
+        assert reads and all(vals[v] is not None for v in reads)
         vals.append(object())
-        for v in released:
-            vals[v] = None
+        for _ in range(f):
+            vals[next(frees)] = None
         peak = max(peak, sum(v is not None for v in vals))
     assert all(vals[o] is not None for o in p.outputs)
     return peak
@@ -494,7 +466,7 @@ def sop_circuit(data, max_trees=6):
     OR shape, an AND gate over an OR gate of its own tree, AND roots, and
     outputs on any wire, a tree's leaves included; zero trees and so zero
     gates too."""
-    c = mr.new_circuit(data.draw(st.integers(1, 3)))
+    c = mr.MonotoneCircuit(data.draw(st.integers(1, 3)))
     wires = list(range(c.num_wires))
     for _ in range(data.draw(st.integers(0, max_trees))):
         def wire():
@@ -552,7 +524,7 @@ class TestPlan:
     def test_covers_the_corner_cases(self):
         # a == b, outputs on an input, the zero wire and a repeated gate,
         # and an output gate that a later gate reads.
-        c = mr.new_circuit(2)  # inputs 0..3, zero wire 4
+        c = mr.MonotoneCircuit(2)  # inputs 0..3, zero wire 4
         g5 = c.add_gate(AND, 1, 1)
         g6 = c.add_gate(OR, g5, g5)
         g7 = c.add_gate(AND, 0, 2)
@@ -568,65 +540,91 @@ class TestPlan:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_order_is_a_topological_permutation(self, data):
-        # Every gate runs once, as a step or inside one folded step, and
-        # every value a step reads is stored by an earlier step, not freed.
+        # Every gate runs once, inside the step of its fold, and every value
+        # a step reads is stored by an earlier step, not freed.
         c = data.draw(st.sampled_from([random_circuit, sop_circuit]))(data)
-        parent, root = c._trees()
-        assert (parent.tolist(), root.tolist()) == per_gate_trees(c)
+        root, joins = c._folds()
+        assert (root.tolist(), joins.tolist()) == per_gate_folds(c)
         assert plan_fields(c) == per_gate_plan(c)
         replayed_peak(c)
 
     def test_runs_each_tree_before_its_root(self):
-        c = mr.new_circuit(2)
+        c = mr.MonotoneCircuit(2)
         leaf = c.add_gate(AND, 0, 1)  # read only by the last gate
         first = c.add_gate(AND, 2, 3)
         c.set_outputs([first, c.add_gate(OR, leaf, 2)])
-        # The tree of the last gate folds into one step after the other.
-        assert plan_fields(c) == dict(codes=[2, 8], lefts=[2, 1], rights=[3, 1], outputs=[5, 6], and_lefts=[0],
-                                      and_rights=[1], plains=[2], frees=[0, 1, 2], free_counts=[3])
-        assert c.eval_steps() == (2, 1)
+        # The first gate joins the fold of the last, one step after the other.
+        assert plan_fields(c) == dict(and_counts=[1, 1], plain_counts=[0, 1], free_counts=[1, 3], and_lefts=[2, 0],
+                                      and_rights=[3, 1], plains=[2], frees=[3, 0, 1, 2], outputs=[5, 6])
+        assert c.eval_steps() == 2
 
     def test_shapes_that_fold(self):
         # Inputs 0..8, zero wire 9.
-        cases = {  # name: (gates, folded trees)
+        cases = {  # name: (gates, steps)
             "or_tree over inputs": (lambda c: mr.or_tree(c, range(7)), 1),
             "sum of products": (lambda c: mr.or_tree(c, [c.add_gate(AND, a, a + 1) for a in range(5)]), 1),
-            "AND root": (lambda c: c.add_gate(AND, c.add_gate(OR, 0, 1), 2), 0),
-            "AND over its own tree": (lambda c: c.add_gate(OR, c.add_gate(AND, c.add_gate(OR, 0, 1), 2), 3), 0),
-            "one OR gate": (lambda c: c.add_gate(OR, 0, c.zero), 0),
+            "AND root": (lambda c: c.add_gate(AND, c.add_gate(OR, 0, 1), 2), 2),
+            # The AND joins the top OR; the OR it reads is a step of its own.
+            "AND over its own tree": (lambda c: c.add_gate(OR, c.add_gate(AND, c.add_gate(OR, 0, 1), 2), 3), 2),
+            "one OR gate": (lambda c: c.add_gate(OR, 0, c.zero), 1),
         }
-        for name, (build, folded) in cases.items():
-            c = mr.new_circuit(3)
+        for name, (build, steps) in cases.items():
+            c = mr.MonotoneCircuit(3)
             c.set_outputs([build(c)])
-            assert c.eval_steps()[1] == folded, name
+            assert c.eval_steps() == steps, name
             for t in range(2**9):
                 masks = [t >> e & 1 for e in range(9)]
                 assert c.evaluate_batch(masks) == file_order_eval(c, masks), name
 
     def test_an_output_inside_a_tree_is_its_own_step(self):
-        c = mr.new_circuit(2)
+        c = mr.MonotoneCircuit(2)
         inner = c.add_gate(AND, 0, 1)
         top = c.add_gate(OR, c.add_gate(OR, inner, 2), 3)
         c.set_outputs([top, inner])
         # inner is a step of its own, and the fold that reads it keeps it.
-        assert plan_fields(c)["codes"] == [3, 8]
-        assert plan_fields(c)["plains"] == [5, 2, 3]
-        assert plan_fields(c)["frees"] == [2, 3]
+        fields = plan_fields(c)
+        assert (fields["and_counts"], fields["plain_counts"]) == ([1, 0], [0, 3])
+        assert fields["plains"] == [5, 2, 3]
+        assert fields["frees"] == [0, 1, 2, 3]
         assert c.evaluate_batch([1, 1, 0, 0]) == [1, 1]
 
     def test_a_circuit_without_gates(self):
-        c = mr.new_circuit(2)
+        c = mr.MonotoneCircuit(2)
         c.set_outputs([3, c.zero, 0])
-        assert c.eval_steps() == (0, 0)
+        assert c.eval_steps() == 0
         assert c.live_peak() == replayed_peak(c) == 5
         assert c.evaluate_batch([1, 2, 4, 8]) == [8, 0, 1]
+
+    def test_an_or_gate_reading_one_joined_gate_twice(self):
+        # Inputs 0..3, zero wire 4.  Each gate's one reader is the OR after
+        # it, which reads it twice, so the whole circuit is one fold.
+        c = mr.MonotoneCircuit(2)
+        x = c.add_gate(AND, 0, 1)
+        y = c.add_gate(OR, x, x)
+        z = c.add_gate(OR, c.add_gate(OR, 2, 3), y)
+        c.set_outputs([c.add_gate(OR, z, z)])
+        assert plan_fields(c) == dict(and_counts=[1], plain_counts=[2], free_counts=[4], and_lefts=[0],
+                                      and_rights=[1], plains=[2, 3], frees=[0, 1, 2, 3], outputs=[5])
+        for t in range(16):
+            masks = [t >> e & 1 for e in range(4)]
+            assert c.evaluate_batch(masks) == file_order_eval(c, masks)
+
+    def test_a_theorem_build_is_few_steps(self):
+        # The single-reader region above its closures, where AND gates read
+        # OR gates of the same region, once ran one step per gate (70,494
+        # steps in all).
+        c = build_recursive(16, 12, 0)[0]
+        assert (c.gate_count, c.eval_steps(), c.live_peak()) == (93777, 1824, 1264)
+        rng = np.random.default_rng(5)
+        masks = [int.from_bytes(rng.bytes(8), "little") for _ in range(c.num_inputs)]
+        assert c.evaluate_batch(masks) == file_order_eval(c, masks)
 
     def test_peak_live_values(self):
         # File order keeps a whole band's AND leaves live before its OR
         # trees; the plan runs each entry's tree as one step.
         for circuit, in_file_order, in_plan_order, steps in (
-            (mr.build_explicit(16)[0], 4097, 509, (2480, 740)),
-            (mr.build_reach_leq(16, 15), 4097, 692, (2253, 483)),
+            (mr.build_explicit(16)[0], 4097, 482, 798),
+            (mr.build_reach_leq(16, 15), 4097, 482, 542),
         ):
             file_codes = per_gate_codes(circuit._lefts, circuit._rights, circuit._ops, circuit.outputs, circuit.num_wires)
             assert peak_live(circuit.num_inputs, file_codes, circuit._lefts, circuit._rights) == in_file_order
@@ -638,7 +636,7 @@ class TestGateCodes:
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_matches_per_gate_last_use(self, data):
-        c = mr.new_circuit(data.draw(st.integers(1, 3)))
+        c = mr.MonotoneCircuit(data.draw(st.integers(1, 3)))
         for _ in range(data.draw(st.integers(0, 40))):
             op = data.draw(st.sampled_from([AND, OR]))
             c.add_gate(op, data.draw(st.integers(0, c.num_wires - 1)), data.draw(st.integers(0, c.num_wires - 1)))
@@ -646,30 +644,30 @@ class TestGateCodes:
         assert plan_fields(c) == per_gate_plan(c)
 
     def test_add_gate_invalidates(self):
-        c = mr.new_circuit(2)
+        c = mr.MonotoneCircuit(2)
         g = c.add_gate(AND, 0, 1)
         c.set_outputs([g])
-        assert plan_fields(c)["codes"] == [3]
+        assert plan_fields(c)["frees"] == [0, 1]
         c.add_gate(OR, 0, 2)  # now the last reader of wire 0
         assert plan_fields(c) == per_gate_plan(c)
-        assert plan_fields(c)["codes"] == [2, 7]
+        assert (plan_fields(c)["free_counts"], plan_fields(c)["frees"]) == ([1, 2], [1, 0, 2])
         assert c.evaluate(matrix_of(2, (1, 1), (1, 2))) == 1
 
     def test_set_outputs_invalidates(self):
         # The first output's last reader releases it; a later evaluation
         # with it as the output must not find it released.
-        c = mr.new_circuit(2)
+        c = mr.MonotoneCircuit(2)
         g = c.add_gate(OR, 0, 1)
         h = c.add_gate(AND, g, 2)
         c.set_outputs([h])
         assert c.evaluate(matrix_of(2, (1, 1))) == 0
         c.set_outputs([g])
         assert plan_fields(c) == per_gate_plan(c)
-        assert plan_fields(c)["codes"] == [7, 2]
+        assert (plan_fields(c)["free_counts"], plan_fields(c)["frees"]) == ([2, 1], [0, 1, 2])
         assert c.evaluate(matrix_of(2, (1, 1))) == 1
 
     def test_prune_invalidates(self):
-        c = mr.new_circuit(2)
+        c = mr.MonotoneCircuit(2)
         dead = c.add_gate(AND, 0, 1)
         g = c.add_gate(OR, 0, 1)
         c.set_outputs([c.add_gate(AND, g, 3)])
@@ -678,7 +676,7 @@ class TestGateCodes:
         c.prune()
         assert c.gate_count == 2
         assert plan_fields(c) == per_gate_plan(c)
-        assert plan_fields(c)["codes"] == [7, 3]
+        assert (plan_fields(c)["free_counts"], plan_fields(c)["frees"]) == ([2, 2], [0, 1, 3, 5])
 
 
 class TestDepthCache:
@@ -697,7 +695,7 @@ class TestDepthCache:
         assert max(c.gate_count for c in scanned) == predict_gate_count("explicit", 16)
 
     def test_add_gate_and_prune_invalidate(self):
-        c = mr.new_circuit(2)
+        c = mr.MonotoneCircuit(2)
         c.add_gate(AND, 0, 1)  # read by nothing
         g = c.add_gate(OR, 0, 1)
         h = c.add_gate(AND, g, 2)
@@ -731,22 +729,24 @@ class TestBands:
         c = data.draw(st.sampled_from([random_circuit, sop_circuit]))(data)
         with patch.object(circuit_module, "SCAN_BAND", band):
             assert c.wire_depths().tolist() == per_gate_depths(c)
-            parent, root = c._trees()
-            assert (parent.tolist(), root.tolist()) == per_gate_trees(c)
+            root, joins = c._folds()
+            assert (root.tolist(), joins.tolist()) == per_gate_folds(c)
             assert plan_fields(c) == per_gate_plan(c)
             assert c.live_peak() == replayed_peak(c)
+            masks = [data.draw(st.integers(0, 2**70 - 1)) for _ in range(c.num_inputs)]
+            assert c.evaluate_batch(masks) == file_order_eval(c, masks)
 
     def test_builds_match_per_gate_loops(self):
         # At the default band size: explicit n=16 in one band, theorem 16/12 in two.
         for c in (mr.build_explicit(16)[0], build_recursive(16, 12, 0)[0]):
-            parent, root = c._trees()
-            assert (parent.tolist(), root.tolist()) == per_gate_trees(c)
+            root, joins = c._folds()
+            assert (root.tolist(), joins.tolist()) == per_gate_folds(c)
             assert plan_fields(c) == per_gate_plan(c)
 
     def test_a_build_in_many_bands(self):
         def facts(c, ledger):
-            parent, root = c._trees()
-            return (c.wire_depths().tolist(), parent.tolist(), root.tolist(), plan_fields(c), c.live_peak(),
+            root, joins = c._folds()
+            return (c.wire_depths().tolist(), root.tolist(), joins.tolist(), plan_fields(c), c.live_peak(),
                     [(s.label, s.measured) for s in ledger.stages])
 
         whole = facts(*mr.build_explicit(16))
@@ -771,7 +771,7 @@ def per_gate_live(c):
 
 class TestPrune:
     def test_drops_dead_gates_and_renumbers(self):
-        c = mr.new_circuit(2)  # inputs 0..3, zero wire 4
+        c = mr.MonotoneCircuit(2)  # inputs 0..3, zero wire 4
         c.add_gate(AND, 0, 1)  # wire 5, read by nothing
         g = c.add_gate(OR, 0, 1)  # wire 6
         c.add_gate(AND, 5, 6)  # wire 7, read by nothing
@@ -783,7 +783,7 @@ class TestPrune:
         assert c.outputs == [6]
 
     def test_outputs_on_inputs_keep_no_gate(self):
-        c = mr.new_circuit(2)
+        c = mr.MonotoneCircuit(2)
         c.add_gate(AND, 0, 1)
         c.set_outputs([c.input_wire(1, 2), c.zero])
         c.prune()
@@ -793,7 +793,7 @@ class TestPrune:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_keeps_outputs_and_depth(self, data):
-        c = mr.new_circuit(data.draw(st.integers(1, 3)))
+        c = mr.MonotoneCircuit(data.draw(st.integers(1, 3)))
         for _ in range(data.draw(st.integers(0, 40))):
             op = data.draw(st.sampled_from([AND, OR]))
             c.add_gate(op, data.draw(st.integers(0, c.num_wires - 1)), data.draw(st.integers(0, c.num_wires - 1)))
@@ -819,7 +819,7 @@ class TestInvariants:
         assert c.evaluate(g) <= c.evaluate(ug)
 
     def test_depth_additivity(self):
-        c = mr.new_circuit(4)
+        c = mr.MonotoneCircuit(4)
         a = inputs(c)
         p1 = product(c, a, a)
         c.set_outputs([int(p1[0, 3])])
@@ -850,7 +850,7 @@ class TestTextFormat:
         assert back.gate_count == c.gate_count
 
     def test_header_and_layout(self):
-        c = mr.new_circuit(2)
+        c = mr.MonotoneCircuit(2)
         c.set_outputs([c.add_gate(OR, 0, 3)])
         text = circuit_to_text(c)
         assert text == "MCIRC 1 2\nG OR 0 3\nOUT 5\n"
@@ -877,7 +877,7 @@ class TestTextFormat:
     @given(st.data())
     def test_random_circuit_round_trip(self, data):
         n = data.draw(st.integers(1, 4))
-        c = mr.new_circuit(n)
+        c = mr.MonotoneCircuit(n)
         for _ in range(data.draw(st.integers(0, 30))):
             op = data.draw(st.sampled_from([AND, OR]))
             a = data.draw(st.integers(0, c.num_wires - 1))

@@ -186,7 +186,7 @@ class TestComposeFamily:
         assert ledger.total_predicted == want
 
     def test_splice_refuses_an_input_past_the_circuit(self):
-        circuit = mr.new_circuit(9)
+        circuit = mr.MonotoneCircuit(9)
         inner = mr.build_reach_leq(4, 3)
         input_map = np.arange(inner.num_inputs + 1, dtype=np.int64)
         _, lefts, rights = inner.gates()
@@ -495,7 +495,7 @@ class TestPredictGateCount:
 
 
 def unpruned_reach_leq(n, l):
-    c = mr.new_circuit(n)
+    c = mr.MonotoneCircuit(n)
     cur = _walk_power_entries(c, mr.ceil_log2(l), ALL_ENTRIES)
     c.set_outputs([int(cur[0, n - 1])])
     return c
@@ -503,7 +503,7 @@ def unpruned_reach_leq(n, l):
 
 def unpruned_reach_exact(n, l):
     """Every entry of every product of the exact plan."""
-    c = mr.new_circuit(n)
+    c = mr.MonotoneCircuit(n)
     mats = [np.arange(n * n).reshape(n, n)]
     for a, b in _exact_plan(n, l):
         mats.append(_banded_product(c, mats[a], mats[b], np.ones((n, n), dtype=bool), need=None))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_circuit_core import build_walk_power
+from test_mcirc_io import traced_peak
 
 import monoreach as mr
 import monoreach.exactmath
@@ -194,7 +195,7 @@ def planted_chunks(n, samples, seed, l):
             chunks.append((list(masks), width, expected))
         return monoreach.oracles.CheckReport(sum(width for _, width, _ in chunks), 0, [])
 
-    circuit = mr.new_circuit(n)
+    circuit = mr.MonotoneCircuit(n)
     circuit.set_outputs([circuit.zero])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(monoreach.oracles, "_compare", capture)
@@ -451,7 +452,7 @@ class TestComparisonDrivers:
             run_exhaustive_check(walk, 3)
 
     def test_vertex_budget(self):
-        wide = mr.new_circuit(MAX_CHECK_VERTICES + 1)
+        wide = mr.MonotoneCircuit(MAX_CHECK_VERTICES + 1)
         wide.set_outputs([wide.zero])
         for check in (
             lambda: run_random_check(wide, wide.num_vertices, 100, 0),
@@ -502,7 +503,7 @@ class TestComparisonDrivers:
     def test_planted_check_refuses_one_vertex(self, monkeypatch):
         # Refused before any draw, naming the vertex count.
         monkeypatch.setattr(monoreach.oracles, "child_seed", None)
-        circuit = mr.new_circuit(1)
+        circuit = mr.MonotoneCircuit(1)
         circuit.set_outputs([circuit.zero])
         with pytest.raises(mr.InvalidParameterError, match="^planted graphs need at least 2 vertices, got n = 1$"):
             run_planted_check(circuit, 1, 100, 0)
@@ -680,9 +681,9 @@ class TestPackedBatches:
 
 class TestValueBudget:
     def test_batch_widths(self):
-        # 692 values at peak fit three chunks in EVAL_VALUE_BITS; 5 fit 512.
+        # 482 values at peak fit five chunks in EVAL_VALUE_BITS; 5 fit 512.
         squaring = mr.build_reach_leq(16, 15)
-        assert (squaring.live_peak(), random_batch_width(squaring)) == (692, 3 * CHUNK_BITS)
+        assert (squaring.live_peak(), random_batch_width(squaring)) == (482, 5 * CHUNK_BITS)
         tiny = mr.build_reach_leq(2, 1)
         assert (tiny.live_peak(), random_batch_width(tiny)) == (5, 512 * CHUNK_BITS)
 
@@ -959,6 +960,15 @@ class TestPlantedChunks:
         for path_len, g in zip(path_lens, graphs):
             assert g.bit_count() == path_len
             assert reference_distance(_graph_int_rows(g, n), 1, n) == path_len
+
+    def test_a_chunk_is_freed_before_the_next_is_drawn(self):
+        # Three chunks peak within a quarter chunk of one: neither the check
+        # nor the chunk generator holds a chunk while the next is drawn.
+        circuit = mr.build_reach_leq(16, 15)
+        circuit.live_peak()  # the cached plan is in neither peak
+        chunk_bytes = 16 * 16 * CHUNK_BITS // 8
+        peaks = [traced_peak(lambda: run_planted_check(circuit, 16, k * CHUNK_BITS, seed=1)) for k in (1, 3)]
+        assert peaks[1] < peaks[0] + chunk_bytes / 4, peaks
 
 
 class TestOracleIndependence:
