@@ -1,9 +1,10 @@
 """Command-line front end: build, evaluate, verify, families, predictions.
 
 All randomness flows from the --seed flag through the stdlib Mersenne
-Twister (random.Random), consuming only getrandbits; sub-streams are
-derived by SHA-256 of seed and purpose label.  Identical flags and seed
-reproduce byte-identical output files.
+Twister (random.Random): draws read its 32-bit words through getrandbits,
+or, for Bernoulli masks, through numpy's MT19937 started from its state;
+sub-streams are derived by SHA-256 of seed and purpose label.  Identical
+flags and seed reproduce byte-identical output files.
 """
 
 from __future__ import annotations

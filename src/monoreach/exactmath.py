@@ -1,9 +1,11 @@
 """Deterministic number kit: primality, portable random draws, dyadic logs,
 and the one rule for reading an integer from a text file.
 
-Everything here is exact integer / Fraction arithmetic or consumes only
-``random.Random.getrandbits``, so results are identical across platforms
-and CPython versions.
+Everything here is exact integer / Fraction arithmetic or reads the 32-bit
+Mersenne Twister words of a ``random.Random`` in stream order: through
+``getrandbits``, or, for Bernoulli masks, through numpy's ``MT19937``
+started from the Random's state, which is handed back after those words.
+So results are identical across platforms and CPython versions.
 """
 
 from __future__ import annotations
@@ -129,21 +131,56 @@ def bernoulli_digits(p: float) -> tuple[int, ...]:
     return tuple((q >> b) & 1 for b in range(trailing, _PROB_BITS))
 
 
-def bernoulli_mask(rng: Random, width: int, p: float, digits: tuple[int, ...] | None = None) -> int:
-    """Integer with `width` independent bits, each 1 with probability ~p,
-    drawn by the schedule of bernoulli_digits(p).  A caller drawing many
-    masks at one density passes that schedule in as `digits`."""
+def bernoulli_mask(rng: Random, width: int, p: float) -> int:
+    """Integer with `width` independent bits, each 1 with probability ~p:
+    one mask of bernoulli_masks."""
+    return bernoulli_masks(rng, 1, width, p)[0]
+
+
+_DRAW_WORDS = 1 << 16  # words (256 KiB) per numpy draw of bernoulli_masks: whole masks, at least one
+
+
+def bernoulli_masks(rng: Random, count: int, width: int, p: float) -> list[int]:
+    """`count` integers of `width` independent bits, each 1 with probability
+    ~p, drawn in turn by the schedule of bernoulli_digits(p).
+
+    Each draw is rng.getrandbits(width): ceil(width / 32) words of rng's
+    Mersenne Twister, the first the least significant, the last shifted
+    right to its top width % 32 bits.  numpy's MT19937, started from
+    rng.getstate(), makes the same words; they are combined per digit as
+    uint32 arrays, a group of whole masks at a time, and rng is left in
+    the state the getrandbits draws would leave it in.
+    """
     if width <= 0:
-        return 0
-    if digits is None:
-        digits = bernoulli_digits(p)
+        return [0] * count
+    digits = bernoulli_digits(p)
     if not digits:
-        return (1 << width) - 1 if p >= 1.0 else 0
-    acc = rng.getrandbits(width)
-    for digit in digits[1:]:
-        r = rng.getrandbits(width)
-        acc = (acc | r) if digit else (acc & r)
-    return acc
+        return [(1 << width) - 1 if p >= 1.0 else 0] * count
+    # Imported here, not at the top: numpy.random costs 10 ms and 2 MB even where nothing is drawn.
+    from numpy.random import MT19937, Generator
+
+    version, key, gauss_next = rng.getstate()
+    words = (width + 31) // 32
+    bits = MT19937()
+    bits.state = {"bit_generator": "MT19937", "state": {"key": key[:-1], "pos": key[-1]}}
+    draw = Generator(bits).integers
+    group = max(1, _DRAW_WORDS // (len(digits) * words))
+    masks = []
+    for done in range(0, count, group):
+        k = min(group, count - done)
+        drawn = draw(0, 1 << 32, size=(k, len(digits), words), dtype="uint32")
+        acc = drawn[:, 0].copy()
+        for d, digit in enumerate(digits[1:], 1):
+            if digit:
+                acc |= drawn[:, d]
+            else:
+                acc &= drawn[:, d]
+        if width % 32:
+            acc[:, -1] >>= 32 - width % 32
+        masks += [int.from_bytes(row.tobytes(), "little") for row in acc.astype("<u4", copy=False)]
+    state = bits.state["state"]
+    rng.setstate((version, (*state["key"].tolist(), int(state["pos"])), gauss_next))
+    return masks
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,13 @@ import numpy as np
 
 from .circuit import AdjacencyMatrix, MonotoneCircuit
 from .errors import BudgetExceededError, InvalidParameterError
-from .exactmath import bernoulli_digits, bernoulli_mask, child_seed, parse_int, randbelow
+from .exactmath import bernoulli_masks, child_seed, parse_int, randbelow
 
 CHUNK_BITS = 16384  # graphs per draw chunk
-# Bits of values one evaluate_batch call of the random check may hold: a
-# batch packs as many whole draw chunks as keep circuit.live_peak() masks of
-# its width within this, and at least one chunk.
+# Bits of masks one evaluate_batch call of the random check may hold: a
+# batch packs as many whole draw chunks as keep its input masks and
+# circuit.live_peak() values, each of its width, within this, and at least
+# one chunk.
 EVAL_VALUE_BITS = 5 * 2**23
 # Most walk-oracle steps a check may take: walks * n * n, each one AND and
 # one OR over a batch's masks.
@@ -155,12 +156,12 @@ def _planted_masks(rng: Random, n: int, path_lens, noise_prob: float) -> list[in
 def _no_path_masks(rng: Random, n: int, width: int, edge_prob: float) -> list[int]:
     """Per-entry masks of `width` graphs with no 1 -> n path.
 
-    Draws a sink-side mask for each vertex by bernoulli_mask(rng, width,
-    0.5), then the edges by bernoulli_entry_masks.  Vertex 1 is on the
-    source side and n on the sink side, whatever their draws; an edge from
-    the source side to the sink side is withheld.
+    Draws a sink-side mask for each vertex by bernoulli_masks(rng, n,
+    width, 0.5), then the edges by bernoulli_entry_masks.  Vertex 1 is on
+    the source side and n on the sink side, whatever their draws; an edge
+    from the source side to the sink side is withheld.
     """
-    sink = [bernoulli_mask(rng, width, 0.5) for _ in range(n)]
+    sink = bernoulli_masks(rng, n, width, 0.5)
     sink[0], sink[n - 1] = 0, (1 << width) - 1
     edges = bernoulli_entry_masks(rng, n, width, edge_prob)
     for e in range(n * n):
@@ -257,8 +258,7 @@ def bernoulli_entry_masks(rng: Random, n: int, width: int, p: float) -> list[int
     Entry order is the input wire order; the draw schedule (entry-major) is
     part of the documented sampling scheme.
     """
-    digits = bernoulli_digits(p)
-    return [bernoulli_mask(rng, width, p, digits) for _ in range(n * n)]
+    return bernoulli_masks(rng, n * n, width, p)
 
 
 def _graph_int_rows(g: int, n: int) -> list[int]:
@@ -421,9 +421,10 @@ def _random_chunks(n: int, samples: int, seed: int, densities):
 
 def random_batch_width(circuit: MonotoneCircuit) -> int:
     """Most graphs the random check evaluates in one evaluate_batch call:
-    the whole draw chunks whose circuit.live_peak() masks fit in
-    EVAL_VALUE_BITS, and at least one chunk."""
-    return CHUNK_BITS * max(1, EVAL_VALUE_BITS // (circuit.live_peak() * CHUNK_BITS))
+    the whole draw chunks whose input masks and circuit.live_peak() values
+    fit in EVAL_VALUE_BITS, and at least one chunk."""
+    masks = circuit.num_inputs + circuit.live_peak()
+    return CHUNK_BITS * max(1, EVAL_VALUE_BITS // (masks * CHUNK_BITS))
 
 
 def _joined(held: list) -> list[int]:

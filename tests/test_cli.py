@@ -41,7 +41,7 @@ class TestBuildEvalStats:
         code, text, _ = run(capsys, "stats", "--circuit", out)
         assert code == 0
         assert (
-            "depth: 29\neval peak values: 482\nrandom-check batch: 81920 graphs\n"
+            "depth: 29\neval peak values: 482\nrandom-check batch: 49152 graphs\n"
             "eval steps: 798\nvalid: yes\n"
         ) in text
         assert (tmp_path / "c.mc.ledger.csv").exists()

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from monoreach.errors import InvalidParameterError
 from monoreach.exactmath import (
+    _DRAW_WORDS,
     PREC,
     bernoulli_digits,
     bernoulli_mask,
+    bernoulli_masks,
     child_seed,
     floor_pow2,
     is_prime,
@@ -91,8 +93,13 @@ class TestPortableDraws:
 
     def test_bernoulli_extremes(self):
         rng = Random(3)
+        state = rng.getstate()
         assert bernoulli_mask(rng, 100, 0.0) == 0
         assert bernoulli_mask(rng, 100, 1.0) == (1 << 100) - 1
+        assert bernoulli_masks(rng, 3, 100, 1.0) == [(1 << 100) - 1] * 3
+        assert bernoulli_masks(rng, 3, 0, 0.5) == [0] * 3
+        assert bernoulli_masks(rng, 0, 100, 0.5) == []
+        assert rng.getstate() == state  # none of these draws
 
     def test_bernoulli_density(self):
         rng = Random(11)
@@ -122,10 +129,12 @@ class TestPortableDraws:
         assert bernoulli_digits(p) == digits
 
     @pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.37, 0.999, 1e-9, 0.0, 1.0, 0.25, 2**-24])
-    @pytest.mark.parametrize("width", [1, 31, 32, 33, 256, 1000])
+    @pytest.mark.parametrize("width", [1, 31, 32, 33, 256, 1000, 5461, 5462, 16384])
     def test_bernoulli_mask_matches_inline_horner(self, p, width):
-        # The Horner of bernoulli_mask before its digit schedule was factored
-        # out into bernoulli_digits: the same draws, in the same order.
+        # The Horner of bernoulli_mask on getrandbits alone, before its digit
+        # schedule was factored out into bernoulli_digits and its words were
+        # drawn through numpy's MT19937: the same bits, in the same order,
+        # and the Random left in the same state.
         def inline(rng):
             if p <= 0.0:
                 return 0
@@ -145,9 +154,17 @@ class TestPortableDraws:
         ours, theirs = Random(width), Random(width)
         assert [bernoulli_mask(ours, width, p) for _ in range(3)] == [inline(theirs) for _ in range(3)]
         assert ours.getstate() == theirs.getstate()
-        # The schedule passed in, as a caller drawing many masks does.
+        # From a Random part way through its words, holding a normal deviate
+        # in gauss_next, as many masks as take three numpy draws, the last
+        # one part full (three masks where nothing is drawn).
+        for rng in (ours, theirs):
+            rng.getrandbits(1000)
+            rng.gauss(0.0, 1.0)
+        assert ours.getstate()[2] is not None
         digits = bernoulli_digits(p)
-        assert [bernoulli_mask(ours, width, p, digits) for _ in range(3)] == [inline(theirs) for _ in range(3)]
+        group = _DRAW_WORDS // (len(digits) * ((width + 31) // 32)) if digits else 1
+        count = 2 * group + group // 2 + 1
+        assert bernoulli_masks(ours, count, width, p) == [inline(theirs) for _ in range(count)]
         assert ours.getstate() == theirs.getstate()
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import importlib
 import itertools
 from collections import Counter
 from pathlib import Path
@@ -650,7 +651,7 @@ class TestPackedBatches:
             (1, 20000, [13334, 6666]),
             (1, 50000, [16384, 284, 16384, 282, 16384, 282]),
             (1, 393216, [16384] * 24),
-            # By default this 5-value circuit takes 512 chunks a batch.
+            # By default this circuit of 4 inputs and 5 values takes 284 chunks a batch.
             (None, 1, [1]),
             (None, 20000, [20000]),
             (None, 50000, [50000]),
@@ -681,11 +682,12 @@ class TestPackedBatches:
 
 class TestValueBudget:
     def test_batch_widths(self):
-        # 482 values at peak fit five chunks in EVAL_VALUE_BITS; 5 fit 512.
+        # 256 input masks and 482 values at peak fit three chunks in
+        # EVAL_VALUE_BITS; 4 inputs and 5 values fit 284.
         squaring = mr.build_reach_leq(16, 15)
-        assert (squaring.live_peak(), random_batch_width(squaring)) == (482, 5 * CHUNK_BITS)
+        assert (squaring.live_peak(), random_batch_width(squaring)) == (482, 3 * CHUNK_BITS)
         tiny = mr.build_reach_leq(2, 1)
-        assert (tiny.live_peak(), random_batch_width(tiny)) == (5, 512 * CHUNK_BITS)
+        assert (tiny.live_peak(), random_batch_width(tiny)) == (5, 284 * CHUNK_BITS)
 
     @pytest.mark.parametrize("circuit_l", [15, 3])
     @pytest.mark.parametrize("samples", [1, 20000, 50000])
@@ -693,7 +695,7 @@ class TestValueBudget:
     @pytest.mark.parametrize("l", [None, 5])
     def test_report_does_not_depend_on_the_budget(self, monkeypatch, circuit_l, samples, max_report, l):
         circuit = mr.build_reach_leq(16, circuit_l)
-        chunk_bits = circuit.live_peak() * CHUNK_BITS
+        chunk_bits = (circuit.num_inputs + circuit.live_peak()) * CHUNK_BITS
         reports = []
         for value_bits, chunks in ((1, 1), (3 * chunk_bits, 3), (10**30, 10**30 // chunk_bits)):
             monkeypatch.setattr(monoreach.oracles, "EVAL_VALUE_BITS", value_bits)
@@ -996,8 +998,14 @@ class TestOracleIndependence:
     @pytest.mark.parametrize("module", [monoreach.oracles, monoreach.exactmath])
     def test_draws_never_use_numpy_random(self, module):
         # Every documented draw comes from random.Random (MT19937); no graph
-        # or mask may drift to numpy's generators.
+        # or mask may drift to numpy's generators.  The one exception is
+        # exactmath.bernoulli_masks, which runs numpy's MT19937 from the
+        # Random's own state: checked here to take that state and scanned no
+        # further, while test_bernoulli_mask_matches_inline_horner checks
+        # its masks and final state against getrandbits.
         tree = ast.parse(Path(module.__file__).read_text())
+        if module is monoreach.exactmath:
+            tree.body.remove(checked_numpy_handoff(tree))
         numpy_names = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -1015,6 +1023,35 @@ class TestOracleIndependence:
                 assert not (isinstance(node.value, ast.Name) and node.value.id in numpy_names), (
                     f"line {node.lineno} uses {node.value.id}.random"
                 )
+
+
+def checked_numpy_handoff(tree):
+    """The def of bernoulli_masks in exactmath's tree, once checked to
+    import MT19937 and Generator from numpy.random, which no other
+    statement names; to make one unseeded MT19937, wrapped in one
+    Generator; and to set its state once, to the Mersenne Twister key and
+    position that rng.getstate() returns, which nothing rebinds."""
+    func = next(node for node in tree.body if getattr(node, "name", None) == "bernoulli_masks")
+    inside = list(ast.walk(func))
+    rest = ast.Module([node for node in tree.body if node is not func], [])
+    imports = [node for node in inside if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert [(node.module, [(a.name, a.asname) for a in node.names]) for node in imports] == [
+        ("numpy.random", [("MT19937", None), ("Generator", None)])
+    ]
+    assert not {"MT19937", "Generator"} & {use for use, _ in name_uses(rest)}
+    assigns = {ast.unparse(node.value): node.targets for node in inside if isinstance(node, ast.Assign)}
+    (bits,) = map(ast.unparse, assigns["MT19937()"])
+    calls = [ast.unparse(node) for node in inside if isinstance(node, ast.Call)]
+    numpy_calls = [call for call in calls if call.startswith(("MT19937(", "Generator("))]
+    assert numpy_calls == ["MT19937()", f"Generator({bits})"]
+    (from_rng,) = assigns["rng.getstate()"]
+    _, key, _ = map(ast.unparse, from_rng.elts)
+    state = f"{{'bit_generator': 'MT19937', 'state': {{'key': {key}[:-1], 'pos': {key}[-1]}}}}"
+    state = ast.unparse(ast.parse(state))
+    assert [value for value, targets in assigns.items() if f"{bits}.state" in map(ast.unparse, targets)] == [state]
+    stores = [node.id for node in inside if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+    assert stores.count(key) == 1, f"rebinds {key}, which rng.getstate() bound"
+    return func
 
 
 SRC = Path(monoreach.__file__).parent
@@ -1102,6 +1139,27 @@ class TestOneBfsOneLoop:
         assert sorted(set(METHODS_WITHOUT_CALLER) - set(unused)) == [], "has a caller now: take it off the list"
 
 
+class TestBenchmarkProbes:
+    def test_every_probe_names_a_function(self):
+        # The traced benchmark wraps each module:qualname of PROBES in
+        # perfbench/layers.py, and one that names nothing drops its metrics
+        # from the result, so every probed function must stay.
+        layers = ast.parse((Path(__file__).parents[1] / "perfbench" / "layers.py").read_text())
+        (probes,) = [
+            node.value
+            for node in layers.body
+            if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["PROBES"]
+        ]
+        targets = [probe.elts[0].value for probe in probes.elts]
+        assert len(targets) > 10, "found few probes: the scan is broken"
+        for target in targets:
+            module, _, qualname = target.partition(":")
+            found = importlib.import_module(module)
+            for part in qualname.split("."):
+                found = getattr(found, part, None)
+            assert callable(found), f"{target} names no function"
+
+
 def functions_without_caller(select):
     """How many functions select(tree) finds in the package's modules, as
     (label, node) pairs, and module:label of those that nothing else in
@@ -1130,6 +1188,7 @@ PUBLIC_WITHOUT_CALLER = {
     "oracles.py:no_path_graph": "perfbench/layers.py PROBES wraps it; waits for the probe refresh",
     "oracles.py:masks_to_graph_ints": "perfbench/layers.py PROBES wraps it; waits for the probe refresh",
     "oracles.py:graph_ints_to_masks": "perfbench/layers.py PROBES wraps it; waits for the probe refresh",
+    "exactmath.py:bernoulli_mask": "perfbench/layers.py PROBES wraps it",
 }
 
 
