@@ -93,9 +93,6 @@ class MonotoneCircuit:
             raise InvalidParameterError(f"vertex pair ({i},{j}) out of range 1..{n}")
         return (i - 1) * n + (j - 1)
 
-    def gate(self, index: int) -> tuple[int, int, int]:
-        return (self._ops[index], self._lefts[index], self._rights[index])
-
     def gates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only (ops, lefts, rights) views of the gate table: gate g
         applies ops[g] to wires lefts[g] and rights[g].  The circuit cannot
@@ -645,13 +642,6 @@ class AdjacencyMatrix:
                     raise InvalidParameterError("row mask out of range")
             self.rows = rows
 
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "AdjacencyMatrix":
-        m = cls(n)
-        for i, j in edges:
-            m.set_edge(i, j)
-        return m
-
     def set_edge(self, i: int, j: int) -> None:
         self._check(i, j)
         self.rows[i - 1] |= 1 << (j - 1)
@@ -700,8 +690,34 @@ _IO_BAND = 1 << 15
 # lines.  Much smaller blocks leave no large block to free, so later phases
 # fault fresh pages in and run slower.
 _READ_BLOCK = 1 << 22
-# 10 .. 10**9: a wire id has one more digit than the number of these it reaches.
-_POW10 = 10 ** np.arange(1, 10, dtype=np.int64)
+# The writer formats a gate line as fixed-width little-endian uint32 words
+# padded with NUL bytes, which it then deletes (no MCIRC byte is NUL):
+# "G AN" "D \0\0" or "G OR" " \0\0\0", the left operand's 4-digit groups,
+# " \0\0\0", the right operand's groups, "\n\0\0\0".  _OP_WORDS[op] is a
+# line's two op words, as one uint64.
+_OP_WORDS = np.frombuffer(b"G AND \0\0G OR \0\0\0", dtype="<u8")
+_END_WORDS = np.frombuffer(b" \0\0\0\n\0\0\0", dtype="<u4")
+
+
+def _group_words() -> np.ndarray:
+    """The word of each 4-digit group v: [v] zero-padded ("0042"), [10000 + v]
+    as the leading group, its leading zeros NUL ("\\0\\0" "42", and "\\0\\0\\0" "0"
+    for the value 0), and [20000] four NULs, for a group above the leading one.
+
+    Built a digit place at a time: the place's digit of v = 0 .. 9999 in
+    turn, and as the leading group the same with the first `place` values,
+    those below it, NUL (never the ones digit, for the value 0)."""
+    words = bytearray(4 * 20001)
+    for i, place in enumerate((1000, 100, 10, 1)):
+        digits = b"".join(bytes([ord("0") + d]) * place for d in range(10)) * (1000 // place)
+        words[i:40000:4] = digits
+        blank = place if place > 1 else 0
+        words[40000 + i : 80000 : 4] = bytes(blank) + digits[blank:]
+    return np.frombuffer(bytes(words), dtype="<u4")
+
+
+_GROUP_WORDS = _group_words()
+
 # The ASCII bytes str.split() separates tokens at, and str.splitlines() lines at.
 _SEPARATOR = np.zeros(256, dtype=bool)
 _SEPARATOR[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
@@ -709,40 +725,31 @@ _LINE_BREAK = np.zeros(256, dtype=bool)
 _LINE_BREAK[[10, 11, 12, 13, 28, 29, 30]] = True
 
 
-def _put_digits(buf: np.ndarray, ends: np.ndarray, values: np.ndarray, counts: np.ndarray) -> None:
-    """Write each value's `counts` decimal digits into buf, ending at `ends`."""
-    for k in np.flatnonzero(np.bincount(counts)).tolist():
-        sel = np.flatnonzero(counts == k)
-        q = values[sel]
-        pos = ends[sel] - 1
-        for c in range(k):
-            rest = q // 10
-            buf[pos - c] = q - rest * 10 + ord("0")
-            q = rest
-
-
-def _gate_lines(ops: np.ndarray, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-    """The "G <op> <a> <b>\\n" lines of a band of gates, as one byte buffer."""
-    is_or = ops.astype(bool)
-    lefts = lefts.astype(np.uint32)
-    rights = rights.astype(np.uint32)
-    left_digits = np.searchsorted(_POW10, lefts, side="right") + 1
-    right_digits = np.searchsorted(_POW10, rights, side="right") + 1
-    left_at = 6 - is_or  # after "G AND " or "G OR "
-    lengths = left_at + left_digits + right_digits + 2
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    buf = np.empty(int(ends[-1]), dtype=np.uint8)
-    for name, rows in ((b"G AND ", ~is_or), (b"G OR ", is_or)):
-        at = starts[rows]
-        for k, ch in enumerate(name):
-            buf[at + k] = ch
-    left_end = starts + left_at + left_digits
-    _put_digits(buf, left_end, lefts, left_digits)
-    buf[left_end] = ord(" ")
-    _put_digits(buf, ends - 1, rights, right_digits)
-    buf[ends - 1] = ord("\n")
-    return buf
+def _gate_lines(ops: np.ndarray, lefts: np.ndarray, rights: np.ndarray) -> bytes:
+    """The "G <op> <a> <b>\\n" lines of a non-empty band of gates, as one
+    bytes object, built from rows of _OP_WORDS, _GROUP_WORDS and _END_WORDS."""
+    operands = np.stack((lefts, rights), axis=1).astype(np.uint32)
+    top = int(operands.max())
+    groups = 1 + (top >= 10**4) + (top >= 10**8)  # wire ids are below 2**31
+    words = np.empty((ops.size, 2 + 2 * (groups + 1)), dtype="<u4")
+    words.view("<u8")[:, 0] = _OP_WORDS.take(ops)  # a row is a whole number of uint64s
+    # [gate, operand, slot]: an operand's groups, most significant first,
+    # then the word after it.
+    body = words[:, 2:].reshape(ops.size, 2, groups + 1)
+    body[:, :, groups] = _END_WORDS
+    q = operands
+    for slot in range(groups - 1, -1, -1):
+        rest = q // 10000
+        # The group, +10000 where it leads, and +10000 more where it is
+        # above the leading group: q is 0 there, and in the last slot only
+        # for the value 0, whose one group leads.
+        at = q - rest * 10000
+        at += (rest == 0) * np.uint32(10000)
+        if slot < groups - 1:
+            at += (q == 0) * np.uint32(10000)
+        body[:, :, slot] = _GROUP_WORDS.take(at)
+        q = rest
+    return words.tobytes().translate(None, b"\0")
 
 
 def _mcirc_chunks(circuit: MonotoneCircuit):

@@ -1,0 +1,38 @@
+"""The traced benchmark run keeps its output contract.
+
+``perfbench/run.py`` prints comment lines, then one JSON result as its last
+line, which whoever runs the benchmark parses.  A change to a function that
+the traced run wraps can break that contract while the run still exits 0:
+by writing to stdout, by changing a call signature a probe reads, or by
+removing a probed function.  One short traced run guards all three.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).parents[1]
+
+
+def refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_traced_run_ends_in_a_strict_json_result():
+    args = ["--workload", "theorem-n16-l12", "--seed", "1", "--seconds", "0", "--trace", "1"]
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", *args],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    *notes, last = done.stdout.splitlines()
+    assert [note for note in notes if not note.startswith("# ")] == []
+    result = json.loads(last, parse_constant=refuse_constant)
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["metrics"]["trace.missing_spans"]["value"] == 0
+    assert [note for note in notes if note.startswith("# missing spans")] == []

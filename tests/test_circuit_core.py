@@ -31,7 +31,16 @@ def product(c, a, b):
 
 
 def matrix_of(n, *edges):
-    return AdjacencyMatrix.from_edges(n, edges)
+    """The n-vertex graph with the given (i, j) edges."""
+    m = AdjacencyMatrix(n)
+    for i, j in edges:
+        m.set_edge(i, j)
+    return m
+
+
+def gate_of(c, g):
+    """Gate g of a circuit as (op, left, right)."""
+    return c._ops[g], c._lefts[g], c._rights[g]
 
 
 def circuit_to_text(circuit):
@@ -763,7 +772,7 @@ def per_gate_live(c):
             live[o - n0] = True
     for g in range(c.gate_count - 1, -1, -1):
         if live[g]:
-            for w in c.gate(g)[1:]:
+            for w in gate_of(c, g)[1:]:
                 if w >= n0:
                     live[w - n0] = True
     return live
@@ -779,7 +788,7 @@ class TestPrune:
         c.set_outputs([out])
         assert c.live_gates().tolist() == [False, True, False, True]
         c.prune()
-        assert [c.gate(i) for i in range(c.gate_count)] == [(OR, 0, 1), (AND, 5, 3)]
+        assert [gate_of(c, i) for i in range(c.gate_count)] == [(OR, 0, 1), (AND, 5, 3)]
         assert c.outputs == [6]
 
     def test_outputs_on_inputs_keep_no_gate(self):

@@ -7,7 +7,7 @@ import sys
 import time
 
 import pytest
-from test_circuit_core import build_walk_power, per_gate_live
+from test_circuit_core import build_walk_power, gate_of, per_gate_live
 from test_constructions import uncovered_vertex_build
 
 import monoreach
@@ -93,7 +93,7 @@ class TestBuildEvalStats:
         code, text, _ = run(capsys, "stats", "--circuit", str(out))
         assert code == 0
         circuit = read_circuit(out)
-        zero = sum(circuit.zero in circuit.gate(g)[1:] for g in range(circuit.gate_count))
+        zero = sum(circuit.zero in gate_of(circuit, g)[1:] for g in range(circuit.gate_count))
         assert zero == 66  # clone inputs on the slots of sets shorter than q
         assert f"zero-wire operands: {zero}\n" in text
         squaring = str(tmp_path / "s.mc")

@@ -10,7 +10,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from test_circuit_core import ALL_ENTRIES, build_walk_power, circuit_to_text, per_gate_live, well_formed
+from test_circuit_core import ALL_ENTRIES, build_walk_power, circuit_to_text, matrix_of, per_gate_live, well_formed
 from test_verification import bernoulli_graph, exact_length_walk_exists, reference_distance
 
 import monoreach as mr
@@ -29,10 +29,6 @@ from monoreach.circuit import AdjacencyMatrix, _banded_product
 from monoreach.exactmath import child_seed
 from monoreach.families import CoveringFamily, FamilyParams
 from monoreach.oracles import run_exhaustive_check, run_planted_check, run_random_check
-
-
-def matrix_of(n, *edges):
-    return AdjacencyMatrix.from_edges(n, edges)
 
 
 class TestWalkPower:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_circuit_core import circuit_to_text, well_formed
+from test_circuit_core import circuit_to_text, gate_of, well_formed
 
 import monoreach as mr
 import monoreach.circuit as circuit_module
@@ -269,7 +269,7 @@ class TestBlocks:
 
     def test_line_longer_than_a_block(self, tmp_path):
         text = "MCIRC 1 2\nG AND " + "0" * 150 + "3 " + " " * 300 + "1\nOUT 5\n"
-        assert mr.circuit_from_text(text).gate(0) == (AND, 3, 1)
+        assert gate_of(mr.circuit_from_text(text), 0) == (AND, 3, 1)
         assert_same_verdict_in_blocks(text, tmp_path)
 
     def test_out_line_and_faults_in_a_later_block(self, tmp_path):
@@ -463,7 +463,40 @@ class TestWireIdLimit:
         assert c.num_wires == MAX_WIRES
 
 
+# Wire ids at the edges of a digit or a 4-digit group, and the largest.
+BOUNDARY_IDS = [0, 9, 10, 9_999, 10_000, 99_999_999, 100_000_000, MAX_WIRES - 1]
+
+
+def reference_gate_lines(ops, lefts, rights):
+    """The gate lines of a band, formatted one line at a time in Python."""
+    return "".join(f"G {'AND' if op == AND else 'OR'} {a} {b}\n" for op, a, b in zip(ops, lefts, rights)).encode()
+
+
+@st.composite
+def gate_band(draw):
+    """(ops, lefts, rights) of a band whose largest operand has 1, 2 or 3
+    groups of 4 digits, with operands at group and digit boundaries."""
+    groups = draw(st.integers(1, 3))
+    low = 0 if groups == 1 else 10 ** (4 * groups - 4)
+    high = min(10 ** (4 * groups) - 1, MAX_WIRES - 1)
+    wire = st.one_of(st.sampled_from([v for v in BOUNDARY_IDS if v <= high]), st.integers(0, high))
+    size = draw(st.integers(1, 40))
+    ops = draw(st.lists(st.sampled_from([AND, OR]), min_size=size, max_size=size))
+    operands = draw(st.lists(wire, min_size=2 * size, max_size=2 * size))
+    operands[draw(st.integers(0, 2 * size - 1))] = draw(st.integers(low, high))
+    return (
+        np.array(ops, dtype=np.uint8),
+        np.array(operands[:size], dtype=np.intc),
+        np.array(operands[size:], dtype=np.intc),
+    )
+
+
 class TestWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(gate_band())
+    def test_gate_lines_match_the_reference(self, band):
+        assert bytes(circuit_module._gate_lines(*band)) == reference_gate_lines(*band)
+
     def test_round_trip_at_every_digit_boundary(self):
         # n = 46340 puts every input id below 10**9 and the zero wire at 2147395600.
         c = mr.MonotoneCircuit(46340)

@@ -11,7 +11,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_circuit_core import build_walk_power
+from test_circuit_core import build_walk_power, matrix_of
 from test_mcirc_io import traced_peak
 
 import monoreach as mr
@@ -42,10 +42,6 @@ from monoreach.oracles import (
     run_planted_check,
     run_random_check,
 )
-
-
-def matrix_of(n, *edges):
-    return AdjacencyMatrix.from_edges(n, edges)
 
 
 def graph_of(n, g):
@@ -1198,8 +1194,7 @@ METHODS_WITHOUT_CALLER = {
     "circuit.py:MonotoneCircuit.prune": "test API: tests call it on hand-built circuits",
     "circuit.py:MonotoneCircuit.evaluate": "test API: the one-graph reference for evaluate_batch",
     "circuit.py:MonotoneCircuit.input_wire": "test API: tests wire hand-built circuits by entry",
-    "circuit.py:MonotoneCircuit.gate": "test API: tests read single gates back",
-    "circuit.py:AdjacencyMatrix.from_edges": "test reference: tests build graphs from edge lists",
+    "circuit.py:AdjacencyMatrix.set_edge": "test API: tests build graphs edge by edge",
     "circuit.py:MonotoneCircuit.wire_depths": "perfbench/layers.py PROBES wraps it",
     "build.py:DepthLedger.total_measured": "the acceptance invariant reads it",
     "cli.py:_Parser.error": "argparse calls it: the override of ArgumentParser.error",
