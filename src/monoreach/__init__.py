@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .build import (
     DepthLedger,
-    RecursionSchedule,
     Stage,
     build_explicit,
     build_reach,

@@ -52,11 +52,6 @@ def ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
-def _squaring_depth(n: int, l: int) -> int:
-    """Depth of squaring an n-vertex walk matrix up to length l."""
-    return ceil_log2(l) * (1 + ceil_log2(n))
-
-
 # -- depth ledger ---------------------------------------------------------------
 
 
@@ -327,65 +322,49 @@ def compose_family(family: CoveringFamily, inner: MonotoneCircuit):
 
 def _composition_stages(p: FamilyParams, inner_depth: int | None, label: str = "") -> list[Stage]:
     """Predicted stages of compose_family over a family of shape p and an
-    inner circuit of depth inner_depth: the closure up to 2d edges, the
-    clones, and an OR over the m clone outputs."""
+    inner circuit of depth inner_depth: the closure, ceil(log2 2d)
+    squarings of 1 + ceil(log2 n) each, the clones, and an OR over the m
+    clone outputs."""
     return [
-        Stage(label + "closure", _squaring_depth(p.n, 2 * p.d)),
+        Stage(label + "closure", ceil_log2(2 * p.d) * (1 + ceil_log2(p.n))),
         Stage(label + "blocks", inner_depth),
         Stage(label + "or", ceil_log2(p.m)),
     ]
 
 
+def _compose_levels(shape: _BuildShape, family_of):
+    """Build a composed shape inside out: its base circuit, then per level
+    the family family_of(i, params) composed over what is built so far.
+
+    Returns (circuit, ledger): the shape's ledger with the measured column
+    filled from the base depth and each compose_family ledger, by label.
+    """
+    circuit = build_reach_leq(shape.vertices, shape.length)
+    measured = {f"level{len(shape.levels)}.squaring": circuit.depth()}
+    for i in reversed(range(len(shape.levels))):
+        circuit, level = compose_family(family_of(i, shape.levels[i]), circuit)
+        prefix = f"level{i}." if shape.mode == MODE_THEOREM else ""
+        measured.update((prefix + stage.label, stage.measured) for stage in level.stages)
+    ledger = _shape_ledger(shape)
+    for stage in ledger.stages:
+        stage.measured = measured[stage.label]
+    return circuit, ledger
+
+
 def build_explicit(n: int):
     """Reachability circuit from the affine-plane family over the smallest
     fitting prime; returns (circuit, ledger)."""
-    shape = _build_shape(MODE_EXPLICIT, n, None)
-    return compose_family(plane_family(n), build_reach_leq(shape.vertices, shape.length))
+    return _compose_levels(_build_shape(MODE_EXPLICIT, n, None), lambda i, p: plane_family(n))
 
 
 # -- recursive schedule ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RecursionSchedule:
-    """Level parameters for the recursive composed build.
-
-    growth_factor is the per-level universe growth constant 2 ln n + 3
-    (a dyadic rational here; kept distinct from the plane prime q used by
-    the explicit build).  levels[i] = (n_i, l_i)."""
-
-    n: int
-    l: int
-    d: int
-    k: int
-    growth_factor: Fraction
-    levels: tuple[tuple[int, int], ...]
-
-    @property
-    def m(self) -> int:
-        return self.n
-
-    def family_params(self, i: int) -> FamilyParams:
-        n_i, l_i = self.levels[i]
-        n_next = self.levels[i + 1][0]
-        return FamilyParams(n_i, n_i, n_next - 2, l_i, self.d)
-
-    def ledger(self) -> DepthLedger:
-        """Integer depth ledger a build from this schedule achieves, predicted
-        column only: per level the 2d-closure and an OR over n_i blocks,
-        outside in, then the base squaring."""
-        stages = []
-        for i in range(self.k):
-            closure, _, orstage = _composition_stages(self.family_params(i), None, f"level{i}.")
-            stages += [closure, orstage]
-        n_k, l_k = self.levels[self.k]
-        stages.append(Stage(f"level{self.k}.squaring", _squaring_depth(n_k, l_k)))
-        return DepthLedger(stages=stages)
-
-
-def recursion_schedule(n: int, l: int) -> RecursionSchedule:
-    """Schedule: d = floor(2**sqrt(log2 n)), k = floor(log_d l),
-    l_i = floor(l / d**i), n_i = floor(n * g**i / d**i) with g = 2 ln n + 3.
+def recursion_schedule(n: int, l: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The paper's schedule as (d, levels), levels[i] = (n_i, l_i) for
+    i = 0..k: d = floor(2**sqrt(log2 n)), k = floor(log_d l),
+    l_i = floor(l / d**i), n_i = floor(n * g**i / d**i) with the
+    per-level universe growth g = 2 ln n + 3.
 
     Evaluated in scaled-integer arithmetic (96 fractional bits), so the
     schedule is identical on every platform.
@@ -408,30 +387,21 @@ def recursion_schedule(n: int, l: int) -> RecursionSchedule:
     assert levels[0] == (n, l)
     assert levels[k][1] <= d
     assert all(a[1] > b[1] for a, b in zip(levels, levels[1:]))  # l_i strictly falls
-    return RecursionSchedule(n, l, d, k, Fraction(growth_scaled, 1 << PREC), tuple(levels))
+    return d, tuple(levels)
 
 
 def build_recursive(n: int, l: int, seed: int, attempt_budget: int = 10):
     """Recursive composed build: squaring at the deepest level, then one
-    sampled covering family and composition per level, outside in.
+    sampled covering family and composition per level, inside out.
 
     Every family is verified with the exact checker before it is composed;
     a check over its default budget refuses the build.  Returns (circuit,
-    ledger, schedule); the ledger is the schedule's, with each stage's
-    measured depth filled in.
+    ledger).
     """
-    sched = recursion_schedule(n, l)
-    ledger = sched.ledger()
-    n_k, l_k = sched.levels[sched.k]
-    circuit = build_reach_leq(n_k, l_k)
-    ledger.stages[-1].measured = circuit.depth()
-    for i in range(sched.k - 1, -1, -1):
-        family, _ = sample_verified_family(sched.family_params(i), seed, attempt_budget, label=f"level{i}:")
-        circuit, level = compose_family(family, circuit)
-        closure, _, orstage = level.stages
-        ledger.stages[2 * i].measured = closure.measured
-        ledger.stages[2 * i + 1].measured = orstage.measured
-    return circuit, ledger, sched
+    return _compose_levels(
+        _build_shape(MODE_THEOREM, n, l),
+        lambda i, p: sample_verified_family(p, seed, attempt_budget, label=f"level{i}:")[0],
+    )
 
 
 # -- gate-count and depth prediction ---------------------------------------------------
@@ -453,12 +423,13 @@ def _plan_gates(plan: list[tuple[int, int]], last: frozenset, n: int, absorb: bo
 
 @dataclass(frozen=True)
 class _BuildShape:
-    """What a build of one mode is made of, all of it fixed before any gate:
+    """What a build of `mode` is made of, all of it fixed before any gate:
     the length budget l it uses, the FamilyParams of its composition levels,
     outermost first, and its base circuit on `vertices` vertices, for walks
     of at most `length` edges (by squaring, with `absorb`) or of exactly
     `length` edges, emitted by the product plan `plan`."""
 
+    mode: str
     l: int | None
     levels: tuple[FamilyParams, ...]
     vertices: int
@@ -475,7 +446,7 @@ def _build_shape(mode: str, n: int, l: int | None) -> _BuildShape:
     if mode == MODE_EXACT:
         if l is None:
             raise InvalidParameterError("exact mode needs a length l (--l)")
-        return _BuildShape(l, (), n, l, _exact_plan(n, l), absorb=False)
+        return _BuildShape(mode, l, (), n, l, _exact_plan(n, l), absorb=False)
     if mode == MODE_SQUARING:
         if n < 2 or l < 1:
             raise InvalidParameterError("squaring mode needs n >= 2 and l >= 1")
@@ -487,12 +458,34 @@ def _build_shape(mode: str, n: int, l: int | None) -> _BuildShape:
         d = minimal_deficiency(q)
         levels, base = (FamilyParams(n, q * (q + 1), q, n, d),), (q + 2, n // d)
     elif mode == MODE_THEOREM:
-        sched = recursion_schedule(n, l)
-        levels, base = tuple(sched.family_params(i) for i in range(sched.k)), sched.levels[sched.k]
+        d, schedule = recursion_schedule(n, l)
+        pairs = zip(schedule, schedule[1:])  # a level's universe and its inner one
+        levels = tuple(FamilyParams(n_i, n_i, n_next - 2, l_i, d) for (n_i, l_i), (n_next, _) in pairs)
+        base = schedule[-1]
     else:
         raise InvalidParameterError(f"unknown mode {mode!r}")
     vertices, length = base
-    return _BuildShape(l, levels, vertices, length, _squaring_plan(ceil_log2(length)), absorb=True)
+    return _BuildShape(mode, l, levels, vertices, length, _squaring_plan(ceil_log2(length)), absorb=True)
+
+
+def _shape_ledger(shape: _BuildShape) -> DepthLedger:
+    """The integer depth ledger a build of this shape reaches, predicted
+    column only.  squaring and exact: one stage, the base plan replayed
+    (every product adds 1 + ceil(log2 n)); explicit: closure, blocks and
+    OR; theorem: each level's closure and OR, outermost first, then the
+    base squaring."""
+    depth = [0]  # of matrix k of the base plan
+    for a, b in shape.plan:
+        depth.append(max(depth[a], depth[b]) + 1 + ceil_log2(shape.vertices))
+    if shape.mode == MODE_THEOREM:
+        stages = []
+        for i, p in enumerate(shape.levels):
+            closure, _, orstage = _composition_stages(p, None, f"level{i}.")
+            stages += [closure, orstage]
+        return DepthLedger(stages + [Stage(f"level{len(shape.levels)}.squaring", depth[-1])])
+    if shape.levels:
+        return DepthLedger(_composition_stages(shape.levels[0], depth[-1]))
+    return DepthLedger([Stage("exact-power" if shape.mode == MODE_EXACT else "squaring", depth[-1])])
 
 
 def predict_gate_count(mode: str, n: int, l: int | None = None) -> int:
@@ -529,12 +522,7 @@ def predict_depth(mode: str, n: int, l: int | None = None) -> DepthLedger:
         stages = [Stage(f"level{i}", log2_fraction(p.d) * log2_fraction(p.n)) for i, p in enumerate(shape.levels)]
         base = log2_fraction(shape.length) * log2_fraction(shape.vertices)
         return DepthLedger(stages + [Stage(f"level{len(shape.levels)}.squaring", base)])
-    depth = [0]  # of matrix k; every product adds 1 + ceil(log2 n)
-    for a, b in shape.plan:
-        depth.append(max(depth[a], depth[b]) + 1 + ceil_log2(shape.vertices))
-    if shape.levels:
-        return DepthLedger(_composition_stages(shape.levels[0], depth[-1]))
-    return DepthLedger([Stage("exact-power" if mode == MODE_EXACT else "squaring", depth[-1])])
+    return _shape_ledger(shape)
 
 
 def depth_ratio(total, n: int) -> Fraction:

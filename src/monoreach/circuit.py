@@ -72,7 +72,7 @@ class MonotoneCircuit:
         self._rights = array("i")
         self.outputs: list[int] = []
         # Both caches are keyed by the gate count they were made at, since
-        # gates are only appended; prune() resets both, set_outputs() the plan.
+        # gates are only appended; set_outputs() also resets the plan.
         self._depths_cache: tuple[int, np.ndarray] | None = None
         self._plan_cache: tuple[int, _Plan] | None = None
 
@@ -85,13 +85,6 @@ class MonotoneCircuit:
     @property
     def num_wires(self) -> int:
         return self.num_inputs + 1 + len(self._ops)
-
-    def input_wire(self, i: int, j: int) -> int:
-        """Wire id of the edge variable for i -> j (1-based vertices)."""
-        n = self.num_vertices
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise InvalidParameterError(f"vertex pair ({i},{j}) out of range 1..{n}")
-        return (i - 1) * n + (j - 1)
 
     def gates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only (ops, lefts, rights) views of the gate table: gate g
@@ -269,28 +262,6 @@ class MonotoneCircuit:
         """Number of gates with the zero wire as an operand."""
         _, lefts, rights = self.gates()
         return int(np.count_nonzero((lefts == self.zero) | (rights == self.zero)))
-
-    def prune(self) -> None:
-        """Drop every gate no output reads.  Kept gates keep their order and
-        are renumbered densely, so the result depends only on the circuit."""
-        live = self.live_gates()
-        if live.all():
-            return
-        n0 = self.num_inputs + 1
-        keep = np.flatnonzero(live)
-        # renumber[g] is the new wire id of gate g (meaningful where live).
-        renumber = np.cumsum(live, dtype=np.int64) + (n0 - 1)
-
-        def wire(ids: np.ndarray) -> np.ndarray:
-            return np.where(ids < n0, ids, renumber[np.maximum(ids - n0, 0)])
-
-        ops, lefts, rights = self.gates()
-        self._ops = bytearray(ops[keep].tobytes())
-        self._lefts = array("i", wire(lefts[keep].astype(np.int64)).astype(np.intc).tobytes())
-        self._rights = array("i", wire(rights[keep].astype(np.int64)).astype(np.intc).tobytes())
-        self.outputs = wire(np.asarray(self.outputs, dtype=np.int64)).tolist()
-        self._depths_cache = None
-        self._plan_cache = None
 
     # -- evaluation ---------------------------------------------------------
 
@@ -497,12 +468,6 @@ class MonotoneCircuit:
             )
         return tuple(self.evaluate_batch(matrix.input_bits()))
 
-    def evaluate(self, matrix: "AdjacencyMatrix") -> int:
-        """Single-output evaluation; use evaluate_all for multi-output circuits."""
-        if len(self.outputs) != 1:
-            raise InvalidParameterError("evaluate requires exactly one output")
-        return self.evaluate_all(matrix)[0]
-
 
 @dataclass(frozen=True)
 class _Plan:
@@ -641,10 +606,6 @@ class AdjacencyMatrix:
                 if r < 0 or r > full:
                     raise InvalidParameterError("row mask out of range")
             self.rows = rows
-
-    def set_edge(self, i: int, j: int) -> None:
-        self._check(i, j)
-        self.rows[i - 1] |= 1 << (j - 1)
 
     def entry(self, i: int, j: int) -> int:
         self._check(i, j)

@@ -21,6 +21,7 @@ from .build import (
     MODE_THEOREM,
     DepthLedger,
     _build_shape,
+    _shape_ledger,
     build_explicit,
     build_reach_exact,
     build_reach_leq,
@@ -29,7 +30,6 @@ from .build import (
     ledger_csv_lines,
     predict_depth,
     predict_gate_count,
-    recursion_schedule,
     trend_table,
 )
 from .circuit import read_circuit, write_circuit
@@ -116,7 +116,7 @@ def _cmd_build(args, argv) -> int:
     elif args.mode == "explicit":
         circuit, ledger = build_explicit(n)
     elif args.mode == "theorem":
-        circuit, ledger, _ = build_recursive(n, l, args.seed, attempt_budget=args.attempts)
+        circuit, ledger = build_recursive(n, l, args.seed, attempt_budget=args.attempts)
     else:  # pragma: no cover - argparse restricts choices
         return 2
     depth = circuit.depth()
@@ -214,7 +214,7 @@ def _cmd_predict(args, argv) -> int:
     if n.bit_length() <= 28:  # gate counts only meaningful at buildable sizes
         print(f"# gate count if built: {predict_gate_count(args.mode, n, args.l)}")
     if args.mode == MODE_THEOREM:
-        built = recursion_schedule(n, _build_shape(MODE_THEOREM, n, args.l).l).ledger()
+        built = _shape_ledger(_build_shape(MODE_THEOREM, n, args.l))
         print(f"# integer depth if built: {built.total_predicted}")
         for line in ledger_csv_lines(built):
             print(f"# {line}")

@@ -293,8 +293,10 @@ def sample_verified_family(
     Attempt k draws from child_seed(seed, f"{label}attempt{k}").  Returns
     the family and the number of attempts it took; raises
     ConstructionFailedError carrying the last counterexample when every
-    attempt fails.
+    attempt fails, and InvalidParameterError for attempts below 1.
     """
+    if attempts < 1:
+        raise InvalidParameterError(f"attempts must be at least 1, got {attempts}")
     last = None
     for attempt in range(attempts):
         family = sample_family(params, child_seed(seed, f"{label}attempt{attempt}"))

@@ -48,7 +48,7 @@ def test_c03_promise_soundness_and_completeness():
     for n, l in ((16, 6), (32, 9)):
         configs.append((f"squaring n={n} l={l}", mr.build_reach_leq(n, l), n, l))
     for n, l in ((9, 4), (16, 12)):
-        circuit, _, _ = mr.build_recursive(n, l, seed=child_seed(ACCEPT_SEED, f"c3:{n}:{l}"))
+        circuit, _ = mr.build_recursive(n, l, seed=child_seed(ACCEPT_SEED, f"c3:{n}:{l}"))
         configs.append((f"recursive n={n} l={l}", circuit, n, l))
     total = 0
     for label, circuit, n, l in configs:
@@ -77,7 +77,7 @@ def test_c04_depth_bound_and_ledger_identity():
     for n in (4, 9, 16, 25):
         circuit, ledger = mr.build_explicit(n)
         ledgers.append((f"explicit {n}", circuit, ledger))
-    circuit, ledger, _ = mr.build_recursive(16, 12, seed=child_seed(ACCEPT_SEED, "c4"))
+    circuit, ledger = mr.build_recursive(16, 12, seed=child_seed(ACCEPT_SEED, "c4"))
     ledgers.append(("recursive 16/12", circuit, ledger))
     for label, circuit, ledger in ledgers:
         assert well_formed(circuit) is None, label

@@ -1,6 +1,7 @@
 """Circuit IR: construction, the checked append, evaluation, depth, serialization."""
 
 import re
+from array import array
 from functools import reduce
 from pathlib import Path
 from unittest.mock import patch
@@ -30,12 +31,59 @@ def product(c, a, b):
     return _banded_product(c, a, b, np.ones((n, n), dtype=bool))
 
 
+def set_edge(m, i, j):
+    """Add the edge i -> j (1-based vertices) to an AdjacencyMatrix."""
+    m._check(i, j)
+    m.rows[i - 1] |= 1 << (j - 1)
+
+
 def matrix_of(n, *edges):
     """The n-vertex graph with the given (i, j) edges."""
     m = AdjacencyMatrix(n)
     for i, j in edges:
-        m.set_edge(i, j)
+        set_edge(m, i, j)
     return m
+
+
+def input_wire(c, i, j):
+    """Wire id of the edge variable for i -> j (1-based vertices)."""
+    n = c.num_vertices
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise mr.InvalidParameterError(f"vertex pair ({i},{j}) out of range 1..{n}")
+    return (i - 1) * n + (j - 1)
+
+
+def evaluate(c, matrix):
+    """The one output of a single-output circuit on one graph: the
+    one-graph reference for evaluate_batch."""
+    if len(c.outputs) != 1:
+        raise mr.InvalidParameterError("evaluate requires exactly one output")
+    return c.evaluate_all(matrix)[0]
+
+
+def prune(c):
+    """Drop every gate no output of c reads, in place.  Kept gates keep
+    their order and are renumbered densely, so the result depends only on
+    the circuit; both of its caches are reset.  The reference that shows a
+    builder emits only its output cone."""
+    live = c.live_gates()
+    if live.all():
+        return
+    n0 = c.num_inputs + 1
+    keep = np.flatnonzero(live)
+    # renumber[g] is the new wire id of gate g (meaningful where live).
+    renumber = np.cumsum(live, dtype=np.int64) + (n0 - 1)
+
+    def wire(ids):
+        return np.where(ids < n0, ids, renumber[np.maximum(ids - n0, 0)])
+
+    ops, lefts, rights = c.gates()
+    c._ops = bytearray(ops[keep].tobytes())
+    c._lefts = array("i", wire(lefts[keep].astype(np.int64)).astype(np.intc).tobytes())
+    c._rights = array("i", wire(rights[keep].astype(np.int64)).astype(np.intc).tobytes())
+    c.outputs = wire(np.asarray(c.outputs, dtype=np.int64)).tolist()
+    c._depths_cache = None
+    c._plan_cache = None
 
 
 def gate_of(c, g):
@@ -78,23 +126,23 @@ class TestNewCircuit:
 class TestAddGate:
     def test_returns_fresh_wire(self):
         c = mr.MonotoneCircuit(2)
-        w = c.add_gate(AND, c.input_wire(1, 1), c.input_wire(1, 2))
+        w = c.add_gate(AND, input_wire(c, 1, 1), input_wire(c, 1, 2))
         assert w == c.num_inputs + 1  # first wire after inputs and zero
 
     def test_or_with_zero_is_identity(self):
         c = mr.MonotoneCircuit(2)
-        g12 = c.input_wire(1, 2)
+        g12 = input_wire(c, 1, 2)
         c.set_outputs([c.add_gate(OR, c.zero, g12)])
         for t in range(16):
             m = AdjacencyMatrix(2, [t & 3, (t >> 2) & 3])
-            assert c.evaluate(m) == m.entry(1, 2)
+            assert evaluate(c, m) == m.entry(1, 2)
 
     def test_and_with_zero_annihilates(self):
         c = mr.MonotoneCircuit(2)
-        c.set_outputs([c.add_gate(AND, c.zero, c.input_wire(1, 2))])
+        c.set_outputs([c.add_gate(AND, c.zero, input_wire(c, 1, 2))])
         for t in range(16):
             m = AdjacencyMatrix(2, [t & 3, (t >> 2) & 3])
-            assert c.evaluate(m) == 0
+            assert evaluate(c, m) == 0
 
     def test_dangling_reference(self):
         c = mr.MonotoneCircuit(2)
@@ -138,7 +186,7 @@ class TestAddGate:
 class TestOrTree:
     def test_singleton_is_identity(self):
         c = mr.MonotoneCircuit(2)
-        w = c.input_wire(1, 1)
+        w = input_wire(c, 1, 1)
         assert mr.or_tree(c, [w]) == w
         assert c.gate_count == 0
 
@@ -166,9 +214,9 @@ class TestOrTree:
             m = AdjacencyMatrix(3, [bits[0] | bits[1] << 1 | bits[2] << 2,
                                     bits[3] | bits[4] << 1 | bits[5] << 2,
                                     bits[6] | bits[7] << 1 | bits[8] << 2])
-            assert tree.evaluate(m) == fold.evaluate(m)
+            assert evaluate(tree, m) == evaluate(fold, m)
             if one_hot < 8:
-                assert tree.evaluate(m) == 1
+                assert evaluate(tree, m) == 1
 
 
 class TestBandedProduct:
@@ -214,9 +262,9 @@ class TestBandedProduct:
 class TestEvaluate:
     def test_projection(self):
         c = mr.MonotoneCircuit(2)
-        c.set_outputs([c.input_wire(1, 2)])
-        assert c.evaluate(matrix_of(2, (1, 2))) == 1
-        assert c.evaluate(matrix_of(2, (2, 1))) == 0
+        c.set_outputs([input_wire(c, 1, 2)])
+        assert evaluate(c, matrix_of(2, (1, 2))) == 1
+        assert evaluate(c, matrix_of(2, (2, 1))) == 0
 
     def test_all_zero_matrix_gives_zero(self):
         for circuit in (mr.build_reach(3), build_walk_power(3, 2), mr.build_reach_exact(3, 3)):
@@ -225,24 +273,24 @@ class TestEvaluate:
 
     def test_reach_on_small_path(self):
         c = mr.build_reach(3)
-        assert c.evaluate(matrix_of(3, (1, 2), (2, 3))) == 1
+        assert evaluate(c, matrix_of(3, (1, 2), (2, 3))) == 1
 
     def test_dimension_mismatch(self):
         c = mr.build_reach(3)
         with pytest.raises(mr.InvalidParameterError):
-            c.evaluate(AdjacencyMatrix(4))
+            evaluate(c, AdjacencyMatrix(4))
 
     def test_single_output_required(self):
         c = build_walk_power(2, 1)
         with pytest.raises(mr.InvalidParameterError):
-            c.evaluate(AdjacencyMatrix(2))
+            evaluate(c, AdjacencyMatrix(2))
         assert len(c.evaluate_all(AdjacencyMatrix(2))) == 4
 
 
 class TestDepth:
     def test_no_gates(self):
         c = mr.MonotoneCircuit(2)
-        c.set_outputs([c.input_wire(1, 2)])
+        c.set_outputs([input_wire(c, 1, 2)])
         assert c.depth() == 0
 
     def test_single_gate(self):
@@ -660,7 +708,7 @@ class TestGateCodes:
         c.add_gate(OR, 0, 2)  # now the last reader of wire 0
         assert plan_fields(c) == per_gate_plan(c)
         assert (plan_fields(c)["free_counts"], plan_fields(c)["frees"]) == ([1, 2], [1, 0, 2])
-        assert c.evaluate(matrix_of(2, (1, 1), (1, 2))) == 1
+        assert evaluate(c, matrix_of(2, (1, 1), (1, 2))) == 1
 
     def test_set_outputs_invalidates(self):
         # The first output's last reader releases it; a later evaluation
@@ -669,11 +717,11 @@ class TestGateCodes:
         g = c.add_gate(OR, 0, 1)
         h = c.add_gate(AND, g, 2)
         c.set_outputs([h])
-        assert c.evaluate(matrix_of(2, (1, 1))) == 0
+        assert evaluate(c, matrix_of(2, (1, 1))) == 0
         c.set_outputs([g])
         assert plan_fields(c) == per_gate_plan(c)
         assert (plan_fields(c)["free_counts"], plan_fields(c)["frees"]) == ([2, 1], [0, 1, 2])
-        assert c.evaluate(matrix_of(2, (1, 1))) == 1
+        assert evaluate(c, matrix_of(2, (1, 1))) == 1
 
     def test_prune_invalidates(self):
         c = mr.MonotoneCircuit(2)
@@ -682,7 +730,7 @@ class TestGateCodes:
         c.set_outputs([c.add_gate(AND, g, 3)])
         assert plan_fields(c) == per_gate_plan(c)
         c.add_gate(OR, dead, 2)  # a second dead gate keeps the count at 4 after pruning two
-        c.prune()
+        prune(c)
         assert c.gate_count == 2
         assert plan_fields(c) == per_gate_plan(c)
         assert (plan_fields(c)["free_counts"], plan_fields(c)["frees"]) == ([2, 2], [0, 1, 3, 5])
@@ -714,7 +762,7 @@ class TestDepthCache:
         c.set_outputs([c.add_gate(OR, h, 3)])
         assert c.depth() == 3
         assert c.wire_depths().tolist() == [0] * 5 + [1, 1, 2, 3]
-        c.prune()
+        prune(c)
         c.add_gate(AND, 0, 0)  # four gates again, so only prune's reset shows this one
         assert c.wire_depths().tolist() == [0] * 5 + [1, 2, 3, 1]
 
@@ -787,15 +835,15 @@ class TestPrune:
         out = c.add_gate(AND, g, 3)  # wire 8
         c.set_outputs([out])
         assert c.live_gates().tolist() == [False, True, False, True]
-        c.prune()
+        prune(c)
         assert [gate_of(c, i) for i in range(c.gate_count)] == [(OR, 0, 1), (AND, 5, 3)]
         assert c.outputs == [6]
 
     def test_outputs_on_inputs_keep_no_gate(self):
         c = mr.MonotoneCircuit(2)
         c.add_gate(AND, 0, 1)
-        c.set_outputs([c.input_wire(1, 2), c.zero])
-        c.prune()
+        c.set_outputs([input_wire(c, 1, 2), c.zero])
+        prune(c)
         assert c.gate_count == 0
         assert c.outputs == [1, 4]
 
@@ -811,7 +859,7 @@ class TestPrune:
         live = per_gate_live(c)
         assert c.live_gates().tolist() == live
         before = (c.evaluate_batch(masks), c.depth())
-        c.prune()
+        prune(c)
         assert c.gate_count == sum(live)
         assert well_formed(c) is None
         assert (c.evaluate_batch(masks), c.depth()) == before
@@ -825,7 +873,7 @@ class TestInvariants:
         c = mr.build_reach(4)
         g = AdjacencyMatrix(4, [(g_bits >> (4 * i)) & 15 for i in range(4)])
         ug = AdjacencyMatrix(4, [((g_bits | h_bits) >> (4 * i)) & 15 for i in range(4)])
-        assert c.evaluate(g) <= c.evaluate(ug)
+        assert evaluate(c, g) <= evaluate(c, ug)
 
     def test_depth_additivity(self):
         c = mr.MonotoneCircuit(4)
@@ -880,7 +928,7 @@ class TestTextFormat:
         assert back.gate_count == c.gate_count
         assert back.depth() == c.depth()
         g = matrix_of(4, (1, 2), (2, 3), (3, 4), (4, 1))
-        assert back.evaluate(g) == c.evaluate(g)
+        assert evaluate(back, g) == evaluate(c, g)
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())

@@ -295,6 +295,18 @@ class TestFamilyCommands:
         assert err == f"error: sampling m={m} sets of s={s} entries is over the budget of 1048576 entries\n"
         assert not fam.exists()
 
+    @pytest.mark.parametrize("attempts", ["0", "-5"])
+    def test_sample_refuses_attempts_below_one(self, tmp_path, capsys, monkeypatch, attempts):
+        monkeypatch.setattr(monoreach.families, "_uniform_below", None)  # a draw would raise TypeError
+        fam = tmp_path / "f.fam"
+        code, text, err = run(
+            capsys, "family", "sample", "--n", "16", "--m", "16", "--s", "12", "--l", "8", "--d", "8",
+            "--attempts", attempts, "--out", str(fam),
+        )
+        assert (code, text) == (2, "")
+        assert err == f"error: attempts must be at least 1, got {attempts}\n"
+        assert not fam.exists()
+
     def test_sample_and_check(self, tmp_path, capsys):
         fam = str(tmp_path / "s.fam")
         code, _, _ = run(
@@ -397,7 +409,7 @@ class TestPredict:
             "# 1,level0.or,4,",
             "# 2,level1.squaring,14,",
         ]
-        circuit, _, _ = build_recursive(16, 12, 0)
+        circuit, _ = build_recursive(16, 12, 0)
         assert circuit.depth() == 33
 
     @pytest.mark.parametrize("n, l", [(9, 4), (7, 13)])
@@ -482,6 +494,17 @@ class TestErrors:
             main(["build", "--mode", "theorem", "--n", "9", "--l", "4", "--allow-sampled", "--out", str(tmp_path)])
         assert err.value.code == 2
         assert "--allow-sampled" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("attempts", ["0", "-5"])
+    def test_theorem_build_refuses_attempts_below_one(self, tmp_path, capsys, monkeypatch, attempts):
+        monkeypatch.setattr(monoreach.families, "_uniform_below", None)  # a draw would raise TypeError
+        out = tmp_path / "t.mc"
+        code, text, err = run(
+            capsys, "build", "--mode", "theorem", "--n", "16", "--l", "12", "--attempts", attempts, "--out", str(out)
+        )
+        assert (code, text) == (2, "")
+        assert err == f"error: attempts must be at least 1, got {attempts}\n"
+        assert not out.exists()
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "stats", "--circuit", "/nonexistent/c.mc")

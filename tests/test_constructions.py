@@ -10,7 +10,16 @@ from random import Random
 
 import numpy as np
 import pytest
-from test_circuit_core import ALL_ENTRIES, build_walk_power, circuit_to_text, matrix_of, per_gate_live, well_formed
+from test_circuit_core import (
+    ALL_ENTRIES,
+    build_walk_power,
+    circuit_to_text,
+    evaluate,
+    matrix_of,
+    per_gate_live,
+    prune,
+    well_formed,
+)
 from test_verification import bernoulli_graph, exact_length_walk_exists, reference_distance
 
 import monoreach as mr
@@ -18,9 +27,11 @@ import monoreach.build
 import monoreach.families
 from monoreach.build import (
     ROLE_CLASSES,
+    _build_shape,
     _exact_plan,
     _needs,
     _pattern_mask,
+    _shape_ledger,
     _walk_power_entries,
     ledger_csv_lines,
     predict_gate_count,
@@ -60,8 +71,8 @@ class TestWalkPower:
     def test_single_vertex(self):
         c = build_walk_power(1, 3)
         assert c.gate_count == 0
-        assert c.evaluate(AdjacencyMatrix(1, [1])) == 1
-        assert c.evaluate(AdjacencyMatrix(1, [0])) == 0
+        assert evaluate(c, AdjacencyMatrix(1, [1])) == 1
+        assert evaluate(c, AdjacencyMatrix(1, [0])) == 0
 
 
 class TestReachLeq:
@@ -69,16 +80,16 @@ class TestReachLeq:
         c = mr.build_reach_leq(2, 3)
         for t in range(16):
             m = AdjacencyMatrix(2, [t & 3, (t >> 2) & 3])
-            assert c.evaluate(m) == m.entry(1, 2)
+            assert evaluate(c, m) == m.entry(1, 2)
 
     def test_path_graph_hits(self):
         for n in (3, 5, 8):
             c = mr.build_reach_leq(n, n - 1)
             g = matrix_of(n, *[(i, i + 1) for i in range(1, n)])
-            assert c.evaluate(g) == 1
+            assert evaluate(c, g) == 1
 
     def test_edgeless_is_zero(self):
-        assert mr.build_reach_leq(5, 4).evaluate(AdjacencyMatrix(5)) == 0
+        assert evaluate(mr.build_reach_leq(5, 4), AdjacencyMatrix(5)) == 0
 
     def test_depth_formula(self):
         for n, l in ((4, 3), (5, 5), (8, 2), (16, 9)):
@@ -97,26 +108,26 @@ class TestReachExact:
         c = mr.build_reach_exact(3, 1)
         assert c.gate_count == 0
         assert c.depth() == 0
-        assert c.evaluate(matrix_of(3, (1, 3))) == 1
-        assert c.evaluate(matrix_of(3, (1, 2))) == 0
+        assert evaluate(c, matrix_of(3, (1, 3))) == 1
+        assert evaluate(c, matrix_of(3, (1, 2))) == 0
 
     def test_length_two(self):
         c = mr.build_reach_exact(3, 2)
-        assert c.evaluate(matrix_of(3, (1, 2), (2, 3))) == 1
-        assert c.evaluate(matrix_of(3, (1, 3))) == 0
+        assert evaluate(c, matrix_of(3, (1, 2), (2, 3))) == 1
+        assert evaluate(c, matrix_of(3, (1, 3))) == 0
 
     def test_walk_with_revisits(self):
         c = mr.build_reach_exact(3, 4)
         g = matrix_of(3, (1, 2), (2, 1), (2, 3))
         assert exact_length_walk_exists(g.rows, 1, 3, 4)  # 1-2-1-2-3
-        assert c.evaluate(g) == 1
+        assert evaluate(c, g) == 1
 
     def test_matches_walk_oracle(self):
         for l in (3, 5, 6, 7):
             c = mr.build_reach_exact(4, l)
             for seed in range(25):
                 g = bernoulli_graph(4, 0.35, child_seed(l, str(seed)))
-                assert c.evaluate(g) == int(exact_length_walk_exists(g.rows, 1, 4, l))
+                assert evaluate(c, g) == int(exact_length_walk_exists(g.rows, 1, 4, l))
 
 
 class TestReach:
@@ -128,7 +139,7 @@ class TestReach:
     def test_all_ones(self):
         for n in (2, 5, 9):
             full = AdjacencyMatrix(n, [(1 << n) - 1] * n)
-            assert mr.build_reach(n).evaluate(full) == 1
+            assert evaluate(mr.build_reach(n), full) == 1
 
 
 class TestComposeFamily:
@@ -139,7 +150,7 @@ class TestComposeFamily:
         circuit, ledger = mr.compose_family(fam, mr.build_reach_leq(8, 7))
         for seed in range(1000):
             g = bernoulli_graph(8, (seed % 5) * 0.1 + 0.05, seed)
-            assert circuit.evaluate(g) == int(reference_distance(g.rows, 1, 8) is not None)
+            assert evaluate(circuit, g) == int(reference_distance(g.rows, 1, 8) is not None)
         assert ledger.total_measured == ledger.total_predicted
 
     def test_plane9_composition(self):
@@ -221,7 +232,7 @@ class TestComposeFamily:
         for seed in range(300):
             g = no_path_graph(9, 0.4, seed)
             assert reference_distance(g.rows, 1, 9) is None
-            assert circuit.evaluate(g) == 0
+            assert evaluate(circuit, g) == 0
 
 
 class TestHittingIntegration:
@@ -309,17 +320,18 @@ class TestSquaringPredictionRefusals:
 
 class TestRecursionSchedule:
     def test_big_power_of_two_example(self):
-        s = mr.recursion_schedule(1 << 16, 1 << 15)
-        assert s.d == 16
-        assert s.k == 3
-        assert float(s.growth_factor) == pytest.approx(2 * math.log(1 << 16) + 3, rel=1e-12)
-        assert s.levels[0] == (1 << 16, 1 << 15)
-        assert s.levels[3][1] == (1 << 15) // 16**3
+        n = 1 << 16
+        d, levels = mr.recursion_schedule(n, 1 << 15)
+        assert d == 16
+        assert len(levels) == 3 + 1  # k = 3
+        # n_1 = floor(n * g / d) with the per-level growth g = 2 ln n + 3.
+        assert levels[1][0] == math.floor(n * (2 * math.log(n) + 3) / d)
+        assert levels[0] == (n, 1 << 15)
+        assert levels[3][1] == (1 << 15) // 16**3
 
     def test_degenerate_when_l_below_d(self):
-        s = mr.recursion_schedule(16, 3)
-        assert s.k == 0
-        assert s.levels == ((16, 3),)
+        _, levels = mr.recursion_schedule(16, 3)
+        assert levels == ((16, 3),)  # k = 0
 
     def test_growth_inequality(self):
         # d * (n_{i+1} - 2) must strictly dominate 2 * ln(n) * n_i, compared
@@ -327,22 +339,21 @@ class TestRecursionSchedule:
         from monoreach.exactmath import PREC, ln_scaled
 
         for n, l in ((1 << 16, 1 << 15), (1 << 10, 1 << 9), (16, 12)):
-            s = mr.recursion_schedule(n, l)
+            d, levels = mr.recursion_schedule(n, l)
+            assert len(levels) > 1
             ln_n = ln_scaled(n)
             cushion = 1 << 40
-            for i in range(s.k):
-                n_i = s.levels[i][0]
-                n_next = s.levels[i + 1][0]
-                lhs = s.d * (n_next - 2) << PREC
+            for (n_i, _), (n_next, _) in zip(levels, levels[1:]):
+                lhs = d * (n_next - 2) << PREC
                 rhs = 2 * n_i * (ln_n + cushion)
                 assert lhs > rhs
-                assert s.d * (n_next - 2) > 2.0 * n_i * math.log(n)
+                assert d * (n_next - 2) > 2.0 * n_i * math.log(n)
 
     def test_level_parameters(self):
-        s = mr.recursion_schedule(16, 12)
-        assert s.family_params(0) == FamilyParams(16, 16, 32, 12, 4)
-        assert s.m == 16
-        assert s.ledger().total_predicted == 4 + 3 * 5 + 2 * (1 + 6)  # or + closure + inner
+        shape = _build_shape("theorem", 16, 12)
+        assert shape.levels == (FamilyParams(16, 16, 32, 12, 4),)
+        assert shape.levels[0].m == 16
+        assert _shape_ledger(shape).total_predicted == 4 + 3 * 5 + 2 * (1 + 6)  # or + closure + inner
 
     def test_precondition(self):
         with pytest.raises(mr.InvalidParameterError):
@@ -351,8 +362,8 @@ class TestRecursionSchedule:
 
 class TestBuildRecursive:
     def test_k0_matches_plain_squaring(self):
-        circuit, ledger, sched = mr.build_recursive(16, 3, seed=1)
-        assert sched.k == 0
+        circuit, ledger = mr.build_recursive(16, 3, seed=1)
+        assert _build_shape("theorem", 16, 3).levels == ()  # k = 0
         plain = mr.build_reach_leq(16, 3)
         assert bytes(circuit._ops) == bytes(plain._ops)
         assert circuit._lefts.tobytes() == plain._lefts.tobytes()
@@ -360,8 +371,8 @@ class TestBuildRecursive:
         assert ledger.total_measured == plain.depth()
 
     def test_nondegenerate_build(self):
-        circuit, ledger, sched = mr.build_recursive(16, 12, seed=42)
-        assert sched.k == 1
+        circuit, ledger = mr.build_recursive(16, 12, seed=42)
+        assert len(_build_shape("theorem", 16, 12).levels) == 1  # k = 1
         assert ledger.total_measured == circuit.depth()
         assert ledger.total_measured == ledger.total_predicted
         assert run_planted_check(circuit, 16, 600, seed=9, l=12).ok
@@ -369,26 +380,26 @@ class TestBuildRecursive:
     def test_random_promise_instances(self):
         # Random graphs with the promise filter: graphs whose only 1 -> n
         # paths are longer than l are skipped, everything else must match.
-        circuit, _, _ = mr.build_recursive(16, 12, seed=42)
+        circuit, _ = mr.build_recursive(16, 12, seed=42)
         report = run_random_check(circuit, 16, 4000, seed=31, l=12)
         assert report.ok
         assert report.checked == 4000
 
     def test_ledger_reassembles_from_level_formulas(self):
-        circuit, ledger, sched = mr.build_recursive(16, 12, seed=42)
+        circuit, ledger = mr.build_recursive(16, 12, seed=42)
+        d, (*outer, (n_k, l_k)) = mr.recursion_schedule(16, 12)
+        assert outer
         total = 0
-        for i in range(sched.k):
-            n_i = sched.levels[i][0]
+        for n_i, _ in outer:
             total += mr.ceil_log2(n_i)  # or stage (m_i = n_i)
-            total += mr.ceil_log2(2 * sched.d) * (1 + mr.ceil_log2(n_i))
-        n_k, l_k = sched.levels[sched.k]
+            total += mr.ceil_log2(2 * d) * (1 + mr.ceil_log2(n_i))
         total += mr.ceil_log2(max(1, l_k)) * (1 + mr.ceil_log2(n_k))
         assert ledger.total_predicted == total
         assert circuit.depth() == total
 
     def test_determinism(self):
-        a, _, _ = mr.build_recursive(9, 4, seed=7)
-        b, _, _ = mr.build_recursive(9, 4, seed=7)
+        a, _ = mr.build_recursive(9, 4, seed=7)
+        b, _ = mr.build_recursive(9, 4, seed=7)
         assert bytes(a._ops) == bytes(b._ops)
         assert a._lefts.tobytes() == b._lefts.tobytes()
 
@@ -417,9 +428,9 @@ class TestFormerlySampledLevels:
     @pytest.mark.parametrize("n, l", PAIRS)
     def test_first_attempt_passes_the_exact_check(self, n, l):
         assert predict_gate_count("theorem", n, l) <= 200_000_000
-        sched = mr.recursion_schedule(n, l)
-        for i in range(sched.k):
-            params = sched.family_params(i)
+        levels = _build_shape("theorem", n, l).levels
+        assert levels
+        for i, params in enumerate(levels):
             assert math.comb(params.n, params.d) > 10_000_000
             family = mr.sample_family(params, child_seed(0, f"level{i}:attempt0"))
             assert mr.check_family_exact(family) is None
@@ -440,8 +451,14 @@ class TestSampleVerifiedFamily:
         assert attempts == 4
         assert family == mr.sample_family(self.PARAMS, child_seed(0, "attempt3"))
 
+    @pytest.mark.parametrize("attempts", [0, -5])
+    def test_attempts_below_one_are_refused(self, attempts, monkeypatch):
+        monkeypatch.setattr(monoreach.families, "sample_family", fail)
+        with pytest.raises(mr.InvalidParameterError, match=f"^attempts must be at least 1, got {attempts}$"):
+            mr.sample_verified_family(self.PARAMS, 0, attempts)
+
     def test_label_prefixes_the_seed_stream(self):
-        params = mr.recursion_schedule(16, 12).family_params(0)
+        params = _build_shape("theorem", 16, 12).levels[0]
         family, attempts = mr.sample_verified_family(params, 42, 10, "level0:")
         assert family == mr.sample_family(params, child_seed(42, f"level0:attempt{attempts - 1}"))
 
@@ -536,10 +553,10 @@ class TestPrunedBuilds:
     @pytest.mark.parametrize("mode, n, l, build, unpruned", PRUNED_BUILDS[::5])
     def test_pruning_twice_is_pruning_once(self, mode, n, l, build, unpruned):
         once = unpruned(n, l)
-        once.prune()
+        prune(once)
         text = circuit_to_text(once)
         assert text == circuit_to_text(build(n, l))
-        once.prune()
+        prune(once)
         assert circuit_to_text(once) == text
 
     @pytest.mark.parametrize("mode, n, l, build, unpruned", PRUNED_BUILDS)
@@ -558,7 +575,7 @@ class TestPrunedBuilds:
     def test_walk_power_keeps_every_gate(self):
         c = build_walk_power(5, 3)
         text = circuit_to_text(c)
-        c.prune()
+        prune(c)
         assert circuit_to_text(c) == text
 
 
@@ -638,9 +655,9 @@ class TestClosureCone:
             whole_closure.setattr(monoreach.build, "_read_pattern", lambda inner: ALL_ENTRIES)
             whole = self.COMPOSED[name]()
         assert whole.gate_count > cone.gate_count
-        whole.prune()
+        prune(whole)
         if name == "uncovered vertex":  # its entries are emitted, and dead
-            cone.prune()
+            prune(cone)
         assert circuit_to_text(whole) == circuit_to_text(cone)
 
     def test_uncovered_vertex_leaves_exactly_its_entries_dead(self):
@@ -662,13 +679,11 @@ class TestClosureCone:
         assert np.count_nonzero(~live) == sum(int(d.sum()) for d in dead) * (2 * n - 2) > 0
 
     @pytest.mark.parametrize("n, l", [(n, l) for n in (2, 3, 5, 9, 16) for l in (1, 2, 3, 5, 9, 15)])
-    def test_reach_leq_emits_no_gate_it_drops(self, n, l, monkeypatch):
-        with monkeypatch.context() as no_prune:
-            no_prune.setattr(mr.MonotoneCircuit, "prune", fail)
-            circuit = mr.build_reach_leq(n, l)
+    def test_reach_leq_emits_no_gate_it_drops(self, n, l):
+        circuit = mr.build_reach_leq(n, l)
         assert circuit.live_gates().all()
         whole = unpruned_reach_leq(n, l)
-        whole.prune()
+        prune(whole)
         assert circuit_to_text(whole) == circuit_to_text(circuit)
 
     def test_counts_come_from_the_closed_form(self, monkeypatch):
@@ -682,13 +697,11 @@ EXACT_CONES = [(n, l) for mode, n, l, _, _ in PRUNED_BUILDS if mode == "exact"] 
 
 class TestExactPlan:
     @pytest.mark.parametrize("n, l", EXACT_CONES)
-    def test_reach_exact_emits_no_gate_it_drops(self, n, l, monkeypatch):
-        with monkeypatch.context() as no_prune:
-            no_prune.setattr(mr.MonotoneCircuit, "prune", fail)
-            circuit = mr.build_reach_exact(n, l)
+    def test_reach_exact_emits_no_gate_it_drops(self, n, l):
+        circuit = mr.build_reach_exact(n, l)
         assert circuit.live_gates().all()
         whole = unpruned_reach_exact(n, l)
-        whole.prune()
+        prune(whole)
         assert circuit_to_text(whole) == circuit_to_text(circuit)
 
     def test_counts_come_from_the_plan(self, monkeypatch):
@@ -728,7 +741,7 @@ class TestExactPlan:
             mr.build_reach_exact(5, l)
 
     def test_builders_never_prune(self):
-        # Every builder emits only its output cone; prune() is a reference.
+        # Every builder emits only its output cone; the tests' prune() is a reference.
         tree = ast.parse(Path(monoreach.build.__file__).read_text())
         methods = {
             node.func.attr
@@ -750,6 +763,31 @@ class TestExactPlan:
                     callers[node.func.id].add(func.name)
         assert {name: len(funcs) for name, funcs in callers.items()} == dict.fromkeys(callers, 1), callers
         assert not {"_mode_l", "_composed_gates"} & {func.name for func in funcs}
+
+    def test_one_composition_loop(self):
+        # Both composed builders share one loop over the shape's levels,
+        # which alone takes a family, and one rule gives every integer
+        # ledger: no schedule class, no ledger filled by stage index, and no
+        # stages but compose_family's and the ledger rule's.
+        tree = ast.parse(Path(monoreach.build.__file__).read_text())
+        names = {getattr(node, "name", None) for node in ast.walk(tree)} | {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+        }
+        assert "compose_family" in names, "found no names: the scan is broken"
+        assert "RecursionSchedule" not in names
+        callers = {"sample_verified_family": [], "plane_family": [], "_composition_stages": []}
+        for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
+                    callers[node.func.id].append(func.name)
+        assert len(callers.pop("sample_verified_family")) == len(callers.pop("plane_family")) == 1
+        assert set(callers["_composition_stages"]) == {"_shape_ledger", "compose_family"}
+        indexed = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) and node.value.attr == "stages"
+        ]
+        assert indexed == []
 
 
 class TestPredictDepth:
@@ -793,9 +831,9 @@ class TestPredictDepth:
             mr.predict_depth("exact", 5)
 
     def test_theorem_stage_count(self):
-        sched = mr.recursion_schedule(1 << 16, (1 << 16) - 1)
+        _, levels = mr.recursion_schedule(1 << 16, (1 << 16) - 1)
         ledger = mr.predict_depth("theorem", 1 << 16)
-        assert len(ledger.stages) == sched.k + 1
+        assert len(ledger.stages) == len(levels)  # k + 1
 
     def test_unknown_mode(self):
         with pytest.raises(mr.InvalidParameterError):
@@ -904,10 +942,10 @@ THEOREM_GRID = [(n, l) for n in range(3, 25) for l in range(2, n) if predict_gat
 class TestScheduleLedger:
     def test_grid_covers_k_0_1_and_2(self):
         assert len(THEOREM_GRID) == 116
-        assert {mr.recursion_schedule(n, l).k for n, l in THEOREM_GRID} == {0, 1, 2}
+        assert {len(_build_shape("theorem", n, l).levels) for n, l in THEOREM_GRID} == {0, 1, 2}
 
     def test_predicted_column_only(self):
-        ledger = mr.recursion_schedule(5, 4).ledger()
+        ledger = _shape_ledger(_build_shape("theorem", 5, 4))
         assert [s.label for s in ledger.stages] == [
             "level0.closure", "level0.or", "level1.closure", "level1.or", "level2.squaring",
         ]
@@ -917,8 +955,8 @@ class TestScheduleLedger:
     @pytest.mark.parametrize("seed", range(3))
     def test_schedule_ledger_is_the_built_ledger(self, seed):
         for n, l in THEOREM_GRID:
-            circuit, built, sched = mr.build_recursive(n, l, seed)
-            stages = sched.ledger().stages
+            circuit, built = mr.build_recursive(n, l, seed)
+            stages = _shape_ledger(_build_shape("theorem", n, l)).stages
             assert [(s.label, s.predicted) for s in stages] == [(s.label, s.predicted) for s in built.stages], (n, l)
             assert [s.predicted for s in stages] == [s.measured for s in built.stages], (n, l)
             assert built.total_measured == circuit.depth()

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import monoreach as mr
 import monoreach.families
+from monoreach.build import _build_shape
 from monoreach.exactmath import child_seed, randbelow
 from monoreach.families import CoveringFamily, FamilyCounterexample, FamilyParams, _check_incidence, _uniform_below
 
@@ -239,7 +240,7 @@ class TestSampleFamily:
         # builds are bounded by --max-gates.
         monkeypatch.setattr(monoreach.families, "SAMPLE_ENTRY_BUDGET", 1)
         assert len(mr.sample_family(FamilyParams(3, 2, 2, 2, 1), seed=0).sets) == 2
-        circuit, _, _ = mr.build_recursive(9, 4, seed=0)
+        circuit, _ = mr.build_recursive(9, 4, seed=0)
         assert circuit.gate_count > 0
 
     # The benchmark's family-exact shapes; every other shape the tests sample
@@ -252,8 +253,7 @@ class TestSampleFamily:
     def test_shapes_in_use_fit_the_budget(self):
         shapes = [FamilyParams(*shape) for shape in self.SAMPLED_SHAPES]
         for n, l in self.THEOREM_PAIRS:
-            sched = mr.recursion_schedule(n, l)
-            shapes += [sched.family_params(i) for i in range(sched.k)]
+            shapes += _build_shape("theorem", n, l).levels
         assert max(p.m * p.s for p in shapes) == 285_568  # (368, 7)
         assert all(p.m * p.s <= monoreach.families.SAMPLE_ENTRY_BUDGET for p in shapes)
 
@@ -267,7 +267,7 @@ class TestSampleFamily:
     @pytest.mark.parametrize(
         "params",
         [FamilyParams(*shape) for shape in SAMPLED_SHAPES]
-        + [mr.recursion_schedule(16, 12).family_params(i) for i in range(mr.recursion_schedule(16, 12).k)],
+        + list(_build_shape("theorem", 16, 12).levels),
         ids=str,
     )
     def test_same_sets_as_one_draw_per_entry(self, params):
@@ -293,8 +293,7 @@ class TestCheckBudget:
     def test_shapes_in_use_fit_the_budget(self):
         shapes = [FamilyParams(*shape) for shape in TestSampleFamily.SAMPLED_SHAPES]
         for n, l in TestSampleFamily.THEOREM_PAIRS:
-            sched = mr.recursion_schedule(n, l)
-            shapes += [sched.family_params(i) for i in range(sched.k)]
+            shapes += _build_shape("theorem", n, l).levels
         for n in range(2, 962):  # every plane family under PLANE_POINT_BUDGET
             q = mr.minimal_prime_q(n)
             shapes.append(FamilyParams(n, q * (q + 1), q, n, mr.minimal_deficiency(q)))

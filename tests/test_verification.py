@@ -11,7 +11,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_circuit_core import build_walk_power, matrix_of
+from test_circuit_core import build_walk_power, evaluate, matrix_of, set_edge
 from test_mcirc_io import traced_peak
 
 import monoreach as mr
@@ -126,13 +126,13 @@ def reference_planted_graphs(rng, n, path_lens, noise_prob):
         path = [1] + order[: path_len - 1] + [n]
         g = AdjacencyMatrix(n)
         for a, b in zip(path, path[1:]):
-            g.set_edge(a, b)
+            set_edge(g, a, b)
         graphs.append(g)
     for e in range(n * n):
         noise = bernoulli_mask(rng, len(path_lens), noise_prob)
         for t, g in enumerate(graphs):
             if (noise >> t) & 1:
-                g.set_edge(e // n + 1, e % n + 1)
+                set_edge(g, e // n + 1, e % n + 1)
     return graphs
 
 
@@ -149,7 +149,7 @@ def reference_no_path_graphs(rng, n, width, edge_prob):
             sink_u = u == n or (u != 1 and (sides[u - 1] >> t) & 1)
             sink_v = v == n or (v != 1 and (sides[v - 1] >> t) & 1)
             if (edges >> t) & 1 and not (sink_v and not sink_u):
-                g.set_edge(u, v)
+                set_edge(g, u, v)
     return graphs
 
 
@@ -404,7 +404,7 @@ class TestBitPacking:
         mats = [bernoulli_graph(4, 0.4, seed) for seed in range(64)]
         out = c.evaluate_batch(graph_ints_to_masks([reference_graph_int(g) for g in mats], 4))[0]
         for t, g in enumerate(mats):
-            assert (out >> t) & 1 == c.evaluate(g)
+            assert (out >> t) & 1 == evaluate(c, g)
 
 
 class TestGraphText:
@@ -520,7 +520,7 @@ class TestComparisonDrivers:
         assert len(report.mismatches) == 9
         for g, expected, got in report.mismatches:
             dist = reference_distance(g.rows, 1, 10)
-            assert expected == int(dist is not None) != got == c.evaluate(g)
+            assert expected == int(dist is not None) != got == evaluate(c, g)
             assert l is None or dist <= l
 
     def test_exhaustive_mismatches_in_graph_order(self):
@@ -761,7 +761,7 @@ class TestWalkOracle:
         report = run_exhaustive_check(c, 4, max_report=10**6, walks=3)
         assert report.mismatches
         for g, expected, got in report.mismatches:
-            assert expected == int(exact_length_walk_exists(g.rows, 1, 4, 3)) != got == c.evaluate(g)
+            assert expected == int(exact_length_walk_exists(g.rows, 1, 4, 3)) != got == evaluate(c, g)
 
     @pytest.mark.parametrize("walks", [0, -1])
     def test_walks_below_one_refused(self, walks):
@@ -1191,10 +1191,6 @@ PUBLIC_WITHOUT_CALLER = {
 # Public methods that no other part of the package calls, each with the
 # reason it stays.
 METHODS_WITHOUT_CALLER = {
-    "circuit.py:MonotoneCircuit.prune": "test API: tests call it on hand-built circuits",
-    "circuit.py:MonotoneCircuit.evaluate": "test API: the one-graph reference for evaluate_batch",
-    "circuit.py:MonotoneCircuit.input_wire": "test API: tests wire hand-built circuits by entry",
-    "circuit.py:AdjacencyMatrix.set_edge": "test API: tests build graphs edge by edge",
     "circuit.py:MonotoneCircuit.wire_depths": "perfbench/layers.py PROBES wraps it",
     "build.py:DepthLedger.total_measured": "the acceptance invariant reads it",
     "cli.py:_Parser.error": "argparse calls it: the override of ArgumentParser.error",
