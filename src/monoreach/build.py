@@ -395,9 +395,12 @@ def build_recursive(n: int, l: int, seed: int, attempt_budget: int = 10):
     sampled covering family and composition per level, inside out.
 
     Every family is verified with the exact checker before it is composed;
-    a check over its default budget refuses the build.  Returns (circuit,
-    ledger).
+    a check over its default budget refuses the build.  An attempt budget
+    below 1 is refused before any gate, whether or not a level samples a
+    family.  Returns (circuit, ledger).
     """
+    if attempt_budget < 1:
+        raise InvalidParameterError(f"attempts must be at least 1, got {attempt_budget}")
     return _compose_levels(
         _build_shape(MODE_THEOREM, n, l),
         lambda i, p: sample_verified_family(p, seed, attempt_budget, label=f"level{i}:")[0],

@@ -262,72 +262,137 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(2)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = _Parser(prog="monoreach", description=__doc__)
-    top.add_argument("--version", action="version", version=f"monoreach {__version__}")
-    sub = top.add_subparsers(dest="cmd", required=True)
+def _build_flags(p):
+    p.add_argument("--mode", required=True, choices=["squaring", "exact", "explicit", "theorem"])
+    p.add_argument("--n", required=True)
+    p.add_argument("--l", type=int)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--attempts", type=int, default=10)
+    p.add_argument("--max-gates", type=int, default=200_000_000, help="refuse builds above this gate count")
+    p.add_argument("--out", required=True)
 
-    b = sub.add_parser("build", help="build a reachability circuit")
-    b.add_argument("--mode", required=True, choices=["squaring", "exact", "explicit", "theorem"])
-    b.add_argument("--n", required=True)
-    b.add_argument("--l", type=int)
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--attempts", type=int, default=10)
-    b.add_argument("--max-gates", type=int, default=200_000_000, help="refuse builds above this gate count")
-    b.add_argument("--out", required=True)
 
-    e = sub.add_parser("eval", help="evaluate a circuit on one graph")
-    e.add_argument("--circuit", required=True)
-    e.add_argument("--graph", required=True)
+def _eval_flags(p):
+    p.add_argument("--circuit", required=True)
+    p.add_argument("--graph", required=True)
 
-    v = sub.add_parser("verify", help="compare a circuit against the BFS oracle")
-    v.add_argument("--circuit", required=True)
-    v.add_argument("--n", required=True)
-    v.add_argument("--mode", required=True, choices=["exhaustive", "random", "planted"])
-    v.add_argument("--samples", type=int, default=10000)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--l", type=int, help="length budget; restricts checks to promise instances")
-    v.add_argument("--walks", type=int, help="expect walks of exactly this many edges from 1 to n (exact builds)")
-    v.add_argument("--p", default="0.02,0.1,0.5", help="comma-separated edge densities for random mode")
 
-    f = sub.add_parser("family", help="generate or check covering families")
-    fsub = f.add_subparsers(dest="family_cmd", required=True)
-    fp = fsub.add_parser("plane", help="affine-plane family")
-    fp.add_argument("--n", required=True)
-    fp.add_argument("--out", required=True)
-    fs = fsub.add_parser("sample", help="sampled family with exact validation")
+def _verify_flags(p):
+    p.add_argument("--circuit", required=True)
+    p.add_argument("--n", required=True)
+    p.add_argument("--mode", required=True, choices=["exhaustive", "random", "planted"])
+    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--l", type=int, help="length budget; restricts checks to promise instances")
+    p.add_argument("--walks", type=int, help="expect walks of exactly this many edges from 1 to n (exact builds)")
+    p.add_argument("--p", default="0.02,0.1,0.5", help="comma-separated edge densities for random mode")
+
+
+def _plane_flags(p):
+    p.add_argument("--n", required=True)
+    p.add_argument("--out", required=True)
+
+
+def _sample_flags(p):
     for flag in ("--n", "--m", "--s", "--l", "--d"):
-        fs.add_argument(flag, required=True, type=int)
-    fs.add_argument("--seed", type=int, default=0)
-    fs.add_argument("--attempts", type=int, default=10)
-    fs.add_argument(
+        p.add_argument(flag, required=True, type=int)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--attempts", type=int, default=10)
+    p.add_argument(
         "--budget", type=int, default=10_000_000, help="subsets the exact check may visit before refusing"
     )
-    fs.add_argument("--out", required=True)
-    fc = fsub.add_parser("check", help="check a family file")
-    fc.add_argument("--file", required=True)
-    fc.add_argument("--mode", required=True, choices=["exact", "sampled"])
-    fc.add_argument("--trials", type=int, default=100_000)
-    fc.add_argument("--seed", type=int, default=0)
-    fc.add_argument(
+    p.add_argument("--out", required=True)
+
+
+def _check_flags(p):
+    p.add_argument("--file", required=True)
+    p.add_argument("--mode", required=True, choices=["exact", "sampled"])
+    p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
         "--budget", type=int, default=10_000_000, help="subsets the exact check may visit before refusing"
     )
 
-    p = sub.add_parser("predict", help="depth predictions without building gates")
+
+def _predict_flags(p):
     p.add_argument("--mode", choices=[MODE_SQUARING, MODE_EXACT, MODE_EXPLICIT, MODE_THEOREM], default=MODE_SQUARING)
     p.add_argument("--n", help="size, or 2^E up to 2^1024")
     p.add_argument("--l", type=int)
     p.add_argument("--table", action="store_true", help="emit the ratio trend table for all modes")
 
-    s = sub.add_parser("stats", help="depth, gate count, validation of a circuit file")
-    s.add_argument("--circuit", required=True)
+
+def _stats_flags(p):
+    p.add_argument("--circuit", required=True)
+
+
+# Each command's help line and the function that adds its flags to its
+# parser; family's entry holds its sub-commands, in the same shape, which
+# parse into `family_cmd`.
+_COMMANDS = {
+    "build": ("build a reachability circuit", _build_flags),
+    "eval": ("evaluate a circuit on one graph", _eval_flags),
+    "verify": ("compare a circuit against the BFS oracle", _verify_flags),
+    "family": (
+        "generate or check covering families",
+        {
+            "plane": ("affine-plane family", _plane_flags),
+            "sample": ("sampled family with exact validation", _sample_flags),
+            "check": ("check a family file", _check_flags),
+        },
+    ),
+    "predict": ("depth predictions without building gates", _predict_flags),
+    "stats": ("depth, gate count, validation of a circuit file", _stats_flags),
+}
+
+
+def _add_commands(parser, dest, table, named) -> None:
+    """A sub-command of `parser` for each entry of `table`, parsed into
+    `dest`; those whose name is in `named` get their flags too.  argparse
+    reaches a command only through its name, so a tree given the words of
+    an argv parses that argv as the tree with every flag would."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_line, flags) in table.items():
+        command = sub.add_parser(name, help=help_line)
+        if isinstance(flags, dict):
+            _add_commands(command, f"{name}_cmd", flags, named)
+        elif name in named:
+            flags(command)
+
+
+def _command_tree(named) -> argparse.ArgumentParser:
+    """The tree of every command and its help line, which prints the top
+    help, the version and the refusals of a missing or unknown command;
+    the commands whose name is in `named` get their flags too."""
+    top = _Parser(prog="monoreach", description=__doc__)
+    top.add_argument("--version", action="version", version=f"monoreach {__version__}")
+    _add_commands(top, "cmd", _COMMANDS, named)
     return top
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the command tree parses it.  When argv starts with a
+    command (for family, and a sub-command), only that command's parser is
+    built, with the prog the tree gives it: the tree hands the rest of such
+    an argv to that parser alone, and building all ten parsers takes about
+    1 ms, as long as a small command's own work."""
+    names, flags, rest = [], _COMMANDS, argv
+    while isinstance(flags, dict):
+        if not rest or rest[0] not in flags:
+            return _command_tree(set(argv)).parse_args(argv)
+        names.append(rest[0])
+        flags, rest = flags[rest[0]][1], rest[1:]
+    parser = _Parser(prog=" ".join(["monoreach", *names]))
+    flags(parser)
+    args = parser.parse_args(rest)
+    args.cmd = names[0]
+    if len(names) > 1:
+        setattr(args, f"{names[0]}_cmd", names[1])
+    return args
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     handlers = {
         "build": _cmd_build,
         "eval": _cmd_eval,

@@ -15,6 +15,8 @@ from fractions import Fraction
 from math import comb, isqrt  # noqa: F401  (comb re-exported for callers)
 from random import Random
 
+import numpy as np
+
 from .errors import InvalidParameterError
 
 # Miller-Rabin witnesses: the first 13 primes, so the test is exact for
@@ -90,6 +92,37 @@ def randbelow(rng: Random, k: int) -> int:
         r = rng.getrandbits(bits)
         if r < k:
             return r
+
+
+def _uniform_below(rng: Random, k: int, count: int) -> np.ndarray:
+    """The values of `count` successive randbelow(rng, k) calls, leaving rng
+    in the state those calls leave it: uint64 for k < 2**64, else Python
+    ints in an object array, drawn by those calls themselves.
+
+    Below 2**64 a round reads all its tries with one getrandbits.  A try is
+    w = ceil(bits / 32) words, least significant first, with the last word
+    shifted down by 32 * w - bits, as getrandbits(bits) reads it; it is
+    kept when below k.  Each round draws one try per value still needed,
+    so no word past the last kept try is drawn.
+    """
+    if k <= 0:
+        raise ValueError("k must be positive")
+    bits = k.bit_length()
+    w = (bits + 31) // 32
+    if w > 2:  # each value is a Python int anyway; one call per try measured faster
+        return np.array([randbelow(rng, k) for _ in range(count)], dtype=object)
+    out = np.empty(count, dtype=np.uint64)
+    have = 0
+    while have < count:
+        need = count - have
+        block = bytearray(rng.getrandbits(32 * w * need).to_bytes(4 * w * need, "little"))
+        words = np.frombuffer(block, dtype="<u4").reshape(need, w)
+        words[:, -1] >>= np.uint32(32 * w - bits)
+        tries = words.view("<u8")[:, 0] if w == 2 else words[:, 0]
+        kept = tries[tries < k]
+        out[have : have + kept.size] = kept
+        have += kept.size
+    return out
 
 
 def sample_distinct(rng: Random, count: int, n: int) -> tuple[int, ...]:

@@ -22,7 +22,7 @@ from .errors import (
     FamilyViolationError,
     InvalidParameterError,
 )
-from .exactmath import child_seed, comb, is_prime, isqrt, parse_int, parse_ints, randbelow, sample_distinct
+from .exactmath import _uniform_below, child_seed, comb, is_prime, isqrt, parse_int, parse_ints, sample_distinct
 
 # Points over all q(q+1) lines of q points each that affine_lines may build:
 # q <= 31, about 30 ms with the incidence check.
@@ -239,37 +239,6 @@ def sampling_failure_bound(n: int, m: int, s: int, l: int, d: int) -> float:
 def sampling_guarantee_holds(n: int, m: int, s: int, l: int, d: int) -> bool:
     """Sufficient condition for the sampler: m = n, l < n, s > 2n ln(n)/d."""
     return m == n and l < n and d <= n and s > 2.0 * n * math.log(n) / d
-
-
-def _uniform_below(rng: Random, k: int, count: int) -> np.ndarray:
-    """The values of `count` successive randbelow(rng, k) calls, leaving rng
-    in the state those calls leave it: uint64 for k < 2**64, else Python
-    ints in an object array, drawn by those calls themselves.
-
-    Below 2**64 a round reads all its tries with one getrandbits.  A try is
-    w = ceil(bits / 32) words, least significant first, with the last word
-    shifted down by 32 * w - bits, as getrandbits(bits) reads it; it is
-    kept when below k.  Each round draws one try per value still needed,
-    so no word past the last kept try is drawn.
-    """
-    if k <= 0:
-        raise ValueError("k must be positive")
-    bits = k.bit_length()
-    w = (bits + 31) // 32
-    if w > 2:  # each value is a Python int anyway; one call per try measured faster
-        return np.array([randbelow(rng, k) for _ in range(count)], dtype=object)
-    out = np.empty(count, dtype=np.uint64)
-    have = 0
-    while have < count:
-        need = count - have
-        block = bytearray(rng.getrandbits(32 * w * need).to_bytes(4 * w * need, "little"))
-        words = np.frombuffer(block, dtype="<u4").reshape(need, w)
-        words[:, -1] >>= np.uint32(32 * w - bits)
-        tries = words.view("<u8")[:, 0] if w == 2 else words[:, 0]
-        kept = tries[tries < k]
-        out[have : have + kept.size] = kept
-        have += kept.size
-    return out
 
 
 def sample_family(params: FamilyParams, seed: int) -> CoveringFamily:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .circuit import AdjacencyMatrix, MonotoneCircuit
 from .errors import BudgetExceededError, InvalidParameterError
-from .exactmath import bernoulli_masks, child_seed, parse_int, randbelow
+from .exactmath import _uniform_below, bernoulli_masks, child_seed, parse_int
 
 CHUNK_BITS = 16384  # graphs per draw chunk
 # Bits of masks one evaluate_batch call of the random check may hold: a
@@ -530,7 +530,7 @@ def _planted_chunks(n: int, samples: int, seed: int, l: int | None):
     for done in range(0, samples, CHUNK_BITS):
         width = min(samples - done, CHUNK_BITS)
         k = (width + 1) // 2
-        path_lens = [1 + randbelow(rng, limit) for _ in range(k)]
+        path_lens = _uniform_below(rng, limit, k) + 1
         planted = _planted_masks(rng, n, path_lens, PLANTED_NOISE_PROB)
         no_path = _no_path_masks(rng, n, width - k, NO_PATH_EDGE_PROB)
         for e, mask in enumerate(no_path):

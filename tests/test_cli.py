@@ -1,16 +1,19 @@
 """Command-line harness: round trips, exit codes, reproducibility."""
 
+import json
 import os
 import resource
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from test_circuit_core import build_walk_power, gate_of, per_gate_live
 from test_constructions import uncovered_vertex_build
 
 import monoreach
+from monoreach import cli
 from monoreach.build import build_reach_exact, build_recursive, predict_depth, predict_gate_count
 from monoreach.circuit import read_circuit, write_circuit
 from monoreach.cli import main
@@ -483,6 +486,60 @@ class TestReproducibility:
         assert a.read_bytes() != b.read_bytes()
 
 
+# Help, version and refusal text (exit code, stdout, stderr at 80 columns)
+# and the namespace of each accepted argv, as recorded from the CLI when it
+# built its whole argparse tree on every call.
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+
+
+def argv_id(argv):
+    return " ".join(argv) or "(none)"
+
+
+class TestParsing:
+    @pytest.mark.parametrize("case", GOLDEN["text"], ids=lambda case: argv_id(case["argv"]))
+    def test_text_is_unchanged(self, case, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_:
+            main(case["argv"])
+        captured = capsys.readouterr()
+        assert (exit_.value.code, captured.out, captured.err) == (case["code"], case["out"], case["err"])
+
+    @pytest.mark.parametrize("case", GOLDEN["namespaces"], ids=lambda case: argv_id(case["argv"]))
+    def test_namespace_is_unchanged(self, case):
+        every_name = [*cli._COMMANDS, *cli._COMMANDS["family"][1]]
+        assert vars(cli._parse(case["argv"])) == case["namespace"]
+        assert vars(cli._command_tree(every_name).parse_args(case["argv"])) == case["namespace"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "--mode", "squaring", "--n", "2", "--out", "c.mc"],
+            ["eval", "--circuit", "missing.mc", "--graph", "missing.gr"],
+            ["verify", "--circuit", "missing.mc", "--n", "2", "--mode", "random"],
+            ["family", "plane", "--n", "4", "--out", "f.fam"],
+            ["family", "sample", "--n", "4", "--m", "4", "--s", "3", "--l", "2", "--d", "1", "--out", "f.fam"],
+            ["family", "check", "--file", "missing.fam", "--mode", "exact"],
+            ["predict", "--n", "16"],
+            ["stats", "--circuit", "missing.mc"],
+        ],
+        ids=argv_id,
+    )
+    def test_a_command_builds_only_its_own_parser(self, argv, tmp_path, capsys, monkeypatch):
+        built = []
+
+        class CountedParser(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", CountedParser)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) in (0, 1, 2)
+        command = argv[:2] if argv[0] == "family" else argv[:1]
+        assert built == [" ".join(["monoreach", *command])]
+
+
 class TestErrors:
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -495,12 +552,17 @@ class TestErrors:
         assert err.value.code == 2
         assert "--allow-sampled" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("attempts", ["0", "-5"])
-    def test_theorem_build_refuses_attempts_below_one(self, tmp_path, capsys, monkeypatch, attempts):
+    # --l 3 samples no family (k = 0), so the refusal cannot come from the sampler.
+    @pytest.mark.parametrize(
+        "attempts, l",
+        [pytest.param("0", "12", id="0"), pytest.param("-5", "12", id="-5"), pytest.param("0", "3", id="0-l3")],
+    )
+    def test_theorem_build_refuses_attempts_below_one(self, tmp_path, capsys, monkeypatch, attempts, l):
         monkeypatch.setattr(monoreach.families, "_uniform_below", None)  # a draw would raise TypeError
+        monkeypatch.setattr(monoreach.build, "build_reach_leq", None)  # so would a base circuit
         out = tmp_path / "t.mc"
         code, text, err = run(
-            capsys, "build", "--mode", "theorem", "--n", "16", "--l", "12", "--attempts", attempts, "--out", str(out)
+            capsys, "build", "--mode", "theorem", "--n", "16", "--l", l, "--attempts", attempts, "--out", str(out)
         )
         assert (code, text) == (2, "")
         assert err == f"error: attempts must be at least 1, got {attempts}\n"

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import monoreach as mr
 import monoreach.families
 from monoreach.build import _build_shape
-from monoreach.exactmath import child_seed, randbelow
-from monoreach.families import CoveringFamily, FamilyCounterexample, FamilyParams, _check_incidence, _uniform_below
+from monoreach.exactmath import _uniform_below, child_seed, randbelow
+from monoreach.families import CoveringFamily, FamilyCounterexample, FamilyParams, _check_incidence
 
 
 def gf2_plane_sets():
@@ -257,7 +257,8 @@ class TestSampleFamily:
         assert max(p.m * p.s for p in shapes) == 285_568  # (368, 7)
         assert all(p.m * p.s <= monoreach.families.SAMPLE_ENTRY_BUDGET for p in shapes)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**64 + 3])
+    # 12, 15 and 255 are planted path-length limits: min(l, n - 1).
+    @pytest.mark.parametrize("k", [1, 2, 3, 12, 15, 255, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**64 + 3])
     @pytest.mark.parametrize("count", [0, 1, 5000])
     def test_array_draw_matches_the_per_call_loop(self, k, count):
         ours, theirs = Random(k ^ count), Random(k ^ count)

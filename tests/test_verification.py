@@ -1013,7 +1013,7 @@ class TestOracleIndependence:
                 assert node.module.split(".")[:2] != ["numpy", "random"], f"imports from {node.module}"
                 if node.module == "numpy":
                     assert "random" not in [alias.name for alias in node.names], "imports numpy's random"
-        assert numpy_names == ({"np"} if module is monoreach.oracles else set()), "the import scan is broken"
+        assert numpy_names == {"np"}, "the import scan is broken"
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr == "random":
                 assert not (isinstance(node.value, ast.Name) and node.value.id in numpy_names), (
