@@ -238,24 +238,34 @@ class MonotoneCircuit:
 
     def live_gates(self) -> np.ndarray:
         """Per gate, whether some output reads it, directly or through
-        other gates.  Walks back from the outputs one frontier at a time."""
+        other gates.
+
+        Every reader of a gate comes after it, so the bands are walked from
+        the last.  Once the later bands are done, the gates of a band that
+        they or the outputs read are marked, and a walk back from those, one
+        frontier at a time, marks the band's other live gates and the gates
+        of earlier bands they read.  Ids are int32, and every temporary holds
+        one band.
+        """
         n0 = self.num_inputs + 1
         ng = len(self._ops)
         live = np.zeros(ng, dtype=bool)
+        live[[o - n0 for o in self.outputs if o >= n0]] = True
         _, lefts, rights = self.gates()
-        # Deduplicates a frontier without sorting: of equal gates only the
-        # one whose position ends up in `stamp` survives.
-        stamp = np.empty(ng, dtype=np.int32)
-        frontier = np.asarray(self.outputs, dtype=np.int64) - n0
-        frontier = frontier[frontier >= 0]
-        while frontier.size:
-            live[frontier] = True
-            reads = np.concatenate((lefts[frontier], rights[frontier])) - n0
-            reads = reads[reads >= 0]
-            reads = reads[~live[reads]]
-            at = np.arange(reads.size, dtype=np.int32)
-            stamp[reads] = at
-            frontier = reads[stamp[reads] == at]
+        for lo, hi in reversed(_bands(ng)):
+            # Deduplicates a frontier without sorting: of equal gates only
+            # the one whose position ends up in `stamp` survives.
+            stamp = np.empty(hi - lo, dtype=np.int32)
+            frontier = _nonzero(live[lo:hi]) + lo
+            while frontier.size:
+                reads = np.concatenate((lefts[frontier], rights[frontier])) - n0
+                reads = reads[reads >= 0]
+                reads = reads[~live[reads]]
+                live[reads] = True
+                reads = reads[reads >= lo] - lo
+                at = np.arange(reads.size, dtype=np.int32)
+                stamp[reads] = at
+                frontier = reads[stamp[reads] == at] + lo
         return live
 
     def zero_wire_operands(self) -> int:
@@ -638,15 +648,20 @@ class AdjacencyMatrix:
 # Files are written with single spaces and "\n" line ends.  The reader takes
 # any ASCII text that str.splitlines() and str.split() cut into those lines
 # and tokens (so CRLF, tabs and runs of spaces too), with each number an
-# optionally signed run of decimal digits.  Both work on bands of _IO_BAND
-# gates at a time, so no Python call is made per gate, and the reader holds
-# one block of input at a time.
+# optionally signed run of decimal digits.  Both work on bands of gates, so
+# no Python call is made per gate, and the reader holds one block of input
+# at a time.
 
 # Wire ids are stored as int32, so a circuit has at most this many wires.
 MAX_WIRES = 2**31 - 1
-# Gates per band: the reader's numpy temporaries for a band of gate lines
-# come to about 250 bytes a line, some 8 MB.
+# Gates per band the writer formats.  Its temporaries and the band's bytes
+# come to about 120 bytes a gate, some 4 MB; bands of 2**13 gates made
+# explicit n=64 builds slower.
 _IO_BAND = 1 << 15
+# Gate lines per band the reader parses.  Its temporaries (token bounds,
+# per-width digit selections, int64 values) come to about 250 bytes a line,
+# some 2 MB, and parse no slower than bands four times as large.
+_READ_BAND = 1 << 13
 # Bytes the reader takes from a file at a time, about 200,000 explicit gate
 # lines.  Much smaller blocks leave no large block to free, so later phases
 # fault fresh pages in and run slower.
@@ -901,7 +916,7 @@ def _read_block(raw: np.ndarray, circuit: MonotoneCircuit | None, outputs, lines
         i = 1
     while i < starts.size:
         if outputs is None and i < ascii_lines:
-            hi = min(i + _IO_BAND, ascii_lines)
+            hi = min(i + _READ_BAND, ascii_lines)
             i += _read_gate_lines(circuit, raw, starts[i:hi], stops[i:hi], glue)
             if i == hi:
                 continue

@@ -3,14 +3,15 @@ and the one rule for reading an integer from a text file.
 
 Everything here is exact integer / Fraction arithmetic or reads the 32-bit
 Mersenne Twister words of a ``random.Random`` in stream order: through
-``getrandbits``, or, for Bernoulli masks, through numpy's ``MT19937``
-started from the Random's state, which is handed back after those words.
+``getrandbits``, or, in bulk, through numpy's ``MT19937`` started from the
+Random's state, which is handed back after those words (``twister_words``).
 So results are identical across platforms and CPython versions.
 """
 
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from fractions import Fraction
 from math import comb, isqrt  # noqa: F401  (comb re-exported for callers)
 from random import Random
@@ -170,6 +171,37 @@ def bernoulli_mask(rng: Random, width: int, p: float) -> int:
     return bernoulli_masks(rng, 1, width, p)[0]
 
 
+# The Generator over numpy's MT19937 that twister_words hands a Random's
+# state to, made on first use: MT19937() seeds itself from OS entropy,
+# about 0.12 ms, which each hand-off would only overwrite.
+_TWISTER = None
+
+
+@contextmanager
+def twister_words(rng: Random):
+    """A draw of the Mersenne Twister words rng.getrandbits would read next,
+    in order: words(shape) is a uint32 array of the next words, in C order.
+    On leaving, rng is in the state after the words drawn.
+
+    numpy's MT19937 makes the same words as rng's generator; it is set to
+    rng.getstate()'s key and position on entry and handed back on leaving.
+    There is one such generator, so hand-offs must not nest.
+    """
+    global _TWISTER
+    if _TWISTER is None:
+        # Imported here, not at the top: numpy.random costs 10 ms and 2 MB even where nothing is drawn.
+        from numpy.random import MT19937, Generator
+
+        _TWISTER = Generator(MT19937())
+    version, key, gauss_next = rng.getstate()
+    bits = _TWISTER.bit_generator
+    bits.state = {"bit_generator": "MT19937", "state": {"key": key[:-1], "pos": key[-1]}}
+    integers = _TWISTER.integers
+    yield lambda shape: integers(0, 1 << 32, size=shape, dtype=np.uint32)
+    state = bits.state["state"]
+    rng.setstate((version, (*state["key"].tolist(), int(state["pos"])), gauss_next))
+
+
 _DRAW_WORDS = 1 << 16  # words (256 KiB) per numpy draw of bernoulli_masks: whole masks, at least one
 
 
@@ -179,40 +211,31 @@ def bernoulli_masks(rng: Random, count: int, width: int, p: float) -> list[int]:
 
     Each draw is rng.getrandbits(width): ceil(width / 32) words of rng's
     Mersenne Twister, the first the least significant, the last shifted
-    right to its top width % 32 bits.  numpy's MT19937, started from
-    rng.getstate(), makes the same words; they are combined per digit as
-    uint32 arrays, a group of whole masks at a time, and rng is left in
-    the state the getrandbits draws would leave it in.
+    right to its top width % 32 bits.  The words come through
+    twister_words, and are combined per digit as uint32 arrays, a group of
+    whole masks at a time.
     """
     if width <= 0:
         return [0] * count
     digits = bernoulli_digits(p)
     if not digits:
         return [(1 << width) - 1 if p >= 1.0 else 0] * count
-    # Imported here, not at the top: numpy.random costs 10 ms and 2 MB even where nothing is drawn.
-    from numpy.random import MT19937, Generator
-
-    version, key, gauss_next = rng.getstate()
     words = (width + 31) // 32
-    bits = MT19937()
-    bits.state = {"bit_generator": "MT19937", "state": {"key": key[:-1], "pos": key[-1]}}
-    draw = Generator(bits).integers
     group = max(1, _DRAW_WORDS // (len(digits) * words))
     masks = []
-    for done in range(0, count, group):
-        k = min(group, count - done)
-        drawn = draw(0, 1 << 32, size=(k, len(digits), words), dtype="uint32")
-        acc = drawn[:, 0].copy()
-        for d, digit in enumerate(digits[1:], 1):
-            if digit:
-                acc |= drawn[:, d]
-            else:
-                acc &= drawn[:, d]
-        if width % 32:
-            acc[:, -1] >>= 32 - width % 32
-        masks += [int.from_bytes(row.tobytes(), "little") for row in acc.astype("<u4", copy=False)]
-    state = bits.state["state"]
-    rng.setstate((version, (*state["key"].tolist(), int(state["pos"])), gauss_next))
+    with twister_words(rng) as draw:
+        for done in range(0, count, group):
+            k = min(group, count - done)
+            drawn = draw((k, len(digits), words))
+            acc = drawn[:, 0].copy()
+            for d, digit in enumerate(digits[1:], 1):
+                if digit:
+                    acc |= drawn[:, d]
+                else:
+                    acc &= drawn[:, d]
+            if width % 32:
+                acc[:, -1] >>= 32 - width % 32
+            masks += [int.from_bytes(row.tobytes(), "little") for row in acc.astype("<u4", copy=False)]
     return masks
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .circuit import AdjacencyMatrix, MonotoneCircuit
 from .errors import BudgetExceededError, InvalidParameterError
-from .exactmath import _uniform_below, bernoulli_masks, child_seed, parse_int
+from .exactmath import _uniform_below, bernoulli_masks, child_seed, parse_int, twister_words
 
 CHUNK_BITS = 16384  # graphs per draw chunk
 # Bits of masks one evaluate_batch call of the random check may hold: a
@@ -129,13 +129,14 @@ def _planted_masks(rng: Random, n: int, path_lens, noise_prob: float) -> list[in
     1 -> n path of path_lens[t] edges, ORed into noise edges of density
     noise_prob.
 
-    Draws one 64-bit key per (graph, middle vertex) from a single
-    getrandbits, then the noise by bernoulli_entry_masks.  A stable sort of
-    a graph's keys orders its middle vertices uniformly; the path runs
-    from 1 through the first path_lens[t] - 1 of them to n.
+    Draws one 64-bit key per (graph, middle vertex), the words a single
+    getrandbits would read, then the noise by bernoulli_entry_masks.  A
+    stable sort of a graph's keys orders its middle vertices uniformly; the
+    path runs from 1 through the first path_lens[t] - 1 of them to n.
     """
     k, m = len(path_lens), n - 2
-    keys = np.frombuffer(rng.getrandbits(64 * k * m).to_bytes(8 * k * m, "little"), dtype="<u8")
+    with twister_words(rng) as draw:  # each key's low word first, as getrandbits reads them
+        keys = draw(2 * k * m).astype("<u4", copy=False).view("<u8")
     verts = np.full((k, n), n - 1)  # 0-based: 1, the middle vertices in key order, n
     verts[:, 0] = 0
     verts[:, 1 : n - 1] = np.argsort(keys.reshape(k, m), axis=1, kind="stable") + 1

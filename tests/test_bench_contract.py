@@ -5,7 +5,8 @@ line, which whoever runs the benchmark parses.  A change to a function that
 the traced run wraps can break that contract while the run still exits 0:
 by writing to stdout, by changing a call signature a probe reads, or by
 removing a probed function.  One short traced run guards all three; one
-untraced family-exact run guards the same contract on the workload that
+untraced theorem run guards the same contract on the path whose metrics
+are compared, and one untraced family-exact run on the workload that
 drives only `family` commands.
 """
 
@@ -44,6 +45,13 @@ def test_traced_run_ends_in_a_strict_json_result():
     assert result["failed"] == 0
     assert result["metrics"]["trace.missing_spans"]["value"] == 0
     assert [note for note in notes if note.startswith("# missing spans")] == []
+
+
+def test_untraced_theorem_run_ends_in_a_strict_json_result():
+    _, result = last_result("--workload", "theorem-n16-l12", "--seed", "1", "--seconds", "0", "--trace", "0")
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["metrics"]["peak_rss_mb"]["value"] > 0
 
 
 def test_untraced_family_run_ends_in_a_strict_json_result():

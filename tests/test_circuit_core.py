@@ -776,8 +776,9 @@ def per_gate_depths(c):
 
 
 class TestBands:
-    """Depth scans and plans run a band of SCAN_BAND gates at a time.  Bands
-    of a few gates put band edges everywhere in small circuits."""
+    """Depth scans, live-gate walks and plans run a band of SCAN_BAND gates
+    at a time.  Bands of a few gates put band edges everywhere in small
+    circuits."""
 
     @pytest.mark.parametrize("band", [1, 2, 3, 7])
     @settings(max_examples=40, deadline=None)
@@ -790,6 +791,7 @@ class TestBands:
             assert (root.tolist(), joins.tolist()) == per_gate_folds(c)
             assert plan_fields(c) == per_gate_plan(c)
             assert c.live_peak() == replayed_peak(c)
+            assert c.live_gates().tolist() == per_gate_live(c)
             masks = [data.draw(st.integers(0, 2**70 - 1)) for _ in range(c.num_inputs)]
             assert c.evaluate_batch(masks) == file_order_eval(c, masks)
 
@@ -804,7 +806,7 @@ class TestBands:
         def facts(c, ledger):
             root, joins = c._folds()
             return (c.wire_depths().tolist(), root.tolist(), joins.tolist(), plan_fields(c), c.live_peak(),
-                    [(s.label, s.measured) for s in ledger.stages])
+                    c.live_gates().tolist(), [(s.label, s.measured) for s in ledger.stages])
 
         whole = facts(*mr.build_explicit(16))
         with patch.object(circuit_module, "SCAN_BAND", 1000):

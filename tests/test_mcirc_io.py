@@ -20,6 +20,7 @@ from test_circuit_core import circuit_to_text, gate_of, well_formed
 import monoreach as mr
 import monoreach.circuit as circuit_module
 from monoreach import AND, OR
+from monoreach.build import build_recursive
 from monoreach.circuit import MAX_WIRES, MonotoneCircuit
 
 
@@ -240,6 +241,45 @@ class TestDifferential:
             mr.circuit_from_text(text)
 
 
+def banded_text(gates):
+    """The text of a circuit on 2 vertices whose gate g, on line g + 2, reads
+    wires g % 5 and g + 4."""
+    body = "".join(f"G {'OR' if g % 3 else 'AND'} {g % 5} {g + 4}\n" for g in range(gates))
+    return f"MCIRC 1 2\n{body}OUT {gates + 4}\n"
+
+
+class TestReadBands:
+    """The reader parses _READ_BAND gate lines at a time.  Its first band
+    starts after the header, so band b ends at line 1 + b * _READ_BAND."""
+
+    def test_a_whole_number_of_bands_reads_as_the_reference(self):
+        gates = 2 * circuit_module._READ_BAND
+        text = banded_text(gates)
+        assert_same_verdict(text)
+        assert mr.circuit_from_text(text).gate_count == gates
+
+    @pytest.mark.parametrize("edge", [0, 1], ids=["last line of a band", "first line of the next"])
+    @pytest.mark.parametrize(
+        "fault, message",
+        [("G OR 0 x", "bad integer 'x'"), ("G NOR 0 1", "bad gate line 'G NOR 0 1'"), ("GATE OR 0 1", "unknown record 'GATE'")],
+    )
+    def test_fault_at_a_band_edge_names_its_line(self, edge, fault, message):
+        ln = 1 + circuit_module._READ_BAND + edge
+        lines = banded_text(2 * circuit_module._READ_BAND).splitlines()
+        lines[ln - 1] = fault
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(mr.InvalidParameterError, match=f"^line {ln}: {message}$"):
+            mr.circuit_from_text(text)
+        assert_same_verdict(text)
+
+    @pytest.mark.parametrize("band", [1, 2, 3])
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_mutated_text_same_verdict_in_tiny_bands(self, band, data):
+        with mock.patch.object(circuit_module, "_READ_BAND", band):
+            assert_same_verdict(mutated_text(data.draw))
+
+
 @pytest.fixture(scope="module")
 def block_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("blocks")
@@ -351,6 +391,17 @@ class TestReadMemory:
         assert bound < 0.7 * path.stat().st_size
         assert peak < bound, (peak, held)
 
+    def test_theorem_text_peak_is_its_lines_and_one_band(self):
+        text = circuit_to_text(build_recursive(16, 12, 0)[0]).encode()
+        c = mr.circuit_from_text(text)
+        held = sys.getsizeof(c._ops) + sys.getsizeof(c._lefts) + sys.getsizeof(c._rights)
+        # The block of text read, the int64 bounds of its lines, the
+        # circuit's arrays, and the temporaries of one band of lines, about
+        # 250 bytes a line.  Bands of 2**15 lines peaked at 9.3 MiB.
+        bound = len(text) + 16 * (c.gate_count + 2) + held + 256 * circuit_module._READ_BAND
+        assert bound < 6 * 2**20
+        assert traced_peak(lambda: mr.circuit_from_text(text)) < bound
+
 
 @pytest.fixture(scope="module")
 def sum_of_products():
@@ -380,8 +431,9 @@ def traced_peak(call):
 
 
 class TestScanMemory:
-    """Depth scans and evaluation plans hold int32 arrays with one entry per
-    gate, and temporaries of one band of SCAN_BAND gates."""
+    """Depth scans, live-gate walks and evaluation plans hold arrays of int32
+    or smaller with one entry per gate, and temporaries of one band of
+    SCAN_BAND gates."""
 
     def test_depths_hold_their_int32_depths_and_a_few_bands(self, sum_of_products):
         c = sum_of_products
@@ -391,6 +443,10 @@ class TestScanMemory:
         # wire_depths copies the gate depths after the inputs' zeros.
         c._depths_cache = None
         assert traced_peak(c.wire_depths) < 4 * c.gate_count + 4 * c.num_wires + band
+
+    def test_live_gates_hold_their_bools_and_a_few_bands(self, sum_of_products):
+        c = sum_of_products
+        assert traced_peak(c.live_gates) < c.gate_count + 64 * circuit_module.SCAN_BAND
 
     def test_plan_holds_a_few_bytes_per_gate(self, sum_of_products):
         c = sum_of_products

@@ -995,10 +995,12 @@ class TestOracleIndependence:
     def test_draws_never_use_numpy_random(self, module):
         # Every documented draw comes from random.Random (MT19937); no graph
         # or mask may drift to numpy's generators.  The one exception is
-        # exactmath.bernoulli_masks, which runs numpy's MT19937 from the
-        # Random's own state: checked here to take that state and scanned no
-        # further, while test_bernoulli_mask_matches_inline_horner checks
-        # its masks and final state against getrandbits.
+        # exactmath.twister_words, which runs numpy's MT19937 from the
+        # Random's own state for Bernoulli masks and planted keys: checked
+        # here to take that state and scanned no further, while
+        # test_bernoulli_mask_matches_inline_horner and
+        # test_lanes_match_per_graph_at_every_density check masks, keys and
+        # final states against getrandbits.
         tree = ast.parse(Path(module.__file__).read_text())
         if module is monoreach.exactmath:
             tree.body.remove(checked_numpy_handoff(tree))
@@ -1022,12 +1024,13 @@ class TestOracleIndependence:
 
 
 def checked_numpy_handoff(tree):
-    """The def of bernoulli_masks in exactmath's tree, once checked to
-    import MT19937 and Generator from numpy.random, which no other
-    statement names; to make one unseeded MT19937, wrapped in one
-    Generator; and to set its state once, to the Mersenne Twister key and
+    """The def of twister_words in exactmath's tree, once checked to import
+    MT19937 and Generator from numpy.random, which no other statement
+    names; to make one unseeded MT19937, wrapped in one Generator, bound to
+    a module name only it and a None default bind; and, before it yields,
+    to set that generator's state once, to the Mersenne Twister key and
     position that rng.getstate() returns, which nothing rebinds."""
-    func = next(node for node in tree.body if getattr(node, "name", None) == "bernoulli_masks")
+    func = next(node for node in tree.body if getattr(node, "name", None) == "twister_words")
     inside = list(ast.walk(func))
     rest = ast.Module([node for node in tree.body if node is not func], [])
     imports = [node for node in inside if isinstance(node, (ast.Import, ast.ImportFrom))]
@@ -1036,15 +1039,23 @@ def checked_numpy_handoff(tree):
     ]
     assert not {"MT19937", "Generator"} & {use for use, _ in name_uses(rest)}
     assigns = {ast.unparse(node.value): node.targets for node in inside if isinstance(node, ast.Assign)}
-    (bits,) = map(ast.unparse, assigns["MT19937()"])
+    (generator,) = map(ast.unparse, assigns["Generator(MT19937())"])
     calls = [ast.unparse(node) for node in inside if isinstance(node, ast.Call)]
     numpy_calls = [call for call in calls if call.startswith(("MT19937(", "Generator("))]
-    assert numpy_calls == ["MT19937()", f"Generator({bits})"]
+    assert numpy_calls == ["Generator(MT19937())", "MT19937()"]
+    elsewhere = [node for node in ast.walk(rest) if isinstance(node, ast.Assign)]
+    assert [ast.unparse(node.value) for node in elsewhere if generator in map(ast.unparse, node.targets)] == ["None"]
+    (bits,) = map(ast.unparse, assigns[f"{generator}.bit_generator"])
     (from_rng,) = assigns["rng.getstate()"]
     _, key, _ = map(ast.unparse, from_rng.elts)
     state = f"{{'bit_generator': 'MT19937', 'state': {{'key': {key}[:-1], 'pos': {key}[-1]}}}}"
     state = ast.unparse(ast.parse(state))
-    assert [value for value, targets in assigns.items() if f"{bits}.state" in map(ast.unparse, targets)] == [state]
+    (set_state,) = [
+        node for node in inside if isinstance(node, ast.Assign) and f"{bits}.state" in map(ast.unparse, node.targets)
+    ]
+    assert ast.unparse(set_state.value) == state
+    (handed,) = [node for node in inside if isinstance(node, ast.Yield)]
+    assert set_state.lineno < handed.lineno
     stores = [node.id for node in inside if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
     assert stores.count(key) == 1, f"rebinds {key}, which rng.getstate() bound"
     return func
