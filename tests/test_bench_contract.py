@@ -4,10 +4,10 @@
 line, which whoever runs the benchmark parses.  A change to a function that
 the traced run wraps can break that contract while the run still exits 0:
 by writing to stdout, by changing a call signature a probe reads, or by
-removing a probed function.  One short traced run guards all three; one
-untraced theorem run guards the same contract on the path whose metrics
-are compared, and one untraced family-exact run on the workload that
-drives only `family` commands.
+removing a probed function.  One short traced theorem run and one traced
+family-exact run guard all three; one untraced theorem run guards the same
+contract on the path whose metrics are compared, and one untraced
+family-exact run on the workload that drives only `family` commands.
 """
 
 import json
@@ -44,6 +44,16 @@ def test_traced_run_ends_in_a_strict_json_result():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["metrics"]["trace.missing_spans"]["value"] == 0
+    assert [note for note in notes if note.startswith("# missing spans")] == []
+
+
+def test_traced_family_run_ends_in_a_strict_json_result():
+    # The families.exact probe and the verdict audit both wrap check_family_exact.
+    notes, result = last_result("--workload", "family-exact", "--seed", "1", "--seconds", "0", "--trace", "1")
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["metrics"]["trace.missing_spans"]["value"] == 0
+    assert result["metrics"]["families.exact_calls"]["value"] > 0
     assert [note for note in notes if note.startswith("# missing spans")] == []
 
 

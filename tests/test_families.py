@@ -5,6 +5,7 @@ import re
 from fractions import Fraction
 from itertools import combinations
 from random import Random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,56 @@ def enumerated_first_violation(fam):
             avoiders = tuple(i for i in range(p.m) if not (meets >> i) & 1)
             return FamilyCounterexample(d_subset, avoiders, count, p.threshold())
     return None
+
+
+def per_subset_search(fam):
+    """Reference for check_family_exact's verdicts and visit counts: the
+    search one subset at a time that the block search replaced.  It goes
+    depth-first in lexicographic order and prunes a subset once fewer than
+    m*d/l sets avoid it.  Returns (the first counterexample or None, the
+    subsets of size 1..d it visited)."""
+    p = fam.params
+    n, m, l, d = p.n, p.m, p.l, p.d
+    if l < d:
+        return None, 0
+    masks = fam.element_set_masks()
+    path, meets = [], [0]
+    v, visited = 1, 0
+    while True:
+        k = len(path)
+        if v > n - d + k + 1:
+            if not k:
+                return None, visited
+            v = path.pop() + 1
+            meets.pop()
+            continue
+        visited += 1
+        meet = meets[k] | masks.get(v, 0)
+        if (m - meet.bit_count()) * l < m * d:
+            v += 1
+        elif k + 1 == d:
+            avoiders = tuple(i for i in range(m) if not (meet >> i) & 1)
+            return FamilyCounterexample((*path, v), avoiders, len(avoiders), p.threshold()), visited
+        else:
+            path.append(v)
+            meets.append(meet)
+            v += 1
+
+
+def assert_checks_as_the_reference(fam, budgets=()):
+    """At each of `budgets`, and at the reference's visit count and one
+    less, check_family_exact gives per_subset_search's verdict, or refuses
+    with the budget message exactly where the reference visited more
+    subsets than the budget."""
+    verdict, visits = per_subset_search(fam)
+    p = fam.params
+    for budget in {*budgets, max(visits - 1, 0), visits}:
+        if visits <= budget:
+            assert mr.check_family_exact(fam, max_subsets=budget) == verdict
+            continue
+        message = f"exact check over C({p.n},{p.d}) subsets found no verdict within {budget} visited subsets"
+        with pytest.raises(mr.BudgetExceededError, match=f"^{re.escape(message)}$"):
+            mr.check_family_exact(fam, max_subsets=budget)
 
 
 @st.composite
@@ -285,6 +336,34 @@ class TestSampleFamily:
             for i in range(10)
         )
         assert found
+
+
+class TestExactVisits:
+    """The block search visits, by count, what the per-subset search did: it
+    refuses exactly when the reference visited more than max_subsets."""
+
+    # The module's cap puts each level of these families in one block; caps
+    # of 1 and 5 words give blocks of a few rows, which split one node's
+    # children and pack those of several.
+    @settings(max_examples=300, deadline=None)
+    @given(small_families(), st.sampled_from([1, 5, monoreach.families._STACK_WORDS]))
+    def test_budgets_around_the_visit_count(self, fam, stack_words):
+        with patch.object(monoreach.families, "_STACK_WORDS", stack_words):
+            assert_checks_as_the_reference(fam, (1, 2, 3))
+
+    @pytest.mark.parametrize("held", ["1", "", str(10**30)])
+    def test_universe_past_int64(self, held):
+        # Candidates stop at 2**62, which no search reaches; an element a set
+        # holds past it takes no column.
+        assert_checks_as_the_reference(mr.family_from_text(f"FAMILY {10**30} 1 1 2 2\n{held}\n"))
+
+    # The benchmark's family-exact shapes, and two whose masks take 2 and 4 words.
+    @pytest.mark.parametrize("shape", TestSampleFamily.SAMPLED_SHAPES + [(14, 100, 3, 8, 4), (12, 200, 5, 10, 4)])
+    @pytest.mark.parametrize("stack_words", [monoreach.families._STACK_WORDS, 64])
+    def test_sampled_shapes_at_the_visit_count(self, shape, stack_words, monkeypatch):
+        monkeypatch.setattr(monoreach.families, "_STACK_WORDS", stack_words)
+        for seed in range(3):
+            assert_checks_as_the_reference(mr.sample_family(FamilyParams(*shape), seed))
 
 
 class TestCheckBudget:

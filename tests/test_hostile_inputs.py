@@ -287,3 +287,13 @@ def test_zero_padded_operands_read_in_bulk(tmp_path):
     proc = run_capped("stats", "--circuit", str(path))
     assert proc.returncode == 0
     assert "gates: 1000000\n" in proc.stdout
+
+
+def test_exact_check_of_a_sparse_universe(tmp_path):
+    """One set holding one of 10**9 elements: the exact check finds D = (2, 3)
+    under the memory cap, since neither its blocks nor its word table follow n."""
+    path = tmp_path / "sparse.txt"
+    path.write_text("FAMILY 1000000000 1 1 2 2\n1\n")
+    proc = run_capped("family", "check", "--file", str(path), "--mode", "exact")
+    assert proc.returncode == 1
+    assert proc.stdout == "counterexample: D=(2, 3) avoided by 1 sets (threshold 1)\nset indices: 0\n"
