@@ -42,15 +42,21 @@ CHECK_BIT_BUDGET = 1 << 24
 # has one bit per set up to the last set holding it, plus the same 576.
 # 2**30 bits (128 MiB) of singleton masks built in 0.1 s and added 141 MB
 # to peak RSS.  The largest shape in use, plane_family(961), needs at most
-# 961 * (992 + 576) = 1,506,848.
+# 961 * (992 + 576) = 1,506,848.  The exact check's word table, a column of
+# ceil(m / 64) words per element, is held to the same budget; a column's
+# bits are fewer than m + 576, so plane_family(961) needs at most 984,064.
 MASK_BIT_BUDGET = 1 << 30
-# Mask words that the exact search's blocks hold together: each of its d
-# levels takes blocks of max(1, _STACK_WORDS // (d * words)) rows of
-# `words` uint64s, so the blocks on its stack hold at most 128 KiB, or one
-# row per level where d * words is larger.  2**16 words took
-# plane_family(36) from about 85 to 55 ms, but left the family-exact
-# benchmark no faster and its peak RSS 0.2 MB higher.
-_STACK_WORDS = 1 << 14
+# Rows, and mask words, of the exact search's blocks: each of its d levels
+# takes blocks of max(1, min(_BLOCK_ROWS, _STACK_WORDS // (d * words))) rows
+# of `words` uint64s, so the blocks on its stack hold at most 2**18 words
+# (2 MiB); CHECK_BIT_BUDGET keeps d * words below that.  The row cap keeps
+# narrow shallow searches, such as the family-exact benchmark's, from
+# evaluating large blocks past their verdict.  Sized by words alone, at
+# 2**14, plane_family(961)'s blocks held 7 rows and its first 10**5 visits
+# took about 230 ms against 30-60 ms one subset at a time; with 113 rows
+# they take 27 ms.
+_BLOCK_ROWS = 1 << 12
+_STACK_WORDS = 1 << 18
 # Candidates stop at 2**62, so they fit int64: a search that reached it
 # would first have evaluated about 2**62 subsets.
 _FAR = 1 << 62
@@ -147,7 +153,9 @@ def _violation_at(family: CoveringFamily, d_subset, elem_masks) -> FamilyCounter
 
 def _check_budget(family: CoveringFamily, mode: str) -> None:
     """Refuse a check whose d levels of m-bit masks exceed CHECK_BIT_BUDGET,
-    or whose element masks exceed MASK_BIT_BUDGET."""
+    or whose element masks exceed MASK_BIT_BUDGET.  The exact check also
+    refuses when its word table, a column of ceil(m/64) uint64 words per
+    element, would exceed MASK_BIT_BUDGET."""
     p = family.params
     bits = p.d * (p.m + 576)
     if bits > CHECK_BIT_BUDGET:
@@ -155,13 +163,19 @@ def _check_budget(family: CoveringFamily, mode: str) -> None:
             f"{mode} check with d={p.d} and m={p.m} needs d * (m + 576) = {bits} bits, "
             f"over the budget of {CHECK_BIT_BUDGET}"
         )
-    if sum(map(len, family.sets)) * (p.m + 576) <= MASK_BIT_BUDGET:  # one mask per entry at most
+    if sum(map(len, family.sets)) * (p.m + 576) <= MASK_BIT_BUDGET:  # one mask, or column, per entry at most
         return
     last = {v: idx for idx, s in enumerate(family.sets) for v in s}  # the last set holding v
     bits = sum(last.values()) + len(last) * (1 + 576)
     if bits > MASK_BIT_BUDGET:
         raise BudgetExceededError(
             f"{mode} check of m={p.m} sets over {len(last)} elements needs {bits} bits of element masks, "
+            f"over the budget of {MASK_BIT_BUDGET}"
+        )
+    bits = len(last) * 64 * ((p.m + 63) // 64)  # _word_table's columns, one per element
+    if mode == "exact" and bits > MASK_BIT_BUDGET:
+        raise BudgetExceededError(
+            f"exact check of m={p.m} sets over {len(last)} elements needs {bits} bits of word table, "
             f"over the budget of {MASK_BIT_BUDGET}"
         )
 
@@ -187,12 +201,17 @@ def _word_table(family: CoveringFamily, words: int) -> tuple[np.ndarray, np.ndar
     in `words` uint64s, for each element some set holds, in order.
 
     keys ends in _FAR, whose column is zero and stands for every element no
-    set holds, so neither array is sized by n."""
+    set holds, so neither array is sized by n.  The columns are filled
+    _STACK_WORDS words at a time, each int freed as its column is made, so
+    the bytes in flight stay small beside the table."""
     masks = family.element_set_masks()
     keys = sorted(v for v in masks if v < _FAR)
     table = np.zeros((words, len(keys) + 1), "<u8")
-    rows = b"".join([masks.pop(v).to_bytes(8 * words, "little") for v in keys])  # each int freed as its row is made
-    table[:, :-1] = np.frombuffer(rows, "<u8").reshape(-1, words).T
+    step = max(1, _STACK_WORDS // words)
+    for a in range(0, len(keys), step):
+        chunk = keys[a : a + step]
+        rows = b"".join([masks.pop(v).to_bytes(8 * words, "little") for v in chunk])
+        table[:, a : a + len(chunk)] = np.frombuffer(rows, "<u8").reshape(-1, words).T
     keys.append(_FAR)
     return table, np.array(keys, np.int64)
 
@@ -223,7 +242,7 @@ def check_family_exact(family: CoveringFamily, max_subsets: int = 10_000_000) ->
     words = (m + 63) // 64
     table, keys = _word_table(family, words)
     most = m - -(-m * d // l)  # a node that at most `most` sets meet is avoided by at least m*d/l
-    rows = max(1, _STACK_WORDS // (d * words))
+    rows = max(1, min(_BLOCK_ROWS, _STACK_WORDS // (d * words)))
     # The root is the empty subset, which is no visit; its children are the candidates 1..n-d+1.
     empty, zero = np.zeros(0, np.int64), np.zeros(1, np.intp)
     stack = [_Block(empty, None, np.zeros((words, 1), "<u8"), zero, zero + 1, min(n - d + 1, _FAR))]

@@ -368,7 +368,8 @@ class TestExactVisits:
 
 class TestCheckBudget:
     """Both checkers refuse d * (m + 576) bits over CHECK_BIT_BUDGET, or
-    element masks over MASK_BIT_BUDGET, up front."""
+    element masks over MASK_BIT_BUDGET, up front; the exact check also
+    refuses a word table over MASK_BIT_BUDGET."""
 
     def test_shapes_in_use_fit_the_budget(self):
         shapes = [FamilyParams(*shape) for shape in TestSampleFamily.SAMPLED_SHAPES]
@@ -417,6 +418,31 @@ class TestCheckBudget:
             run(16384)
         message = (
             f"{check} check of m={m} sets over 16385 elements needs 1073807360 bits of element masks, "
+            "over the budget of 1073741824"
+        )
+        with pytest.raises(mr.BudgetExceededError, match=f"^{re.escape(message)}$"):
+            run(16385)
+
+    @pytest.mark.parametrize("check", ["exact", "sampled"])
+    def test_word_table_refused_just_over_the_budget(self, check, monkeypatch):
+        m = 1 << 16
+
+        def run(elements):  # the first of m sets holds `elements` elements, each mask one bit
+            fam = CoveringFamily(FamilyParams(10**6, m, elements, 1, 1), [range(1, elements + 1)] + [()] * (m - 1))
+            return mr.check_family_exact(fam) if check == "exact" else mr.check_family_sampled(fam, 1, seed=0)
+
+        monkeypatch.setattr(CoveringFamily, "element_set_masks", None)  # building the masks raises TypeError
+        # 16384 columns of 2**10 words are 2**30 bits: the exact check's word
+        # table fits for 16384 elements, not for 16385.  The sampled check
+        # builds no table.
+        with pytest.raises(TypeError):
+            run(16384)
+        if check == "sampled":
+            with pytest.raises(TypeError):
+                run(16385)
+            return
+        message = (
+            f"exact check of m={m} sets over 16385 elements needs 1073807360 bits of word table, "
             "over the budget of 1073741824"
         )
         with pytest.raises(mr.BudgetExceededError, match=f"^{re.escape(message)}$"):

@@ -41,6 +41,12 @@ def wide_family(path):
     path.write_text("FAMILY 100000 100000 1 1000000000000 1\n" + "".join(f"{v}\n" for v in range(1, 100001)))
 
 
+def narrow_family(path):
+    """65,536 sets, the first holding 50,000 elements and the rest empty: few
+    mask bits, but a 65,536-bit column per element in the exact word table."""
+    path.write_text("FAMILY 50001 65536 50000 1 1\n" + " ".join(map(str, range(1, 50001))) + "\n" * 65536)
+
+
 def huge_d_family(path):
     """46 bytes declaring d = 10**9: one sampled trial draws d elements."""
     path.write_bytes(b"FAMILY 1000000000 1 1 1000000000 1000000000\n1\n")
@@ -92,6 +98,12 @@ CASES = [
         {"fam": wide_family},
         ["family", "check", "--file", "{fam}", "--mode", "exact"],
         "exact check of m=100000 sets over 100000 elements",
+    ),
+    (
+        "exact check of a narrow family over many sets",
+        {"fam": narrow_family},
+        ["family", "check", "--file", "{fam}", "--mode", "exact"],
+        "exact check of m=65536 sets over 50000 elements needs 3276800000 bits of word table",
     ),
     (
         "sampled check of a wide family",
