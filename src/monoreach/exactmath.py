@@ -147,22 +147,23 @@ _PROB_BITS = 24
 
 
 def bernoulli_digits(p: float) -> tuple[int, ...]:
-    """The draw schedule of a Bernoulli mask at density p: one binary digit
-    of p per getrandbits draw, least significant first.
+    """The comparison schedule of a Bernoulli mask at density p: the binary
+    digits b_1, b_2, ... of p, most significant (2**-1) first.
 
-    p is quantized to a multiple of 2**-24.  The first draw (digit 1) seeds
-    the mask; each later draw is ORed in for a 1 digit, which averages the
-    density with one, and ANDed in for a 0 digit, which halves it.  Trailing
-    zero digits only AND into an all-zero mask and are skipped; every digit
-    above them, including leading zeros, is drawn.  An empty schedule means
-    no draws: the mask is all zeros for p <= 0 and all ones for p >= 1.
+    p is quantized to a multiple of 2**-24, and the schedule ends at its
+    last 1 digit.  Round r of bernoulli_masks reads one bit per undecided
+    lane and compares it with b_r: a 1 bit where b_r = 1 decides the lane
+    1, a 0 bit where b_r = 0 decides it 0, and any other bit leaves it to
+    the next round; a lane still undecided after the last round is 0.  An
+    empty schedule means no draws: the mask is all zeros for p <= 0 and all
+    ones for p >= 1.
     """
     if p <= 0.0 or p >= 1.0:
         return ()
     q = round(p * (1 << _PROB_BITS))
     q = min(max(q, 1), (1 << _PROB_BITS) - 1)
     trailing = (q & -q).bit_length() - 1
-    return tuple((q >> b) & 1 for b in range(trailing, _PROB_BITS))
+    return tuple((q >> b) & 1 for b in range(_PROB_BITS - 1, trailing - 1, -1))
 
 
 def bernoulli_mask(rng: Random, width: int, p: float) -> int:
@@ -202,41 +203,86 @@ def twister_words(rng: Random):
     rng.setstate((version, (*state["key"].tolist(), int(state["pos"])), gauss_next))
 
 
-_DRAW_WORDS = 1 << 16  # words (256 KiB) per numpy draw of bernoulli_masks: whole masks, at least one
+# Words per group of bernoulli_masks, whose rounds draw for a whole group
+# at once: part of the stream.
+_DRAW_WORDS = 1 << 15
+# The rounds place their draws by a boolean mask while at most 1/_SPARSE of
+# a group's words are decided, and gather the undecided words from then on.
+_SPARSE = 2
 
 
 def bernoulli_masks(rng: Random, count: int, width: int, p: float) -> list[int]:
     """`count` integers of `width` independent bits, each 1 with probability
-    ~p, drawn in turn by the schedule of bernoulli_digits(p).
+    ~p, by the comparison rounds of bernoulli_digits(p).
 
-    Each draw is rng.getrandbits(width): ceil(width / 32) words of rng's
-    Mersenne Twister, the first the least significant, the last shifted
-    right to its top width % 32 bits.  The words come through
-    twister_words, and are combined per digit as uint32 arrays, a group of
-    whole masks at a time.
+    Masks are drawn in groups of max(1, _DRAW_WORDS // words) whole masks,
+    words = ceil(width / 32); the first word of a mask is its least
+    significant.  In round r, one 32-bit word of rng's Mersenne Twister is
+    drawn for each word of the group that still has an undecided lane, in
+    mask-major order, and each undecided lane reads its own bit of that
+    word.  All 32 lanes of a mask's last word are decided, and the mask
+    keeps their top width % 32 bits, as getrandbits(width) does; so at
+    p = 0.5 the masks are getrandbits(width) draws.  The words come through
+    twister_words.
     """
     if width <= 0:
         return [0] * count
     digits = bernoulli_digits(p)
     if not digits:
         return [(1 << width) - 1 if p >= 1.0 else 0] * count
-    words = (width + 31) // 32
-    group = max(1, _DRAW_WORDS // (len(digits) * words))
+    group = max(1, _DRAW_WORDS // ((width + 31) // 32))
     masks = []
     with twister_words(rng) as draw:
         for done in range(0, count, group):
-            k = min(group, count - done)
-            drawn = draw((k, len(digits), words))
-            acc = drawn[:, 0].copy()
-            for d, digit in enumerate(digits[1:], 1):
-                if digit:
-                    acc |= drawn[:, d]
-                else:
-                    acc &= drawn[:, d]
-            if width % 32:
-                acc[:, -1] >>= 32 - width % 32
-            masks += [int.from_bytes(row.tobytes(), "little") for row in acc.astype("<u4", copy=False)]
+            masks += _group_masks(draw, min(group, count - done), width, digits)
     return masks
+
+
+def _group_masks(draw, k: int, width: int, digits) -> list[int]:
+    """The k masks of one group of bernoulli_masks, drawn by its rounds.
+
+    A round reads the undecided lanes of a word through its draw: `word`
+    holds it, and stays stale where a word has no undecided lane, where the
+    rule reads nothing of it.  While few words are decided, a round places
+    its draws into `word` by a boolean mask over the whole group; once more
+    than 1/_SPARSE of them are, the undecided words are gathered by index,
+    and each round works on them alone.
+    """
+    words = (width + 31) // 32
+    size = k * words
+    undecided = draw(size)  # round 1 reads every lane
+    if digits[0]:
+        ones = undecided.copy()
+        np.invert(undecided, out=undecided)
+    else:
+        ones = np.zeros(size, np.uint32)
+    word = np.empty(size, np.uint32)
+    at = None  # the indices of the undecided words, once they are gathered
+    for digit in digits[1:]:
+        live = undecided != 0
+        left = np.count_nonzero(live)
+        if at is None and left * _SPARSE > size * (_SPARSE - 1):
+            word[live] = draw(left)
+        else:
+            if not left:
+                break
+            word = draw(left)
+            keep = np.flatnonzero(live)
+            at = keep if at is None else at[keep]
+            undecided = undecided[keep]
+        if digit:
+            word &= undecided
+            if at is None:
+                ones |= word
+            else:
+                ones[at] |= word
+            undecided ^= word
+        else:
+            undecided &= word
+    ones = ones.reshape(k, words)
+    if width % 32:
+        ones[:, -1] >>= 32 - width % 32
+    return [int.from_bytes(row.tobytes(), "little") for row in ones.astype("<u4", copy=False)]
 
 
 # ---------------------------------------------------------------------------

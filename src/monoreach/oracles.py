@@ -256,8 +256,10 @@ def masks_to_graph_ints(masks, width: int) -> list[int]:
 def bernoulli_entry_masks(rng: Random, n: int, width: int, p: float) -> list[int]:
     """Per-entry Bernoulli masks for a chunk of `width` random graphs.
 
-    Entry order is the input wire order; the draw schedule (entry-major) is
-    part of the documented sampling scheme.
+    One bernoulli_masks call draws the n * n masks in input wire order.
+    Its comparison rounds run over groups of whole masks, so these are not
+    the masks of n * n separate calls; the one call, entry-major, is part
+    of the documented sampling scheme.
     """
     return bernoulli_masks(rng, n * n, width, p)
 

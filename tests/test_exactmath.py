@@ -1,5 +1,6 @@
 """Number kit: primality, portable draws, scaled-integer logs and powers."""
 
+import itertools
 import math
 import re
 from random import Random
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from monoreach import exactmath
 from monoreach.errors import InvalidParameterError
 from monoreach.exactmath import (
     _DRAW_WORDS,
@@ -27,6 +29,50 @@ from monoreach.exactmath import (
     sample_distinct,
 )
 from monoreach.families import minimal_prime_q
+
+
+def lane_round(digit, word, undecided):
+    """One comparison round on the lanes of a word: (the lanes it decides 1,
+    the lanes it leaves undecided).  An undecided lane's bit of `word`
+    decides it 1 where the bit and the digit are both 1, 0 where both are
+    0, and leaves it undecided where they differ."""
+    if digit:
+        return word & undecided, undecided & ~word
+    return 0, undecided & word
+
+
+def reference_bernoulli_masks(rng, count, width, p):
+    """Plain-Python reader of the Bernoulli mask stream, one getrandbits(32)
+    per word.  p is rounded to q / 2**24; round r compares with the digit
+    of 2**-r in q, down to its last 1 digit.  Per group of
+    max(1, _DRAW_WORDS // words) whole masks, round r reads a word for each
+    word with an undecided lane, in mask-major order; lanes undecided after
+    the last round are 0, and a mask keeps the top width % 32 bits of its
+    last word."""
+    if width <= 0 or p <= 0.0:
+        return [0] * count
+    if p >= 1.0:
+        return [(1 << width) - 1] * count
+    q = min(max(round(p * 2**24), 1), 2**24 - 1)
+    digits = [(q >> (24 - r)) & 1 for r in range(1, 25)]
+    while not digits[-1]:
+        digits.pop()
+    words = (width + 31) // 32
+    group = max(1, exactmath._DRAW_WORDS // words)
+    masks = []
+    for done in range(0, count, group):
+        size = min(group, count - done) * words
+        ones, undecided = [0] * size, [2**32 - 1] * size
+        for digit in digits:
+            for i, lanes in enumerate(undecided):
+                if lanes:
+                    hit, undecided[i] = lane_round(digit, rng.getrandbits(32), lanes)
+                    ones[i] |= hit
+        for first in range(0, size, words):
+            low = b"".join(w.to_bytes(4, "little") for w in ones[first : first + words - 1])
+            top = ones[first + words - 1] >> (32 * words - width)
+            masks.append(int.from_bytes(low, "little") | top << (32 * (words - 1)))
+    return masks
 
 
 class TestPrimality:
@@ -103,7 +149,7 @@ class TestPortableDraws:
 
     def test_bernoulli_density(self):
         rng = Random(11)
-        for p in (0.02, 0.1, 0.5, 0.9):
+        for p in (0.02, 0.05, 0.1, 0.3, 0.5, 0.9):
             mask = bernoulli_mask(rng, 200_000, p)
             rate = mask.bit_count() / 200_000
             assert rate == pytest.approx(p, abs=0.01)
@@ -119,52 +165,71 @@ class TestPortableDraws:
             (1.0, ()),
             (0.5, (1,)),
             (0.75, (1, 1)),
-            (0.25, (1, 0)),
-            (2**-24, (1,) + (0,) * 23),
-            (1e-12, (1,) + (0,) * 23),  # rounds up to the least step
+            (0.25, (0, 1)),
+            (0.375, (0, 1, 1)),
+            (2**-24, (0,) * 23 + (1,)),
+            (1e-12, (0,) * 23 + (1,)),  # rounds up to the least step
             (1 - 1e-12, (1,) * 24),  # rounds down to the last step
         ],
     )
     def test_bernoulli_digits(self, p, digits):
         assert bernoulli_digits(p) == digits
 
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_lane_rule_is_exact_on_dyadic_densities(self, m):
+        # At p = k / 2**m the schedule has at most m rounds, and of the 2**m
+        # bit sequences a lane can read in m rounds, exactly k decide it 1.
+        for k in range(1, 2**m):
+            digits = bernoulli_digits(k / 2**m)
+            assert len(digits) <= m
+            ones = 0
+            for bits in itertools.product((0, 1), repeat=m):
+                undecided = 1
+                for digit, bit in zip(digits, bits):
+                    hit, undecided = lane_round(digit, bit, undecided)
+                    ones += hit
+            assert ones == k, (k, m)
+
     @pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.37, 0.999, 1e-9, 0.0, 1.0, 0.25, 2**-24])
     @pytest.mark.parametrize("width", [1, 31, 32, 33, 256, 1000, 5461, 5462, 16384])
-    def test_bernoulli_mask_matches_inline_horner(self, p, width):
-        # The Horner of bernoulli_mask on getrandbits alone, before its digit
-        # schedule was factored out into bernoulli_digits and its words were
-        # drawn through numpy's MT19937: the same bits, in the same order,
-        # and the Random left in the same state.
-        def inline(rng):
-            if p <= 0.0:
-                return 0
-            if p >= 1.0:
-                return (1 << width) - 1
-            q = min(max(round(p * (1 << 24)), 1), (1 << 24) - 1)
-            trailing = (q & -q).bit_length() - 1
-            q >>= trailing
-            acc = rng.getrandbits(width)
-            q >>= 1
-            for _ in range(24 - trailing - 1):
-                r = rng.getrandbits(width)
-                acc = (acc | r) if (q & 1) else (acc & r)
-                q >>= 1
-            return acc
-
+    def test_bernoulli_masks_match_the_reader(self, monkeypatch, p, width):
+        # Groups of 2**12 words keep the plain-Python reader quick; the
+        # masks and the Random's final state must match it one mask at a
+        # time, then from a Random part way through its words, holding a
+        # normal deviate in gauss_next, over as many masks as fill two and
+        # a half groups (three masks where nothing is drawn).
+        monkeypatch.setattr(exactmath, "_DRAW_WORDS", 1 << 12)
         ours, theirs = Random(width), Random(width)
-        assert [bernoulli_mask(ours, width, p) for _ in range(3)] == [inline(theirs) for _ in range(3)]
+        assert [bernoulli_mask(ours, width, p) for _ in range(3)] == [
+            reference_bernoulli_masks(theirs, 1, width, p)[0] for _ in range(3)
+        ]
         assert ours.getstate() == theirs.getstate()
-        # From a Random part way through its words, holding a normal deviate
-        # in gauss_next, as many masks as take three numpy draws, the last
-        # one part full (three masks where nothing is drawn).
         for rng in (ours, theirs):
             rng.getrandbits(1000)
             rng.gauss(0.0, 1.0)
         assert ours.getstate()[2] is not None
-        digits = bernoulli_digits(p)
-        group = _DRAW_WORDS // (len(digits) * ((width + 31) // 32)) if digits else 1
+        group = max(1, (1 << 12) // ((width + 31) // 32)) if bernoulli_digits(p) else 1
         count = 2 * group + group // 2 + 1
-        assert bernoulli_masks(ours, count, width, p) == [inline(theirs) for _ in range(count)]
+        assert bernoulli_masks(ours, count, width, p) == reference_bernoulli_masks(theirs, count, width, p)
+        assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("p", [0.05, 0.3])
+    def test_bernoulli_masks_match_the_reader_in_full_groups(self, p):
+        # Width 5461 takes 171 words a mask, so a group of _DRAW_WORDS words
+        # holds 191 masks and 32,661 words, and two and a half are drawn.
+        group = _DRAW_WORDS // 171
+        count = 2 * group + group // 2 + 1
+        ours, theirs = Random(5461), Random(5461)
+        assert bernoulli_masks(ours, count, 5461, p) == reference_bernoulli_masks(theirs, count, 5461, p)
+        assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("width", [1, 31, 32, 33, 1000, 16384])
+    def test_half_density_masks_are_getrandbits(self, width):
+        # At p = 0.5 one round decides every lane: the masks are the
+        # getrandbits(width) draws, over more than two groups.
+        count = 2 * max(1, _DRAW_WORDS // ((width + 31) // 32)) + 3
+        ours, theirs = Random(width), Random(width)
+        assert bernoulli_masks(ours, count, width, 0.5) == [theirs.getrandbits(width) for _ in range(count)]
         assert ours.getstate() == theirs.getstate()
 
 
